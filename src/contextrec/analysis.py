@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import ViewingEvent, vectorize_context
+from .features import ViewingEvent, canonical_key, vectorize_context
 from .model import Catalog, TwoTowerModel, embed_context
 from .nn_core import ShapeError
 
@@ -64,10 +64,19 @@ class LabeledEmbeddings:
         )
 
 
-def _pairwise_angular(emb: np.ndarray) -> np.ndarray:
-    normed = emb / np.linalg.norm(emb, axis=1, keepdims=True)
-    cos = np.clip(normed @ normed.T, -1.0, 1.0)
-    return np.arccos(cos) / np.pi
+def _angular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angular distance between every row of a and every row of b.
+
+    Same measure as angular_distance, as one normalized product; passing
+    the same array twice keeps numpy's symmetric a @ a.T kernel.
+    """
+    na = np.linalg.norm(a, axis=1, keepdims=True)
+    nb = na if b is a else np.linalg.norm(b, axis=1, keepdims=True)
+    if np.any(na < 1e-12) or np.any(nb < 1e-12):
+        raise ValueError("angular distance is undefined for zero-norm vectors")
+    normed_a = a / na
+    normed_b = normed_a if b is a else b / nb
+    return np.arccos(np.clip(normed_a @ normed_b.T, -1.0, 1.0)) / np.pi
 
 
 def snnm(sample: LabeledEmbeddings, temperature: float) -> tuple[float, int]:
@@ -81,29 +90,21 @@ def snnm(sample: LabeledEmbeddings, temperature: float) -> tuple[float, int]:
     n = sample.size
     if n < 2:
         raise ValueError("need at least two embeddings")
-    theta = _pairwise_angular(sample.embeddings)
+    theta = _angular(sample.embeddings, sample.embeddings)
     # map labels (possibly unhashable-unfriendly tuples) to class codes
     codes_map: dict = {}
     codes = np.array([codes_map.setdefault(l, len(codes_map)) for l in sample.labels])
-    same = codes[:, None] == codes[None, :]
     off = ~np.eye(n, dtype=bool)
-
-    logw = -theta / temperature
-    terms = []
-    skipped = 0
-    for i in range(n):
-        mask_all = off[i]
-        mask_same = mask_all & same[i]
-        if not mask_same.any():
-            skipped += 1
-            continue
-        shift = logw[i][mask_all].max()
-        num = np.exp(logw[i][mask_same] - shift).sum()
-        den = np.exp(logw[i][mask_all] - shift).sum()
-        terms.append(-np.log(num / den))
-    if not terms:
+    same = (codes[:, None] == codes[None, :]) & off
+    kept = same.any(axis=1)
+    if not kept.any():
         raise DegenerateMeasure("every row lacked a same-label neighbor")
-    return float(np.mean(terms)), skipped
+
+    logw = np.where(off, -theta / temperature, -np.inf)
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))  # 0 on the diagonal
+    num = np.where(same, w, 0.0).sum(axis=1)
+    terms = -np.log(num[kept] / w.sum(axis=1)[kept])
+    return float(np.mean(terms)), int(n - kept.sum())
 
 
 @dataclass
@@ -208,9 +209,7 @@ def similarity_matrix(
     context embedding of content i). Contents without test events yield a
     NaN row flagged in empty_rows.
     """
-    from .model import _item_key
-
-    keys = [_item_key(it) for it in catalog.items]
+    keys = [canonical_key(it) for it in catalog.items]
     m = catalog.size
     ctx_emb, labels = context_embeddings_by_content(test_log, model)
     by_content: dict = {}
@@ -219,18 +218,15 @@ def similarity_matrix(
 
     values = np.full((m, m), np.nan)
     dispersion = np.full(m, np.nan)
-    empty = np.zeros(m, dtype=bool)
-    for i, key in enumerate(keys):
-        rows = by_content.get(key)
-        if not rows:
-            empty[i] = True
-            continue
-        mean = np.mean(rows, axis=0)
-        for j in range(m):
-            values[i, j] = 1.0 - angular_distance(mean, catalog.embeddings[j])
-        dispersion[i] = np.mean(
-            [1.0 - angular_distance(mean, r) for r in rows]
-        )
+    empty = np.array([key not in by_content for key in keys], dtype=bool)
+    present = np.flatnonzero(~empty)
+    if present.size:
+        groups = [np.stack(by_content[keys[i]]) for i in present]
+        means = np.stack([g.mean(axis=0) for g in groups])
+        values[present] = 1.0 - _angular(means, catalog.embeddings)
+        dispersion[present] = [
+            np.mean(1.0 - _angular(mean[None, :], g)) for mean, g in zip(means, groups)
+        ]
     return SimilarityMatrix(
         content_keys=keys, values=values, dispersion=dispersion, empty_rows=empty
     )

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, datagen, evaluation, serialization
+from . import analysis, evaluation, serialization
 from .datagen import GeneratorConfig, filter_log, generate, temporal_split
 from .features import SchemaError, ViewingEvent, build_schema
 from .model import catalog_from_log, precompute_catalog, recommend
@@ -81,14 +81,12 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
     return config
 
 
-def _generator_config(cfg: dict) -> GeneratorConfig:
-    names = {f.name for f in dataclasses.fields(GeneratorConfig)}
-    return GeneratorConfig(**{k: cfg[k] for k in names})
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    names = {f.name for f in dataclasses.fields(TrainConfig)}
-    return TrainConfig(**{k: cfg[k] for k in names})
+def _dataclass_config(cls, cfg: dict):
+    """Build a GeneratorConfig or TrainConfig; invalid values are ConfigErrors."""
+    try:
+        return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)})
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid {cls.__name__}: {exc}") from exc
 
 
 def _prepared_split(cfg: dict, dataset_path: str):
@@ -101,7 +99,7 @@ def _prepared_split(cfg: dict, dataset_path: str):
 
 def cmd_gen(args) -> int:
     cfg = load_run_config(args.config, {"seed": args.seed})
-    log = generate(_generator_config(cfg))
+    log = generate(_dataclass_config(GeneratorConfig, cfg))
     serialization.write_dataset(log, args.out)
     print(f"wrote {len(log)} events to {args.out}")
     return EXIT_OK
@@ -111,7 +109,7 @@ def cmd_train(args) -> int:
     cfg = load_run_config(
         args.config, {"seed": args.seed, "objective": args.objective}
     )
-    train_cfg = _train_config(cfg)
+    train_cfg = _dataclass_config(TrainConfig, cfg)
     train_log, _ = _prepared_split(cfg, args.dataset)
     if args.one_id:
         train_log = ablate_to_single_viewer(train_log, make_rng(train_cfg.seed + 7))
@@ -172,6 +170,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    if args.top_k < 1:
+        raise ConfigError("--top-k must be >= 1")
     model, _ = serialization.load_checkpoint(args.checkpoint)
     cfg = load_run_config(args.config, {})
     try:
@@ -179,7 +179,7 @@ def cmd_recommend(args) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise serialization.FormatError(f"cannot read context document: {exc}") from exc
-    attrs = serialization._attrs_from_json(doc.get("context", doc))
+    attrs = serialization.attrs_from_json(doc.get("context", doc))
     event = ViewingEvent(
         item_attributes={}, context_attributes=attrs, timestamp=0.0, duration_min=0.0
     )
@@ -188,7 +188,7 @@ def cmd_recommend(args) -> int:
     result = recommend(model, event, catalog)
     for idx, score in list(zip(result.ranked_item_indices, result.scores))[: args.top_k]:
         label = json.dumps(
-            serialization._attrs_to_json(catalog.items[idx]), sort_keys=True
+            serialization.attrs_to_json(catalog.items[idx]), sort_keys=True
         )
         print(f"{label}\t{score:.6f}")
     return EXIT_OK

@@ -35,11 +35,13 @@ class GeneratorConfig:
     timeshift_prob: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_users < 1 or self.n_genres < 2 or self.n_households < 1:
+            raise ValueError("need at least one user/household and two genres")
+
 
 def generate(config: GeneratorConfig) -> list[ViewingEvent]:
     """Produce a temporally ordered log; fully deterministic per seed."""
-    if config.n_users < 1 or config.n_genres < 2 or config.n_households < 1:
-        raise ValueError("need at least one user/household and two genres")
     rng = make_rng(config.seed)
     m = config.n_genres
     genres = [f"g{j:03d}" for j in range(m)]

@@ -7,12 +7,13 @@ lives in `model`; here we provide Random, Toppop, and Toppop(temp).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .features import ViewingEvent
-from .model import _item_key, rank_scores
+from .features import ViewingEvent, canonical_key
+from .model import rank_scores
 
 
 def position(ranked_item_indices: np.ndarray, observed_item_index: int) -> int:
@@ -73,14 +74,18 @@ def evaluate(
     skipped (the standard protocol builds the universe from all training
     contents and filters the test log accordingly).
     """
-    index = {_item_key(it): j for j, it in enumerate(items)}
-    positions = []
-    for event in test_log:
-        j = index.get(_item_key(event.item_attributes))
-        if j is None:
-            continue
-        positions.append(position(ranker(event), j))
+    positions = [
+        position(ranker(event), j)
+        for event, j in zip(test_log, _universe_indices(test_log, items))
+        if j is not None
+    ]
     return metrics(positions, len(items), ks)
+
+
+def _universe_indices(log: list[ViewingEvent], items: list[dict]) -> list:
+    """Index of each event's content in the item universe, None if absent."""
+    index = {canonical_key(it): j for j, it in enumerate(items)}
+    return [index.get(canonical_key(e.item_attributes)) for e in log]
 
 
 def random_ranker(m: int, rng: np.random.Generator):
@@ -97,15 +102,27 @@ def _frequency_ranking(counts: np.ndarray) -> np.ndarray:
     return rank_scores(counts.astype(np.float64))
 
 
+def _temporal_slot(event: ViewingEvent):
+    """(day-of-week, hour-of-day) pre-filtering slot."""
+    c = event.context_attributes
+    return (c.get("day_of_week"), c.get("hour_of_day"))
+
+
+def _popularity(training_log: list[ViewingEvent], items: list[dict]):
+    """Global and per-temporal-slot training counts over the item universe."""
+    global_counts = np.zeros(len(items))
+    slot_counts = defaultdict(lambda: np.zeros(len(items)))
+    for e, j in zip(training_log, _universe_indices(training_log, items)):
+        if j is None:
+            continue
+        global_counts[j] += 1
+        slot_counts[_temporal_slot(e)][j] += 1
+    return global_counts, slot_counts
+
+
 def toppop(training_log: list[ViewingEvent], items: list[dict]):
     """Context-agnostic ranking by training frequency."""
-    index = {_item_key(it): j for j, it in enumerate(items)}
-    counts = np.zeros(len(items))
-    for e in training_log:
-        j = index.get(_item_key(e.item_attributes))
-        if j is not None:
-            counts[j] += 1
-    fixed = _frequency_ranking(counts)
+    fixed = _frequency_ranking(_popularity(training_log, items)[0])
 
     def rank(event: ViewingEvent) -> np.ndarray:
         return fixed
@@ -113,33 +130,14 @@ def toppop(training_log: list[ViewingEvent], items: list[dict]):
     return rank
 
 
-def default_slot_extractor(event: ViewingEvent):
-    """(day-of-week, hour-of-day) pre-filtering slot."""
-    c = event.context_attributes
-    return (c.get("day_of_week"), c.get("hour_of_day"))
-
-
-def toppop_temporal(
-    training_log: list[ViewingEvent],
-    items: list[dict],
-    slot_extractor=default_slot_extractor,
-):
+def toppop_temporal(training_log: list[ViewingEvent], items: list[dict]):
     """Per-temporal-slot popularity ranking, falling back to global Toppop
     for slots unseen in training."""
-    index = {_item_key(it): j for j, it in enumerate(items)}
-    global_counts = np.zeros(len(items))
-    slot_counts: dict = {}
-    for e in training_log:
-        j = index.get(_item_key(e.item_attributes))
-        if j is None:
-            continue
-        global_counts[j] += 1
-        slot = slot_extractor(e)
-        slot_counts.setdefault(slot, np.zeros(len(items)))[j] += 1
+    global_counts, slot_counts = _popularity(training_log, items)
     global_ranking = _frequency_ranking(global_counts)
     slot_rankings = {s: _frequency_ranking(c) for s, c in slot_counts.items()}
 
     def rank(event: ViewingEvent) -> np.ndarray:
-        return slot_rankings.get(slot_extractor(event), global_ranking)
+        return slot_rankings.get(_temporal_slot(event), global_ranking)
 
     return rank

@@ -7,7 +7,7 @@ to [0, 1]. Out-of-vocabulary values contribute nothing (zero block).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +36,15 @@ class ViewingEvent:
 
     def item_key(self):
         """Canonical hashable identity of the consumed content."""
-        return _canonical(self.item_attributes)
+        return canonical_key(self.item_attributes)
 
     def context_key(self):
         """Canonical hashable identity of the full context tuple."""
-        return _canonical(self.context_attributes)
+        return canonical_key(self.context_attributes)
 
 
-def _canonical(attrs: dict):
+def canonical_key(attrs: dict):
+    """Hashable identity of an attribute dict; multi-values as sorted tuples."""
     out = []
     for name in sorted(attrs):
         v = attrs[name]
@@ -82,12 +83,12 @@ class FeatureSchema:
         return sum(s.width for s in self.item_specs)
 
 
-def _infer_kind(value) -> str:
-    if isinstance(value, (list, set, frozenset, tuple)):
+def _infer_kind(value_type: type) -> str:
+    if issubclass(value_type, (list, set, frozenset, tuple)):
         return KIND_MULTI
-    if isinstance(value, bool):
+    if issubclass(value_type, bool):
         return KIND_SINGLE
-    if isinstance(value, (int, float, np.integer, np.floating)):
+    if issubclass(value_type, (int, float, np.integer, np.floating)):
         return KIND_NUMERIC
     return KIND_SINGLE
 
@@ -97,7 +98,10 @@ def _build_specs(rows: list[dict]) -> tuple:
     specs = []
     for name in names:
         values = [row[name] for row in rows if name in row]
-        kind = _infer_kind(values[0])
+        kinds = {_infer_kind(t) for t in set(map(type, values))}
+        if len(kinds) > 1:
+            raise SchemaError(f"feature {name!r} mixes value kinds {sorted(kinds)}")
+        kind = kinds.pop()
         if kind == KIND_NUMERIC:
             lo = float(min(values))
             hi = float(max(values))

@@ -8,11 +8,17 @@ forward pass per request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureSchema, ViewingEvent, vectorize_context, vectorize_item
+from .features import (
+    FeatureSchema,
+    ViewingEvent,
+    canonical_key,
+    vectorize_context,
+    vectorize_item,
+)
 from .nn_core import LayerParams, ShapeError, encoder_forward, init_layers
 
 ARCHITECTURES = ("linear", "mlp")
@@ -98,37 +104,17 @@ class Catalog:
 
     items: list[dict]  # ordered distinct item descriptors
     embeddings: np.ndarray  # (M, E)
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index = {
-                _item_key(it): j for j, it in enumerate(self.items)
-            }
 
     @property
     def size(self) -> int:
         return len(self.items)
-
-    def index_of(self, item_attributes: dict) -> int | None:
-        return self._index.get(_item_key(item_attributes))
-
-
-def _item_key(attrs: dict):
-    out = []
-    for name in sorted(attrs):
-        v = attrs[name]
-        if isinstance(v, (list, set, frozenset, tuple)):
-            v = tuple(sorted(v))
-        out.append((name, v))
-    return tuple(out)
 
 
 def catalog_from_log(log: list[ViewingEvent]) -> list[dict]:
     """Distinct item descriptors from a log, in deterministic sorted order."""
     seen = {}
     for e in log:
-        seen.setdefault(_item_key(e.item_attributes), e.item_attributes)
+        seen.setdefault(canonical_key(e.item_attributes), e.item_attributes)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -136,7 +122,7 @@ def precompute_catalog(model: TwoTowerModel, items: list[dict]) -> Catalog:
     """Embed every distinct item once; static until the model changes."""
     if len(items) < 2:
         raise ValueError("catalog needs at least 2 items")
-    keys = [_item_key(it) for it in items]
+    keys = [canonical_key(it) for it in items]
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate item descriptors in catalog")
     # one item at a time so each row is bit-identical to a fresh embed_item

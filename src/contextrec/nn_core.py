@@ -7,7 +7,7 @@ explicit numpy Generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +63,7 @@ def xavier_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
 
-def init_layers(
-    widths: list[int], rng: np.random.Generator, final_identity: bool = True
-) -> list[LayerParams]:
+def init_layers(widths: list[int], rng: np.random.Generator) -> list[LayerParams]:
     """Build a chain of layers from a width list [in, h1, ..., out].
 
     Hidden layers are relu, the final layer identity (linear readout).
@@ -73,29 +71,14 @@ def init_layers(
     """
     if len(widths) < 2:
         raise ValueError("need at least input and output widths")
-    layers = []
-    for i in range(len(widths) - 1):
-        last = i == len(widths) - 2
-        act = "identity" if (last and final_identity) else "relu"
-        layers.append(
-            LayerParams(
-                weights=xavier_init(widths[i], widths[i + 1], rng),
-                biases=np.zeros(widths[i + 1]),
-                activation=act,
-            )
+    return [
+        LayerParams(
+            weights=xavier_init(widths[i], widths[i + 1], rng),
+            biases=np.zeros(widths[i + 1]),
+            activation="identity" if i == len(widths) - 2 else "relu",
         )
-    return layers
-
-
-def dense_forward(layer: LayerParams, x: np.ndarray) -> np.ndarray:
-    """Forward pass through one layer for a single vector or (N, in) batch."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != layer.fan_in:
-        raise ShapeError(f"input width {x.shape[-1]} != layer fan_in {layer.fan_in}")
-    z = x @ layer.weights.T + layer.biases
-    if layer.activation == "relu":
-        return np.maximum(z, 0.0)
-    return z
+        for i in range(len(widths) - 1)
+    ]
 
 
 def dropout(

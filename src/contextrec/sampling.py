@@ -79,20 +79,38 @@ def sample_npairs(
     Contents are chosen uniformly over the distinct-content classes, then
     one event uniformly within each class, so every group is a singleton.
     """
+    pools = _content_pools(log)
+    if n > len(pools):
+        raise SamplingError(
+            f"requested {n} distinct contents but the log has only {len(pools)}"
+        )
+    chosen = rng.choice(len(pools), size=n, replace=False)
+    events = []
+    for k in chosen:
+        pool = pools[k]
+        events.append(pool[rng.integers(len(pool))])
+    return _assemble(events, schema)
+
+
+_last_pools: tuple = ([], [])  # (copy of the last log grouped, its pools)
+
+
+def _content_pools(log: list[ViewingEvent]) -> list[list[ViewingEvent]]:
+    """The log's events grouped by content, in sorted content-key order.
+
+    Training draws every strict batch from one log, so the grouping of the
+    last log is kept and reused while the log still holds the same events.
+    """
+    global _last_pools
+    seen, pools = _last_pools
+    if len(seen) == len(log) and seen == log:
+        return pools
     by_item: dict = {}
     for e in log:
         by_item.setdefault(e.item_key(), []).append(e)
-    keys = sorted(by_item)
-    if n > len(keys):
-        raise SamplingError(
-            f"requested {n} distinct contents but the log has only {len(keys)}"
-        )
-    chosen = rng.choice(len(keys), size=n, replace=False)
-    events = []
-    for k in chosen:
-        pool = by_item[keys[k]]
-        events.append(pool[rng.integers(len(pool))])
-    return _assemble(events, schema)
+    pools = [by_item[k] for k in sorted(by_item)]
+    _last_pools = (list(log), pools)
+    return pools
 
 
 def sample_relaxed(

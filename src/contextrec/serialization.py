@@ -9,6 +9,7 @@ serialize byte-identically.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -17,14 +18,13 @@ from .model import EncoderConfig, TwoTowerModel
 from .nn_core import LayerParams
 
 CHECKPOINT_VERSION = 1
-DATASET_VERSION = 1
 
 
 class FormatError(ValueError):
     pass
 
 
-def _attrs_to_json(attrs: dict) -> dict:
+def attrs_to_json(attrs: dict) -> dict:
     out = {}
     for k, v in attrs.items():
         if isinstance(v, (list, set, frozenset, tuple)):
@@ -34,7 +34,7 @@ def _attrs_to_json(attrs: dict) -> dict:
     return out
 
 
-def _attrs_from_json(attrs: dict) -> dict:
+def attrs_from_json(attrs: dict) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in attrs.items()}
 
 
@@ -42,9 +42,9 @@ def write_dataset(log: list[ViewingEvent], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for e in log:
             record = {
-                "context": _attrs_to_json(e.context_attributes),
+                "context": attrs_to_json(e.context_attributes),
                 "duration_min": e.duration_min,
-                "item": _attrs_to_json(e.item_attributes),
+                "item": attrs_to_json(e.item_attributes),
                 "timestamp": e.timestamp,
             }
             fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
@@ -60,12 +60,15 @@ def read_dataset(path) -> list[ViewingEvent]:
                 continue
             try:
                 rec = json.loads(line)
+                ts, duration = float(rec["timestamp"]), float(rec["duration_min"])
+                if not (math.isfinite(ts) and math.isfinite(duration)):
+                    raise ValueError("timestamp and duration_min must be finite")
                 events.append(
                     ViewingEvent(
-                        item_attributes=_attrs_from_json(rec["item"]),
-                        context_attributes=_attrs_from_json(rec["context"]),
-                        timestamp=float(rec["timestamp"]),
-                        duration_min=float(rec["duration_min"]),
+                        item_attributes=attrs_from_json(rec["item"]),
+                        context_attributes=attrs_from_json(rec["context"]),
+                        timestamp=ts,
+                        duration_min=duration,
                     )
                 )
             except (KeyError, ValueError, TypeError) as exc:

@@ -7,7 +7,6 @@ portion of the training log. Returns the best-validation checkpoint.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,42 +61,26 @@ class TrainHistory:
     best_validation_loss: float = float("inf")
 
 
-def _strict_sampling(objective: str) -> bool:
-    return objective in ("jcce", "ljcce")
+def _next_batch(log, config, schema, rng, n_distinct, pair_index, max_tries=100):
+    """Draw one batch and, given a BPR pair index, one negative per row.
 
-
-def _draw_batch(
-    fit_log: list[ViewingEvent],
-    config: TrainConfig,
-    schema: FeatureSchema,
-    rng: np.random.Generator,
-    n_distinct: int,
-) -> MiniBatch:
-    if _strict_sampling(config.objective):
-        n = min(config.batch_size, n_distinct)
-        return sample_npairs(fit_log, n, rng, schema)
-    return sample_relaxed(fit_log, config.batch_size, rng, schema)
-
-
-def _draw_negatives(
-    batch: MiniBatch, pair_index: PairIndex, rng: np.random.Generator
-) -> np.ndarray:
-    return np.array(
-        [bpr_negative(batch, i, pair_index, rng) for i in range(batch.size)],
-        dtype=np.intp,
-    )
-
-
-def _batch_with_negatives(
-    fit_log, config, schema, rng, n_distinct, pair_index, max_tries=100
-):
-    """Draw batches until every row has an admissible BPR negative."""
+    With a pair index, batches are redrawn until every row has an
+    admissible negative. Returns (batch, negatives or None).
+    """
     for _ in range(max_tries):
-        batch = _draw_batch(fit_log, config, schema, rng, n_distinct)
+        if config.objective in ("jcce", "ljcce"):  # strict N-pairs sampling
+            batch = sample_npairs(log, min(config.batch_size, n_distinct), rng, schema)
+        else:
+            batch = sample_relaxed(log, config.batch_size, rng, schema)
+        if pair_index is None:
+            return batch, None
         try:
-            return batch, _draw_negatives(batch, pair_index, rng)
+            negatives = [
+                bpr_negative(batch, i, pair_index, rng) for i in range(batch.size)
+            ]
         except NoAdmissibleNegative:
             continue
+        return batch, np.array(negatives, dtype=np.intp)
     raise SamplingError("could not find admissible BPR negatives")
 
 
@@ -171,19 +154,12 @@ def train(
 
     # fixed validation batches so successive evaluations are comparable
     val_rng = make_rng(config.seed + 1)
-    val_batches = []
     n_val_batches = max(1, min(10, len(val_log) // config.batch_size))
     val_distinct = len({e.item_key() for e in val_log})
-    for _ in range(n_val_batches):
-        if config.objective == "bpr":
-            b, neg = _batch_with_negatives(
-                val_log, config, schema, val_rng, val_distinct, pair_index
-            )
-            val_batches.append((b, neg))
-        else:
-            val_batches.append(
-                (_draw_batch(val_log, config, schema, val_rng, val_distinct), None)
-            )
+    val_batches = [
+        _next_batch(val_log, config, schema, val_rng, val_distinct, pair_index)
+        for _ in range(n_val_batches)
+    ]
 
     def validation_loss(m: TwoTowerModel) -> float:
         vals = [
@@ -202,13 +178,9 @@ def train(
     stopping_reason = "max_steps"
 
     for step in range(1, config.max_steps + 1):
-        if config.objective == "bpr":
-            batch, negatives = _batch_with_negatives(
-                fit_log, config, schema, rng, n_distinct, pair_index
-            )
-        else:
-            batch = _draw_batch(fit_log, config, schema, rng, n_distinct)
-            negatives = None
+        batch, negatives = _next_batch(
+            fit_log, config, schema, rng, n_distinct, pair_index
+        )
         value, grads = _loss_and_grads(
             model, batch, config, rng, training=True, negatives=negatives
         )

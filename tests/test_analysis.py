@@ -112,6 +112,26 @@ class TestSnnm:
         assert value == pytest.approx(np.mean(terms), rel=1e-9)
         assert skipped == 0
 
+    @pytest.mark.parametrize("t", [0.01, 0.3, 50.0])
+    def test_matches_per_row_loop_with_skipped_rows(self, rng, t):
+        emb = rng.normal(size=(60, 5))
+        labels = [f"c{i % 7}" for i in range(54)] + [f"solo{i}" for i in range(6)]
+        value, skipped = snnm(LabeledEmbeddings(emb, labels), t)
+        # the per-row loop the masked row sums replaced
+        theta = np.array([[angular_distance(x, y) for y in emb] for x in emb])
+        terms = []
+        for i in range(60):
+            others = [j for j in range(60) if j != i]
+            same = [j for j in others if labels[j] == labels[i]]
+            if not same:
+                continue
+            shift = max(-theta[i, j] / t for j in others)
+            num = sum(np.exp(-theta[i, j] / t - shift) for j in same)
+            den = sum(np.exp(-theta[i, j] / t - shift) for j in others)
+            terms.append(-np.log(num / den))
+        assert skipped == 6
+        assert value == pytest.approx(np.mean(terms), rel=1e-12)
+
     def test_rows_without_same_label_neighbor_skipped(self, rng):
         emb = rng.normal(size=(4, 3))
         sample = LabeledEmbeddings(emb, ["a", "a", "b", "c"])
@@ -245,6 +265,44 @@ class TestSimilarityMatrix:
         sim = similarity_matrix(log[:1], model, catalog)
         assert sim.empty_rows[1]
         assert np.isnan(sim.values[1]).all()
+
+    def test_matches_per_pair_brute_force(self):
+        from contextrec.features import vectorize_context
+        from contextrec.model import catalog_from_log, embed_context, precompute_catalog
+
+        rng = make_rng(21)
+        log = [ctx_event(f"u{rng.integers(6)}", f"g{rng.integers(5)}", t) for t in range(60)]
+        schema = build_schema(log)
+        config = EncoderConfig(hidden_widths=(16,), embedding_dim=4)
+        model = TwoTowerModel.initialize(schema, config, make_rng(5))
+        catalog = precompute_catalog(model, catalog_from_log(log))
+        test_log = [e for e in log if e.item_attributes["genre"] != "g2"]
+        sim = similarity_matrix(test_log, model, catalog)
+
+        # the per-pair angular_distance loop the matrix form replaced
+        assert sim.empty_rows.tolist() == [k == (("genre", "g2"),) for k in sim.content_keys]
+        for i, key in enumerate(sim.content_keys):
+            rows = [
+                embed_context(model, vectorize_context(e, schema))
+                for e in test_log
+                if e.item_key() == key
+            ]
+            if not rows:
+                assert np.isnan(sim.values[i]).all() and np.isnan(sim.dispersion[i])
+                continue
+            mean = np.mean(rows, axis=0)
+            expected = [1.0 - angular_distance(mean, c) for c in catalog.embeddings]
+            assert np.allclose(sim.values[i], expected, rtol=0.0, atol=1e-12)
+            spread = np.mean([1.0 - angular_distance(mean, r) for r in rows])
+            assert sim.dispersion[i] == pytest.approx(spread, rel=0.0, abs=1e-12)
+
+    def test_zero_norm_rejected(self):
+        log = [ctx_event("u0", "g0", 0), ctx_event("u1", "g1", 1)]
+        schema = build_schema(log)
+        model = aligned_model(schema)
+        catalog = Catalog(items=[{"genre": "g0"}, {"genre": "g1"}], embeddings=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="zero-norm"):
+            similarity_matrix(log, model, catalog)
 
 
 class TestExportEmbeddings:

@@ -339,3 +339,79 @@ class TestAnalyze:
         assert code == EXIT_OK
         header = out.read_text().splitlines()[0]
         assert header.startswith("label,e0,")
+
+
+def _record(i, **context):
+    return {
+        "context": {"user": f"u{i % 3}", **context},
+        "duration_min": 30.0,
+        "item": {"genre": f"g{i % 2}"},
+        "timestamp": float(i),
+    }
+
+
+def _mixed_kind_dataset(path):
+    rows = [_record(0, size="big")] + [_record(i, size=float(i)) for i in range(1, 20)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+def _non_finite_dataset(path):
+    rows = [_record(i) for i in range(20)]
+    rows[5]["timestamp"] = float("nan")
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+TRAIN_ARGS = ["train", "--config", "{config}", "--dataset", "{dataset}", "--checkpoint", "{out}"]
+RECOMMEND_ARGS = ["recommend", "--config", "{config}", "--checkpoint", "{checkpoint}",
+                  "--dataset", "{dataset}", "--context", "{context}"]
+
+# id: (config overrides, argv template, dataset writer, exit code, message prefix)
+BOUNDARY_CASES = {
+    "train_batch_size_1": (
+        {"batch_size": 1}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: batch_size must be >= 2",
+    ),
+    "train_batch_size_text": (
+        {"batch_size": "many"}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig:",
+    ),
+    "gen_single_genre": (
+        {"n_genres": 1}, ["gen", "--config", "{config}", "--out", "{out}"], None, EXIT_CONFIG,
+        "config error: invalid GeneratorConfig: need at least one user/household",
+    ),
+    "recommend_negative_top_k": (
+        {}, RECOMMEND_ARGS + ["--top-k", "-2"], None, EXIT_CONFIG,
+        "config error: --top-k must be >= 1",
+    ),
+    "train_mixed_kind_feature": (
+        {}, TRAIN_ARGS, _mixed_kind_dataset, EXIT_DATA,
+        "data error: feature 'size' mixes value kinds",
+    ),
+    "train_nan_timestamp": (
+        {}, TRAIN_ARGS, _non_finite_dataset, EXIT_DATA,
+        "data error: bad dataset record at line 6: timestamp and duration_min must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARY_CASES.values(), ids=BOUNDARY_CASES.keys())
+def test_boundary_exit_codes(workspace, tmp_path, capsys, case):
+    """Bad input fails with the documented exit code and a one-line message."""
+    overrides, template, write_dataset, code, message = case
+    ws, config_path, dataset, ckpt = workspace
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**json.loads(config_path.read_text()), **overrides}))
+    if write_dataset is not None:
+        dataset = tmp_path / "data.jsonl"
+        write_dataset(dataset)
+    context = tmp_path / "ctx.json"
+    context.write_text(json.dumps({"context": _record(0)["context"]}))
+    out = tmp_path / "out"
+    paths = dict(config=config, dataset=dataset, checkpoint=ckpt, context=context, out=out)
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in template]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+    assert not out.exists()

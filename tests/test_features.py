@@ -51,6 +51,12 @@ class TestBuildSchema:
         with pytest.raises(SchemaError):
             build_schema(log)
 
+    @pytest.mark.parametrize("values", [(1.0, "z"), ("z", 1.0), (("a",), "b"), ("b", 2)])
+    def test_mixed_kinds_rejected(self, values):
+        log = [make_event({"x": v}, t=float(i)) for i, v in enumerate(values)]
+        with pytest.raises(SchemaError, match="'x' mixes value kinds"):
+            build_schema(log)
+
 
 class TestVectorize:
     def test_one_hot(self, small_log):

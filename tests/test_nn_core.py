@@ -6,7 +6,6 @@ from contextrec.nn_core import (
     LayerParams,
     ShapeError,
     adam_step,
-    dense_forward,
     dropout,
     encoder_backward,
     encoder_forward,
@@ -44,23 +43,25 @@ class TestXavierInit:
 
 
 class TestDenseForward:
+    """A single layer through encoder_forward, the one forward pass."""
+
     def test_relu_clamps(self):
         layer = LayerParams(np.eye(2), np.zeros(2), "relu")
-        assert np.allclose(dense_forward(layer, np.array([-2.0, 3.0])), [0.0, 3.0])
+        assert np.allclose(encoder_forward([layer], np.array([-2.0, 3.0]))[0], [0.0, 3.0])
 
     def test_identity_passthrough(self, rng):
         layer = LayerParams(np.eye(4), np.zeros(4), "identity")
         x = rng.normal(size=4)
-        assert np.allclose(dense_forward(layer, x), x)
+        assert np.allclose(encoder_forward([layer], x)[0], x)
 
     def test_hand_product(self):
         layer = LayerParams(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([0.5, 0.0]), "identity")
-        assert np.allclose(dense_forward(layer, np.array([1.0, 2.0])), [3.5, -1.0])
+        assert np.allclose(encoder_forward([layer], np.array([1.0, 2.0]))[0], [3.5, -1.0])
 
     def test_shape_mismatch(self):
         layer = LayerParams(np.eye(2), np.zeros(2), "relu")
         with pytest.raises(ShapeError):
-            dense_forward(layer, np.zeros(3))
+            encoder_forward([layer], np.zeros(3))
 
 
 class TestDropout:

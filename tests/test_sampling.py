@@ -67,6 +67,15 @@ class TestSampleNpairs:
         with pytest.raises(SamplingError):
             sample_npairs(log, 5, make_rng(0), schema)
 
+    def test_log_changed_in_place_is_regrouped(self, log, schema):
+        sample_npairs(log, 4, make_rng(0), schema)
+        log[0] = event("u1", "g5")
+        batch = sample_npairs(log, 5, make_rng(0), schema)
+        genres = [e.item_attributes["genre"] for e in batch.events]
+        assert sorted(genres) == ["g1", "g2", "g3", "g4", "g5"]
+        log.append(event("u1", "g6"))
+        assert sample_npairs(log, 6, make_rng(0), schema).size == 6
+
 
 class TestSampleRelaxed:
     def test_popularity_reflected(self, schema):

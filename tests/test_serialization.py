@@ -59,6 +59,17 @@ class TestDataset:
         with pytest.raises(FormatError, match="line 2"):
             read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("timestamp", float("nan")), ("duration_min", float("inf")), ("timestamp", float("-inf"))],
+    )
+    def test_non_finite_record_rejected(self, tmp_path, field, value):
+        rec = {"item": {}, "context": {}, "timestamp": 0, "duration_min": 1}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, field: value}) + "\n")
+        with pytest.raises(FormatError, match="line 2: timestamp and duration_min must be finite"):
+            read_dataset(path)
+
 
 def tiny_model():
     log = [
