@@ -135,10 +135,10 @@ def filter_log(
     kept = [e for e in log if e.duration_min >= min_duration_minutes]
     if min_item_count is None:
         min_item_count = max(1, len(kept) // 100)
-    counts: dict = {}
-    for e in kept:
-        counts[e.item_key()] = counts.get(e.item_key(), 0) + 1
-    return [e for e in kept if counts[e.item_key()] >= min_item_count]
+    ids: dict = {}  # content key -> dense content id
+    content = [ids.setdefault(e.item_key(), len(ids)) for e in kept]
+    counts = np.bincount(content, minlength=len(ids))
+    return [e for e, c in zip(kept, content) if counts[c] >= min_item_count]
 
 
 def temporal_split(

@@ -149,8 +149,8 @@ def _vectorize(attrs: dict, specs: tuple) -> np.ndarray:
                 x = (float(v) - spec.min) / (spec.max - spec.min)
                 blocks.append(np.array([min(max(x, 0.0), 1.0)]))
         else:
-            block = np.zeros(len(spec.vocabulary))
-            index = {c: i for i, c in enumerate(spec.vocabulary)}
+            vocab = spec.vocabulary
+            block = np.zeros(len(vocab))
             raw = attrs.get(spec.name)
             if raw is None:
                 values = []
@@ -158,7 +158,7 @@ def _vectorize(attrs: dict, specs: tuple) -> np.ndarray:
                 values = [str(v) for v in raw]
             else:
                 values = [str(raw)]
-            hits = [index[v] for v in values if v in index]
+            hits = [vocab.index(v) for v in values if v in vocab]
             if hits:
                 block[hits] = 1.0
                 block /= block.sum()  # L1: multi-hot block lives on the simplex

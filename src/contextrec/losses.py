@@ -120,6 +120,16 @@ def l2_reg(anchors: np.ndarray, positives: np.ndarray, lam: float) -> LossResult
     return LossResult(value=value, grad_anchors=2.0 * lam * a, grad_positives=2.0 * lam * p)
 
 
+def _two_way(fwd: LossResult, rev: LossResult, reg: LossResult) -> LossResult:
+    """Sum of the item-anchored (fwd) and context-anchored (rev) directions
+    and the regularizer, with gradients w.r.t. (context_emb, item_emb)."""
+    return LossResult(
+        value=fwd.value + rev.value + reg.value,
+        grad_anchors=fwd.grad_positives + rev.grad_anchors + reg.grad_anchors,
+        grad_positives=fwd.grad_anchors + rev.grad_positives + reg.grad_positives,
+    )
+
+
 def jcce_objective(
     context_emb: np.ndarray, item_emb: np.ndarray, lam: float
 ) -> LossResult:
@@ -129,14 +139,7 @@ def jcce_objective(
     as anchors); gradients are returned w.r.t. (context_emb, item_emb).
     """
     c, it = _check_batch(context_emb, item_emb)
-    fwd = npairs_loss(it, c)  # item anchors, context positives
-    rev = npairs_loss(c, it)
-    reg = l2_reg(c, it, lam)
-    return LossResult(
-        value=fwd.value + rev.value + reg.value,
-        grad_anchors=fwd.grad_positives + rev.grad_anchors + reg.grad_anchors,
-        grad_positives=fwd.grad_anchors + rev.grad_positives + reg.grad_positives,
-    )
+    return _two_way(npairs_loss(it, c), npairs_loss(c, it), l2_reg(c, it, lam))
 
 
 def rjcce_objective(
@@ -150,12 +153,7 @@ def rjcce_objective(
     c, it = _check_batch(context_emb, item_emb)
     fwd = relaxed_npairs_loss(it, c, groups)
     rev = relaxed_npairs_loss(c, it, groups)
-    reg = l2_reg(c, it, lam)
-    return LossResult(
-        value=fwd.value + rev.value + reg.value,
-        grad_anchors=fwd.grad_positives + rev.grad_anchors + reg.grad_anchors,
-        grad_positives=fwd.grad_anchors + rev.grad_positives + reg.grad_positives,
-    )
+    return _two_way(fwd, rev, l2_reg(c, it, lam))
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ class PairIndex:
 @dataclass
 class MiniBatch:
     events: list[ViewingEvent]
+    item_keys: list  # canonical content key per row
     context_vectors: np.ndarray  # (N, |C|)
     item_vectors: np.ndarray  # (N, |I|)
     groups: list[frozenset]  # X_i per row, indices sharing row i's content
@@ -48,69 +49,55 @@ class MiniBatch:
         return len(self.events)
 
 
-def group_positives(events: list[ViewingEvent]) -> list[frozenset]:
-    """X_i = indices of rows whose content matches row i's (including i)."""
+def group_positives(item_keys: list) -> list[frozenset]:
+    """X_i = indices of rows whose content key matches row i's (including i)."""
     by_item: dict = {}
-    for i, e in enumerate(events):
-        by_item.setdefault(e.item_key(), []).append(i)
+    for i, k in enumerate(item_keys):
+        by_item.setdefault(k, []).append(i)
     classes = {k: frozenset(v) for k, v in by_item.items()}
-    return [classes[e.item_key()] for e in events]
+    return [classes[k] for k in item_keys]
 
 
 def _assemble(events: list[ViewingEvent], schema: FeatureSchema) -> MiniBatch:
+    item_keys = [e.item_key() for e in events]
     return MiniBatch(
         events=events,
+        item_keys=item_keys,
         context_vectors=np.stack([vectorize_context(e, schema) for e in events]),
         item_vectors=np.stack(
             [vectorize_item(e.item_attributes, schema) for e in events]
         ),
-        groups=group_positives(events),
+        groups=group_positives(item_keys),
     )
 
 
+def content_pools(log: list[ViewingEvent]) -> list[list[ViewingEvent]]:
+    """The log's events grouped by content, in sorted content-key order."""
+    by_item: dict = {}
+    for e in log:
+        by_item.setdefault(e.item_key(), []).append(e)
+    return [by_item[k] for k in sorted(by_item)]
+
+
 def sample_npairs(
-    log: list[ViewingEvent],
+    pools: list[list[ViewingEvent]],
     n: int,
     rng: np.random.Generator,
     schema: FeatureSchema,
 ) -> MiniBatch:
     """Strict N-pairs batch: N distinct contents, one event per content.
 
-    Contents are chosen uniformly over the distinct-content classes, then
-    one event uniformly within each class, so every group is a singleton.
+    Contents are chosen uniformly over the content pools (see
+    content_pools), then one event uniformly within each pool, so every
+    group is a singleton.
     """
-    pools = _content_pools(log)
     if n > len(pools):
         raise SamplingError(
             f"requested {n} distinct contents but the log has only {len(pools)}"
         )
     chosen = rng.choice(len(pools), size=n, replace=False)
-    events = []
-    for k in chosen:
-        pool = pools[k]
-        events.append(pool[rng.integers(len(pool))])
+    events = [pools[k][rng.integers(len(pools[k]))] for k in chosen]
     return _assemble(events, schema)
-
-
-_last_pools: tuple = ([], [])  # (copy of the last log grouped, its pools)
-
-
-def _content_pools(log: list[ViewingEvent]) -> list[list[ViewingEvent]]:
-    """The log's events grouped by content, in sorted content-key order.
-
-    Training draws every strict batch from one log, so the grouping of the
-    last log is kept and reused while the log still holds the same events.
-    """
-    global _last_pools
-    seen, pools = _last_pools
-    if len(seen) == len(log) and seen == log:
-        return pools
-    by_item: dict = {}
-    for e in log:
-        by_item.setdefault(e.item_key(), []).append(e)
-    pools = [by_item[k] for k in sorted(by_item)]
-    _last_pools = (list(log), pools)
-    return pools
 
 
 def sample_relaxed(
@@ -136,11 +123,11 @@ def bpr_negative(
     when the batch offers none (caller draws a fresh batch).
     """
     ctx_key = batch.events[row_i].context_key()
-    own_item = batch.events[row_i].item_key()
+    own_item = batch.item_keys[row_i]
     admissible = [
         j
-        for j, e in enumerate(batch.events)
-        if e.item_key() != own_item and not pair_index.contains(ctx_key, e.item_key())
+        for j, k in enumerate(batch.item_keys)
+        if k != own_item and not pair_index.contains(ctx_key, k)
     ]
     if not admissible:
         raise NoAdmissibleNegative(f"row {row_i} has no admissible negative")

@@ -21,6 +21,7 @@ from .sampling import (
     PairIndex,
     SamplingError,
     bpr_negative,
+    content_pools,
     sample_npairs,
     sample_relaxed,
 )
@@ -61,17 +62,23 @@ class TrainHistory:
     best_validation_loss: float = float("inf")
 
 
-def _next_batch(log, config, schema, rng, n_distinct, pair_index, max_tries=100):
+def _batch_sampler(split, config, schema):
+    """rng -> batch over one split: strict N-pairs for jcce/ljcce, else relaxed."""
+    if config.objective in ("jcce", "ljcce"):
+        pools = content_pools(split)
+        n = min(config.batch_size, len(pools))
+        return lambda rng: sample_npairs(pools, n, rng, schema)
+    return lambda rng: sample_relaxed(split, config.batch_size, rng, schema)
+
+
+def _next_batch(draw, rng, pair_index, max_tries=100):
     """Draw one batch and, given a BPR pair index, one negative per row.
 
     With a pair index, batches are redrawn until every row has an
     admissible negative. Returns (batch, negatives or None).
     """
     for _ in range(max_tries):
-        if config.objective in ("jcce", "ljcce"):  # strict N-pairs sampling
-            batch = sample_npairs(log, min(config.batch_size, n_distinct), rng, schema)
-        else:
-            batch = sample_relaxed(log, config.batch_size, rng, schema)
+        batch = draw(rng)
         if pair_index is None:
             return batch, None
         try:
@@ -82,16 +89,6 @@ def _next_batch(log, config, schema, rng, n_distinct, pair_index, max_tries=100)
             continue
         return batch, np.array(negatives, dtype=np.intp)
     raise SamplingError("could not find admissible BPR negatives")
-
-
-def _objective_on_embeddings(
-    config: TrainConfig, ctx_emb, item_emb, batch: MiniBatch, negatives
-) -> losses.LossResult:
-    if config.objective == "rjcce":
-        return losses.rjcce_objective(ctx_emb, item_emb, batch.groups, config.lam)
-    if config.objective == "bpr":
-        return losses.bpr_loss(ctx_emb, item_emb, negatives, config.lam)
-    return losses.jcce_objective(ctx_emb, item_emb, config.lam)
 
 
 def _loss_and_grads(
@@ -109,7 +106,15 @@ def _loss_and_grads(
     item_emb, item_tape = encoder_forward(
         model.item_encoder, batch.item_vectors, dr, rng, training
     )
-    res = _objective_on_embeddings(config, ctx_emb, item_emb, batch, negatives)
+    _check_finite("embeddings", ctx_emb, item_emb)
+    with np.errstate(all="ignore"):  # a non-finite result raises just below
+        if config.objective == "rjcce":
+            res = losses.rjcce_objective(ctx_emb, item_emb, batch.groups, config.lam)
+        elif config.objective == "bpr":
+            res = losses.bpr_loss(ctx_emb, item_emb, negatives, config.lam)
+        else:
+            res = losses.jcce_objective(ctx_emb, item_emb, config.lam)
+    _check_finite("loss", res.value)
     if not training:
         return res.value, None
     ctx_grads, _ = encoder_backward(ctx_tape, res.grad_anchors)
@@ -118,7 +123,13 @@ def _loss_and_grads(
     for dw, db in ctx_grads + item_grads:
         flat.append(dw)
         flat.append(db)
+    _check_finite("gradients", *flat)
     return res.value, flat
+
+
+def _check_finite(what: str, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FloatingPointError(f"non-finite {what}")
 
 
 def train(
@@ -131,7 +142,8 @@ def train(
 
     The log must be temporally ordered; the last validation_fraction of
     it becomes the validation split. Returns the parameters of the best
-    validation checkpoint.
+    validation checkpoint. A non-finite embedding, loss or gradient raises
+    FloatingPointError naming the step.
     """
     if encoder_config is None:
         arch = "linear" if config.objective == "ljcce" else "mlp"
@@ -149,17 +161,14 @@ def train(
     cut = int(round((1.0 - config.validation_fraction) * len(log)))
     cut = max(1, min(cut, len(log) - 1))
     fit_log, val_log = log[:cut], log[cut:]
-    n_distinct = len({e.item_key() for e in fit_log})
     pair_index = PairIndex.from_log(fit_log) if config.objective == "bpr" else None
 
     # fixed validation batches so successive evaluations are comparable
     val_rng = make_rng(config.seed + 1)
     n_val_batches = max(1, min(10, len(val_log) // config.batch_size))
-    val_distinct = len({e.item_key() for e in val_log})
-    val_batches = [
-        _next_batch(val_log, config, schema, val_rng, val_distinct, pair_index)
-        for _ in range(n_val_batches)
-    ]
+    draw_val = _batch_sampler(val_log, config, schema)
+    val_batches = [_next_batch(draw_val, val_rng, pair_index) for _ in range(n_val_batches)]
+    draw_fit = _batch_sampler(fit_log, config, schema)
 
     def validation_loss(m: TwoTowerModel) -> float:
         vals = [
@@ -177,33 +186,34 @@ def train(
     recent: list[float] = []
     stopping_reason = "max_steps"
 
-    for step in range(1, config.max_steps + 1):
-        batch, negatives = _next_batch(
-            fit_log, config, schema, rng, n_distinct, pair_index
-        )
-        value, grads = _loss_and_grads(
-            model, batch, config, rng, training=True, negatives=negatives
-        )
-        adam_step(params, grads, state, lr=config.learning_rate)
-        recent.append(value)
+    try:
+        for step in range(1, config.max_steps + 1):
+            batch, negatives = _next_batch(draw_fit, rng, pair_index)
+            value, grads = _loss_and_grads(
+                model, batch, config, rng, training=True, negatives=negatives
+            )
+            adam_step(params, grads, state, lr=config.learning_rate)
+            recent.append(value)
 
-        if step % config.eval_every == 0 or step == config.max_steps:
-            val = validation_loss(model)
-            history.records.append((step, float(np.mean(recent)), val))
-            recent = []
-            if val < best_val:
-                best_val = val
-                best_params = [p.copy() for p in params]
-                best_step = step
-                bad_evals = 0
-            else:
-                bad_evals += 1
-                if bad_evals >= config.patience:
-                    stopping_reason = "early_stopping"
-                    history.stopping_step = step
-                    break
-    else:
-        history.stopping_step = config.max_steps
+            if step % config.eval_every == 0 or step == config.max_steps:
+                val = validation_loss(model)
+                history.records.append((step, float(np.mean(recent)), val))
+                recent = []
+                if val < best_val:
+                    best_val = val
+                    best_params = [p.copy() for p in params]
+                    best_step = step
+                    bad_evals = 0
+                else:
+                    bad_evals += 1
+                    if bad_evals >= config.patience:
+                        stopping_reason = "early_stopping"
+                        history.stopping_step = step
+                        break
+        else:
+            history.stopping_step = config.max_steps
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"training diverged at step {step}: {exc}") from None
 
     history.stopping_reason = stopping_reason
     for p, bp in zip(params, best_params):

@@ -5,6 +5,7 @@ import pytest
 from contextrec.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
     _parse_ks,
@@ -390,6 +391,10 @@ BOUNDARY_CASES = {
     "train_nan_timestamp": (
         {}, TRAIN_ARGS, _non_finite_dataset, EXIT_DATA,
         "data error: bad dataset record at line 6: timestamp and duration_min must be finite",
+    ),
+    "train_diverging": (
+        {"learning_rate": 1e6, "objective": "rjcce"}, TRAIN_ARGS, None, EXIT_NUMERIC,
+        "numeric error: training diverged at step",
     ),
 }
 

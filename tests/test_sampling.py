@@ -8,6 +8,7 @@ from contextrec.sampling import (
     PairIndex,
     SamplingError,
     bpr_negative,
+    content_pools,
     group_positives,
     sample_npairs,
     sample_relaxed,
@@ -42,13 +43,13 @@ def schema(log):
 class TestSampleNpairs:
     def test_all_contents_once(self, log, schema):
         rng = make_rng(0)
-        batch = sample_npairs(log, 4, rng, schema)
+        batch = sample_npairs(content_pools(log), 4, rng, schema)
         genres = [e.item_attributes["genre"] for e in batch.events]
         assert sorted(genres) == ["g1", "g2", "g3", "g4"]
 
     def test_groups_all_singletons(self, log, schema):
         rng = make_rng(1)
-        batch = sample_npairs(log, 3, rng, schema)
+        batch = sample_npairs(content_pools(log), 3, rng, schema)
         assert all(len(g) == 1 for g in batch.groups)
 
     def test_content_frequency_uniform(self, schema, log):
@@ -57,7 +58,7 @@ class TestSampleNpairs:
         counts = {g: 0 for g in ("g1", "g2", "g3", "g4")}
         draws = 10_000
         for _ in range(draws):
-            batch = sample_npairs(log, 2, rng, schema)
+            batch = sample_npairs(content_pools(log), 2, rng, schema)
             for e in batch.events:
                 counts[e.item_attributes["genre"]] += 1
         for c in counts.values():
@@ -65,16 +66,30 @@ class TestSampleNpairs:
 
     def test_too_many_contents_rejected(self, log, schema):
         with pytest.raises(SamplingError):
-            sample_npairs(log, 5, make_rng(0), schema)
+            sample_npairs(content_pools(log), 5, make_rng(0), schema)
 
-    def test_log_changed_in_place_is_regrouped(self, log, schema):
-        sample_npairs(log, 4, make_rng(0), schema)
+
+class TestContentPools:
+    def test_sorted_by_content_in_log_order(self, log):
+        pools = content_pools(log)
+        assert [p[0].item_attributes["genre"] for p in pools] == ["g1", "g2", "g3", "g4"]
+        for pool in pools:
+            positions = [log.index(e) for e in pool]
+            assert positions == sorted(positions)
+            assert len({e.item_key() for e in pool}) == 1
+        assert sum(len(p) for p in pools) == len(log)
+
+    def test_changed_log_is_reflected(self, log, schema):
+        assert len(content_pools(log)) == 4
         log[0] = event("u1", "g5")
-        batch = sample_npairs(log, 5, make_rng(0), schema)
+        pools = content_pools(log)
+        assert [p[0].item_attributes["genre"] for p in pools] == ["g1", "g2", "g3", "g4", "g5"]
+        assert len(pools[0]) == 2
+        batch = sample_npairs(pools, 5, make_rng(0), schema)
         genres = [e.item_attributes["genre"] for e in batch.events]
         assert sorted(genres) == ["g1", "g2", "g3", "g4", "g5"]
         log.append(event("u1", "g6"))
-        assert sample_npairs(log, 6, make_rng(0), schema).size == 6
+        assert sample_npairs(content_pools(log), 6, make_rng(0), schema).size == 6
 
 
 class TestSampleRelaxed:
@@ -116,12 +131,12 @@ class TestSampleRelaxed:
 class TestGroupPositives:
     def test_direct_definition(self):
         events = [event("u1", "g1"), event("u2", "g1"), event("u3", "g2")]
-        groups = group_positives(events)
+        groups = group_positives([e.item_key() for e in events])
         assert groups[0] == groups[1] == frozenset([0, 1])
         assert groups[2] == frozenset([2])
 
     def test_all_distinct(self, log):
-        groups = group_positives(log[:4])
+        groups = group_positives([e.item_key() for e in log[:4]])
         assert all(len(g) == 1 for g in groups)
 
     def test_equivalence_relation(self, log, schema):
@@ -196,6 +211,6 @@ def test_samplers_deterministic(log, schema):
     b1 = sample_relaxed(log, 8, make_rng(42), schema)
     b2 = sample_relaxed(log, 8, make_rng(42), schema)
     assert [e.item_attributes for e in b1.events] == [e.item_attributes for e in b2.events]
-    s1 = sample_npairs(log, 4, make_rng(42), schema)
-    s2 = sample_npairs(log, 4, make_rng(42), schema)
+    s1 = sample_npairs(content_pools(log), 4, make_rng(42), schema)
+    s2 = sample_npairs(content_pools(log), 4, make_rng(42), schema)
     assert [e.context_attributes for e in s1.events] == [e.context_attributes for e in s2.events]

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,18 @@ class TestTrain:
         cfg = TrainConfig(objective="jcce", batch_size=64, max_steps=5, eval_every=5, seed=0)
         model, history = train(log, schema, cfg)
         assert history.records  # ran without SamplingError
+
+    @pytest.mark.parametrize("objective", ["jcce", "bpr"])
+    def test_log_not_kept_alive(self, objective):
+        # nothing of the caller's log may outlive the train() call
+        log = toy_log(n_contents=4, per_content=175)
+        schema = build_schema(log)
+        refs = [weakref.ref(e) for e in log]
+        cfg = TrainConfig(objective=objective, batch_size=4, max_steps=3, eval_every=3, seed=0)
+        train(log, schema, cfg)
+        del log
+        gc.collect()
+        assert sum(r() is not None for r in refs) == 0
 
 
 class TestAblateToSingleViewer:
