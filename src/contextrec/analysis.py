@@ -175,7 +175,7 @@ def context_embeddings_by_content(
     test_log: list[ViewingEvent], model: TwoTowerModel
 ) -> tuple[np.ndarray, list]:
     """Context embeddings of every test event with its content label."""
-    vecs = np.stack([vectorize_context(e, model.schema) for e in test_log])
+    vecs = vectorize_context(test_log, model.schema)
     return embed_context(model, vecs), [e.item_key() for e in test_log]
 
 
@@ -186,8 +186,7 @@ def average_context_embedding(
     selected = [e for e in test_log if e.item_key() == content_key]
     if not selected:
         raise ValueError(f"no test events with content {content_key!r}")
-    vecs = np.stack([vectorize_context(e, model.schema) for e in selected])
-    return embed_context(model, vecs).mean(axis=0)
+    return embed_context(model, vectorize_context(selected, model.schema)).mean(axis=0)
 
 
 @dataclass

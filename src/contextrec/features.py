@@ -1,13 +1,16 @@
 """Vectorization of raw viewing events into fixed-length real vectors.
 
-Single-valued categorical attributes become one-hot blocks, multi-valued
-ones become L1-normalized multi-hot blocks, numerics are min-max scaled
-to [0, 1]. Out-of-vocabulary values contribute nothing (zero block).
+Each attribute dict becomes one row of a float64 matrix, and callers
+vectorize a whole batch with one call. Single-valued categorical
+attributes become one-hot blocks, multi-valued ones become L1-normalized
+multi-hot blocks, numerics are min-max scaled to [0, 1].
+Out-of-vocabulary values contribute nothing (zero block).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +70,11 @@ class FeatureSpec:
     @property
     def width(self) -> int:
         return 1 if self.kind == KIND_NUMERIC else len(self.vocabulary)
+
+    @cached_property
+    def positions(self) -> dict:
+        """Vocabulary value -> position in the block (not a field)."""
+        return {v: i for i, v in enumerate(self.vocabulary)}
 
 
 @dataclass(frozen=True)
@@ -134,41 +142,45 @@ def build_schema(training_log: list[ViewingEvent]) -> FeatureSchema:
     )
 
 
-def _vectorize(attrs: dict, specs: tuple) -> np.ndarray:
-    known = {s.name for s in specs}
-    unknown = set(attrs) - known
+def _vectorize(rows: list[dict], specs: tuple) -> np.ndarray:
+    unknown = set().union(*rows) - {s.name for s in specs}
     if unknown:
         raise SchemaError(f"unknown attribute names: {sorted(unknown)}")
-    blocks = []
+    at_row, at_col, weight = [], [], []  # the nonzero cells
+    start = 0  # first column of the spec's block
     for spec in specs:
-        if spec.kind == KIND_NUMERIC:
-            v = attrs.get(spec.name)
-            if v is None:
-                blocks.append(np.zeros(1))
-            else:
-                x = (float(v) - spec.min) / (spec.max - spec.min)
-                blocks.append(np.array([min(max(x, 0.0), 1.0)]))
-        else:
-            vocab = spec.vocabulary
-            block = np.zeros(len(vocab))
+        pos = spec.positions
+        for r, attrs in enumerate(rows):
             raw = attrs.get(spec.name)
             if raw is None:
-                values = []
-            elif spec.kind == KIND_MULTI:
-                values = [str(v) for v in raw]
+                continue
+            if spec.kind == KIND_MULTI:
+                hits = {start + pos[v] for v in map(str, raw) if v in pos}
+                at_row += [r] * len(hits)
+                at_col += hits
+                weight += [1.0 / max(len(hits), 1)] * len(hits)  # L1: sums to 1
+                continue
+            if spec.kind == KIND_NUMERIC:
+                x = (float(raw) - spec.min) / (spec.max - spec.min)
+                c, w = 0, min(max(x, 0.0), 1.0)
             else:
-                values = [str(raw)]
-            hits = [vocab.index(v) for v in values if v in vocab]
-            if hits:
-                block[hits] = 1.0
-                block /= block.sum()  # L1: multi-hot block lives on the simplex
-            blocks.append(block)
-    return np.concatenate(blocks) if blocks else np.zeros(0)
+                c, w = pos.get(str(raw)), 1.0
+                if c is None:
+                    continue
+            at_row.append(r)
+            at_col.append(start + c)
+            weight.append(w)
+        start += spec.width
+    out = np.zeros((len(rows), start))
+    out[at_row, at_col] = weight
+    return out
 
 
-def vectorize_context(event: ViewingEvent, schema: FeatureSchema) -> np.ndarray:
-    return _vectorize(event.context_attributes, schema.context_specs)
+def vectorize_context(events: list[ViewingEvent], schema: FeatureSchema) -> np.ndarray:
+    """(N, context_width) matrix, one row per event's context."""
+    return _vectorize([e.context_attributes for e in events], schema.context_specs)
 
 
-def vectorize_item(item_attributes: dict, schema: FeatureSchema) -> np.ndarray:
-    return _vectorize(item_attributes, schema.item_specs)
+def vectorize_item(items: list[dict], schema: FeatureSchema) -> np.ndarray:
+    """(N, item_width) matrix, one row per item attribute dict."""
+    return _vectorize(items, schema.item_specs)

@@ -126,7 +126,7 @@ def precompute_catalog(model: TwoTowerModel, items: list[dict]) -> Catalog:
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate item descriptors in catalog")
     # one item at a time so each row is bit-identical to a fresh embed_item
-    rows = [embed_item(model, vectorize_item(it, model.schema)) for it in items]
+    rows = [embed_item(model, vectorize_item([it], model.schema)[0]) for it in items]
     return Catalog(items=list(items), embeddings=np.stack(rows))
 
 
@@ -150,7 +150,7 @@ def recommend(
     One context-encoder forward pass; item embeddings come from the
     precomputed catalog.
     """
-    ctx = embed_context(model, vectorize_context(context_event, model.schema))
+    ctx = embed_context(model, vectorize_context([context_event], model.schema)[0])
     norms = np.linalg.norm(catalog.embeddings, axis=1)
     cn = np.linalg.norm(ctx)
     scores = np.zeros(catalog.size)

@@ -63,10 +63,8 @@ def _assemble(events: list[ViewingEvent], schema: FeatureSchema) -> MiniBatch:
     return MiniBatch(
         events=events,
         item_keys=item_keys,
-        context_vectors=np.stack([vectorize_context(e, schema) for e in events]),
-        item_vectors=np.stack(
-            [vectorize_item(e.item_attributes, schema) for e in events]
-        ),
+        context_vectors=vectorize_context(events, schema),
+        item_vectors=vectorize_item([e.item_attributes for e in events], schema),
         groups=group_positives(item_keys),
     )
 

@@ -405,11 +405,11 @@ def test_criterion_08_serving_equivalence(planted):
     for i in picks:
         event = test_log[int(i)]
         fast = recommend(model, event, catalog).ranked_item_indices
-        c = embed_context(model, vectorize_context(event, schema))
+        c = embed_context(model, vectorize_context([event], schema)[0])
         nc = np.linalg.norm(c)
         scores = []
         for item in catalog.items:
-            v = embed_item(model, vectorize_item(item, schema))
+            v = embed_item(model, vectorize_item([item], schema)[0])
             nv = np.linalg.norm(v)
             s = 0.0 if nc < 1e-12 or nv < 1e-12 else float(np.dot(c, v) / (nc * nv))
             scores.append(s)

@@ -209,7 +209,7 @@ class TestAverageContextEmbedding:
         from contextrec.features import vectorize_context
 
         mean = average_context_embedding(self.log, self.model, key)
-        direct = embed_context(self.model, vectorize_context(self.log[0], self.schema))
+        direct = embed_context(self.model, vectorize_context([self.log[0]], self.schema)[0])
         assert np.allclose(mean, direct)
 
     def test_midpoint(self):
@@ -283,7 +283,7 @@ class TestSimilarityMatrix:
         assert sim.empty_rows.tolist() == [k == (("genre", "g2"),) for k in sim.content_keys]
         for i, key in enumerate(sim.content_keys):
             rows = [
-                embed_context(model, vectorize_context(e, schema))
+                embed_context(model, vectorize_context([e], schema)[0])
                 for e in test_log
                 if e.item_key() == key
             ]

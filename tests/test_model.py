@@ -58,7 +58,7 @@ class TestEmbedding:
     def test_constant_context_map(self, schema):
         model = linear_model(schema, b_ctx=np.array([3.0, -1.0]))
         for user in ("u0", "u1", "unseen"):
-            v = vectorize_context(event(user, "g0"), schema)
+            v = vectorize_context([event(user, "g0")], schema)[0]
             assert np.allclose(embed_context(model, v), [3.0, -1.0])
 
     def test_mlp_hand_composition(self, schema):
@@ -87,9 +87,9 @@ class TestEmbedding:
     def test_output_length(self, schema):
         rng = make_rng(0)
         model = TwoTowerModel.initialize(schema, EncoderConfig(embedding_dim=7, hidden_widths=(16,)), rng)
-        v = vectorize_context(event("u0", "g0"), schema)
+        v = vectorize_context([event("u0", "g0")], schema)[0]
         assert embed_context(model, v).shape == (7,)
-        iv = vectorize_item({"genre": "g1"}, schema)
+        iv = vectorize_item([{"genre": "g1"}], schema)[0]
         assert embed_item(model, iv).shape == (7,)
 
 
@@ -120,7 +120,7 @@ class TestCatalog:
         catalog = precompute_catalog(model, items)
         assert catalog.embeddings.shape == (4, 4)
         for j, it in enumerate(items):
-            fresh = embed_item(model, vectorize_item(it, schema))
+            fresh = embed_item(model, vectorize_item([it], schema)[0])
             assert np.array_equal(catalog.embeddings[j], fresh)
 
     def test_deterministic(self, schema):
@@ -171,10 +171,10 @@ class TestRecommend:
             ev = event(f"u{rng.integers(3)}", "g0", float(rng.integers(100)))
             got = recommend(model, ev, catalog).ranked_item_indices
             # oracle: fresh embedding per item, stable sort by -cosine
-            ctx = embed_context(model, vectorize_context(ev, schema))
+            ctx = embed_context(model, vectorize_context([ev], schema)[0])
             scores = []
             for it in items:
-                ie = embed_item(model, vectorize_item(it, schema))
+                ie = embed_item(model, vectorize_item([it], schema)[0])
                 scores.append(relevance(ctx, ie))
             oracle = sorted(range(len(items)), key=lambda j: (-scores[j], j))
             assert list(got) == oracle

@@ -98,11 +98,11 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded, _ = load_checkpoint(path)
         for e in log:
-            c = embed_context(model, vectorize_context(e, schema))
-            c2 = embed_context(loaded, vectorize_context(e, loaded.schema))
+            c = embed_context(model, vectorize_context([e], schema)[0])
+            c2 = embed_context(loaded, vectorize_context([e], loaded.schema)[0])
             assert np.max(np.abs(c - c2)) <= 1e-12
-            i1 = embed_item(model, vectorize_item(e.item_attributes, schema))
-            i2 = embed_item(loaded, vectorize_item(e.item_attributes, loaded.schema))
+            i1 = embed_item(model, vectorize_item([e.item_attributes], schema)[0])
+            i2 = embed_item(loaded, vectorize_item([e.item_attributes], loaded.schema)[0])
             assert np.max(np.abs(i1 - i2)) <= 1e-12
 
     def test_schema_round_trip(self, tmp_path):
