@@ -73,7 +73,8 @@ class FeatureSpec:
 
     @cached_property
     def positions(self) -> dict:
-        """Vocabulary value -> position in the block (not a field)."""
+        """Vocabulary value -> position in the block; cached, and not a field,
+        so equality, hashing and checkpoints ignore it."""
         return {v: i for i, v in enumerate(self.vocabulary)}
 
 

@@ -9,6 +9,7 @@ max shift, so values stay finite for any realistic magnitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -63,19 +64,46 @@ def npairs_loss(anchors: np.ndarray, positives: np.ndarray) -> LossResult:
     return LossResult(value=float(value), grad_anchors=g @ p, grad_positives=g.T @ a)
 
 
-def _check_groups(groups: list, n: int) -> list[np.ndarray]:
+def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log-sum-exp and softmax, shifted by each row's max."""
+    top = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - top)
+    total = e.sum(axis=1, keepdims=True)
+    return (top + np.log(total))[:, 0], e / total
+
+
+def _member_mask(groups: list, n: int) -> np.ndarray:
+    """(n, n) bool mask, [i, j] true when row j is in groups[i]; the groups
+    must be the equivalence classes of some labelling of the rows."""
     if len(groups) != n:
         raise ValueError(f"groups length {len(groups)} != batch size {n}")
-    sets = [frozenset(g) for g in groups]
-    for i, s in enumerate(sets):
-        if i not in s:
-            raise ValueError(f"group {i} does not contain its own index")
-        for j in s:
-            if not 0 <= j < n:
-                raise ValueError(f"group index {j} out of range")
-            if sets[j] != s:
-                raise ValueError("groups are not consistent equivalence classes")
-    return [np.fromiter(sorted(s), dtype=np.intp) for s in sets]
+    sizes = [len(g) for g in groups]
+    cols = np.fromiter(chain.from_iterable(groups), dtype=np.intp, count=sum(sizes))
+    if np.any((cols < 0) | (cols >= n)):
+        raise ValueError("group index out of range")
+    member = np.zeros((n, n), dtype=bool)
+    member[np.repeat(np.arange(n), sizes), cols] = True
+    # rows in one class share their lowest member; a row outside its own
+    # group, or a group that disagrees with its members' groups, breaks that
+    lowest = member.argmax(axis=1)
+    if not np.array_equal(member, lowest[:, None] == lowest[None, :]):
+        raise ValueError("groups are not consistent equivalence classes")
+    return member
+
+
+def _relaxed(a: np.ndarray, p: np.ndarray, member: np.ndarray) -> LossResult:
+    n = a.shape[0]
+    inv_size = 1.0 / member.sum(axis=1)
+    logits = a @ p.T
+    # -log P'_i = logsumexp(row i) - logsumexp(row i's joint positives), each
+    # with its own max shift, so a positive far below the row max stays
+    # finite; a group spanning the whole batch gives two identical terms
+    lse_all, soft = _softmax_parts(logits)
+    lse_pos, pos_soft = _softmax_parts(np.where(member, logits, -np.inf))
+    value = float(np.mean(inv_size * (lse_all - lse_pos)))
+    # d(-log P'_i)/dlogit_ij = softmax_ij - member_ij * positive-softmax_ij
+    g = (inv_size / n)[:, None] * (soft - pos_soft)
+    return LossResult(value=value, grad_anchors=g @ p, grad_positives=g.T @ a)
 
 
 def relaxed_npairs_loss(
@@ -88,27 +116,7 @@ def relaxed_npairs_loss(
     with a single all-encompassing group the loss is zero.
     """
     a, p = _check_batch(anchors, positives)
-    n = a.shape[0]
-    idx_sets = _check_groups(groups, n)
-    logits = a @ p.T
-
-    member = np.zeros((n, n))
-    inv_size = np.empty(n)
-    for i, s in enumerate(idx_sets):
-        member[i, s] = 1.0
-        inv_size[i] = 1.0 / len(s)
-    # P'_i as a ratio of shifted-exponential sums; when a group spans the
-    # whole batch the numerator and denominator are identical, so the
-    # row's loss and gradient vanish exactly
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    den = e.sum(axis=1)
-    num = (e * member).sum(axis=1)
-    soft = e / den[:, None]
-    q = num / den
-    value = float(np.mean(-inv_size * np.log(q)))
-    # d(-log q_i)/dlogit_ij = soft_ij - member_ij * soft_ij / q_i
-    g = (inv_size / n)[:, None] * (soft - member * soft / q[:, None])
-    return LossResult(value=value, grad_anchors=g @ p, grad_positives=g.T @ a)
+    return _relaxed(a, p, _member_mask(groups, a.shape[0]))
 
 
 def l2_reg(anchors: np.ndarray, positives: np.ndarray, lam: float) -> LossResult:
@@ -151,9 +159,8 @@ def rjcce_objective(
     content identity.
     """
     c, it = _check_batch(context_emb, item_emb)
-    fwd = relaxed_npairs_loss(it, c, groups)
-    rev = relaxed_npairs_loss(c, it, groups)
-    return _two_way(fwd, rev, l2_reg(c, it, lam))
+    member = _member_mask(groups, c.shape[0])  # symmetric: fits both directions
+    return _two_way(_relaxed(it, c, member), _relaxed(c, it, member), l2_reg(c, it, lam))
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

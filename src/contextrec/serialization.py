@@ -8,6 +8,7 @@ serialize byte-identically.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -76,36 +77,11 @@ def read_dataset(path) -> list[ViewingEvent]:
     return events
 
 
-def _schema_to_json(schema: FeatureSchema) -> dict:
-    def spec(s: FeatureSpec) -> dict:
-        return {
-            "name": s.name,
-            "kind": s.kind,
-            "vocabulary": list(s.vocabulary),
-            "min": s.min,
-            "max": s.max,
-        }
-
-    return {
-        "context_specs": [spec(s) for s in schema.context_specs],
-        "item_specs": [spec(s) for s in schema.item_specs],
-    }
-
-
 def _schema_from_json(doc: dict) -> FeatureSchema:
-    def spec(d: dict) -> FeatureSpec:
-        return FeatureSpec(
-            name=d["name"],
-            kind=d["kind"],
-            vocabulary=tuple(d["vocabulary"]),
-            min=d["min"],
-            max=d["max"],
-        )
+    def specs(rows: list) -> tuple:
+        return tuple(FeatureSpec(**{**d, "vocabulary": tuple(d["vocabulary"])}) for d in rows)
 
-    return FeatureSchema(
-        context_specs=tuple(spec(d) for d in doc["context_specs"]),
-        item_specs=tuple(spec(d) for d in doc["item_specs"]),
-    )
+    return FeatureSchema(**{name: specs(rows) for name, rows in doc.items()})
 
 
 def _layers_to_json(layers: list[LayerParams]) -> list:
@@ -137,12 +113,8 @@ def save_checkpoint(
         "format_version": CHECKPOINT_VERSION,
         "objective": objective,
         "seed": seed,
-        "encoder_config": {
-            "architecture": model.config.architecture,
-            "hidden_widths": list(model.config.hidden_widths),
-            "embedding_dim": model.config.embedding_dim,
-        },
-        "schema": _schema_to_json(model.schema),
+        "encoder_config": dataclasses.asdict(model.config),
+        "schema": dataclasses.asdict(model.schema),
         "context_encoder": _layers_to_json(model.context_encoder),
         "item_encoder": _layers_to_json(model.item_encoder),
     }
@@ -151,23 +123,27 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
-    """Returns (model, metadata with objective and seed)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint format_version: {version!r}")
-    cfg = doc["encoder_config"]
-    model = TwoTowerModel(
-        schema=_schema_from_json(doc["schema"]),
-        context_encoder=_layers_from_json(doc["context_encoder"]),
-        item_encoder=_layers_from_json(doc["item_encoder"]),
-        config=EncoderConfig(
-            architecture=cfg["architecture"],
-            hidden_widths=tuple(cfg["hidden_widths"]),
-            embedding_dim=cfg["embedding_dim"],
-        ),
-    )
+    """Returns (model, metadata with objective and seed).
+
+    A file that is not a complete checkpoint raises FormatError naming it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        version = doc.get("format_version")
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"unsupported checkpoint format_version: {version!r}")
+        cfg = doc["encoder_config"]
+        model = TwoTowerModel(
+            schema=_schema_from_json(doc["schema"]),
+            context_encoder=_layers_from_json(doc["context_encoder"]),
+            item_encoder=_layers_from_json(doc["item_encoder"]),
+            config=EncoderConfig(**{**cfg, "hidden_widths": tuple(cfg["hidden_widths"])}),
+        )
+    except KeyError as exc:
+        raise FormatError(f"checkpoint {path} lacks key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint {path} is malformed: {exc}") from exc
     return model, {"objective": doc.get("objective"), "seed": doc.get("seed")}
 
 

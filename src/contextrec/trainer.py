@@ -91,6 +91,7 @@ def _next_batch(draw, rng, pair_index, max_tries=100):
     raise SamplingError("could not find admissible BPR negatives")
 
 
+@np.errstate(all="ignore")  # no overflow warnings: _check_finite raises instead
 def _loss_and_grads(
     model: TwoTowerModel,
     batch: MiniBatch,
@@ -107,13 +108,12 @@ def _loss_and_grads(
         model.item_encoder, batch.item_vectors, dr, rng, training
     )
     _check_finite("embeddings", ctx_emb, item_emb)
-    with np.errstate(all="ignore"):  # a non-finite result raises just below
-        if config.objective == "rjcce":
-            res = losses.rjcce_objective(ctx_emb, item_emb, batch.groups, config.lam)
-        elif config.objective == "bpr":
-            res = losses.bpr_loss(ctx_emb, item_emb, negatives, config.lam)
-        else:
-            res = losses.jcce_objective(ctx_emb, item_emb, config.lam)
+    if config.objective == "rjcce":
+        res = losses.rjcce_objective(ctx_emb, item_emb, batch.groups, config.lam)
+    elif config.objective == "bpr":
+        res = losses.bpr_loss(ctx_emb, item_emb, negatives, config.lam)
+    else:
+        res = losses.jcce_objective(ctx_emb, item_emb, config.lam)
     _check_finite("loss", res.value)
     if not training:
         return res.value, None

@@ -351,22 +351,42 @@ def _record(i, **context):
     }
 
 
-def _mixed_kind_dataset(path):
+def _mixed_kind_dataset(path, _original):
     rows = [_record(0, size="big")] + [_record(i, size=float(i)) for i in range(1, 20)]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
 
 
-def _non_finite_dataset(path):
+def _non_finite_dataset(path, _original):
     rows = [_record(i) for i in range(20)]
     rows[5]["timestamp"] = float("nan")
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
 
 
+def _truncated_checkpoint(path, original):
+    path.write_text(original.read_text()[:200])
+
+
+def _checkpoint_without_schema(path, original):
+    doc = json.loads(original.read_text())
+    del doc["schema"]
+    path.write_text(json.dumps(doc))
+
+
+def _checkpoint_with_text_weights(path, original):
+    doc = json.loads(original.read_text())
+    doc["item_encoder"][0]["weights"][0][0] = "heavy"
+    path.write_text(json.dumps(doc))
+
+
 TRAIN_ARGS = ["train", "--config", "{config}", "--dataset", "{dataset}", "--checkpoint", "{out}"]
 RECOMMEND_ARGS = ["recommend", "--config", "{config}", "--checkpoint", "{checkpoint}",
                   "--dataset", "{dataset}", "--context", "{context}"]
+EVAL_ARGS = ["eval", "--config", "{config}", "--checkpoint", "{checkpoint}",
+             "--dataset", "{dataset}", "--report", "{out}"]
 
-# id: (config overrides, argv template, dataset writer, exit code, message prefix)
+# id: (config overrides, argv template, input writer, exit code, message prefix);
+# a writer (path name, fn(path, original)) replaces that input; messages may
+# name the inputs, e.g. {checkpoint}
 BOUNDARY_CASES = {
     "train_batch_size_1": (
         {"batch_size": 1}, TRAIN_ARGS, None, EXIT_CONFIG,
@@ -385,16 +405,28 @@ BOUNDARY_CASES = {
         "config error: --top-k must be >= 1",
     ),
     "train_mixed_kind_feature": (
-        {}, TRAIN_ARGS, _mixed_kind_dataset, EXIT_DATA,
+        {}, TRAIN_ARGS, ("dataset", _mixed_kind_dataset), EXIT_DATA,
         "data error: feature 'size' mixes value kinds",
     ),
     "train_nan_timestamp": (
-        {}, TRAIN_ARGS, _non_finite_dataset, EXIT_DATA,
+        {}, TRAIN_ARGS, ("dataset", _non_finite_dataset), EXIT_DATA,
         "data error: bad dataset record at line 6: timestamp and duration_min must be finite",
     ),
     "train_diverging": (
-        {"learning_rate": 1e6, "objective": "rjcce"}, TRAIN_ARGS, None, EXIT_NUMERIC,
+        {"learning_rate": 1e200, "objective": "rjcce"}, TRAIN_ARGS, None, EXIT_NUMERIC,
         "numeric error: training diverged at step",
+    ),
+    "eval_truncated_checkpoint": (
+        {}, EVAL_ARGS, ("checkpoint", _truncated_checkpoint), EXIT_DATA,
+        "data error: checkpoint {checkpoint} is malformed: Expecting",
+    ),
+    "eval_checkpoint_without_schema": (
+        {}, EVAL_ARGS, ("checkpoint", _checkpoint_without_schema), EXIT_DATA,
+        "data error: checkpoint {checkpoint} lacks key 'schema'",
+    ),
+    "eval_checkpoint_text_weights": (
+        {}, EVAL_ARGS, ("checkpoint", _checkpoint_with_text_weights), EXIT_DATA,
+        "data error: checkpoint {checkpoint} is malformed: could not convert string to float",
     ),
 }
 
@@ -402,21 +434,22 @@ BOUNDARY_CASES = {
 @pytest.mark.parametrize("case", BOUNDARY_CASES.values(), ids=BOUNDARY_CASES.keys())
 def test_boundary_exit_codes(workspace, tmp_path, capsys, case):
     """Bad input fails with the documented exit code and a one-line message."""
-    overrides, template, write_dataset, code, message = case
+    overrides, template, writer, code, message = case
     ws, config_path, dataset, ckpt = workspace
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**json.loads(config_path.read_text()), **overrides}))
-    if write_dataset is not None:
-        dataset = tmp_path / "data.jsonl"
-        write_dataset(dataset)
     context = tmp_path / "ctx.json"
     context.write_text(json.dumps({"context": _record(0)["context"]}))
     out = tmp_path / "out"
     paths = dict(config=config, dataset=dataset, checkpoint=ckpt, context=context, out=out)
+    if writer is not None:
+        name, write = writer
+        original, paths[name] = paths[name], tmp_path / f"written_{name}"
+        write(paths[name], original)
     capsys.readouterr()
     assert main([arg.format(**paths) for arg in template]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(message)
+    assert captured.err.startswith(message.format(**paths))
     assert captured.err.count("\n") == 1
     assert not out.exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextrec.features import (
     SchemaError,
@@ -129,3 +131,81 @@ class TestInvariants:
             0, start : start + viewers.width
         ]
         assert all_oov.sum() == 0.0
+
+
+TOKENS = st.sampled_from(["a", "b", "c", "d", "zz"])
+ATTRS = st.fixed_dictionaries(
+    {},
+    optional={
+        "user": TOKENS,
+        "viewers": st.lists(TOKENS, max_size=4).map(lambda v: tuple(sorted(v))),
+        "age": st.floats(-50.0, 150.0, allow_nan=False),
+    },
+)
+
+
+def _twin_event(attrs):
+    """An event whose context and item carry the same attributes."""
+    return ViewingEvent(
+        item_attributes=attrs, context_attributes=attrs, timestamp=0.0, duration_min=10.0
+    )
+
+
+@st.composite
+def schema_and_batch(draw):
+    """A schema learned from a drawn log (every kind present, "zz" seen only
+    by chance) and a batch drawn from the same attribute space, with
+    out-of-vocabulary values, missing attributes and out-of-range numbers."""
+    rows = draw(st.lists(ATTRS, max_size=6)) + [
+        {"user": "a", "viewers": ("b",), "age": 0.0},
+        {"age": 100.0},
+    ]
+    schema = build_schema([_twin_event(r) for r in rows])
+    return schema, [_twin_event(r) for r in draw(st.lists(ATTRS, min_size=1, max_size=8))]
+
+
+class TestVectorizeProperties:
+    @settings(deadline=None)
+    @given(schema_and_batch())
+    def test_batch_equals_rows_one_at_a_time(self, case):
+        schema, batch = case
+        rows = np.stack([vectorize_context([e], schema)[0] for e in batch])
+        assert vectorize_context(batch, schema).tobytes() == rows.tobytes()
+        items = [e.item_attributes for e in batch]
+        rows = np.stack([vectorize_item([it], schema)[0] for it in items])
+        assert vectorize_item(items, schema).tobytes() == rows.tobytes()
+
+    @settings(deadline=None)
+    @given(schema_and_batch())
+    def test_blocks_on_simplex_and_numerics_in_unit_interval(self, case):
+        schema, batch = case
+        matrix = vectorize_context(batch, schema)
+        assert matrix.shape == (len(batch), schema.context_width)
+        start = 0
+        for spec in schema.context_specs:
+            block = matrix[:, start : start + spec.width]
+            start += spec.width
+            if spec.kind == "numeric":
+                assert np.all((block >= 0.0) & (block <= 1.0))
+                continue
+            for e, row in zip(batch, block):
+                raw = e.context_attributes.get(spec.name, ())
+                values = raw if isinstance(raw, tuple) else (raw,)
+                hits = {spec.vocabulary.index(v) for v in values if v in spec.vocabulary}
+                assert set(np.flatnonzero(row)) == hits
+                if hits:
+                    assert len(set(row[list(hits)])) == 1
+                    assert row.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(deadline=None)
+    @given(schema_and_batch(), st.data())
+    def test_unknown_attribute_anywhere_rejected(self, case, data):
+        schema, batch = case
+        i = data.draw(st.integers(0, len(batch) - 1))
+        batch[i] = make_event({**batch[i].context_attributes, "bogus": "x"})
+        with pytest.raises(SchemaError, match="bogus"):
+            vectorize_context(batch, schema)
+        items = [e.item_attributes for e in batch]
+        items[i] = {**items[i], "bogus": "x"}
+        with pytest.raises(SchemaError, match="bogus"):
+            vectorize_item(items, schema)

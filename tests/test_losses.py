@@ -98,12 +98,28 @@ class TestRelaxedNpairsLoss:
         ]
         check_grads(lambda x, y: relaxed_npairs_loss(x, y, groups), a, p)
 
+    def test_finite_when_positive_trails_row_max(self):
+        # row 0's only positive sits 800 below its max logit: exp(-800)
+        # underflows, so a ratio of shifted exponentials gives inf
+        a = np.array([[40.0, 0.0], [0.0, 1.0]])
+        p = np.array([[-10.0, 0.0], [10.0, 0.0]])
+        strict = npairs_loss(a, p)
+        relaxed = relaxed_npairs_loss(a, p, singleton_groups(2))
+        assert strict.value == pytest.approx(400.0 + np.log(2.0) / 2.0, rel=1e-12)
+        assert relaxed.value == pytest.approx(strict.value, rel=1e-12)
+        assert np.allclose(relaxed.grad_anchors, strict.grad_anchors, rtol=0, atol=1e-12)
+        assert np.allclose(relaxed.grad_positives, strict.grad_positives, rtol=0, atol=1e-12)
+
     def test_inconsistent_groups_rejected(self, rng):
         a = rng.normal(size=(2, 2))
         with pytest.raises(ValueError):
             relaxed_npairs_loss(a, a, [frozenset([0, 1]), frozenset([1])])
         with pytest.raises(ValueError):
             relaxed_npairs_loss(a, a, [frozenset([1]), frozenset([0])])
+        with pytest.raises(ValueError, match="out of range"):
+            relaxed_npairs_loss(a, a, [frozenset([0]), frozenset([1, 2])])
+        with pytest.raises(ValueError, match="groups length"):
+            relaxed_npairs_loss(a, a, singleton_groups(3))
 
 
 class TestL2Reg:
