@@ -418,7 +418,7 @@ BOUNDARY_CASES = {
     ),
     "eval_truncated_checkpoint": (
         {}, EVAL_ARGS, ("checkpoint", _truncated_checkpoint), EXIT_DATA,
-        "data error: checkpoint {checkpoint} is malformed: Expecting",
+        "data error: checkpoint {checkpoint} is malformed: ",
     ),
     "eval_checkpoint_without_schema": (
         {}, EVAL_ARGS, ("checkpoint", _checkpoint_without_schema), EXIT_DATA,
