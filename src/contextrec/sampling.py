@@ -2,7 +2,9 @@
 
 Strict N-pairs batches contain N pairwise-distinct contents; relaxed
 batches are uniform draws with replacement. BPR negatives honor the
-one-to-one match condition keyed on the full (context, item) pair.
+one-to-one match condition keyed on the full (context, item) pair: the
+observed pairs are stored as sorted int codes over interned context and
+item ids, and a batch's negatives come from one masked draw per batch.
 """
 
 from __future__ import annotations
@@ -22,18 +24,48 @@ class NoAdmissibleNegative(Exception):
     """No batch row qualifies as a BPR negative; caller should resample."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairIndex:
-    """Exact membership index of observed (context, item) pairs."""
+    """Exact membership index of observed (context, item) pairs.
 
-    observed: frozenset
+    Context and item keys are interned into dense ids; a pair is stored
+    as the code context_id * len(item_ids) + item_id in the sorted,
+    duplicate-free int64 array codes.
+    """
+
+    context_ids: dict
+    item_ids: dict
+    codes: np.ndarray
 
     @classmethod
     def from_log(cls, log: list[ViewingEvent]) -> "PairIndex":
-        return cls(frozenset((e.context_key(), e.item_key()) for e in log))
+        context_ids: dict = {}
+        item_ids: dict = {}
+        pairs = np.array(
+            [
+                (
+                    context_ids.setdefault(e.context_key(), len(context_ids)),
+                    item_ids.setdefault(e.item_key(), len(item_ids)),
+                )
+                for e in log
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        codes = np.unique(pairs[:, 0] * len(item_ids) + pairs[:, 1])
+        return cls(context_ids, item_ids, codes)
 
-    def contains(self, context_key, item_key) -> bool:
-        return (context_key, item_key) in self.observed
+    def observed(self, context_keys, item_keys) -> np.ndarray:
+        """(N, M) bool matrix: context_keys[r] was observed with item_keys[c]."""
+        cid = np.array([self.context_ids.get(k, -1) for k in context_keys], dtype=np.int64)
+        iid = np.array([self.item_ids.get(k, -1) for k in item_keys], dtype=np.int64)
+        # an unknown id is never observed; without the mask, c * M + (-1)
+        # would alias the code of (c - 1, M - 1)
+        known = (cid >= 0)[:, None] & (iid >= 0)[None, :]
+        if self.codes.size == 0:
+            return np.zeros_like(known)
+        query = cid[:, None] * len(self.item_ids) + iid[None, :]
+        pos = np.minimum(np.searchsorted(self.codes, query), self.codes.size - 1)
+        return known & (self.codes[pos] == query)
 
 
 @dataclass
@@ -112,21 +144,28 @@ def sample_relaxed(
 
 
 def bpr_negative(
-    batch: MiniBatch, row_i: int, pair_index: PairIndex, rng: np.random.Generator
-) -> int:
-    """Uniform admissible in-batch negative for row i.
+    batch: MiniBatch, pair_index: PairIndex, rng: np.random.Generator
+) -> np.ndarray:
+    """One uniform admissible in-batch negative per row, as an intp array.
 
-    Admissible rows carry an item that differs from row i's and is never
-    observed together with row i's context. Raises NoAdmissibleNegative
-    when the batch offers none (caller draws a fresh batch).
+    Row j is admissible for row i when its item differs from row i's and
+    is never observed together with row i's context. The draws for all
+    rows come from one rng.integers call, in row order. When row r has no
+    admissible negative, only rows < r draw before NoAdmissibleNegative
+    is raised (the caller draws a fresh batch with the same rng), so the
+    rng advances exactly as a row-by-row draw stopping at row r would.
     """
-    ctx_key = batch.events[row_i].context_key()
-    own_item = batch.item_keys[row_i]
-    admissible = [
-        j
-        for j, k in enumerate(batch.item_keys)
-        if k != own_item and not pair_index.contains(ctx_key, k)
-    ]
-    if not admissible:
-        raise NoAdmissibleNegative(f"row {row_i} has no admissible negative")
-    return admissible[rng.integers(len(admissible))]
+    ids: dict = {}
+    row_item = np.array([ids.setdefault(k, len(ids)) for k in batch.item_keys])
+    admissible = (row_item[:, None] != row_item[None, :]) & ~pair_index.observed(
+        [e.context_key() for e in batch.events], batch.item_keys
+    )
+    counts = admissible.sum(axis=1)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        r = int(empty[0])
+        if r:
+            rng.integers(counts[:r])
+        raise NoAdmissibleNegative(f"row {r} has no admissible negative")
+    draws = rng.integers(counts)
+    return (np.cumsum(admissible, axis=1) > draws[:, None]).argmax(axis=1).astype(np.intp)

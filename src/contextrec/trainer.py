@@ -82,12 +82,9 @@ def _next_batch(draw, rng, pair_index, max_tries=100):
         if pair_index is None:
             return batch, None
         try:
-            negatives = [
-                bpr_negative(batch, i, pair_index, rng) for i in range(batch.size)
-            ]
+            return batch, bpr_negative(batch, pair_index, rng)
         except NoAdmissibleNegative:
             continue
-        return batch, np.array(negatives, dtype=np.intp)
     raise SamplingError("could not find admissible BPR negatives")
 
 

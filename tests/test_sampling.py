@@ -7,6 +7,7 @@ from contextrec.sampling import (
     NoAdmissibleNegative,
     PairIndex,
     SamplingError,
+    _assemble,
     bpr_negative,
     content_pools,
     group_positives,
@@ -151,40 +152,58 @@ class TestGroupPositives:
                     assert groups[j] == gi  # transitive via class equality
 
 
+def oracle_bpr_negatives(batch, observed_log, rng):
+    """Reference: the row-by-row draw over a frozenset of key pairs.
+
+    Returns (negatives, None) when every row has an admissible negative,
+    else (negatives drawn so far, index of the first row without one).
+    """
+    observed = frozenset((e.context_key(), e.item_key()) for e in observed_log)
+    negatives = []
+    for i, e in enumerate(batch.events):
+        ctx = e.context_key()
+        own = batch.item_keys[i]
+        admissible = [
+            j for j, k in enumerate(batch.item_keys) if k != own and (ctx, k) not in observed
+        ]
+        if not admissible:
+            return negatives, i
+        negatives.append(admissible[rng.integers(len(admissible))])
+    return negatives, None
+
+
 class TestBprNegative:
     def test_forced_choice(self, schema):
         observed = [event("u1", "g1", 0), event("u1", "g3", 1), event("u2", "g2", 2)]
         pair_index = PairIndex.from_log(observed)
         batch_events = [event("u1", "g1", 0), event("u2", "g2", 2), event("u1", "g3", 1)]
-        from contextrec.sampling import _assemble
-
         batch = _assemble(batch_events, schema)
         # for row 0 (context u1): g2 is the only item unobserved with u1
         for seed in range(10):
-            assert bpr_negative(batch, 0, pair_index, make_rng(seed)) == 1
+            assert bpr_negative(batch, pair_index, make_rng(seed))[0] == 1
 
     def test_contract_never_observed(self, log, schema):
-        pair_index = PairIndex.from_log(log[:8])
+        pair_index = PairIndex.from_log(log[:3])
         rng = make_rng(7)
-        from contextrec.sampling import _assemble
-
+        checked = 0
         for _ in range(50):
             batch = _assemble([log[i] for i in rng.integers(len(log), size=6)], schema)
-            for i in range(batch.size):
-                try:
-                    j = bpr_negative(batch, i, pair_index, rng)
-                except NoAdmissibleNegative:
-                    continue
+            try:
+                negatives = bpr_negative(batch, pair_index, rng)
+            except NoAdmissibleNegative:
+                continue
+            assert negatives.dtype == np.intp and negatives.shape == (batch.size,)
+            for i, j in enumerate(negatives):
                 ctx = batch.events[i].context_key()
                 item = batch.events[j].item_key()
-                assert not pair_index.contains(ctx, item)
+                assert not pair_index.observed([ctx], [item])[0, 0]
                 assert item != batch.events[i].item_key()
+                checked += 1
+        assert checked > 0
 
     def test_uniform_over_admissible(self, schema):
         observed = [event("u1", "g1", 0)]
         pair_index = PairIndex.from_log(observed)
-        from contextrec.sampling import _assemble
-
         batch = _assemble(
             [event("u1", "g1", 0), event("u2", "g2", 1), event("u3", "g3", 2), event("u4", "g4", 3)],
             schema,
@@ -193,18 +212,66 @@ class TestBprNegative:
         counts = {1: 0, 2: 0, 3: 0}
         draws = 10_000
         for _ in range(draws):
-            counts[bpr_negative(batch, 0, pair_index, rng)] += 1
+            counts[bpr_negative(batch, pair_index, rng)[0]] += 1
         for c in counts.values():
             assert abs(c / draws - 1 / 3) < 0.02
 
     def test_no_admissible_raises(self, schema):
         observed = [event("u1", "g1", 0), event("u1", "g2", 1)]
         pair_index = PairIndex.from_log(observed)
-        from contextrec.sampling import _assemble
-
         batch = _assemble([event("u1", "g1", 0), event("u1", "g2", 1)], schema)
         with pytest.raises(NoAdmissibleNegative):
-            bpr_negative(batch, 0, pair_index, make_rng(9))
+            bpr_negative(batch, pair_index, make_rng(9))
+
+    def assert_matches_oracle(self, batch, observed_log, seed):
+        pair_index = PairIndex.from_log(observed_log)
+        expected_rng, rng = make_rng(seed), make_rng(seed)
+        expected, empty_row = oracle_bpr_negatives(batch, observed_log, expected_rng)
+        if empty_row is None:
+            negatives = bpr_negative(batch, pair_index, rng)
+            assert negatives.dtype == np.intp
+            assert negatives.tolist() == expected
+        else:
+            with pytest.raises(NoAdmissibleNegative, match=f"row {empty_row} "):
+                bpr_negative(batch, pair_index, rng)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+        return empty_row
+
+    def test_matches_row_by_row_oracle(self, log, schema):
+        # prefixes of the log leave some contexts with every item observed,
+        # so some batches have rows without an admissible negative
+        batch_rng = make_rng(10)
+        empty_rows = []
+        for seed in range(300):
+            size = int(batch_rng.integers(2, 9))
+            batch = _assemble([log[i] for i in batch_rng.integers(len(log), size=size)], schema)
+            prefix = int(batch_rng.integers(len(log) + 1))
+            empty_rows.append(self.assert_matches_oracle(batch, log[:prefix], seed))
+        assert None in empty_rows and 0 in empty_rows
+        assert any(r is not None and r > 0 for r in empty_rows)
+
+    def test_first_empty_row_not_row_zero(self, log, schema):
+        # log[:8] observes u1 and u2 with every genre; u3 with none
+        batch = _assemble([event("u3", "g1"), event("u3", "g2"), event("u1", "g3")], schema)
+        for seed in range(5):
+            assert self.assert_matches_oracle(batch, log[:8], seed) == 2
+
+
+class TestPairIndexObserved:
+    def test_unknown_keys_never_observed(self):
+        # ids: u1 -> 0, u2 -> 1; g1 -> 0, g2 -> 1; codes {0, 1, 2}
+        log = [event("u1", "g1"), event("u1", "g2"), event("u2", "g1")]
+        pair_index = PairIndex.from_log(log)
+        contexts = [event(u, "g1").context_key() for u in ("u1", "u2", "u9")]
+        items = [event("u1", g).item_key() for g in ("g1", "g2", "g9")]
+        # (u2, g9) would read code 1 * 2 - 1 = 1, the code of observed (u1, g2)
+        expected = [[True, True, False], [True, False, False], [False, False, False]]
+        assert pair_index.observed(contexts, items).tolist() == expected
+
+    def test_empty_index(self):
+        pair_index = PairIndex.from_log([])
+        key = event("u1", "g1")
+        assert pair_index.observed([key.context_key()], [key.item_key()]).tolist() == [[False]]
 
 
 def test_samplers_deterministic(log, schema):
