@@ -308,7 +308,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (serialization.FormatError, SchemaError, FileNotFoundError) as exc:
+    except (
+        serialization.FormatError, SchemaError, FileNotFoundError, IsADirectoryError
+    ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (FloatingPointError, analysis.DegenerateMeasure) as exc:

@@ -54,12 +54,12 @@ def write_dataset(log: list[ViewingEvent], path) -> None:
 
 def read_dataset(path) -> list[ViewingEvent]:
     events = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
                 ts, duration = float(rec["timestamp"]), float(rec["duration_min"])
                 if not (math.isfinite(ts) and math.isfinite(duration)):

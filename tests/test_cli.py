@@ -362,6 +362,16 @@ def _non_finite_dataset(path, _original):
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
 
 
+def _non_utf8_dataset(path, _original):
+    rows = [json.dumps(_record(i)).encode() + b"\n" for i in range(20)]
+    rows[3] = b'{"\xff\xfe": 1}\n'
+    path.write_bytes(b"".join(rows))
+
+
+def _directory(path, _original):
+    path.mkdir()
+
+
 def _truncated_checkpoint(path, original):
     path.write_text(original.read_text()[:200])
 
@@ -412,6 +422,10 @@ BOUNDARY_CASES = {
         {}, TRAIN_ARGS, ("dataset", _non_finite_dataset), EXIT_DATA,
         "data error: bad dataset record at line 6: timestamp and duration_min must be finite",
     ),
+    "train_non_utf8_dataset": (
+        {}, TRAIN_ARGS, ("dataset", _non_utf8_dataset), EXIT_DATA,
+        "data error: bad dataset record at line 4: 'utf-8' codec can't decode byte 0xff",
+    ),
     "train_diverging": (
         {"learning_rate": 1e200, "objective": "rjcce"}, TRAIN_ARGS, None, EXIT_NUMERIC,
         "numeric error: training diverged at step",
@@ -423,6 +437,10 @@ BOUNDARY_CASES = {
     "eval_checkpoint_without_schema": (
         {}, EVAL_ARGS, ("checkpoint", _checkpoint_without_schema), EXIT_DATA,
         "data error: checkpoint {checkpoint} lacks key 'schema'",
+    ),
+    "eval_checkpoint_is_directory": (
+        {}, EVAL_ARGS, ("checkpoint", _directory), EXIT_DATA,
+        "data error: [Errno 21] Is a directory: '{checkpoint}'",
     ),
     "eval_checkpoint_text_weights": (
         {}, EVAL_ARGS, ("checkpoint", _checkpoint_with_text_weights), EXIT_DATA,
