@@ -41,18 +41,17 @@ class PairIndex:
     def from_log(cls, log: list[ViewingEvent]) -> "PairIndex":
         context_ids: dict = {}
         item_ids: dict = {}
-        pairs = np.array(
-            [
-                (
-                    context_ids.setdefault(e.context_key(), len(context_ids)),
-                    item_ids.setdefault(e.item_key(), len(item_ids)),
-                )
-                for e in log
-            ],
+        cid = np.fromiter(
+            (context_ids.setdefault(e.context_key(), len(context_ids)) for e in log),
             dtype=np.int64,
-        ).reshape(-1, 2)
-        codes = np.unique(pairs[:, 0] * len(item_ids) + pairs[:, 1])
-        return cls(context_ids, item_ids, codes)
+            count=len(log),
+        )
+        iid = np.fromiter(
+            (item_ids.setdefault(e.item_key(), len(item_ids)) for e in log),
+            dtype=np.int64,
+            count=len(log),
+        )
+        return cls(context_ids, item_ids, np.unique(cid * len(item_ids) + iid))
 
     def observed(self, context_keys, item_keys) -> np.ndarray:
         """(N, M) bool matrix: context_keys[r] was observed with item_keys[c]."""
