@@ -167,4 +167,4 @@ def bpr_negative(
             rng.integers(counts[:r])
         raise NoAdmissibleNegative(f"row {r} has no admissible negative")
     draws = rng.integers(counts)
-    return (np.cumsum(admissible, axis=1) > draws[:, None]).argmax(axis=1).astype(np.intp)
+    return (np.cumsum(admissible, axis=1) > draws[:, None]).argmax(axis=1)
