@@ -8,7 +8,6 @@ from .model import (
     TwoTowerModel,
     precompute_catalog,
     recommend,
-    relevance,
 )
 from .trainer import TrainConfig, TrainHistory, train
 
@@ -23,7 +22,6 @@ __all__ = [
     "TwoTowerModel",
     "precompute_catalog",
     "recommend",
-    "relevance",
     "TrainConfig",
     "TrainHistory",
     "train",

@@ -16,6 +16,7 @@ import numpy as np
 from .features import ViewingEvent, canonical_key, vectorize_context
 from .model import Catalog, TwoTowerModel, embed_context
 from .nn_core import ShapeError
+from .serialization import atomic_write
 
 
 class DegenerateMeasure(ValueError):
@@ -26,7 +27,7 @@ def angular_distance(x: np.ndarray, y: np.ndarray) -> float:
     """(1/pi) * arccos(cosine(x, y)); a proper metric on directions.
 
     The cosine is clamped to [-1, 1] before arccos to absorb rounding.
-    Zero-norm inputs are a domain error here (unlike serving relevance).
+    Zero-norm inputs are a domain error here; serving scores them 0.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -237,7 +238,7 @@ def export_embeddings(embeddings: np.ndarray, labels: list, path) -> None:
     if len(labels) != embeddings.shape[0]:
         raise ShapeError("one label per embedding row required")
     dim = embeddings.shape[1] if embeddings.ndim == 2 else 0
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [f"e{j}" for j in range(dim)])
         for label, row in zip(labels, embeddings):
@@ -246,7 +247,7 @@ def export_embeddings(embeddings: np.ndarray, labels: list, path) -> None:
 
 def import_embeddings(path) -> tuple[np.ndarray, list]:
     """Inverse of export_embeddings."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         dim = len(header) - 1

@@ -222,7 +222,7 @@ def cmd_analyze(args) -> int:
         except (analysis.DegenerateMeasure, ValueError) as exc:
             print(f"degenerate SNNM input: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with serialization.atomic_write(args.out) as fh:
             fh.write("T,mean,ci95,skipped\n")
             for t, mean, ci, sk in zip(
                 curve.temperatures, curve.means, curve.ci95, curve.skipped_term_counts
@@ -235,7 +235,7 @@ def cmd_analyze(args) -> int:
     catalog = precompute_catalog(model, catalog_from_log(train_log))
     sim = analysis.similarity_matrix(test_log, model, catalog)
     names = [_key_label(k) for k in sim.content_keys]
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with serialization.atomic_write(args.out) as fh:
         fh.write("content," + ",".join(names) + ",dispersion\n")
         for i, name in enumerate(names):
             cells = [name] + [f"{v:.6g}" for v in sim.values[i]] + [f"{sim.dispersion[i]:.6g}"]

@@ -2,13 +2,17 @@
 
 Context and content encoders map their vectorized inputs into a shared
 E-dimensional space. Serving precomputes the catalog's content
-embeddings once and ranks by cosine similarity with a single context
-forward pass per request.
+embeddings, and caches their norms, once; each request is one context
+forward pass, one matrix-vector product against the catalog and a
+ranking. Ranking takes NumPy's default (fast) sort and falls back to a
+stable sort only when the scores hold ties, so the order is always
+descending score with ties broken by ascending item index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +23,7 @@ from .features import (
     vectorize_context,
     vectorize_item,
 )
-from .nn_core import LayerParams, ShapeError, encoder_forward, init_layers
+from .nn_core import LayerParams, encoder_forward, init_layers
 
 ARCHITECTURES = ("linear", "mlp")
 
@@ -85,20 +89,7 @@ def embed_item(model: TwoTowerModel, item_vector: np.ndarray) -> np.ndarray:
     return emb
 
 
-def relevance(context_embedding: np.ndarray, item_embedding: np.ndarray) -> float:
-    """Cosine similarity; near-zero-norm inputs score 0 (never crash a serve)."""
-    x = np.asarray(context_embedding, dtype=np.float64)
-    y = np.asarray(item_embedding, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ShapeError("embeddings must be 1-D vectors of equal length")
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx < 1e-12 or ny < 1e-12:
-        return 0.0
-    return float(np.dot(x, y) / (nx * ny))
-
-
-@dataclass
+@dataclass(frozen=True)
 class Catalog:
     """All recommendable items with their precomputed embeddings."""
 
@@ -108,6 +99,15 @@ class Catalog:
     @property
     def size(self) -> int:
         return len(self.items)
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        return np.linalg.norm(self.embeddings, axis=1)
+
+    @cached_property
+    def nonzero(self) -> np.ndarray:
+        """Rows that can be scored; zero-norm rows keep score 0."""
+        return self.norms >= 1e-12
 
 
 def catalog_from_log(log: list[ViewingEvent]) -> list[dict]:
@@ -137,9 +137,16 @@ class RecommendationList:
 
 
 def rank_scores(scores: np.ndarray) -> np.ndarray:
-    """Descending score order with ties broken by ascending item index."""
-    # lexsort's last key dominates; negate scores for descending order
-    return np.lexsort((np.arange(len(scores)), -scores))
+    """Descending score order with ties broken by ascending item index.
+
+    NaN scores rank last and -0.0 ties with 0.0.
+    """
+    keys = -scores
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if np.all(ranked[1:] > ranked[:-1]):
+        return order  # no ties and no NaN: the order is unique
+    return np.argsort(keys, kind="stable")
 
 
 def recommend(
@@ -151,11 +158,10 @@ def recommend(
     precomputed catalog.
     """
     ctx = embed_context(model, vectorize_context([context_event], model.schema)[0])
-    norms = np.linalg.norm(catalog.embeddings, axis=1)
     cn = np.linalg.norm(ctx)
     scores = np.zeros(catalog.size)
     if cn >= 1e-12:
-        ok = norms >= 1e-12  # zero-norm rows keep score 0
-        scores[ok] = (catalog.embeddings[ok] @ ctx) / (norms[ok] * cn)
+        ok = catalog.nonzero
+        scores[ok] = (catalog.embeddings @ ctx)[ok] / (catalog.norms[ok] * cn)
     order = rank_scores(scores)
     return RecommendationList(ranked_item_indices=order, scores=scores[order])

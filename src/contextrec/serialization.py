@@ -11,6 +11,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import secrets
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -39,8 +42,30 @@ def attrs_from_json(attrs: dict) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in attrs.items()}
 
 
+@contextmanager
+def atomic_write(path, newline=None):
+    """Open `path` for text writing so that it is replaced whole or not at all.
+
+    Writes go to a temporary file in the same directory, which replaces
+    `path` on success and is removed if the writer raises.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
 def write_dataset(log: list[ViewingEvent], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for e in log:
             record = {
                 "context": attrs_to_json(e.context_attributes),
@@ -118,7 +143,7 @@ def save_checkpoint(
         "context_encoder": _layers_to_json(model.context_encoder),
         "item_encoder": _layers_to_json(model.item_encoder),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
 
 
@@ -148,7 +173,7 @@ def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
 
 
 def write_history_csv(history, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("step,train_loss,val_loss\n")
         for step, train_loss, val_loss in history.records:
             fh.write(f"{step},{train_loss:.17g},{val_loss:.17g}\n")
@@ -159,7 +184,7 @@ def write_report_csv(rows: list[dict], path) -> None:
     if not rows:
         raise ValueError("no report rows")
     columns = list(rows[0].keys())
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             cells = []

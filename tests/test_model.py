@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextrec.features import ViewingEvent, build_schema, vectorize_context, vectorize_item
 from contextrec.model import (
@@ -10,10 +14,10 @@ from contextrec.model import (
     embed_context,
     embed_item,
     precompute_catalog,
+    rank_scores,
     recommend,
-    relevance,
 )
-from contextrec.nn_core import LayerParams, ShapeError, make_rng
+from contextrec.nn_core import LayerParams, make_rng
 
 
 def event(user, genre, t=0.0):
@@ -54,6 +58,16 @@ def linear_model(schema, w_ctx=None, b_ctx=None, w_item=None, b_item=None, e=2):
     )
 
 
+def brute_force_ranking(ctx, rows):
+    """Cosine per row in plain Python (0 for a zero-norm side), stable by -score."""
+    nc = np.linalg.norm(ctx)
+    scores = []
+    for v in rows:
+        nv = np.linalg.norm(v)
+        scores.append(0.0 if nc < 1e-12 or nv < 1e-12 else float(np.dot(ctx, v) / (nc * nv)))
+    return sorted(range(len(scores)), key=lambda j: (-scores[j], j))
+
+
 class TestEmbedding:
     def test_constant_context_map(self, schema):
         model = linear_model(schema, b_ctx=np.array([3.0, -1.0]))
@@ -91,26 +105,6 @@ class TestEmbedding:
         assert embed_context(model, v).shape == (7,)
         iv = vectorize_item([{"genre": "g1"}], schema)[0]
         assert embed_item(model, iv).shape == (7,)
-
-
-class TestRelevance:
-    def test_self_similarity(self, rng):
-        x = rng.normal(size=5)
-        assert relevance(x, x) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert relevance(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == pytest.approx(0.0)
-
-    def test_antipodal(self, rng):
-        x = rng.normal(size=4)
-        assert relevance(x, -x) == pytest.approx(-1.0)
-
-    def test_zero_norm_scores_zero(self):
-        assert relevance(np.zeros(3), np.array([1.0, 0.0, 0.0])) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            relevance(np.zeros(3), np.zeros(4))
 
 
 class TestCatalog:
@@ -172,12 +166,62 @@ class TestRecommend:
             got = recommend(model, ev, catalog).ranked_item_indices
             # oracle: fresh embedding per item, stable sort by -cosine
             ctx = embed_context(model, vectorize_context([ev], schema)[0])
-            scores = []
-            for it in items:
-                ie = embed_item(model, vectorize_item([it], schema)[0])
-                scores.append(relevance(ctx, ie))
-            oracle = sorted(range(len(items)), key=lambda j: (-scores[j], j))
-            assert list(got) == oracle
+            rows = [embed_item(model, vectorize_item([it], schema)[0]) for it in items]
+            assert list(got) == brute_force_ranking(ctx, rows)
+
+    def test_mixed_catalog_with_zero_row_matches_oracle(self, schema):
+        model = TwoTowerModel.initialize(schema, EncoderConfig(embedding_dim=5, hidden_widths=(12,)), make_rng(7))
+        emb = make_rng(8).normal(size=(20, 5))
+        emb[[3, 11]] = 0.0
+        catalog = self.hand_catalog(schema, model, emb)
+        for user in ("u0", "u1", "u2"):
+            ev = event(user, "g0")
+            result = recommend(model, ev, catalog)
+            ctx = embed_context(model, vectorize_context([ev], schema)[0])
+            assert list(result.ranked_item_indices) == brute_force_ranking(ctx, emb)
+            zero_rows = np.isin(result.ranked_item_indices, [3, 11])
+            assert np.all(result.scores[zero_rows] == 0.0)
+
+    def test_aligned_item_scores_one(self, schema, rng):
+        x = rng.normal(size=5)
+        model = linear_model(schema, b_ctx=x, e=5)
+        catalog = self.hand_catalog(schema, model, [-x, 3.0 * x])
+        result = recommend(model, event("u0", "g0"), catalog)
+        assert list(result.ranked_item_indices) == [1, 0]
+        assert result.scores[0] == pytest.approx(1.0)
+
+    def test_orthogonal_item_scores_zero(self, schema):
+        model = linear_model(schema, b_ctx=np.array([1.0, 0.0]))
+        catalog = self.hand_catalog(schema, model, [[0.0, 2.0], [-1.0, 0.0], [1.0, 1.0]])
+        result = recommend(model, event("u0", "g0"), catalog)
+        assert list(result.ranked_item_indices) == [2, 0, 1]
+        assert result.scores[1] == 0.0
+
+    def test_opposite_item_scores_minus_one_ranks_last(self, schema, rng):
+        x = rng.normal(size=4)
+        model = linear_model(schema, b_ctx=x, e=4)
+        emb = rng.normal(size=(6, 4))
+        emb[2] = -0.5 * x
+        catalog = self.hand_catalog(schema, model, emb)
+        result = recommend(model, event("u0", "g0"), catalog)
+        assert result.ranked_item_indices[-1] == 2
+        assert result.scores[-1] == pytest.approx(-1.0)
+
+    def test_zero_norm_row_scores_zero(self, schema):
+        # context (1, 0): rows 0 and 3 have zero norm and tie with the
+        # orthogonal row 2 at exactly 0.0, in index order
+        model = linear_model(schema, b_ctx=np.array([1.0, 0.0]))
+        catalog = self.hand_catalog(schema, model, [[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [0.0, 0.0], [-1.0, 0.0]])
+        result = recommend(model, event("u0", "g0"), catalog)
+        assert list(result.ranked_item_indices) == [1, 0, 2, 3, 4]
+        assert list(result.scores) == [1.0, 0.0, 0.0, 0.0, -1.0]
+
+    def test_zero_norm_context_identity_ranking(self, schema):
+        model = linear_model(schema)  # every context embeds to the zero vector
+        catalog = self.hand_catalog(schema, model, make_rng(9).normal(size=(7, 2)))
+        result = recommend(model, event("u0", "g0"), catalog)
+        assert list(result.ranked_item_indices) == list(range(7))
+        assert np.array_equal(result.scores, np.zeros(7))
 
     def test_scale_invariance(self, schema):
         model = linear_model(schema, b_ctx=np.array([0.3, 0.7]))
@@ -196,3 +240,39 @@ class TestRecommend:
         result = recommend(model, event("u1", "g1"), catalog)
         assert sorted(result.ranked_item_indices) == list(range(8))
         assert np.all(np.diff(result.scores) <= 0.0)
+
+
+def sorted_ranking(scores):
+    """Descending score, NaN last, ties (0.0 with -0.0 too) by index; no NumPy sort."""
+    return sorted(
+        range(len(scores)),
+        key=lambda j: (math.isnan(scores[j]), 0.0 if math.isnan(scores[j]) else -scores[j], j),
+    )
+
+
+TIE_POOL = [0.0, -0.0, math.nan, 1.0, -1.0, 0.5, 2.5, -3.0, 1e-300, math.inf, -math.inf]
+
+
+class TestRankScores:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(TIE_POOL), max_size=300),
+            st.lists(st.floats(allow_nan=False), max_size=300, unique=True),
+        )
+    )
+    def test_matches_sorted_oracle(self, values):
+        order = rank_scores(np.array(values, dtype=np.float64))
+        assert list(order) == sorted_ranking(values)
+
+    def test_distinct_scores(self):
+        # no ties: the default sort's order is the only one
+        scores = np.array([0.5, -1.0, 2.0, 0.25, -0.75, 1.5])
+        assert list(rank_scores(scores)) == [2, 5, 0, 3, 4, 1]
+
+    def test_tied_scores(self):
+        # ties, -0.0 against 0.0 and NaN take the stable fallback
+        scores = np.array([1.0, 0.0, np.nan, 1.0, -0.0, 2.0, 0.0, np.nan, 1.0] * 3)
+        expected = sorted_ranking(list(scores))
+        assert list(rank_scores(scores)) == expected
+        assert expected[:4] == [5, 14, 23, 0]

@@ -7,8 +7,10 @@ from contextrec.datagen import GeneratorConfig, generate
 from contextrec.features import ViewingEvent, build_schema, vectorize_context, vectorize_item
 from contextrec.model import EncoderConfig, TwoTowerModel, embed_context, embed_item
 from contextrec.nn_core import make_rng
+from contextrec import serialization
 from contextrec.serialization import (
     FormatError,
+    atomic_write,
     load_checkpoint,
     read_dataset,
     save_checkpoint,
@@ -167,3 +169,48 @@ class TestCsvWriters:
     def test_empty_report_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_report_csv([], tmp_path / "r.csv")
+
+
+class TestAtomicWrite:
+    def test_writer_error_keeps_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old,contents\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("new,")
+                raise RuntimeError("writer failed midway")
+        assert path.read_bytes() == b"old,contents\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_checkpoint_error_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        _, _, model = tiny_model()
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path, objective="rjcce", seed=1)
+        before = path.read_bytes()
+
+        def dump_then_fail(doc, fh, **kwargs):
+            fh.write('{"context_encoder":[')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(serialization.json, "dump", dump_then_fail)
+        with pytest.raises(OSError):
+            save_checkpoint(model, path, objective="bpr", seed=2)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("a much longer old file\n")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_bytes() == b"new\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_directory_target_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            with atomic_write(target) as fh:
+                fh.write("x")
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
