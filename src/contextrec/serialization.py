@@ -52,15 +52,13 @@ def atomic_write(path, newline=None):
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline=newline)
     try:
-        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        try:
-            os.remove(tmp)
-        except FileNotFoundError:
-            pass
+        os.remove(tmp)
         raise
 
 
