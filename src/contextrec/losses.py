@@ -42,12 +42,6 @@ def _check_batch(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, p
 
 
-def _row_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def npairs_loss(anchors: np.ndarray, positives: np.ndarray) -> LossResult:
     """Softmax cross-entropy over one positive and N-1 in-batch negatives.
 
@@ -57,10 +51,11 @@ def npairs_loss(anchors: np.ndarray, positives: np.ndarray) -> LossResult:
     n = a.shape[0]
     logits = a @ p.T
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    value = -log_probs.diagonal().mean()
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    value = -(shifted - np.log(total)).diagonal().mean()
     # dL/dlogits = (softmax - I) / N
-    g = (_row_softmax(logits) - np.eye(n)) / n
+    g = (e / total - np.eye(n)) / n
     return LossResult(value=float(value), grad_anchors=g @ p, grad_positives=g.T @ a)
 
 

@@ -47,10 +47,6 @@ class LayerParams:
     def fan_in(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def fan_out(self) -> int:
-        return self.weights.shape[0]
-
 
 def xavier_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform Xavier weight matrix of shape (fan_out, fan_in).
@@ -81,20 +77,15 @@ def init_layers(widths: list[int], rng: np.random.Generator) -> list[LayerParams
     ]
 
 
-def dropout(
-    x: np.ndarray, rate: float, rng: np.random.Generator, training: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted dropout: survivors scaled by 1/(1-rate) at train time.
+def dropout(x: np.ndarray, rate: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Inverted dropout: survivors scaled by 1/(1-rate).
 
     Returns (output, mask) where mask already carries the scale factor so
-    the backward pass is a plain elementwise multiply. At serving time the
-    input passes through unchanged and the mask is all ones.
+    the backward pass is a plain elementwise multiply.
     """
     x = np.asarray(x, dtype=np.float64)
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    if not training or rate == 0.0:
-        return x, np.ones_like(x)
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
     return x * mask, mask
@@ -137,7 +128,7 @@ def encoder_forward(
         pre_acts.append(z)
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
         if i < len(layers) - 1 and dropout_rate > 0.0 and training:
-            h, mask = dropout(h, dropout_rate, rng, training=True)
+            h, mask = dropout(h, dropout_rate, rng)
             masks.append(mask)
         else:
             masks.append(None)
@@ -146,11 +137,11 @@ def encoder_forward(
 
 def encoder_backward(
     tape: ForwardTape, grad_wrt_embedding: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Exact reverse-mode gradients through the taped forward pass.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact reverse-mode parameter gradients through the taped forward pass.
 
-    Returns ([(dW, db) per layer], grad_wrt_input). ReLU passes zero
-    gradient where the pre-activation is <= 0.
+    Returns [(dW, db) per layer]. ReLU passes zero gradient where the
+    pre-activation is <= 0.
     """
     g = np.asarray(grad_wrt_embedding, dtype=np.float64)
     if g.shape != tape.pre_activations[-1].shape:
@@ -170,8 +161,9 @@ def encoder_backward(
             dW = g.T @ x
             db = g.sum(axis=0)
         grads[i] = (dW, db)
-        g = g @ layer.weights
-    return grads, g
+        if i:
+            g = g @ layer.weights
+    return grads
 
 
 @dataclass
@@ -191,21 +183,12 @@ class AdamState:
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState, lr: float
 ) -> None:
     """Standard bias-corrected Adam update, in place."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # the standard settings (Kingma & Ba, ICLR 2015)
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ShapeError("params/grads/state length mismatch")
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        raise ValueError("betas must be in [0, 1)")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     state.step_count += 1
     t = state.step_count
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):

@@ -57,7 +57,7 @@ class TrainConfig:
 class TrainHistory:
     records: list = field(default_factory=list)  # (step, train_loss, val_loss)
     stopping_step: int = 0
-    stopping_reason: str = ""
+    stopping_reason: str = "max_steps"
     best_step: int = 0
     best_validation_loss: float = float("inf")
 
@@ -71,13 +71,13 @@ def _batch_sampler(split, config, schema):
     return lambda rng: sample_relaxed(split, config.batch_size, rng, schema)
 
 
-def _next_batch(draw, rng, pair_index, max_tries=100):
+def _next_batch(draw, rng, pair_index):
     """Draw one batch and, given a BPR pair index, one negative per row.
 
-    With a pair index, batches are redrawn until every row has an
-    admissible negative. Returns (batch, negatives or None).
+    With a pair index, batches are redrawn, up to 100 times, until every
+    row has an admissible negative. Returns (batch, negatives or None).
     """
-    for _ in range(max_tries):
+    for _ in range(100):
         batch = draw(rng)
         if pair_index is None:
             return batch, None
@@ -114,8 +114,8 @@ def _loss_and_grads(
     _check_finite("loss", res.value)
     if not training:
         return res.value, None
-    ctx_grads, _ = encoder_backward(ctx_tape, res.grad_anchors)
-    item_grads, _ = encoder_backward(item_tape, res.grad_positives)
+    ctx_grads = encoder_backward(ctx_tape, res.grad_anchors)
+    item_grads = encoder_backward(item_tape, res.grad_positives)
     flat = []
     for dw, db in ctx_grads + item_grads:
         flat.append(dw)
@@ -152,7 +152,6 @@ def train(
     model = TwoTowerModel.initialize(schema, encoder_config, rng)
     history = TrainHistory()
     if config.max_steps == 0:
-        history.stopping_reason = "max_steps"
         return model, history
 
     cut = int(round((1.0 - config.validation_fraction) * len(log)))
@@ -176,12 +175,9 @@ def train(
 
     params = model.parameters()
     state = AdamState.for_params(params)
-    best_val = np.inf
     best_params = [p.copy() for p in params]
-    best_step = 0
     bad_evals = 0
     recent: list[float] = []
-    stopping_reason = "max_steps"
 
     try:
         for step in range(1, config.max_steps + 1):
@@ -196,46 +192,41 @@ def train(
                 val = validation_loss(model)
                 history.records.append((step, float(np.mean(recent)), val))
                 recent = []
-                if val < best_val:
-                    best_val = val
+                if val < history.best_validation_loss:
+                    history.best_validation_loss = val
+                    history.best_step = step
                     best_params = [p.copy() for p in params]
-                    best_step = step
                     bad_evals = 0
                 else:
                     bad_evals += 1
                     if bad_evals >= config.patience:
-                        stopping_reason = "early_stopping"
-                        history.stopping_step = step
+                        history.stopping_reason = "early_stopping"
                         break
-        else:
-            history.stopping_step = config.max_steps
     except FloatingPointError as exc:
         raise FloatingPointError(f"training diverged at step {step}: {exc}") from None
 
-    history.stopping_reason = stopping_reason
+    history.stopping_step = step
     for p, bp in zip(params, best_params):
         p[...] = bp
-    history.best_step = best_step
-    history.best_validation_loss = float(best_val)
     return model, history
 
 
 def ablate_to_single_viewer(
-    log: list[ViewingEvent], rng: np.random.Generator, viewer_feature: str = "viewer_ids"
+    log: list[ViewingEvent], rng: np.random.Generator
 ) -> list[ViewingEvent]:
-    """Collapse each co-viewing group to one uniformly chosen member."""
+    """Collapse each viewer_ids co-viewing group to one uniformly chosen member."""
     out = []
     for e in log:
-        viewers = e.context_attributes.get(viewer_feature)
+        viewers = e.context_attributes.get("viewer_ids")
         if viewers is None:
-            raise ValueError(f"events lack the {viewer_feature!r} feature")
+            raise ValueError("events lack the 'viewer_ids' feature")
         viewers = tuple(sorted(viewers))
         if len(viewers) <= 1:
             out.append(e)
             continue
         keep = viewers[rng.integers(len(viewers))]
         attrs = dict(e.context_attributes)
-        attrs[viewer_feature] = (keep,)
+        attrs["viewer_ids"] = (keep,)
         out.append(
             ViewingEvent(
                 item_attributes=e.item_attributes,

@@ -147,8 +147,8 @@ def test_criterion_01_gradient_suite(rng):
                         res = bpr_loss(c_emb, i_emb, negs, lam)
                     if not return_grads:
                         return res.value
-                    cg, _ = encoder_backward(c_tape, res.grad_anchors)
-                    ig, _ = encoder_backward(i_tape, res.grad_positives)
+                    cg = encoder_backward(c_tape, res.grad_anchors)
+                    ig = encoder_backward(i_tape, res.grad_positives)
                     flat = []
                     for dw, db in cg + ig:
                         flat.extend([dw, db])

@@ -67,19 +67,22 @@ class TestDenseForward:
 class TestDropout:
     def test_rate_zero_is_identity(self, rng):
         x = rng.normal(size=100)
-        out, mask = dropout(x, 0.0, rng, training=True)
+        out, mask = dropout(x, 0.0, rng)
         assert np.array_equal(out, x)
         assert np.all(mask == 1.0)
 
     def test_serving_passthrough(self, rng):
-        x = rng.normal(size=100)
-        out, _ = dropout(x, 0.7, rng, training=False)
-        assert np.array_equal(out, x)
+        # serving mode applies no dropout, whatever the rate
+        layers = init_layers([5, 6, 3], rng)
+        x = rng.normal(size=(4, 5))
+        out, tape = encoder_forward(layers, x, 0.7, rng, training=False)
+        assert np.array_equal(out, encoder_forward(layers, x)[0])
+        assert tape.dropout_masks == [None, None]
 
     def test_kept_fraction_and_expectation(self):
         rng = make_rng(11)
         x = np.ones(100_000)
-        out, mask = dropout(x, 0.5, rng, training=True)
+        out, mask = dropout(x, 0.5, rng)
         kept = np.count_nonzero(out) / x.size
         assert abs(kept - 0.5) < 0.01
         # inverted scaling keeps the expectation at the input
@@ -87,7 +90,7 @@ class TestDropout:
 
     def test_rate_one_rejected(self, rng):
         with pytest.raises(ValueError):
-            dropout(np.zeros(3), 1.0, rng, training=True)
+            dropout(np.zeros(3), 1.0, rng)
 
 
 class TestEncoderForwardBackward:
@@ -111,8 +114,7 @@ class TestEncoderForwardBackward:
         x = rng.normal(size=4)
         g = rng.normal(size=3)
         _, tape = encoder_forward(layers, x)
-        grads, _ = encoder_backward(tape, g)
-        dW, db = grads[0]
+        dW, db = encoder_backward(tape, g)[0]
         assert np.allclose(dW, np.outer(g, x))
         assert np.allclose(db, g)
 
@@ -120,9 +122,8 @@ class TestEncoderForwardBackward:
         layers = [LayerParams(np.array([[1.0]]), np.array([0.0]), "relu")]
         x = np.array([-1.0])
         _, tape = encoder_forward(layers, x)
-        grads, gx = encoder_backward(tape, np.array([1.0]))
+        grads = encoder_backward(tape, np.array([1.0]))
         assert grads[0][0][0, 0] == 0.0
-        assert gx[0] == 0.0
 
     def test_gradient_vs_finite_differences(self, rng):
         layers = init_layers([5, 6, 4, 3], rng)
@@ -138,24 +139,10 @@ class TestEncoderForwardBackward:
             return 0.5 * float(np.sum((emb - target) ** 2))
 
         emb, tape = encoder_forward(layers, x)
-        analytic, _ = encoder_backward(tape, emb - target)
+        analytic = encoder_backward(tape, emb - target)
         flat = [a for pair in analytic for a in pair]
         numeric = finite_difference(loss, params)
         assert relative_error(flat, numeric) < 1e-4
-
-    def test_input_gradient_vs_finite_differences(self, rng):
-        layers = init_layers([4, 5, 3], rng)
-        x = rng.normal(size=4) + 0.1
-        target = rng.normal(size=3)
-
-        def loss(arrays):
-            emb, _ = encoder_forward(layers, arrays[0])
-            return 0.5 * float(np.sum((emb - target) ** 2))
-
-        emb, tape = encoder_forward(layers, x)
-        _, gx = encoder_backward(tape, emb - target)
-        numeric = finite_difference(loss, [x])
-        assert relative_error([gx], numeric) < 1e-4
 
     def test_dropout_gradient_with_fixed_mask(self):
         # identical seed per forward replays the same mask, so FD is exact
@@ -171,7 +158,7 @@ class TestEncoderForwardBackward:
             return 0.5 * float(np.sum((emb - target) ** 2))
 
         emb, tape = encoder_forward(layers, x, dropout_rate=0.4, rng=make_rng(42), training=True)
-        analytic, _ = encoder_backward(tape, emb - target)
+        analytic = encoder_backward(tape, emb - target)
         flat = [a for pair in analytic for a in pair]
         numeric = finite_difference(loss, params)
         assert relative_error(flat, numeric) < 1e-4
@@ -187,7 +174,7 @@ class TestAdam:
         p = rng.normal(size=(3, 2))
         orig = p.copy()
         state = AdamState.for_params([p])
-        adam_step([p], [np.zeros_like(p)], state)
+        adam_step([p], [np.zeros_like(p)], state, 1e-3)
         assert np.array_equal(p, orig)
         assert np.all(state.first_moment[0] == 0.0)
 
@@ -199,12 +186,12 @@ class TestAdam:
         assert abs((1.0 - p[0]) - 1e-3) < 1e-8
 
     def test_two_steps_match_recurrence(self):
-        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        b1, b2 = 0.9, 0.999  # Adam's standard settings
         g = 0.3
         p = np.array([2.0])
         state = AdamState.for_params([p])
-        adam_step([p], [np.array([g])], state, lr, b1, b2, eps)
-        adam_step([p], [np.array([g])], state, lr, b1, b2, eps)
+        adam_step([p], [np.array([g])], state, 1e-3)
+        adam_step([p], [np.array([g])], state, 1e-3)
         assert state.step_count == 2
         # hand-unrolled moment recurrences with constant gradient
         m = (1 - b1) * g * (1 + b1)
@@ -216,7 +203,7 @@ class TestAdam:
         p = np.zeros(3)
         state = AdamState.for_params([p])
         with pytest.raises(ShapeError):
-            adam_step([p], [np.zeros(4)], state)
+            adam_step([p], [np.zeros(4)], state, 1e-3)
 
 
 def test_determinism_identical_streams():
