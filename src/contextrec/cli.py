@@ -59,6 +59,13 @@ def _key_label(item_key) -> str:
     return "|".join(parts).replace(",", ";")
 
 
+def _check_ks(ks):
+    """HR cutoffs, from the config file or --Ks: positive integers."""
+    if not (isinstance(ks, list) and ks and all(type(k) is int and k >= 1 for k in ks)):
+        raise ConfigError(f"ks must be a non-empty list of positive integers, got {ks!r}")
+    return ks
+
+
 def load_run_config(path: str | None, overrides: dict) -> dict:
     """Defaults, then config file, then command-line overrides.
 
@@ -78,6 +85,10 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
     for k, v in overrides.items():
         if v is not None:
             config[k] = v
+    _check_ks(config["ks"])
+    fraction = config["train_fraction"]
+    if not (isinstance(fraction, (int, float)) and 0.0 < fraction < 1.0):
+        raise ConfigError(f"train_fraction must be in (0, 1), got {fraction!r}")
     return config
 
 
@@ -87,6 +98,16 @@ def _dataclass_config(cls, cfg: dict):
         return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)})
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid {cls.__name__}: {exc}") from exc
+
+
+def _catalog(model, train_log):
+    """The model's catalog of the train split's distinct items."""
+    items = catalog_from_log(train_log)
+    if len(items) < 2:
+        raise serialization.FormatError(
+            f"the train split holds {len(items)} distinct item(s); a catalog needs at least 2"
+        )
+    return precompute_catalog(model, items)
 
 
 def _prepared_split(cfg: dict, dataset_path: str):
@@ -132,9 +153,7 @@ def _parse_ks(text: str) -> list[int]:
         ks = [int(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --Ks value {text!r}") from exc
-    if not ks or any(k < 1 for k in ks):
-        raise ConfigError("--Ks must be positive integers")
-    return ks
+    return _check_ks(ks)
 
 
 def cmd_eval(args) -> int:
@@ -143,8 +162,8 @@ def cmd_eval(args) -> int:
         cfg["ks"] = _parse_ks(args.Ks)
     model, meta = serialization.load_checkpoint(args.checkpoint)
     train_log, test_log = _prepared_split(cfg, args.dataset)
-    items = catalog_from_log(train_log)
-    catalog = precompute_catalog(model, items)
+    catalog = _catalog(model, train_log)
+    items = catalog.items
     ks = cfg["ks"]
 
     def model_ranker(event: ViewingEvent) -> np.ndarray:
@@ -177,14 +196,16 @@ def cmd_recommend(args) -> int:
     try:
         with open(args.context, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        attrs = serialization.attrs_from_json(
+            doc.get("context", doc) if isinstance(doc, dict) else doc
+        )
+    except (OSError, json.JSONDecodeError, serialization.FormatError) as exc:
         raise serialization.FormatError(f"cannot read context document: {exc}") from exc
-    attrs = serialization.attrs_from_json(doc.get("context", doc))
     event = ViewingEvent(
         item_attributes={}, context_attributes=attrs, timestamp=0.0, duration_min=0.0
     )
     train_log, _ = _prepared_split(cfg, args.dataset)
-    catalog = precompute_catalog(model, catalog_from_log(train_log))
+    catalog = _catalog(model, train_log)
     result = recommend(model, event, catalog)
     for idx, score in list(zip(result.ranked_item_indices, result.scores))[: args.top_k]:
         label = json.dumps(
@@ -232,7 +253,7 @@ def cmd_analyze(args) -> int:
         return EXIT_OK
 
     # simmatrix
-    catalog = precompute_catalog(model, catalog_from_log(train_log))
+    catalog = _catalog(model, train_log)
     sim = analysis.similarity_matrix(test_log, model, catalog)
     names = [_key_label(k) for k in sim.content_keys]
     with serialization.atomic_write(args.out) as fh:

@@ -39,6 +39,8 @@ def attrs_to_json(attrs: dict) -> dict:
 
 
 def attrs_from_json(attrs: dict) -> dict:
+    if not isinstance(attrs, dict):
+        raise FormatError(f"attributes must be a JSON object, got {type(attrs).__name__}")
     return {k: tuple(v) if isinstance(v, list) else v for k, v in attrs.items()}
 
 

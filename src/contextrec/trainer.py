@@ -45,6 +45,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be > 0")
+        if not self.lam >= 0.0:
+            raise ValueError("lam must be >= 0")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must be in [0, 1)")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 for pairwise objectives")
         if self.patience < 1:

@@ -368,6 +368,20 @@ def _non_utf8_dataset(path, _original):
     path.write_bytes(b"".join(rows))
 
 
+def _item_not_object_dataset(path, _original):
+    rows = [_record(i) for i in range(20)]
+    rows[3]["item"] = ["g0"]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+def _context_array(path, _original):
+    path.write_text(json.dumps([_record(0)["context"]]))
+
+
+def _context_field_not_object(path, _original):
+    path.write_text(json.dumps({"context": "u0"}))
+
+
 def _directory(path, _original):
     path.mkdir()
 
@@ -406,6 +420,38 @@ BOUNDARY_CASES = {
         {"batch_size": "many"}, TRAIN_ARGS, None, EXIT_CONFIG,
         "config error: invalid TrainConfig:",
     ),
+    "train_eval_every_0": (
+        {"eval_every": 0}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: eval_every must be >= 1",
+    ),
+    "train_negative_lam": (
+        {"lam": -1}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: lam must be >= 0",
+    ),
+    "train_dropout_rate_1": (
+        {"dropout_rate": 1.0}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: dropout_rate must be in [0, 1)",
+    ),
+    "train_negative_max_steps": (
+        {"max_steps": -3}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: max_steps must be >= 0",
+    ),
+    "train_negative_learning_rate": (
+        {"learning_rate": -0.1}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: learning_rate must be > 0",
+    ),
+    "train_fraction_above_one": (
+        {"train_fraction": 1.5}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: train_fraction must be in (0, 1), got 1.5",
+    ),
+    "eval_config_ks_zero": (
+        {"ks": [0]}, EVAL_ARGS, None, EXIT_CONFIG,
+        "config error: ks must be a non-empty list of positive integers, got [0]",
+    ),
+    "eval_min_item_count_empties_catalog": (
+        {"min_item_count": 10**6}, EVAL_ARGS, None, EXIT_DATA,
+        "data error: the train split holds 0 distinct item(s); a catalog needs at least 2",
+    ),
     "gen_single_genre": (
         {"n_genres": 1}, ["gen", "--config", "{config}", "--out", "{out}"], None, EXIT_CONFIG,
         "config error: invalid GeneratorConfig: need at least one user/household",
@@ -425,6 +471,18 @@ BOUNDARY_CASES = {
     "train_non_utf8_dataset": (
         {}, TRAIN_ARGS, ("dataset", _non_utf8_dataset), EXIT_DATA,
         "data error: bad dataset record at line 4: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "train_item_not_object": (
+        {}, TRAIN_ARGS, ("dataset", _item_not_object_dataset), EXIT_DATA,
+        "data error: bad dataset record at line 4: attributes must be a JSON object, got list",
+    ),
+    "recommend_context_array": (
+        {}, RECOMMEND_ARGS, ("context", _context_array), EXIT_DATA,
+        "data error: cannot read context document: attributes must be a JSON object, got list",
+    ),
+    "recommend_context_field_not_object": (
+        {}, RECOMMEND_ARGS, ("context", _context_field_not_object), EXIT_DATA,
+        "data error: cannot read context document: attributes must be a JSON object, got str",
     ),
     "train_diverging": (
         {"learning_rate": 1e200, "objective": "rjcce"}, TRAIN_ARGS, None, EXIT_NUMERIC,

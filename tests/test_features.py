@@ -7,6 +7,7 @@ from contextrec.features import (
     SchemaError,
     ViewingEvent,
     build_schema,
+    canonical_key,
     vectorize_context,
     vectorize_item,
 )
@@ -209,3 +210,24 @@ class TestVectorizeProperties:
         items[i] = {**items[i], "bogus": "x"}
         with pytest.raises(SchemaError, match="bogus"):
             vectorize_item(items, schema)
+
+
+class TestCanonicalKey:
+    @given(
+        st.dictionaries(
+            st.text(max_size=3),
+            st.text(max_size=3)
+            | st.floats(allow_nan=False)
+            | st.lists(st.text(max_size=3), max_size=4).map(tuple),
+            max_size=6,
+        ),
+        st.data(),
+    )
+    def test_ignores_attribute_and_multi_value_order(self, attrs, data):
+        shuffled = {}
+        for name in data.draw(st.permutations(list(attrs))):
+            value = attrs[name]
+            if isinstance(value, tuple):
+                value = tuple(data.draw(st.permutations(value)))
+            shuffled[name] = value
+        assert canonical_key(shuffled) == canonical_key(attrs)

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextrec.datagen import GeneratorConfig, generate
 from contextrec.features import ViewingEvent, build_schema, vectorize_context, vectorize_item
@@ -21,7 +25,38 @@ from contextrec.serialization import (
 from contextrec.trainer import TrainHistory
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ATTRIBUTES = st.dictionaries(
+    st.text(max_size=6),
+    st.text(max_size=6)
+    | st.lists(st.text(max_size=6), max_size=4).map(lambda v: tuple(sorted(v)))
+    | st.integers()
+    | FINITE,
+    max_size=4,
+)
+EVENTS = st.builds(
+    ViewingEvent,
+    item_attributes=ATTRIBUTES,
+    context_attributes=ATTRIBUTES,
+    timestamp=FINITE,
+    duration_min=FINITE,
+)
+
+
 class TestDataset:
+    @settings(deadline=None)
+    @given(st.lists(EVENTS, max_size=5))
+    def test_round_trip_property(self, log):
+        # the format's domain: string categoricals, sorted string tuples,
+        # finite numerics and finite timestamps
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.jsonl"), Path(tmp, "b.jsonl")
+            write_dataset(log, first)
+            back = read_dataset(first)
+            assert back == log
+            write_dataset(back, second)
+            assert first.read_bytes() == second.read_bytes()
+
     def sample_log(self):
         return generate(GeneratorConfig(n_weeks=1, events_per_day=40, seed=11))
 
