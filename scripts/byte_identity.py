@@ -82,7 +82,7 @@ def pipeline(out: Path) -> None:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print("usage: python scripts/byte_identity.py OUTDIR", file=sys.stderr)
         return 2
     out = Path(argv[0]).resolve()
     if out.exists() and any(out.iterdir()):
