@@ -1,6 +1,7 @@
 """Hash every output of a small seeded CLI pipeline, to check byte identity.
 
 Usage: python scripts/byte_identity.py OUTDIR > hashes.txt
+       python scripts/byte_identity.py OUTDIR --compare hashes.txt
 
 Runs gen, then train for each of the four objectives (each with a history
 CSV), then eval --baselines, recommend and the three analyze modes on
@@ -9,13 +10,17 @@ config. OUTDIR must be absent or empty. Each command's stdout is saved
 under OUTDIR/stdout/ with OUTDIR replaced by a placeholder, so it counts
 as an output too. Prints one sorted `sha256  relative-path` line per file.
 
-Run it at two commits on the same machine and diff the printouts. The
-hashes depend on the NumPy/BLAS build, so runs on different machines do
-not compare.
+Run it at two commits on the same machine and compare: save the first
+commit's printout, then run the second with `--compare` on that file. It
+prints one `changed`, `missing` or `extra` line per differing path and a
+summary on stderr, and exits 1 on any difference, 0 when every file
+matches. The hashes depend on the NumPy/BLAS build, so runs on different
+machines do not compare.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -80,19 +85,66 @@ def pipeline(out: Path) -> None:
                 "--out", out / f"{obj}.{mode}.csv")
 
 
+def read_hashes(lines) -> dict[str, str]:
+    """{relative path: sha256} from `sha256  relative-path` lines."""
+    table = {}
+    for line in lines:
+        if not line.strip():
+            continue
+        digest, sep, rel = line.rstrip("\n").partition("  ")
+        if not sep or len(digest) != 64:
+            raise ValueError(f"not a `sha256  path` line: {line!r}")
+        table[rel] = digest
+    return table
+
+
+def compare(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
+    """One `changed`, `missing` or `extra` line per differing path, sorted."""
+    diffs = []
+    for rel in sorted(expected.keys() | actual.keys()):
+        if rel not in actual:
+            diffs.append(f"missing  {rel}")
+        elif rel not in expected:
+            diffs.append(f"extra    {rel}")
+        elif expected[rel] != actual[rel]:
+            diffs.append(f"changed  {rel}")
+    return diffs
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python scripts/byte_identity.py OUTDIR", file=sys.stderr)
-        return 2
-    out = Path(argv[0]).resolve()
+    parser = argparse.ArgumentParser(prog="byte_identity.py")
+    parser.add_argument("outdir", help="absent or empty directory for the outputs")
+    parser.add_argument("--compare", metavar="HASHES",
+                        help="a saved printout to compare against instead of printing")
+    args = parser.parse_args(argv)
+    expected = None
+    if args.compare:
+        try:
+            with open(args.compare, encoding="utf-8") as fh:
+                expected = read_hashes(fh)
+        except (OSError, ValueError) as exc:
+            print(f"cannot read {args.compare}: {exc}", file=sys.stderr)
+            return 2
+    out = Path(args.outdir).resolve()
     if out.exists() and any(out.iterdir()):
         print(f"{out} is not empty", file=sys.stderr)
         return 2
     pipeline(out)
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(out).as_posix()}")
-    return 0
+    actual = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(p for p in out.rglob("*") if p.is_file())
+    }
+    if expected is None:
+        for rel, digest in actual.items():
+            print(f"{digest}  {rel}")
+        return 0
+    diffs = compare(expected, actual)
+    for line in diffs:
+        print(line)
+    same = sum(expected.get(rel) == digest for rel, digest in actual.items())
+    print(f"{same} of {len(expected | actual)} files identical, {len(diffs)} differ",
+          file=sys.stderr)
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":

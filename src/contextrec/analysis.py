@@ -4,11 +4,19 @@ Angular distance, the soft nearest neighbor measure (SNNM) of class
 entanglement with a temperature sweep, per-content average context
 embeddings, the context/content angular-similarity matrix, and a plain
 CSV embedding export for external visualization tools.
+
+An SNNM sweep works sample by sample: one `snnm` call builds a sample's
+(n, n) angular matrix and label masks once, then derives every temperature
+of the grid from them. A sweep therefore costs `repetitions` angular
+matrices plus `repetitions x temperatures` masked exponentials of an
+(n, n) array, and holds one sample's matrices at a time (a few float64
+(n, n) arrays, about 2 MB each at the CLI's n = 512).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,18 +88,24 @@ def _angular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(normed_a @ normed_b.T, -1.0, 1.0)) / np.pi
 
 
-def snnm(sample: LabeledEmbeddings, temperature: float) -> tuple[float, int]:
-    """Soft nearest neighbor entanglement of the labeled sample.
+def snnm(sample: LabeledEmbeddings, temperatures) -> tuple[np.ndarray, int]:
+    """Soft nearest neighbor entanglement of the labeled sample at each
+    temperature; values[i] belongs to temperatures[i].
 
-    Lower is better (classes less entangled). Rows without a same-label
-    neighbor are skipped and counted; returns (value, skipped_count).
+    Lower is better (classes less entangled). The angular matrix and the
+    label masks are built once per call; each temperature then pays only
+    for its shifted exponentials and two masked row sums. Rows without a
+    same-label neighbor are skipped at every temperature alike; returns
+    (values, skipped_count).
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    temperatures = np.asarray(temperatures, dtype=np.float64)
+    if temperatures.ndim != 1:
+        raise ValueError("temperatures must be a 1-D sequence")
+    if not np.all(temperatures > 0):
+        raise ValueError("temperatures must be positive")
     n = sample.size
     if n < 2:
         raise ValueError("need at least two embeddings")
-    theta = _angular(sample.embeddings, sample.embeddings)
     # map labels (possibly unhashable-unfriendly tuples) to class codes
     codes_map: dict = {}
     codes = np.array([codes_map.setdefault(l, len(codes_map)) for l in sample.labels])
@@ -100,12 +114,20 @@ def snnm(sample: LabeledEmbeddings, temperature: float) -> tuple[float, int]:
     kept = same.any(axis=1)
     if not kept.any():
         raise DegenerateMeasure("every row lacked a same-label neighbor")
+    neg = np.where(off, -_angular(sample.embeddings, sample.embeddings), -np.inf)
+    top = neg.max(axis=1, keepdims=True)
 
-    logw = np.where(off, -theta / temperature, -np.inf)
-    w = np.exp(logw - logw.max(axis=1, keepdims=True))  # 0 on the diagonal
-    num = np.where(same, w, 0.0).sum(axis=1)
-    terms = -np.log(num[kept] / w.sum(axis=1)[kept])
-    return float(np.mean(terms)), int(n - kept.sum())
+    values = np.empty(len(temperatures))
+    for i, t in enumerate(temperatures):
+        # -theta / t with -inf on the diagonal, shifted by its row max; a
+        # positive divisor keeps the -inf and the argmax, so these are the
+        # bits of dividing first and taking the max after
+        w = neg / t
+        w -= top / t
+        np.exp(w, out=w)  # 0 on the diagonal
+        num = np.where(same, w, 0.0).sum(axis=1)
+        values[i] = np.mean(-np.log(num[kept] / w.sum(axis=1)[kept]))
+    return values, int(n - kept.sum())
 
 
 @dataclass
@@ -128,7 +150,10 @@ def snnm_sweep(
     """Mean SNNM and 95% CI per temperature over repeated random samples.
 
     Samples are drawn without replacement when n <= available, else with
-    replacement. CIs use the normal approximation over repetition means.
+    replacement; all draws come first, so the RNG stream does not depend
+    on the grid. Then each sample gets one snnm call over the whole grid,
+    so only one sample's (n, n) matrices are alive at a time. CIs use the
+    normal approximation over repetition means.
     """
     if temperatures is None:
         temperatures = np.logspace(-2, 2, 20)
@@ -137,38 +162,30 @@ def snnm_sweep(
     temperatures = np.asarray(temperatures, dtype=np.float64)
     if np.any(np.diff(temperatures) <= 0):
         raise ValueError("temperature grid must be strictly increasing")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions!r}")
 
     avail = all_embeddings.size
-    samples = []
-    for _ in range(repetitions):
-        if n <= avail:
-            idx = rng.choice(avail, size=n, replace=False)
-        else:
-            idx = rng.choice(avail, size=n, replace=True)
-        samples.append(all_embeddings.take(idx))
+    draws = [rng.choice(avail, size=n, replace=n > avail) for _ in range(repetitions)]
+    table = np.empty((repetitions, len(temperatures)))
+    skipped = 0
+    for r, idx in enumerate(draws):
+        table[r], sk = snnm(all_embeddings.take(idx), temperatures)
+        skipped += sk
 
-    means = np.empty(len(temperatures))
-    ci95 = np.empty(len(temperatures))
-    skipped_totals = np.zeros(len(temperatures), dtype=int)
-    for ti, t in enumerate(temperatures):
-        vals = []
-        for s in samples:
-            v, sk = snnm(s, t)
-            vals.append(v)
-            skipped_totals[ti] += sk
-        vals = np.asarray(vals)
-        means[ti] = vals.mean()
-        if repetitions > 1:
-            ci95[ti] = 1.96 * vals.std(ddof=1) / np.sqrt(repetitions)
-        else:
-            ci95[ti] = 0.0
+    # column by column: a 1-D mean sums in another order than an axis-0 one
+    means = np.array([col.mean() for col in table.T])
+    if repetitions > 1:
+        ci95 = np.array([1.96 * col.std(ddof=1) / np.sqrt(repetitions) for col in table.T])
+    else:
+        ci95 = np.zeros(len(temperatures))
     return SnnmCurve(
         temperatures=temperatures,
         means=means,
         ci95=ci95,
         repetitions=repetitions,
         sample_size=n,
-        skipped_term_counts=skipped_totals,
+        skipped_term_counts=np.full(len(temperatures), skipped),
     )
 
 
@@ -241,8 +258,20 @@ def export_embeddings(embeddings: np.ndarray, labels: list, path) -> None:
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [f"e{j}" for j in range(dim)])
+        if dim == 0:
+            writer.writerows([label] for label in labels)
+            return
+        # csv quotes each label cell, written as "<cell>,\r\n" into a scratch
+        # buffer; the floats never need quoting, so a row's values are one
+        # %-format, with the digits of format(v, ".17g")
+        buf = io.StringIO()
+        cell = csv.writer(buf)
+        values = ",".join(["%.17g"] * dim) + "\r\n"
         for label, row in zip(labels, embeddings):
-            writer.writerow([label] + [format(v, ".17g") for v in row])
+            buf.seek(0)
+            buf.truncate()
+            cell.writerow([label, ""])
+            fh.write(buf.getvalue()[:-2] + values % tuple(row.tolist()))
 
 
 def import_embeddings(path) -> tuple[np.ndarray, list]:

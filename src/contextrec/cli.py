@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -78,6 +79,8 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {path} must hold a JSON object, got {type(doc).__name__}")
         unknown = set(doc) - set(config)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -89,7 +92,21 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
     fraction = config["train_fraction"]
     if not (isinstance(fraction, (int, float)) and 0.0 < fraction < 1.0):
         raise ConfigError(f"train_fraction must be in (0, 1), got {fraction!r}")
+    for key, low in (("snnm_repetitions", 1), ("snnm_sample_size", 2), ("analysis_max_events", 1)):
+        _check_int(config, key, low)
+    if config["min_item_count"] is not None:
+        _check_int(config, "min_item_count", 1)
+    minutes = config["min_duration_minutes"]
+    if not (type(minutes) in (int, float) and math.isfinite(minutes) and minutes >= 0):
+        raise ConfigError(f"min_duration_minutes must be a finite number >= 0, got {minutes!r}")
     return config
+
+
+def _check_int(config: dict, key: str, low: int) -> None:
+    """An integer run-config value of at least low; booleans are rejected."""
+    value = config[key]
+    if not (type(value) is int and value >= low):
+        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
 
 
 def _dataclass_config(cls, cfg: dict):

@@ -447,7 +447,7 @@ def test_criterion_09_entanglement_separation(planted):
         mins[name] = float(curve.means.min())
     rng = make_rng(5)
     single = LabeledEmbeddings(rng.normal(size=(12, 6)), ["only"] * 12)
-    single_value, _ = snnm(single, 0.7)
+    single_value = float(snnm(single, [0.7])[0][0])
     ok = mins["trained"] < mins["fresh"] and single_value == 0.0
     verdict(
         9,

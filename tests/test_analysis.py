@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -59,18 +62,37 @@ def two_clusters(n_per=16, spread=0.01, rng=None):
     return LabeledEmbeddings(np.array(rows), labels)
 
 
+def per_row_snnm(emb, labels, t):
+    """The per-row loop the masked row sums replaced: (value, skipped)."""
+    n = len(labels)
+    theta = np.array([[angular_distance(x, y) for y in emb] for x in emb])
+    terms = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        same = [j for j in others if labels[j] == labels[i]]
+        if not same:
+            continue
+        shift = max(-theta[i, j] / t for j in others)
+        num = sum(np.exp(-theta[i, j] / t - shift) for j in same)
+        den = sum(np.exp(-theta[i, j] / t - shift) for j in others)
+        terms.append(-np.log(num / den))
+    return np.mean(terms), n - len(terms)
+
+
 class TestSnnm:
     def test_single_class_exactly_zero(self, rng):
         emb = rng.normal(size=(10, 4))
         sample = LabeledEmbeddings(emb, ["same"] * 10)
-        value, skipped = snnm(sample, 0.5)
+        values, skipped = snnm(sample, [0.5])
+        value = values[0]
         assert value == 0.0
         assert skipped == 0
 
     def test_separated_clusters_near_zero(self):
         # within-cluster theta ~ 0.01, between ~ 0.5, T = 0.02
         sample = two_clusters()
-        value, skipped = snnm(sample, 0.02)
+        values, skipped = snnm(sample, [0.02])
+        value = values[0]
         assert skipped == 0
         assert value < 0.01
 
@@ -86,7 +108,7 @@ class TestSnnm:
             ]
         )
         labels = list(rng.permutation(["A", "B"] * (n // 2)))
-        value, _ = snnm(LabeledEmbeddings(rows, labels), 1e3)
+        value = snnm(LabeledEmbeddings(rows, labels), [1e3])[0][0]
         # brute-force limit: -log((n/2-1)/(n-1))
         assert value == pytest.approx(-np.log((n / 2 - 1) / (n - 1)), abs=0.1)
         assert value == pytest.approx(np.log(2), abs=0.12)
@@ -96,7 +118,8 @@ class TestSnnm:
         labels = ["a", "b", "a", "b", "a", "b", "a", "b"]
         sample = LabeledEmbeddings(emb, labels)
         t = 0.3
-        value, skipped = snnm(sample, t)
+        values, skipped = snnm(sample, [t])
+        value = values[0]
         # direct evaluation of the defining formula
         terms = []
         for i in range(8):
@@ -116,40 +139,48 @@ class TestSnnm:
     def test_matches_per_row_loop_with_skipped_rows(self, rng, t):
         emb = rng.normal(size=(60, 5))
         labels = [f"c{i % 7}" for i in range(54)] + [f"solo{i}" for i in range(6)]
-        value, skipped = snnm(LabeledEmbeddings(emb, labels), t)
-        # the per-row loop the masked row sums replaced
-        theta = np.array([[angular_distance(x, y) for y in emb] for x in emb])
-        terms = []
-        for i in range(60):
-            others = [j for j in range(60) if j != i]
-            same = [j for j in others if labels[j] == labels[i]]
-            if not same:
-                continue
-            shift = max(-theta[i, j] / t for j in others)
-            num = sum(np.exp(-theta[i, j] / t - shift) for j in same)
-            den = sum(np.exp(-theta[i, j] / t - shift) for j in others)
-            terms.append(-np.log(num / den))
+        values, skipped = snnm(LabeledEmbeddings(emb, labels), [t])
+        value = values[0]
+        want, want_skipped = per_row_snnm(emb, labels, t)
+        assert skipped == want_skipped == 6
+        assert value == pytest.approx(want, rel=1e-12)
+
+    def test_temperature_vector_matches_per_row_loop(self, rng):
+        emb = rng.normal(size=(60, 5))
+        labels = [f"c{i % 7}" for i in range(54)] + [f"solo{i}" for i in range(6)]
+        temperatures = [0.01, 0.3, 50.0]
+        values, skipped = snnm(LabeledEmbeddings(emb, labels), temperatures)
+        assert values.shape == (3,)
         assert skipped == 6
-        assert value == pytest.approx(np.mean(terms), rel=1e-12)
+        for value, t in zip(values, temperatures):
+            want, want_skipped = per_row_snnm(emb, labels, t)
+            assert want_skipped == skipped
+            assert value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("temperatures", [[0.5, 0.0, 2.0], [-1.0], [np.nan]])
+    def test_non_positive_temperature_rejected(self, rng, temperatures):
+        sample = LabeledEmbeddings(rng.normal(size=(6, 3)), ["a", "b"] * 3)
+        with pytest.raises(ValueError, match="positive"):
+            snnm(sample, temperatures)
 
     def test_rows_without_same_label_neighbor_skipped(self, rng):
         emb = rng.normal(size=(4, 3))
         sample = LabeledEmbeddings(emb, ["a", "a", "b", "c"])
-        _, skipped = snnm(sample, 0.5)
+        _, skipped = snnm(sample, [0.5])
         assert skipped == 2
 
     def test_all_skipped_raises(self, rng):
         emb = rng.normal(size=(3, 3))
         with pytest.raises(DegenerateMeasure):
-            snnm(LabeledEmbeddings(emb, ["a", "b", "c"]), 0.5)
+            snnm(LabeledEmbeddings(emb, ["a", "b", "c"]), [0.5])
 
     def test_scale_invariance(self, rng):
         emb = rng.normal(size=(10, 4))
         labels = ["a", "b"] * 5
-        v1, _ = snnm(LabeledEmbeddings(emb, labels), 0.4)
+        v1 = snnm(LabeledEmbeddings(emb, labels), [0.4])[0][0]
         scaled = emb.copy()
         scaled[3] *= 25.0
-        v2, _ = snnm(LabeledEmbeddings(scaled, labels), 0.4)
+        v2 = snnm(LabeledEmbeddings(scaled, labels), [0.4])[0][0]
         assert v1 == pytest.approx(v2, rel=1e-12)
 
 
@@ -169,6 +200,31 @@ class TestSnnmSweep:
         sample = two_clusters()
         with pytest.raises(ValueError):
             snnm_sweep(sample, temperatures=np.array([1.0, 0.5]), rng=make_rng(4))
+
+    @pytest.mark.parametrize("repetitions", [0, -2])
+    def test_repetitions_below_one_rejected(self, repetitions):
+        with pytest.raises(ValueError, match="repetitions"):
+            snnm_sweep(two_clusters(), repetitions=repetitions, n=8, rng=make_rng(4))
+
+    def test_matches_per_row_reference_sweep(self, rng):
+        emb = rng.normal(size=(40, 4))
+        labels = [f"c{i % 5}" for i in range(36)] + [f"solo{i}" for i in range(4)]
+        temperatures = np.array([0.02, 0.2, 2.0, 20.0])
+        curve = snnm_sweep(
+            LabeledEmbeddings(emb, labels), temperatures, repetitions=3, n=24, rng=make_rng(8)
+        )
+        # the same draws, each sample scored temperature by temperature
+        draws = make_rng(8)
+        samples = [draws.choice(40, size=24, replace=False) for _ in range(3)]
+        results = [
+            [per_row_snnm(emb[idx], [labels[i] for i in idx], t) for idx in samples]
+            for t in temperatures
+        ]
+        for ti, per_sample in enumerate(results):
+            vals = np.array([v for v, _ in per_sample])
+            assert curve.means[ti] == pytest.approx(vals.mean(), rel=1e-12)
+            assert curve.ci95[ti] == pytest.approx(1.96 * vals.std(ddof=1) / np.sqrt(3), rel=1e-12)
+            assert curve.skipped_term_counts[ti] == sum(sk for _, sk in per_sample)
 
 
 def ctx_event(user, genre, t=0.0):
@@ -315,6 +371,21 @@ class TestExportEmbeddings:
         path = tmp_path / "emb.csv"
         export_embeddings(rng.normal(size=(7, 2)), [f"l{i}" for i in range(7)], path)
         assert len(path.read_text().strip().splitlines()) == 8
+
+    def test_bytes_match_csv_writer_reference(self, tmp_path):
+        emb = np.array(
+            [[-0.0, np.nan], [np.inf, -np.inf], [5e-324, 1e308], [0.1, -2.5], [1.0, 3e-7], [-1e-300, 7.0]]
+        )
+        labels = ["a,b", 'say "hi"', "line\nbreak", "crlf\r\nbreak", "", "café ünï"]
+        path = tmp_path / "emb.csv"
+        export_embeddings(emb, labels, path)
+        # the per-value format() rows through csv.writer that the export replaced
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["label", "e0", "e1"])
+        for label, row in zip(labels, emb):
+            writer.writerow([label] + [format(v, ".17g") for v in row])
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
     def test_round_trip_lossless(self, tmp_path, rng):
         path = tmp_path / "emb.csv"

@@ -382,6 +382,10 @@ def _context_field_not_object(path, _original):
     path.write_text(json.dumps({"context": "u0"}))
 
 
+def _config_number(path, _original):
+    path.write_text("5")
+
+
 def _directory(path, _original):
     path.mkdir()
 
@@ -407,6 +411,8 @@ RECOMMEND_ARGS = ["recommend", "--config", "{config}", "--checkpoint", "{checkpo
                   "--dataset", "{dataset}", "--context", "{context}"]
 EVAL_ARGS = ["eval", "--config", "{config}", "--checkpoint", "{checkpoint}",
              "--dataset", "{dataset}", "--report", "{out}"]
+ANALYZE_ARGS = ["analyze", "--config", "{config}", "--checkpoint", "{checkpoint}",
+                "--dataset", "{dataset}", "--mode", "snnm", "--out", "{out}"]
 
 # id: (config overrides, argv template, input writer, exit code, message prefix);
 # a writer (path name, fn(path, original)) replaces that input; messages may
@@ -451,6 +457,50 @@ BOUNDARY_CASES = {
     "eval_min_item_count_empties_catalog": (
         {"min_item_count": 10**6}, EVAL_ARGS, None, EXIT_DATA,
         "data error: the train split holds 0 distinct item(s); a catalog needs at least 2",
+    ),
+    "analyze_snnm_repetitions_0": (
+        {"snnm_repetitions": 0}, ANALYZE_ARGS, None, EXIT_CONFIG,
+        "config error: snnm_repetitions must be an integer >= 1, got 0",
+    ),
+    "analyze_snnm_repetitions_negative": (
+        {"snnm_repetitions": -2}, ANALYZE_ARGS, None, EXIT_CONFIG,
+        "config error: snnm_repetitions must be an integer >= 1, got -2",
+    ),
+    "analyze_snnm_repetitions_bool": (
+        {"snnm_repetitions": True}, ANALYZE_ARGS, None, EXIT_CONFIG,
+        "config error: snnm_repetitions must be an integer >= 1, got True",
+    ),
+    "analyze_snnm_sample_size_1": (
+        {"snnm_sample_size": 1}, ANALYZE_ARGS, None, EXIT_CONFIG,
+        "config error: snnm_sample_size must be an integer >= 2, got 1",
+    ),
+    "analyze_max_events_negative": (
+        {"analysis_max_events": -1}, ANALYZE_ARGS, None, EXIT_CONFIG,
+        "config error: analysis_max_events must be an integer >= 1, got -1",
+    ),
+    "analyze_min_item_count_text": (
+        {"min_item_count": "x"}, ANALYZE_ARGS, None, EXIT_CONFIG,
+        "config error: min_item_count must be an integer >= 1, got 'x'",
+    ),
+    "analyze_min_item_count_0": (
+        {"min_item_count": 0}, ANALYZE_ARGS, None, EXIT_CONFIG,
+        "config error: min_item_count must be an integer >= 1, got 0",
+    ),
+    "analyze_min_duration_text": (
+        {"min_duration_minutes": "x"}, ANALYZE_ARGS, None, EXIT_CONFIG,
+        "config error: min_duration_minutes must be a finite number >= 0, got 'x'",
+    ),
+    "analyze_min_duration_nan": (
+        {"min_duration_minutes": float("nan")}, ANALYZE_ARGS, None, EXIT_CONFIG,
+        "config error: min_duration_minutes must be a finite number >= 0, got nan",
+    ),
+    "analyze_min_duration_negative": (
+        {"min_duration_minutes": -1.0}, ANALYZE_ARGS, None, EXIT_CONFIG,
+        "config error: min_duration_minutes must be a finite number >= 0, got -1.0",
+    ),
+    "analyze_config_not_object": (
+        {}, ANALYZE_ARGS, ("config", _config_number), EXIT_CONFIG,
+        "config error: config {config} must hold a JSON object, got int",
     ),
     "gen_single_genre": (
         {"n_genres": 1}, ["gen", "--config", "{config}", "--out", "{out}"], None, EXIT_CONFIG,
