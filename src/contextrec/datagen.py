@@ -144,10 +144,16 @@ def filter_log(
 def temporal_split(
     log: list[ViewingEvent], train_fraction: float = 0.9
 ) -> tuple[list[ViewingEvent], list[ViewingEvent]]:
-    """Split by event order: first train_fraction for training."""
+    """Split by event order: first train_fraction for training.
+
+    Events are ordered by timestamp, ties by position in the log. A NaN
+    timestamp has no order and raises ValueError.
+    """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    ordered = sorted(enumerate(log), key=lambda t: (t[1].timestamp, t[0]))
-    events = [e for _, e in ordered]
+    stamps = np.fromiter((e.timestamp for e in log), dtype=np.float64, count=len(log))
+    if np.isnan(stamps).any():
+        raise ValueError("a NaN timestamp has no temporal order")
+    events = [log[i] for i in np.argsort(stamps, kind="stable").tolist()]
     cut = int(round(train_fraction * len(events)))
     return events[:cut], events[cut:]

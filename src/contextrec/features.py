@@ -9,6 +9,7 @@ Out-of-vocabulary values contribute nothing (zero block).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,12 +31,24 @@ class ViewingEvent:
     Attribute values are strings (categorical), numbers (numeric), or
     tuples of strings (multi-valued categorical). Multi-valued attributes
     are stored as sorted tuples so events compare and serialize stably.
+    Slotted to keep a loaded log small; the slots are written out because
+    `dataclass(slots=True)` cannot add `__weakref__` before Python 3.11.
     """
+
+    __slots__ = (
+        "item_attributes", "context_attributes", "timestamp", "duration_min", "__weakref__"
+    )
 
     item_attributes: dict
     context_attributes: dict
     timestamp: float
     duration_min: float
+
+    def __reduce__(self):
+        # the default restores slots with setattr, which a frozen class refuses
+        return ViewingEvent, (
+            self.item_attributes, self.context_attributes, self.timestamp, self.duration_min
+        )
 
     def item_key(self):
         """Canonical hashable identity of the consumed content."""
@@ -103,10 +116,13 @@ def _infer_kind(value_type: type) -> str:
 
 
 def _build_specs(rows: list[dict]) -> tuple:
-    names = sorted({n for row in rows for n in row})
+    columns = defaultdict(list)  # name -> its values, in row order
+    for row in rows:
+        for name, value in row.items():
+            columns[name].append(value)
     specs = []
-    for name in names:
-        values = [row[name] for row in rows if name in row]
+    for name in sorted(columns):
+        values = columns[name]
         kinds = {_infer_kind(t) for t in set(map(type, values))}
         if len(kinds) > 1:
             raise SchemaError(f"feature {name!r} mixes value kinds {sorted(kinds)}")

@@ -39,9 +39,30 @@ def attrs_to_json(attrs: dict) -> dict:
 
 
 def attrs_from_json(attrs: dict) -> dict:
+    return _attrs_from_json(attrs, {})
+
+
+def _attrs_from_json(attrs: dict, strings: dict) -> dict:
+    """attrs_from_json, keeping one object per distinct string in `strings`.
+
+    A value must be a string, number, bool, null, or a list of those; a list
+    becomes a tuple.
+    """
     if not isinstance(attrs, dict):
         raise FormatError(f"attributes must be a JSON object, got {type(attrs).__name__}")
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in attrs.items()}
+    out = {}
+    for k, v in attrs.items():
+        if type(v) is str:
+            v = strings.setdefault(v, v)
+        elif type(v) in (list, dict):
+            if type(v) is dict or any(type(x) in (list, dict) for x in v):
+                raise FormatError(
+                    f"attribute {k!r} nests an object or array; a value must be "
+                    "a string, number, bool, null or a list of those"
+                )
+            v = tuple(strings.setdefault(x, x) if type(x) is str else x for x in v)
+        out[strings.setdefault(k, k)] = v
+    return out
 
 
 @contextmanager
@@ -78,7 +99,14 @@ def write_dataset(log: list[ViewingEvent], path) -> None:
 
 
 def read_dataset(path) -> list[ViewingEvent]:
+    """The events of a dataset file; a bad line raises FormatError naming it.
+
+    Equal strings are one object, and so are equal item dicts whose values
+    are all strings, so attribute dicts of the returned events are read-only.
+    """
     events = []
+    strings: dict = {}  # one object per distinct string
+    items: dict = {}  # (name, value) pairs of an all-string item -> its one dict
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
@@ -89,10 +117,18 @@ def read_dataset(path) -> list[ViewingEvent]:
                 ts, duration = float(rec["timestamp"]), float(rec["duration_min"])
                 if not (math.isfinite(ts) and math.isfinite(duration)):
                     raise ValueError("timestamp and duration_min must be finite")
+                item = rec["item"]
+                if isinstance(item, dict) and all(type(v) is str for v in item.values()):
+                    key = tuple(item.items())
+                    if key not in items:
+                        items[key] = _attrs_from_json(item, strings)
+                    item = items[key]
+                else:
+                    item = _attrs_from_json(item, strings)
                 events.append(
                     ViewingEvent(
-                        item_attributes=attrs_from_json(rec["item"]),
-                        context_attributes=attrs_from_json(rec["context"]),
+                        item_attributes=item,
+                        context_attributes=_attrs_from_json(rec["context"], strings),
                         timestamp=ts,
                         duration_min=duration,
                     )

@@ -374,6 +374,22 @@ def _item_not_object_dataset(path, _original):
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
 
 
+def _nested_object_dataset(path, _original):
+    rows = [_record(i) for i in range(20)]
+    rows[4]["context"]["user"] = {"id": "u1"}
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+def _nested_list_dataset(path, _original):
+    rows = [_record(i) for i in range(20)]
+    rows[7]["item"]["genre"] = ["g0", ["g1"]]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
+def _context_nested_value(path, _original):
+    path.write_text(json.dumps({"context": {"user": ["u0", {"x": 1}]}}))
+
+
 def _context_array(path, _original):
     path.write_text(json.dumps([_record(0)["context"]]))
 
@@ -525,6 +541,18 @@ BOUNDARY_CASES = {
     "train_item_not_object": (
         {}, TRAIN_ARGS, ("dataset", _item_not_object_dataset), EXIT_DATA,
         "data error: bad dataset record at line 4: attributes must be a JSON object, got list",
+    ),
+    "train_nested_object_attribute": (
+        {"objective": "rjcce"}, TRAIN_ARGS, ("dataset", _nested_object_dataset), EXIT_DATA,
+        "data error: bad dataset record at line 5: attribute 'user' nests an object or array",
+    ),
+    "train_bpr_nested_list_attribute": (
+        {"objective": "bpr"}, TRAIN_ARGS, ("dataset", _nested_list_dataset), EXIT_DATA,
+        "data error: bad dataset record at line 8: attribute 'genre' nests an object or array",
+    ),
+    "recommend_context_nested_value": (
+        {}, RECOMMEND_ARGS, ("context", _context_nested_value), EXIT_DATA,
+        "data error: cannot read context document: attribute 'user' nests an object or array",
     ),
     "recommend_context_array": (
         {}, RECOMMEND_ARGS, ("context", _context_array), EXIT_DATA,

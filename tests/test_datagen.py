@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextrec.datagen import GeneratorConfig, filter_log, generate, temporal_split
 from contextrec.evaluation import evaluate, toppop, toppop_temporal
@@ -119,3 +121,28 @@ class TestTemporalSplit:
         train, test = temporal_split(log, 0.75)
         assert sorted(train + test, key=lambda e: e.timestamp) == log
         assert len(train) + len(test) == len(log)
+
+    @pytest.mark.parametrize("position", [0, 3, 9])
+    def test_nan_timestamp_rejected(self, position):
+        log = [self.mk(t) for t in range(10)]
+        log[position] = self.mk(float("nan"))
+        with pytest.raises(ValueError, match="NaN timestamp"):
+            temporal_split(log)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, float("inf"), float("-inf")])
+            | st.floats(allow_nan=False),
+            max_size=30,
+        ),
+        st.floats(0.01, 0.99),
+    )
+    def test_equals_sorted_reference(self, stamps, fraction):
+        # events differ only by position, so the check is by identity
+        log = [ViewingEvent({"genre": "g"}, {"n": str(i)}, t, 10.0) for i, t in enumerate(stamps)]
+        ordered = [e for _, e in sorted(enumerate(log), key=lambda t: (t[1].timestamp, t[0]))]
+        cut = int(round(fraction * len(log)))
+        train, test = temporal_split(log, fraction)
+        assert [id(e) for e in train] == [id(e) for e in ordered[:cut]]
+        assert [id(e) for e in test] == [id(e) for e in ordered[cut:]]

@@ -1,11 +1,21 @@
+import copy
+import pickle
+import weakref
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextrec.features import (
+    KIND_MULTI,
+    KIND_NUMERIC,
+    FeatureSchema,
+    FeatureSpec,
     SchemaError,
     ViewingEvent,
+    _infer_kind,
     build_schema,
     canonical_key,
     vectorize_context,
@@ -59,6 +69,124 @@ class TestBuildSchema:
         log = [make_event({"x": v}, t=float(i)) for i, v in enumerate(values)]
         with pytest.raises(SchemaError, match="'x' mixes value kinds"):
             build_schema(log)
+
+
+def column_by_column_specs(rows: list[dict]) -> tuple:
+    """Reference: the specs built with one pass over the rows per name."""
+    names = sorted({n for row in rows for n in row})
+    specs = []
+    for name in names:
+        values = [row[name] for row in rows if name in row]
+        kinds = {_infer_kind(t) for t in set(map(type, values))}
+        if len(kinds) > 1:
+            raise SchemaError(f"feature {name!r} mixes value kinds {sorted(kinds)}")
+        kind = kinds.pop()
+        if kind == KIND_NUMERIC:
+            lo = float(min(values))
+            hi = float(max(values))
+            if lo == hi:
+                raise SchemaError(f"numeric feature {name!r} is constant ({lo})")
+            specs.append(FeatureSpec(name, kind, min=lo, max=hi))
+        elif kind == KIND_MULTI:
+            vocab = sorted({str(v) for vs in values for v in vs})
+            if not vocab:
+                raise SchemaError(f"multi-valued feature {name!r} has empty vocabulary")
+            specs.append(FeatureSpec(name, kind, vocabulary=tuple(vocab)))
+        else:
+            vocab = sorted({str(v) for v in values})
+            specs.append(FeatureSpec(name, kind, vocabulary=tuple(vocab)))
+    return tuple(specs)
+
+
+def schema_or_error(build, log):
+    """The schema, or the SchemaError's message, as a repr (so -0.0 shows)."""
+    try:
+        return repr(build(log))
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+SCHEMA_NAMES = st.sampled_from(["a", "b", "c", "d"])
+SCHEMA_STRINGS = st.sampled_from(["x", "y", "z", "10"])
+SCHEMA_MULTI = st.lists(SCHEMA_STRINGS | st.integers(0, 3), max_size=3)
+SCHEMA_VALUES = (
+    SCHEMA_STRINGS
+    | st.booleans()
+    | st.none()
+    | st.integers(-2, 2)
+    | st.sampled_from([0.0, -0.0, 1.5, -7.25, 10.0])
+    | SCHEMA_MULTI
+    | SCHEMA_MULTI.map(tuple)
+)
+# logs of mixed rows raise SchemaError often; logs of one-kind-per-name rows
+# mostly build
+MIXED_ROWS = st.dictionaries(SCHEMA_NAMES, SCHEMA_VALUES, max_size=4)
+ONE_KIND_ROWS = st.fixed_dictionaries(
+    {},
+    optional={
+        "a": SCHEMA_STRINGS | st.booleans() | st.none(),
+        "b": st.integers(-2, 2) | st.sampled_from([0.0, -0.0, 1.5, -7.25, 10.0]),
+        "c": SCHEMA_MULTI,
+        "d": SCHEMA_MULTI.map(tuple),
+    },
+)
+SCHEMA_LOGS = st.sampled_from([MIXED_ROWS, ONE_KIND_ROWS]).flatmap(
+    lambda rows: st.lists(st.tuples(rows, rows), min_size=1, max_size=8)
+)
+
+
+class TestSchemaProperties:
+    @settings(deadline=None, max_examples=300)
+    @given(SCHEMA_LOGS)
+    def test_equals_column_by_column_reference(self, pairs):
+        log = [
+            ViewingEvent(item_attributes=item, context_attributes=ctx, timestamp=0.0,
+                         duration_min=1.0)
+            for ctx, item in pairs
+        ]
+
+        def reference(log):
+            return FeatureSchema(
+                context_specs=column_by_column_specs([e.context_attributes for e in log]),
+                item_specs=column_by_column_specs([e.item_attributes for e in log]),
+            )
+
+        assert schema_or_error(build_schema, log) == schema_or_error(reference, log)
+
+    def test_mixed_kind_error_names_first_attribute(self):
+        log = [make_event({"b": 1.0, "a": "x"}), make_event({"b": "y", "a": 2})]
+        with pytest.raises(SchemaError, match=r"^feature 'a' mixes value kinds"):
+            build_schema(log)
+
+
+class TestViewingEvent:
+    def event(self):
+        return ViewingEvent({"genre": "g"}, {"viewers": ("u1", "u2"), "age": -0.0}, 5.0, 10.0)
+
+    def test_slotted_and_weakly_referenceable(self):
+        e = self.event()
+        assert not hasattr(e, "__dict__")
+        assert weakref.ref(e)() is e
+
+    def test_assignment_rejected(self):
+        e = self.event()
+        with pytest.raises(FrozenInstanceError):
+            e.timestamp = 1.0
+        with pytest.raises(FrozenInstanceError):
+            e.extra = 1
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        e = self.event()
+        back = pickle.loads(pickle.dumps(e, protocol))
+        assert type(back) is ViewingEvent and back == e
+        assert repr(back) == repr(e)
+
+    def test_deepcopy_round_trip(self):
+        e = self.event()
+        twin = copy.deepcopy(e)
+        assert twin == e and repr(twin) == repr(e)
+        assert twin.context_attributes is not e.context_attributes
 
 
 class TestVectorize:

@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -106,6 +107,85 @@ class TestDataset:
         path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, field: value}) + "\n")
         with pytest.raises(FormatError, match="line 2: timestamp and duration_min must be finite"):
             read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "part, value",
+        [
+            ("context", {"id": "u1"}),
+            ("context", ["u1", ["u2"]]),
+            ("item", ["g1", {"x": 1}]),
+            ("item", {}),
+            ("context", [[]]),
+        ],
+    )
+    def test_nested_value_rejected(self, tmp_path, part, value):
+        rec = {"item": {"genre": "g"}, "context": {"user": "u"}, "timestamp": 0, "duration_min": 1}
+        bad = {**rec, part: {**rec[part], "nested": value}}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(FormatError, match="line 2: attribute 'nested' nests an object or array"):
+            read_dataset(path)
+
+    def test_attrs_from_json_rejects_nested_value(self):
+        assert serialization.attrs_from_json({"a": ["x", 1, 2.5, True, None]}) == {
+            "a": ("x", 1, 2.5, True, None)
+        }
+        with pytest.raises(FormatError, match="attribute 'a' nests an object or array"):
+            serialization.attrs_from_json({"a": [["x"]]})
+
+    def write_records(self, path, records):
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    def test_equal_strings_and_string_items_shared(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        self.write_records(path, [
+            {"item": {"genre": "g1"},
+             "context": {"last_genre": "g1", "user": "u1", "viewers": ["u1", "u2"]},
+             "timestamp": float(i), "duration_min": 5.0}
+            for i in range(3)
+        ])
+        a, b, c = read_dataset(path)
+        assert a.item_attributes is b.item_attributes is c.item_attributes
+        assert a.context_attributes is not b.context_attributes
+        # one object per distinct string, across lines, dicts, names and tuples
+        assert a.context_attributes["last_genre"] is a.item_attributes["genre"]
+        assert a.context_attributes["viewers"][0] is a.context_attributes["user"]
+        for e in (b, c):
+            assert e.context_attributes["user"] is a.context_attributes["user"]
+            assert e.context_attributes["viewers"][1] is a.context_attributes["viewers"][1]
+            for name, first in zip(e.context_attributes, a.context_attributes):
+                assert name is first
+
+    def test_numeric_items_not_merged(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        values = [1, 1.0, True, 1, -0.0, 0.0, -0.0]
+        self.write_records(path, [
+            {"item": {"x": v}, "context": {"y": v}, "timestamp": 0.0, "duration_min": 5.0}
+            for v in values
+        ])
+        log = read_dataset(path)
+        assert len({id(e.item_attributes) for e in log}) == len(values)
+        for e, v in zip(log, values):
+            for attrs in (e.item_attributes, e.context_attributes):
+                (got,) = attrs.values()
+                assert type(got) is type(v) and got == v
+                assert math.copysign(1.0, got) == math.copysign(1.0, v)
+
+    def test_items_with_other_key_order_or_values_not_merged(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        items = [{"a": "1", "b": "2"}, {"b": "2", "a": "1"}, {"a": "1", "b": "3"},
+                 {"a": "1", "b": ["2"]}, {"a": "1", "b": ["2"]}, {"a": "1", "b": "2"}]
+        self.write_records(path, [
+            {"item": item, "context": {}, "timestamp": 0.0, "duration_min": 5.0} for item in items
+        ])
+        log = read_dataset(path)
+        assert [e.item_attributes for e in log] == [
+            {"a": "1", "b": "2"}, {"b": "2", "a": "1"}, {"a": "1", "b": "3"},
+            {"a": "1", "b": ("2",)}, {"a": "1", "b": ("2",)}, {"a": "1", "b": "2"},
+        ]
+        assert list(log[1].item_attributes) == ["b", "a"]
+        assert log[5].item_attributes is log[0].item_attributes
+        assert len({id(e.item_attributes) for e in log}) == 5  # only lines 1 and 6 merge
 
 
 def tiny_model():
