@@ -10,12 +10,18 @@ config. OUTDIR must be absent or empty. Each command's stdout is saved
 under OUTDIR/stdout/ with OUTDIR replaced by a placeholder, so it counts
 as an output too. Prints one sorted `sha256  relative-path` line per file.
 
-Run it at two commits on the same machine and compare: save the first
+The hashes depend on the NumPy version, the BLAS build and the BLAS thread
+count, so the printout opens with a `# name: value` header of those
+conditions: the NumPy version, the BLAS name and version, and the
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS variables.
+
+Run it at two commits under the same conditions and compare: save the first
 commit's printout, then run the second with `--compare` on that file. It
 prints one `changed`, `missing` or `extra` line per differing path and a
 summary on stderr, and exits 1 on any difference, 0 when every file
-matches. The hashes depend on the NumPy/BLAS build, so runs on different
-machines do not compare.
+matches. A printout whose header names other conditions is refused with a
+one-line message and exit 2, before anything runs; a printout without a
+header is compared as it is.
 """
 
 from __future__ import annotations
@@ -25,8 +31,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -48,6 +57,21 @@ CONFIG = {
     "snnm_sample_size": 64,
 }
 PLACEHOLDER = "<OUTDIR>"
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def conditions() -> dict[str, str]:
+    """The NumPy version, BLAS build and BLAS thread settings of this run."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas.get('name')} {blas.get('version')}"
+    except TypeError:  # NumPy before 1.25 has no mode argument
+        blas_name = "unknown"
+    return {
+        "numpy": np.__version__,
+        "blas": blas_name,
+        **{var: os.environ.get(var, "unset") for var in THREAD_VARIABLES},
+    }
 
 
 def run(out: Path, name: str, *argv) -> None:
@@ -85,11 +109,19 @@ def pipeline(out: Path) -> None:
                 "--out", out / f"{obj}.{mode}.csv")
 
 
+def read_conditions(lines) -> dict[str, str]:
+    """{name: value} from the printout's `# name: value` header lines."""
+    return dict(
+        line[2:].rstrip("\n").split(": ", 1) for line in lines if line.startswith("# ")
+    )
+
+
 def read_hashes(lines) -> dict[str, str]:
-    """{relative path: sha256} from `sha256  relative-path` lines."""
+    """{relative path: sha256} from `sha256  relative-path` lines; header
+    lines are skipped."""
     table = {}
     for line in lines:
-        if not line.strip():
+        if not line.strip() or line.startswith("# "):
             continue
         digest, sep, rel = line.rstrip("\n").partition("  ")
         if not sep or len(digest) != 64:
@@ -118,12 +150,23 @@ def main(argv: list[str]) -> int:
                         help="a saved printout to compare against instead of printing")
     args = parser.parse_args(argv)
     expected = None
+    here = conditions()
     if args.compare:
         try:
             with open(args.compare, encoding="utf-8") as fh:
-                expected = read_hashes(fh)
+                lines = fh.readlines()
+            recorded, expected = read_conditions(lines), read_hashes(lines)
         except (OSError, ValueError) as exc:
             print(f"cannot read {args.compare}: {exc}", file=sys.stderr)
+            return 2
+        if recorded and recorded != here:
+            differ = "; ".join(
+                f"{name} {recorded.get(name, 'absent')} there, {here.get(name, 'absent')} here"
+                for name in sorted(recorded.keys() | here.keys())
+                if recorded.get(name) != here.get(name)
+            )
+            print(f"{args.compare} was taken under other conditions ({differ}); "
+                  "its hashes do not compare", file=sys.stderr)
             return 2
     out = Path(args.outdir).resolve()
     if out.exists() and any(out.iterdir()):
@@ -135,6 +178,8 @@ def main(argv: list[str]) -> int:
         for path in sorted(p for p in out.rglob("*") if p.is_file())
     }
     if expected is None:
+        for name, value in here.items():
+            print(f"# {name}: {value}")
         for rel, digest in actual.items():
             print(f"{digest}  {rel}")
         return 0

@@ -1,8 +1,8 @@
 """Representation-quality toolkit for the shared embedding space.
 
 Angular distance, the soft nearest neighbor measure (SNNM) of class
-entanglement with a temperature sweep, per-content average context
-embeddings, the context/content angular-similarity matrix, and a plain
+entanglement with a temperature sweep, the angular-similarity matrix of
+per-content average context embeddings to content embeddings, and a plain
 CSV embedding export for external visualization tools.
 
 An SNNM sweep works sample by sample: one `snnm` call builds a sample's
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import ViewingEvent, canonical_key, vectorize_context
+from .features import ViewingEvent, canonical_key, item_ids, vectorize_context
 from .model import Catalog, TwoTowerModel, embed_context
 from .nn_core import ShapeError
 from .serialization import atomic_write
@@ -194,17 +194,8 @@ def context_embeddings_by_content(
 ) -> tuple[np.ndarray, list]:
     """Context embeddings of every test event with its content label."""
     vecs = vectorize_context(test_log, model.schema)
-    return embed_context(model, vecs), [e.item_key() for e in test_log]
-
-
-def average_context_embedding(
-    test_log: list[ViewingEvent], model: TwoTowerModel, content_key
-) -> np.ndarray:
-    """Arithmetic mean of context embeddings over events with that content."""
-    selected = [e for e in test_log if e.item_key() == content_key]
-    if not selected:
-        raise ValueError(f"no test events with content {content_key!r}")
-    return embed_context(model, vectorize_context(selected, model.schema)).mean(axis=0)
+    codes, keys = item_ids(test_log)
+    return embed_context(model, vecs), [keys[c] for c in codes.tolist()]
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import ViewingEvent
+from .features import ViewingEvent, item_ids
 from .nn_core import make_rng
 
 DAY_NAMES = ("0mon", "1tue", "2wed", "3thu", "4fri", "5sat", "6sun")
@@ -135,10 +135,9 @@ def filter_log(
     kept = [e for e in log if e.duration_min >= min_duration_minutes]
     if min_item_count is None:
         min_item_count = max(1, len(kept) // 100)
-    ids: dict = {}  # content key -> dense content id
-    content = [ids.setdefault(e.item_key(), len(ids)) for e in kept]
-    counts = np.bincount(content, minlength=len(ids))
-    return [e for e, c in zip(kept, content) if counts[c] >= min_item_count]
+    codes, keys = item_ids(kept)
+    frequent = np.bincount(codes, minlength=len(keys)) >= min_item_count
+    return [e for e, ok in zip(kept, frequent[codes].tolist()) if ok]
 
 
 def temporal_split(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import ViewingEvent, canonical_key
+from .features import ViewingEvent, canonical_key, item_ids
 from .model import rank_scores
 
 
@@ -85,7 +85,9 @@ def evaluate(
 def _universe_indices(log: list[ViewingEvent], items: list[dict]) -> list:
     """Index of each event's content in the item universe, None if absent."""
     index = {canonical_key(it): j for j, it in enumerate(items)}
-    return [index.get(canonical_key(e.item_attributes)) for e in log]
+    codes, keys = item_ids(log)
+    where = [index.get(k) for k in keys]
+    return [where[c] for c in codes.tolist()]
 
 
 def random_ranker(m: int, rng: np.random.Generator):

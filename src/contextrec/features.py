@@ -70,6 +70,24 @@ def canonical_key(attrs: dict):
     return tuple(out)
 
 
+def item_ids(events) -> tuple[np.ndarray, list]:
+    """Dense content ids of the events, in first-seen order: (codes, keys).
+
+    codes[i] is the id of events[i]'s content and keys[j] the canonical_key
+    of id j, so ids are equal exactly when canonical keys are. Each distinct
+    item dict object is keyed once, found by its id(): the events keep every
+    dict alive for the call, and item dicts are read-only.
+    """
+    dicts = [e.item_attributes for e in events]
+    objects = np.fromiter(map(id, dicts), dtype=np.uint64, count=len(dicts))
+    _, first, inverse = np.unique(objects, return_index=True, return_inverse=True)
+    ids: dict = {}  # canonical key -> content id
+    code_of = np.empty(len(first), dtype=np.intp)  # per dict object
+    for u in np.argsort(first).tolist():  # objects in first-seen order
+        code_of[u] = ids.setdefault(canonical_key(dicts[first[u]]), len(ids))
+    return code_of[inverse], list(ids)
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     """Encoding rule for one attribute."""

@@ -20,6 +20,7 @@ from .features import (
     FeatureSchema,
     ViewingEvent,
     canonical_key,
+    item_ids,
     vectorize_context,
     vectorize_item,
 )
@@ -111,11 +112,12 @@ class Catalog:
 
 
 def catalog_from_log(log: list[ViewingEvent]) -> list[dict]:
-    """Distinct item descriptors from a log, in deterministic sorted order."""
-    seen = {}
-    for e in log:
-        seen.setdefault(canonical_key(e.item_attributes), e.item_attributes)
-    return [seen[k] for k in sorted(seen)]
+    """Distinct item descriptors from a log (each content's first item dict),
+    in deterministic sorted order."""
+    codes, keys = item_ids(log)
+    first = np.unique(codes, return_index=True)[1].tolist()  # per id, its first event
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [log[first[j]].item_attributes for j in order]
 
 
 def precompute_catalog(model: TwoTowerModel, items: list[dict]) -> Catalog:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureSchema, ViewingEvent, vectorize_context, vectorize_item
+from .features import FeatureSchema, ViewingEvent, item_ids, vectorize_context, vectorize_item
 
 
 class SamplingError(ValueError):
@@ -40,18 +40,14 @@ class PairIndex:
     @classmethod
     def from_log(cls, log: list[ViewingEvent]) -> "PairIndex":
         context_ids: dict = {}
-        item_ids: dict = {}
         cid = np.fromiter(
             (context_ids.setdefault(e.context_key(), len(context_ids)) for e in log),
             dtype=np.int64,
             count=len(log),
         )
-        iid = np.fromiter(
-            (item_ids.setdefault(e.item_key(), len(item_ids)) for e in log),
-            dtype=np.int64,
-            count=len(log),
-        )
-        return cls(context_ids, item_ids, np.unique(cid * len(item_ids) + iid))
+        iid, keys = item_ids(log)
+        codes = np.unique(cid * len(keys) + iid)
+        return cls(context_ids, {k: j for j, k in enumerate(keys)}, codes)
 
     def observed(self, context_keys, item_keys) -> np.ndarray:
         """(N, M) bool matrix: context_keys[r] was observed with item_keys[c]."""
@@ -90,7 +86,8 @@ def group_positives(item_keys: list) -> list[frozenset]:
 
 
 def _assemble(events: list[ViewingEvent], schema: FeatureSchema) -> MiniBatch:
-    item_keys = [e.item_key() for e in events]
+    codes, keys = item_ids(events)
+    item_keys = [keys[c] for c in codes.tolist()]
     return MiniBatch(
         events=events,
         item_keys=item_keys,
@@ -102,10 +99,11 @@ def _assemble(events: list[ViewingEvent], schema: FeatureSchema) -> MiniBatch:
 
 def content_pools(log: list[ViewingEvent]) -> list[list[ViewingEvent]]:
     """The log's events grouped by content, in sorted content-key order."""
-    by_item: dict = {}
-    for e in log:
-        by_item.setdefault(e.item_key(), []).append(e)
-    return [by_item[k] for k in sorted(by_item)]
+    codes, keys = item_ids(log)
+    pools: list = [[] for _ in keys]
+    for e, c in zip(log, codes.tolist()):
+        pools[c].append(e)
+    return [pools[j] for j in sorted(range(len(keys)), key=keys.__getitem__)]
 
 
 def sample_npairs(

@@ -45,8 +45,8 @@ def attrs_from_json(attrs: dict) -> dict:
 def _attrs_from_json(attrs: dict, strings: dict) -> dict:
     """attrs_from_json, keeping one object per distinct string in `strings`.
 
-    A value must be a string, number, bool, null, or a list of those; a list
-    becomes a tuple.
+    A value must be a string, finite number, bool, null, or a list of those;
+    a list becomes a tuple.
     """
     if not isinstance(attrs, dict):
         raise FormatError(f"attributes must be a JSON object, got {type(attrs).__name__}")
@@ -61,6 +61,8 @@ def _attrs_from_json(attrs: dict, strings: dict) -> dict:
                     "a string, number, bool, null or a list of those"
                 )
             v = tuple(strings.setdefault(x, x) if type(x) is str else x for x in v)
+        elif type(v) is float and not math.isfinite(v):
+            raise FormatError(f"attribute {k!r} is not a finite number ({v!r})")
         out[strings.setdefault(k, k)] = v
     return out
 
@@ -94,7 +96,7 @@ def write_dataset(log: list[ViewingEvent], path) -> None:
                 "item": attrs_to_json(e.item_attributes),
                 "timestamp": e.timestamp,
             }
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
+            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False))
             fh.write("\n")
 
 
@@ -180,7 +182,7 @@ def save_checkpoint(
         "item_encoder": _layers_to_json(model.item_encoder),
     }
     with atomic_write(path) as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:

@@ -8,15 +8,21 @@ from contextrec.analysis import (
     DegenerateMeasure,
     LabeledEmbeddings,
     angular_distance,
-    average_context_embedding,
     export_embeddings,
     import_embeddings,
     similarity_matrix,
     snnm,
     snnm_sweep,
 )
-from contextrec.features import ViewingEvent, build_schema
-from contextrec.model import Catalog, EncoderConfig, TwoTowerModel
+from contextrec.features import ViewingEvent, build_schema, vectorize_context
+from contextrec.model import (
+    Catalog,
+    EncoderConfig,
+    TwoTowerModel,
+    catalog_from_log,
+    embed_context,
+    precompute_catalog,
+)
 from contextrec.nn_core import LayerParams, make_rng
 
 
@@ -253,6 +259,30 @@ def aligned_model(schema):
     )
 
 
+def average_context_embedding(test_log, model, content_key):
+    """Mean context embedding over the events of one content, each embedded
+    on its own: the reference for similarity_matrix's per-content means."""
+    rows = [
+        embed_context(model, vectorize_context([e], model.schema)[0])
+        for e in test_log
+        if e.item_key() == content_key
+    ]
+    if not rows:
+        raise ValueError(f"no test events with content {content_key!r}")
+    return np.mean(rows, axis=0)
+
+
+def assert_matrix_row_is_mean(test_log, model, items, content_key):
+    """similarity_matrix's row of the content is 1 - theta(reference mean,
+    each content embedding)."""
+    catalog = precompute_catalog(model, items)
+    sim = similarity_matrix(test_log, model, catalog)
+    mean = average_context_embedding(test_log, model, content_key)
+    expected = [1.0 - angular_distance(mean, c) for c in catalog.embeddings]
+    row = sim.values[sim.content_keys.index(content_key)]
+    assert np.allclose(row, expected, rtol=0.0, atol=1e-12)
+
+
 class TestAverageContextEmbedding:
     def setup_method(self):
         self.log = [ctx_event(f"u{j}", f"g{j}", t=j) for j in range(3)]
@@ -261,12 +291,11 @@ class TestAverageContextEmbedding:
 
     def test_single_event_mean(self):
         key = self.log[0].item_key()
-        from contextrec.model import embed_context
-        from contextrec.features import vectorize_context
-
         mean = average_context_embedding(self.log, self.model, key)
         direct = embed_context(self.model, vectorize_context([self.log[0]], self.schema)[0])
         assert np.allclose(mean, direct)
+        for e in self.log:
+            assert_matrix_row_is_mean(self.log, self.model, catalog_from_log(self.log), e.item_key())
 
     def test_midpoint(self):
         log = [ctx_event("u0", "g0", 0), ctx_event("u1", "g0", 1), ctx_event("u2", "g1", 2)]
@@ -274,6 +303,8 @@ class TestAverageContextEmbedding:
         model = aligned_model(schema)
         mean = average_context_embedding(log, model, log[0].item_key())
         assert np.allclose(mean, [0.5, 0.5])
+        # u2's context embeds to zero, so the matrix is taken over g0's events
+        assert_matrix_row_is_mean(log[:2], model, catalog_from_log(log), log[0].item_key())
 
     def test_idempotent_on_copies(self):
         log = [ctx_event("u1", "g0", t) for t in range(4)] + [ctx_event("u2", "g1", 9)]
@@ -282,6 +313,9 @@ class TestAverageContextEmbedding:
         mean = average_context_embedding(log, model, log[0].item_key())
         single = average_context_embedding(log[:1], model, log[0].item_key())
         assert np.allclose(mean, single)
+        items = catalog_from_log(log)
+        assert_matrix_row_is_mean(log, model, items, log[0].item_key())
+        assert_matrix_row_is_mean(log[:1] + log[4:], model, items, log[0].item_key())
 
     def test_missing_content_rejected(self):
         with pytest.raises(ValueError):
@@ -294,8 +328,6 @@ class TestSimilarityMatrix:
         schema = build_schema(log)
         model = aligned_model(schema)
         items = [{"genre": f"g{j}"} for j in range(3)]
-        from contextrec.model import precompute_catalog
-
         catalog = precompute_catalog(model, items)
         sim = similarity_matrix(log, model, catalog)
         assert np.allclose(np.diag(sim.values), 1.0)
@@ -305,8 +337,6 @@ class TestSimilarityMatrix:
         log = [ctx_event("u0", "g0", t) for t in range(3)] + [ctx_event("u1", "g1", 9)]
         schema = build_schema(log)
         model = aligned_model(schema)
-        from contextrec.model import precompute_catalog
-
         catalog = precompute_catalog(model, [{"genre": "g0"}, {"genre": "g1"}])
         sim = similarity_matrix(log, model, catalog)
         assert sim.dispersion[0] == pytest.approx(1.0)
@@ -315,17 +345,12 @@ class TestSimilarityMatrix:
         log = [ctx_event("u0", "g0", 0), ctx_event("u1", "g1", 1)]
         schema = build_schema(log)
         model = aligned_model(schema)
-        from contextrec.model import precompute_catalog
-
         catalog = precompute_catalog(model, [{"genre": "g0"}, {"genre": "g1"}])
         sim = similarity_matrix(log[:1], model, catalog)
         assert sim.empty_rows[1]
         assert np.isnan(sim.values[1]).all()
 
     def test_matches_per_pair_brute_force(self):
-        from contextrec.features import vectorize_context
-        from contextrec.model import catalog_from_log, embed_context, precompute_catalog
-
         rng = make_rng(21)
         log = [ctx_event(f"u{rng.integers(6)}", f"g{rng.integers(5)}", t) for t in range(60)]
         schema = build_schema(log)

@@ -42,3 +42,28 @@ class TestCompare:
     def test_malformed_line_rejected(self, line):
         with pytest.raises(ValueError, match="sha256"):
             byte_identity.read_hashes([line])
+
+
+class TestConditions:
+    def test_header_round_trips_and_is_not_a_hash(self):
+        here = byte_identity.conditions()
+        assert set(here) == {"numpy", "blas", *byte_identity.THREAD_VARIABLES}
+        lines = [f"# {name}: {value}\n" for name, value in here.items()] + [f"{A}  x.csv\n"]
+        assert byte_identity.read_conditions(lines) == here
+        assert byte_identity.read_hashes(lines) == {"x.csv": A}
+
+    def test_other_thread_count_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        there = {**byte_identity.conditions(), "OPENBLAS_NUM_THREADS": "2"}
+        hashes = tmp_path / "hashes.txt"
+        hashes.write_text(
+            "".join(f"# {name}: {value}\n" for name, value in there.items()) + f"{A}  x.csv\n"
+        )
+        out = tmp_path / "out"
+        assert byte_identity.main([str(out), "--compare", str(hashes)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"{hashes} was taken under other conditions "
+            "(OPENBLAS_NUM_THREADS 2 there, 1 here); its hashes do not compare\n"
+        )
+        assert not out.exists()

@@ -362,6 +362,31 @@ def _non_finite_dataset(path, _original):
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
 
 
+def _mean_age_literal(literal):
+    """Writer of the generated dataset with line 6's mean_age set to a raw
+    JSON number literal, such as NaN or 1e400."""
+
+    def write(path, original):
+        lines = original.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[5])
+        rec["context"]["mean_age"] = "<age>"
+        lines[5] = json.dumps(rec, sort_keys=True).replace('"<age>"', literal) + "\n"
+        path.write_text("".join(lines))
+
+    return write
+
+
+def _context_nan_group_size(path, _original):
+    # a context of the generated schema, so only the NaN is wrong
+    context = {
+        "activity": "live", "day_of_week": "0mon", "female_fraction": 0.0,
+        "group_size": "<nan>", "guest_count": "0", "hour_of_day": "20",
+        "mean_age": 40.0, "region": "north", "tv_location": "bedroom",
+        "viewer_ids": ["u0001"],
+    }
+    path.write_text(json.dumps({"context": context}).replace('"<nan>"', "NaN"))
+
+
 def _non_utf8_dataset(path, _original):
     rows = [json.dumps(_record(i)).encode() + b"\n" for i in range(20)]
     rows[3] = b'{"\xff\xfe": 1}\n'
@@ -533,6 +558,26 @@ BOUNDARY_CASES = {
     "train_nan_timestamp": (
         {}, TRAIN_ARGS, ("dataset", _non_finite_dataset), EXIT_DATA,
         "data error: bad dataset record at line 6: timestamp and duration_min must be finite",
+    ),
+    "train_nan_attribute": (
+        {}, TRAIN_ARGS, ("dataset", _mean_age_literal("NaN")), EXIT_DATA,
+        "data error: bad dataset record at line 6: attribute 'mean_age' is not a finite "
+        "number (nan)",
+    ),
+    "train_infinite_attribute": (
+        {}, TRAIN_ARGS, ("dataset", _mean_age_literal("Infinity")), EXIT_DATA,
+        "data error: bad dataset record at line 6: attribute 'mean_age' is not a finite "
+        "number (inf)",
+    ),
+    "train_overflowing_attribute": (
+        {}, TRAIN_ARGS, ("dataset", _mean_age_literal("1e400")), EXIT_DATA,
+        "data error: bad dataset record at line 6: attribute 'mean_age' is not a finite "
+        "number (inf)",
+    ),
+    "recommend_context_nan_value": (
+        {}, RECOMMEND_ARGS, ("context", _context_nan_group_size), EXIT_DATA,
+        "data error: cannot read context document: attribute 'group_size' is not a finite "
+        "number (nan)",
     ),
     "train_non_utf8_dataset": (
         {}, TRAIN_ARGS, ("dataset", _non_utf8_dataset), EXIT_DATA,

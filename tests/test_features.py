@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contextrec.datagen import filter_log
+from contextrec.evaluation import _universe_indices
 from contextrec.features import (
     KIND_MULTI,
     KIND_NUMERIC,
@@ -18,9 +20,12 @@ from contextrec.features import (
     _infer_kind,
     build_schema,
     canonical_key,
+    item_ids,
     vectorize_context,
     vectorize_item,
 )
+from contextrec.model import catalog_from_log
+from contextrec.sampling import content_pools
 
 
 def make_event(ctx, item=None, t=0.0):
@@ -359,3 +364,125 @@ class TestCanonicalKey:
                 value = tuple(data.draw(st.permutations(value)))
             shuffled[name] = value
         assert canonical_key(shuffled) == canonical_key(attrs)
+
+
+# Item attributes whose canonical keys collide in every way the key allows:
+# 1, 1.0 and True are one number, -0.0 is 0.0, and a multi-value is its
+# sorted elements, duplicates kept, whether a list or a tuple. Values of one
+# name stay mutually comparable, so the keys sort.
+ITEM_ATTRIBUTES = st.fixed_dictionaries(
+    {},
+    optional={
+        "n": st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, 2.5]),
+        "s": st.sampled_from(["x", "y", "1"]),
+        "m": st.lists(st.sampled_from(["a", "b", "c"]), max_size=3).flatmap(
+            lambda v: st.sampled_from([v, tuple(v)])
+        ),
+    },
+)
+
+
+@st.composite
+def item_logs(draw):
+    """Events over a few item dicts, each event holding either the shared
+    dict itself or an equal copy of its own."""
+    items = draw(st.lists(ITEM_ATTRIBUTES, min_size=1, max_size=5))
+    picks = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(items) - 1),
+                st.booleans(),
+                st.sampled_from([1.0, 3.0, 10.0]),
+            ),
+            max_size=30,
+        )
+    )
+    return [
+        ViewingEvent(items[j] if shared else dict(items[j]), {"user": "u"}, float(t), minutes)
+        for t, (j, shared, minutes) in enumerate(picks)
+    ]
+
+
+def per_event_content_pools(log):
+    """content_pools as it was, one item_key() per event."""
+    by_item = {}
+    for e in log:
+        by_item.setdefault(e.item_key(), []).append(e)
+    return [by_item[k] for k in sorted(by_item)]
+
+
+def per_event_filter_log(log, min_duration_minutes=3.0, min_item_count=None):
+    """filter_log as it was, one item_key() per event."""
+    kept = [e for e in log if e.duration_min >= min_duration_minutes]
+    if min_item_count is None:
+        min_item_count = max(1, len(kept) // 100)
+    counts = {}
+    for e in kept:
+        counts[e.item_key()] = counts.get(e.item_key(), 0) + 1
+    return [e for e in kept if counts[e.item_key()] >= min_item_count]
+
+
+def per_event_catalog(log):
+    """catalog_from_log as it was: each content's first item dict, by key."""
+    seen = {}
+    for e in log:
+        seen.setdefault(e.item_key(), e.item_attributes)
+    return [seen[k] for k in sorted(seen)]
+
+
+def ids_of(objects):
+    return [id(x) for x in objects]
+
+
+class TestItemIds:
+    @settings(deadline=None, max_examples=300)
+    @given(item_logs())
+    def test_ids_are_canonical_key_classes_in_first_seen_order(self, log):
+        codes, keys = item_ids(log)
+        assert codes.dtype == np.intp and codes.shape == (len(log),)
+        key_of = [canonical_key(e.item_attributes) for e in log]
+        assert [keys[c] for c in codes.tolist()] == key_of
+        for i in range(len(log)):
+            for j in range(len(log)):
+                assert (codes[i] == codes[j]) == (key_of[i] == key_of[j])
+        assert list(dict.fromkeys(codes.tolist())) == list(range(len(keys)))
+        assert len(set(keys)) == len(keys)
+
+    def test_memoized_per_dict_object(self, monkeypatch):
+        from contextrec import features
+
+        calls = []
+        real = features.canonical_key
+        monkeypatch.setattr(features, "canonical_key", lambda d: calls.append(d) or real(d))
+        shared, copy_ = {"genre": "g1"}, {"genre": "g1"}
+        log = [make_event({}, item) for item in (shared, copy_, shared, {"genre": "g0"}, copy_)]
+        codes, keys = item_ids(log)
+        assert codes.tolist() == [0, 0, 0, 1, 0]
+        assert keys == [(("genre", "g1"),), (("genre", "g0"),)]
+        assert [id(d) for d in calls] == [id(shared), id(copy_), id(log[3].item_attributes)]
+
+    def test_empty_log(self):
+        codes, keys = item_ids([])
+        assert codes.dtype == np.intp and codes.shape == (0,) and keys == []
+
+    @settings(deadline=None, max_examples=300)
+    @given(item_logs())
+    def test_content_pools_equal_per_event_reference(self, log):
+        got = content_pools(log)
+        assert [ids_of(pool) for pool in got] == [
+            ids_of(pool) for pool in per_event_content_pools(log)
+        ]
+
+    @settings(deadline=None, max_examples=300)
+    @given(item_logs(), st.sampled_from([None, 1, 2, 3, 5]))
+    def test_filter_log_equals_per_event_reference(self, log, min_item_count):
+        got = filter_log(log, min_item_count=min_item_count)
+        assert ids_of(got) == ids_of(per_event_filter_log(log, min_item_count=min_item_count))
+
+    @settings(deadline=None, max_examples=300)
+    @given(item_logs(), st.integers(0, 30))
+    def test_catalog_and_universe_equal_per_event_reference(self, log, cut):
+        items = catalog_from_log(log[:cut])
+        assert ids_of(items) == ids_of(per_event_catalog(log[:cut]))
+        index = {canonical_key(it): j for j, it in enumerate(items)}
+        assert _universe_indices(log, items) == [index.get(e.item_key()) for e in log]

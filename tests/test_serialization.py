@@ -133,6 +133,31 @@ class TestDataset:
         with pytest.raises(FormatError, match="attribute 'a' nests an object or array"):
             serialization.attrs_from_json({"a": [["x"]]})
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    @pytest.mark.parametrize("part", ["context", "item"])
+    def test_non_finite_attribute_rejected(self, tmp_path, part, literal):
+        rec = {"item": {"genre": "g"}, "context": {"user": "u"}, "timestamp": 0, "duration_min": 1}
+        bad = json.dumps({**rec, part: {**rec[part], "size": "<n>"}}).replace('"<n>"', literal)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(rec) + "\n" + bad + "\n")
+        with pytest.raises(FormatError, match="line 2: attribute 'size' is not a finite number"):
+            read_dataset(path)
+
+    def test_attrs_from_json_rejects_non_finite_number(self):
+        big = 1.7976931348623157e308
+        assert serialization.attrs_from_json({"a": big, "b": -0.0}) == {"a": big, "b": -0.0}
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(FormatError, match=r"attribute 'a' is not a finite number \("):
+                serialization.attrs_from_json({"a": value})
+
+    def test_non_finite_event_not_written(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text("old\n")
+        ev = ViewingEvent({"genre": "g"}, {"age": float("nan")}, 0.0, 5.0)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_dataset([ev], path)
+        assert path.read_text() == "old\n"
+
     def write_records(self, path, records):
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
@@ -245,6 +270,14 @@ class TestCheckpoint:
         path.write_text("{}")
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def test_non_finite_parameter_not_saved(self, tmp_path):
+        _, _, model = tiny_model()
+        model.item_encoder[0].biases[0] = np.inf
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_checkpoint(model, path)
+        assert not path.exists()
 
     def test_byte_identical_saves(self, tmp_path):
         _, _, model = tiny_model()
