@@ -4,7 +4,8 @@ Each attribute dict becomes one row of a float64 matrix, and callers
 vectorize a whole batch with one call. Single-valued categorical
 attributes become one-hot blocks, multi-valued ones become L1-normalized
 multi-hot blocks, numerics are min-max scaled to [0, 1].
-Out-of-vocabulary values contribute nothing (zero block).
+Out-of-vocabulary values contribute nothing (zero block); a value of the
+wrong kind for its attribute raises SchemaError.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ import numpy as np
 KIND_SINGLE = "categorical_single"
 KIND_MULTI = "categorical_multi"
 KIND_NUMERIC = "numeric"
+
+_MULTI_TYPES = (list, set, frozenset, tuple)  # multi-valued attribute values
+_NUMBER_TYPES = (float, int, np.floating, np.integer)  # numeric ones, bool aside
+_ABSENT = object()  # context_ids' cell for a name a dict lacks; equal to no value
 
 
 class SchemaError(ValueError):
@@ -64,7 +69,7 @@ def canonical_key(attrs: dict):
     out = []
     for name in sorted(attrs):
         v = attrs[name]
-        if isinstance(v, (list, set, frozenset, tuple)):
+        if isinstance(v, _MULTI_TYPES):
             v = tuple(sorted(v))
         out.append((name, v))
     return tuple(out)
@@ -86,6 +91,38 @@ def item_ids(events) -> tuple[np.ndarray, list]:
     for u in np.argsort(first).tolist():  # objects in first-seen order
         code_of[u] = ids.setdefault(canonical_key(dicts[first[u]]), len(ids))
     return code_of[inverse], list(ids)
+
+
+def context_ids(events) -> np.ndarray:
+    """Dense ids of the events' contexts, in first-seen order, as intp.
+
+    Ids are equal exactly when the contexts' canonical_key are. The log is
+    keyed column by column, as a dictionary-encoded table: one column of
+    values per attribute name, holding a sentinel where a dict lacks the
+    name (so an absent name differs from None), multi-values made sorted
+    tuples, then one dict over the zipped rows.
+    """
+    dicts = [e.context_attributes for e in events]
+    names = sorted(set().union(*dicts))
+    if not names:  # every context is the empty dict
+        return np.zeros(len(dicts), dtype=np.intp)
+    columns = [_canonical_column([d.get(name, _ABSENT) for d in dicts]) for name in names]
+    ids: dict = {}  # row of canonical values -> context id
+    return np.fromiter(
+        (ids.setdefault(row, len(ids)) for row in zip(*columns)), dtype=np.intp, count=len(dicts)
+    )
+
+
+def _canonical_column(values: list) -> list:
+    """One column of context_ids with multi-values as sorted tuples; when
+    they are all tuples, each distinct tuple is sorted once."""
+    multi = {t for t in set(map(type, values)) if issubclass(t, _MULTI_TYPES)}
+    if not multi:
+        return values
+    if multi == {tuple}:
+        sorted_of = {v: tuple(sorted(v)) for v in set(values) if type(v) is tuple}
+        return [sorted_of.get(v, v) for v in values]
+    return [tuple(sorted(v)) if isinstance(v, _MULTI_TYPES) else v for v in values]
 
 
 @dataclass(frozen=True)
@@ -124,11 +161,11 @@ class FeatureSchema:
 
 
 def _infer_kind(value_type: type) -> str:
-    if issubclass(value_type, (list, set, frozenset, tuple)):
+    if issubclass(value_type, _MULTI_TYPES):
         return KIND_MULTI
     if issubclass(value_type, bool):
         return KIND_SINGLE
-    if issubclass(value_type, (int, float, np.integer, np.floating)):
+    if issubclass(value_type, _NUMBER_TYPES):
         return KIND_NUMERIC
     return KIND_SINGLE
 
@@ -177,29 +214,50 @@ def build_schema(training_log: list[ViewingEvent]) -> FeatureSchema:
     )
 
 
+_EXPECTED = {KIND_NUMERIC: "a number", KIND_MULTI: "a list", KIND_SINGLE: "a single value"}
+
+
+def _kind_error(spec: FeatureSpec, raw) -> SchemaError:
+    return SchemaError(
+        f"attribute {spec.name!r} takes {_EXPECTED[spec.kind]}, got {type(raw).__name__} {raw!r}"
+    )
+
+
 def _vectorize(rows: list[dict], specs: tuple) -> np.ndarray:
+    """One row per attribute dict. A missing or None value is a zero block;
+    a value of the wrong kind for its spec (a string or bool for a numeric
+    spec, a scalar for a multi-valued one, a list for a single-valued one)
+    raises SchemaError naming the attribute."""
     unknown = set().union(*rows) - {s.name for s in specs}
     if unknown:
         raise SchemaError(f"unknown attribute names: {sorted(unknown)}")
     at_row, at_col, weight = [], [], []  # the nonzero cells
     start = 0  # first column of the spec's block
     for spec in specs:
-        pos = spec.positions
+        pos, name, kind = spec.positions, spec.name, spec.kind
+        lo, span = spec.min, spec.max - spec.min
         for r, attrs in enumerate(rows):
-            raw = attrs.get(spec.name)
+            raw = attrs.get(name)
             if raw is None:
                 continue
-            if spec.kind == KIND_MULTI:
+            if kind == KIND_MULTI:
+                if not isinstance(raw, _MULTI_TYPES):
+                    raise _kind_error(spec, raw)
                 hits = {start + pos[v] for v in map(str, raw) if v in pos}
                 at_row += [r] * len(hits)
                 at_col += hits
                 weight += [1.0 / max(len(hits), 1)] * len(hits)  # L1: sums to 1
                 continue
-            if spec.kind == KIND_NUMERIC:
-                x = (float(raw) - spec.min) / (spec.max - spec.min)
-                c, w = 0, min(max(x, 0.0), 1.0)
+            if kind == KIND_NUMERIC:
+                if type(raw) is bool or not isinstance(raw, _NUMBER_TYPES):
+                    raise _kind_error(spec, raw)
+                c, w = 0, min(max((float(raw) - lo) / span, 0.0), 1.0)
             else:
-                c, w = pos.get(str(raw)), 1.0
+                if type(raw) is not str:
+                    if isinstance(raw, _MULTI_TYPES):
+                        raise _kind_error(spec, raw)
+                    raw = str(raw)
+                c, w = pos.get(raw), 1.0
                 if c is None:
                     continue
             at_row.append(r)

@@ -1,10 +1,12 @@
 """Mini-batch construction for the pairwise objectives.
 
 Strict N-pairs batches contain N pairwise-distinct contents; relaxed
-batches are uniform draws with replacement. BPR negatives honor the
-one-to-one match condition keyed on the full (context, item) pair: the
-observed pairs are stored as sorted int codes over interned context and
-item ids, and a batch's negatives come from one masked draw per batch.
+batches are uniform draws with replacement. Relaxed batches carry each
+row's dense content id, and for BPR its context id, gathered from the
+split's id arrays (features.item_ids, features.context_ids). BPR
+negatives honor the one-to-one match condition on the full (context, item)
+pair: the observed pairs are stored as sorted int codes over those ids,
+and a batch's negatives come from one masked draw per batch.
 """
 
 from __future__ import annotations
@@ -28,45 +30,35 @@ class NoAdmissibleNegative(Exception):
 class PairIndex:
     """Exact membership index of observed (context, item) pairs.
 
-    Context and item keys are interned into dense ids; a pair is stored
-    as the code context_id * len(item_ids) + item_id in the sorted,
-    duplicate-free int64 array codes.
+    A pair of dense ids is stored as the code context_id * n_items + item_id
+    in the sorted, duplicate-free int64 array codes. Queries must use the
+    id space the index was built in, with item ids below n_items.
     """
 
-    context_ids: dict
-    item_ids: dict
     codes: np.ndarray
+    n_items: int
 
     @classmethod
-    def from_log(cls, log: list[ViewingEvent]) -> "PairIndex":
-        context_ids: dict = {}
-        cid = np.fromiter(
-            (context_ids.setdefault(e.context_key(), len(context_ids)) for e in log),
-            dtype=np.int64,
-            count=len(log),
-        )
-        iid, keys = item_ids(log)
-        codes = np.unique(cid * len(keys) + iid)
-        return cls(context_ids, {k: j for j, k in enumerate(keys)}, codes)
+    def from_log(
+        cls, context_ids: np.ndarray, item_ids: np.ndarray, n_items: int
+    ) -> "PairIndex":
+        """The index of the pairs (context_ids[i], item_ids[i]) of a log."""
+        return cls(np.unique(context_ids.astype(np.int64) * n_items + item_ids), n_items)
 
-    def observed(self, context_keys, item_keys) -> np.ndarray:
-        """(N, M) bool matrix: context_keys[r] was observed with item_keys[c]."""
-        cid = np.array([self.context_ids.get(k, -1) for k in context_keys], dtype=np.int64)
-        iid = np.array([self.item_ids.get(k, -1) for k in item_keys], dtype=np.int64)
-        # an unknown id is never observed; without the mask, c * M + (-1)
-        # would alias the code of (c - 1, M - 1)
-        known = (cid >= 0)[:, None] & (iid >= 0)[None, :]
+    def observed(self, context_ids: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
+        """(N, M) bool matrix: context_ids[r] was observed with item_ids[c]."""
+        query = context_ids.astype(np.int64)[:, None] * self.n_items + item_ids[None, :]
         if self.codes.size == 0:
-            return np.zeros_like(known)
-        query = cid[:, None] * len(self.item_ids) + iid[None, :]
+            return np.zeros(query.shape, dtype=bool)
         pos = np.minimum(np.searchsorted(self.codes, query), self.codes.size - 1)
-        return known & (self.codes[pos] == query)
+        return self.codes[pos] == query
 
 
 @dataclass
 class MiniBatch:
     events: list[ViewingEvent]
-    item_keys: list  # canonical content key per row
+    item_ids: np.ndarray  # dense content id per row
+    context_ids: np.ndarray | None  # dense context id per row, when the split has them
     context_vectors: np.ndarray  # (N, |C|)
     item_vectors: np.ndarray  # (N, |I|)
     groups: list[frozenset]  # X_i per row, indices sharing row i's content
@@ -76,24 +68,29 @@ class MiniBatch:
         return len(self.events)
 
 
-def group_positives(item_keys: list) -> list[frozenset]:
-    """X_i = indices of rows whose content key matches row i's (including i)."""
+def group_positives(item_ids: np.ndarray) -> list[frozenset]:
+    """X_i = indices of rows whose content id matches row i's (including i)."""
+    ids = item_ids.tolist()
     by_item: dict = {}
-    for i, k in enumerate(item_keys):
+    for i, k in enumerate(ids):
         by_item.setdefault(k, []).append(i)
     classes = {k: frozenset(v) for k, v in by_item.items()}
-    return [classes[k] for k in item_keys]
+    return [classes[k] for k in ids]
 
 
-def _assemble(events: list[ViewingEvent], schema: FeatureSchema) -> MiniBatch:
-    codes, keys = item_ids(events)
-    item_keys = [keys[c] for c in codes.tolist()]
+def _assemble(
+    events: list[ViewingEvent],
+    schema: FeatureSchema,
+    item_ids: np.ndarray,
+    context_ids: np.ndarray | None = None,
+) -> MiniBatch:
     return MiniBatch(
         events=events,
-        item_keys=item_keys,
+        item_ids=item_ids,
+        context_ids=context_ids,
         context_vectors=vectorize_context(events, schema),
         item_vectors=vectorize_item([e.item_attributes for e in events], schema),
-        groups=group_positives(item_keys),
+        groups=group_positives(item_ids),
     )
 
 
@@ -116,7 +113,7 @@ def sample_npairs(
 
     Contents are chosen uniformly over the content pools (see
     content_pools), then one event uniformly within each pool, so every
-    group is a singleton.
+    group is a singleton. A row's content id is its pool's index.
     """
     if n > len(pools):
         raise SamplingError(
@@ -124,7 +121,7 @@ def sample_npairs(
         )
     chosen = rng.choice(len(pools), size=n, replace=False)
     events = [pools[k][rng.integers(len(pools[k]))] for k in chosen]
-    return _assemble(events, schema)
+    return _assemble(events, schema, chosen)
 
 
 def sample_relaxed(
@@ -132,12 +129,21 @@ def sample_relaxed(
     n: int,
     rng: np.random.Generator,
     schema: FeatureSchema,
+    item_ids: np.ndarray,
+    context_ids: np.ndarray | None = None,
 ) -> MiniBatch:
-    """Relaxed batch: N events uniform with replacement over the log."""
+    """Relaxed batch: N events uniform with replacement over the log.
+
+    item_ids (and context_ids, if given) hold the dense id of each log
+    event; the batch takes those of the rows it draws.
+    """
     if not log:
         raise SamplingError("empty log")
-    events = [log[i] for i in rng.integers(len(log), size=n)]
-    return _assemble(events, schema)
+    rows = rng.integers(len(log), size=n)
+    events = [log[i] for i in rows.tolist()]
+    return _assemble(
+        events, schema, item_ids[rows], None if context_ids is None else context_ids[rows]
+    )
 
 
 def bpr_negative(
@@ -152,10 +158,9 @@ def bpr_negative(
     is raised (the caller draws a fresh batch with the same rng), so the
     rng advances exactly as a row-by-row draw stopping at row r would.
     """
-    ids: dict = {}
-    row_item = np.array([ids.setdefault(k, len(ids)) for k in batch.item_keys])
+    row_item = batch.item_ids
     admissible = (row_item[:, None] != row_item[None, :]) & ~pair_index.observed(
-        [e.context_key() for e in batch.events], batch.item_keys
+        batch.context_ids, row_item
     )
     counts = admissible.sum(axis=1)
     empty = np.flatnonzero(counts == 0)

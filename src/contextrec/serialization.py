@@ -13,6 +13,7 @@ import json
 import math
 import os
 import secrets
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -46,7 +47,8 @@ def _attrs_from_json(attrs: dict, strings: dict) -> dict:
     """attrs_from_json, keeping one object per distinct string in `strings`.
 
     A value must be a string, finite number, bool, null, or a list of those;
-    a list becomes a tuple.
+    a list becomes a tuple. An integer beyond the largest finite float is
+    not a finite number.
     """
     if not isinstance(attrs, dict):
         raise FormatError(f"attributes must be a JSON object, got {type(attrs).__name__}")
@@ -61,8 +63,13 @@ def _attrs_from_json(attrs: dict, strings: dict) -> dict:
                     "a string, number, bool, null or a list of those"
                 )
             v = tuple(strings.setdefault(x, x) if type(x) is str else x for x in v)
-        elif type(v) is float and not math.isfinite(v):
-            raise FormatError(f"attribute {k!r} is not a finite number ({v!r})")
+        elif type(v) is float:
+            if not math.isfinite(v):
+                raise FormatError(f"attribute {k!r} is not a finite number ({v!r})")
+        elif type(v) is int and abs(v) > sys.float_info.max:
+            raise FormatError(
+                f"attribute {k!r} is not a finite number (an integer beyond the float range)"
+            )
         out[strings.setdefault(k, k)] = v
     return out
 

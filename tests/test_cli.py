@@ -387,6 +387,32 @@ def _context_nan_group_size(path, _original):
     path.write_text(json.dumps({"context": context}).replace('"<nan>"', "NaN"))
 
 
+def _context_with(name, value):
+    """Writer of a context document of the generated schema with one value
+    replaced."""
+
+    def write(path, _original):
+        context = {
+            "activity": "live", "day_of_week": "0mon", "female_fraction": 0.0,
+            "group_size": 1.0, "guest_count": "0", "hour_of_day": "20",
+            "mean_age": 40.0, "region": "north", "tv_location": "bedroom",
+            "viewer_ids": ["u0001"], name: value,
+        }
+        path.write_text(json.dumps({"context": context}))
+
+    return write
+
+
+def _test_split_group_size_text(path, original):
+    # the last 20 lines fall in the test split; some pass the duration filter
+    lines = original.read_text().splitlines(keepends=True)
+    for i in range(len(lines) - 20, len(lines)):
+        rec = json.loads(lines[i])
+        rec["context"]["group_size"] = "two"
+        lines[i] = json.dumps(rec, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+
+
 def _non_utf8_dataset(path, _original):
     rows = [json.dumps(_record(i)).encode() + b"\n" for i in range(20)]
     rows[3] = b'{"\xff\xfe": 1}\n'
@@ -573,6 +599,31 @@ BOUNDARY_CASES = {
         {}, TRAIN_ARGS, ("dataset", _mean_age_literal("1e400")), EXIT_DATA,
         "data error: bad dataset record at line 6: attribute 'mean_age' is not a finite "
         "number (inf)",
+    ),
+    "train_integer_beyond_float_range": (
+        {}, TRAIN_ARGS, ("dataset", _mean_age_literal("1" + "0" * 400)), EXIT_DATA,
+        "data error: bad dataset record at line 6: attribute 'mean_age' is not a finite "
+        "number (an integer beyond the float range)",
+    ),
+    "recommend_context_text_for_number": (
+        {}, RECOMMEND_ARGS, ("context", _context_with("group_size", "abc")), EXIT_DATA,
+        "data error: attribute 'group_size' takes a number, got str 'abc'",
+    ),
+    "recommend_context_scalar_for_multi_value": (
+        {}, RECOMMEND_ARGS, ("context", _context_with("viewer_ids", 5)), EXIT_DATA,
+        "data error: attribute 'viewer_ids' takes a list, got int 5",
+    ),
+    "recommend_context_text_for_multi_value": (
+        {}, RECOMMEND_ARGS, ("context", _context_with("viewer_ids", "u0001")), EXIT_DATA,
+        "data error: attribute 'viewer_ids' takes a list, got str 'u0001'",
+    ),
+    "recommend_context_list_for_single_value": (
+        {}, RECOMMEND_ARGS, ("context", _context_with("hour_of_day", ["01", "02"])), EXIT_DATA,
+        "data error: attribute 'hour_of_day' takes a single value, got tuple ('01', '02')",
+    ),
+    "eval_test_event_text_for_number": (
+        {}, EVAL_ARGS, ("dataset", _test_split_group_size_text), EXIT_DATA,
+        "data error: attribute 'group_size' takes a number, got str 'two'",
     ),
     "recommend_context_nan_value": (
         {}, RECOMMEND_ARGS, ("context", _context_nan_group_size), EXIT_DATA,

@@ -20,6 +20,7 @@ from contextrec.features import (
     _infer_kind,
     build_schema,
     canonical_key,
+    context_ids,
     item_ids,
     vectorize_context,
     vectorize_item,
@@ -345,6 +346,92 @@ class TestVectorizeProperties:
             vectorize_item(items, schema)
 
 
+def previous_vectorize(rows: list[dict], specs: tuple) -> np.ndarray:
+    """_vectorize before it checked value kinds: the reference for values
+    of the right kind."""
+    at_row, at_col, weight = [], [], []
+    start = 0
+    for spec in specs:
+        pos = spec.positions
+        for r, attrs in enumerate(rows):
+            raw = attrs.get(spec.name)
+            if raw is None:
+                continue
+            if spec.kind == KIND_MULTI:
+                hits = {start + pos[v] for v in map(str, raw) if v in pos}
+                at_row += [r] * len(hits)
+                at_col += hits
+                weight += [1.0 / max(len(hits), 1)] * len(hits)
+                continue
+            if spec.kind == KIND_NUMERIC:
+                x = (float(raw) - spec.min) / (spec.max - spec.min)
+                c, w = 0, min(max(x, 0.0), 1.0)
+            else:
+                c, w = pos.get(str(raw)), 1.0
+                if c is None:
+                    continue
+            at_row.append(r)
+            at_col.append(start + c)
+            weight.append(w)
+        start += spec.width
+    out = np.zeros((len(rows), start))
+    out[at_row, at_col] = weight
+    return out
+
+
+# Values of the right kind for ATTRS' schemas, in every form a caller may
+# pass: None, ints and NumPy scalars for a numeric, numbers for a single
+# value, lists for a multi-value
+RIGHT_KIND_ATTRS = st.fixed_dictionaries(
+    {},
+    optional={
+        "user": TOKENS | st.none() | st.integers(-3, 3) | st.floats(allow_nan=False),
+        "viewers": st.none() | st.lists(TOKENS, max_size=4).flatmap(
+            lambda v: st.sampled_from([v, tuple(v)])
+        ),
+        "age": st.none()
+        | st.integers(-100, 200)
+        | st.integers(-100, 200).map(np.int64)
+        | st.floats(-50.0, 150.0, allow_nan=False)
+        | st.floats(-50.0, 150.0, allow_nan=False).map(np.float32),
+    },
+)
+
+
+class TestValueKinds:
+    @settings(deadline=None, max_examples=300)
+    @given(schema_and_batch(), st.lists(RIGHT_KIND_ATTRS, min_size=1, max_size=8))
+    def test_right_kind_vectorizes_as_before(self, case, rows):
+        schema, _ = case
+        expected = previous_vectorize(rows, schema.context_specs)
+        got = vectorize_context([make_event(r) for r in rows], schema)
+        assert got.tobytes() == expected.tobytes()
+        assert vectorize_item(rows, schema).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("age", "abc"),
+            ("age", "15"),
+            ("age", True),
+            ("viewers", "u1"),
+            ("viewers", 5),
+            ("user", ["u1"]),
+            ("user", ("u1", "u2")),
+        ],
+    )
+    def test_wrong_kind_rejected_naming_the_attribute(self, small_log, name, value):
+        schema = build_schema(small_log)
+        ctx = {"user": "u1", "age": 20.0, "viewers": ("u1",), name: value}
+        with pytest.raises(SchemaError, match=f"attribute '{name}' takes a"):
+            vectorize_context([small_log[0], make_event(ctx)], schema)
+
+    def test_none_is_a_zero_block(self, small_log):
+        schema = build_schema(small_log)
+        row = vectorize_context([make_event({"user": None, "age": None, "viewers": None})], schema)
+        assert not row.any()
+
+
 class TestCanonicalKey:
     @given(
         st.dictionaries(
@@ -486,3 +573,49 @@ class TestItemIds:
         assert ids_of(items) == ids_of(per_event_catalog(log[:cut]))
         index = {canonical_key(it): j for j, it in enumerate(items)}
         assert _universe_indices(log, items) == [index.get(e.item_key()) for e in log]
+
+
+# Context attributes whose canonical keys collide in every way the key
+# allows (as ITEM_ATTRIBUTES), with None beside absent names: "t" holds only
+# tuples or None, so its column takes the sort-each-distinct-tuple-once path,
+# and "m" mixes lists, tuples and a scalar, so its column does not.
+CONTEXT_ATTRIBUTES = st.fixed_dictionaries(
+    {},
+    optional={
+        "n": st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, 2.5, None]),
+        "s": st.sampled_from(["x", "y", "1", None]),
+        "t": st.none() | st.lists(st.sampled_from(["a", "b"]), max_size=3).map(tuple),
+        "m": st.sampled_from(["a"])
+        | st.lists(st.sampled_from(["a", "b", "c"]), max_size=3).flatmap(
+            lambda v: st.sampled_from([v, tuple(v)])
+        ),
+    },
+)
+
+
+class TestContextIds:
+    @settings(deadline=None, max_examples=500)
+    @given(st.lists(CONTEXT_ATTRIBUTES, max_size=30))
+    def test_ids_are_canonical_key_classes_in_first_seen_order(self, contexts):
+        ids = context_ids([make_event(c) for c in contexts])
+        assert ids.dtype == np.intp and ids.shape == (len(contexts),)
+        first_seen: dict = {}
+        expected = [first_seen.setdefault(canonical_key(c), len(first_seen)) for c in contexts]
+        assert ids.tolist() == expected
+
+    def test_corners(self):
+        contexts = [
+            {"n": 1}, {"n": 1.0}, {"n": True},  # one number
+            {"n": 0}, {"n": -0.0}, {"n": False},  # another
+            {"m": ["b", "a", "a"]}, {"m": ("a", "b", "a")},  # order and container ignored
+            {"m": ("a", "b")},  # duplicates kept
+            {}, {"n": None}, {"n": None, "m": ()}, {"m": ()},  # absent is not None
+            {},
+        ]
+        ids = context_ids([make_event(c) for c in contexts])
+        assert ids.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 3, 4, 5, 6, 7, 4]
+
+    def test_empty_log_and_empty_contexts(self):
+        ids = context_ids([])
+        assert ids.dtype == np.intp and ids.shape == (0,)
+        assert context_ids([make_event({}), make_event({})]).tolist() == [0, 0]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from contextrec.features import ViewingEvent, build_schema
+from contextrec.datagen import GeneratorConfig, generate
+from contextrec.features import ViewingEvent, build_schema, context_ids, item_ids
 from contextrec.nn_core import make_rng
 from contextrec.sampling import (
     NoAdmissibleNegative,
@@ -39,6 +40,22 @@ def log():
 @pytest.fixture
 def schema(log):
     return build_schema(log)
+
+
+def relaxed(log, n, rng, schema):
+    """sample_relaxed over the log's own item ids, as train() draws rjcce batches."""
+    return sample_relaxed(log, n, rng, schema, item_ids(log)[0])
+
+
+def index_and_batch(observed, batch_events, schema):
+    """The PairIndex of `observed` and a batch of `batch_events`, their ids
+    keyed in one pass over both, as train() keys its fit and validation
+    splits."""
+    iids, keys = item_ids(observed + batch_events)
+    cids = context_ids(observed + batch_events)
+    k = len(observed)
+    pair_index = PairIndex.from_log(cids[:k], iids[:k], len(keys))
+    return pair_index, _assemble(batch_events, schema, iids[k:], cids[k:])
 
 
 class TestSampleNpairs:
@@ -103,16 +120,26 @@ class TestSampleRelaxed:
         n, draws = 50, 200
         total_g1 = 0
         for _ in range(draws):
-            batch = sample_relaxed(events, n, rng, sch)
+            batch = relaxed(events, n, rng, sch)
             total_g1 += sum(e.item_attributes["genre"] == "g1" for e in batch.events)
         mean = total_g1 / draws
         sigma = np.sqrt(n * 0.9 * 0.1)
         assert abs(mean - 0.9 * n) < 3 * sigma
 
     def test_single_row(self, log, schema):
-        batch = sample_relaxed(log, 1, make_rng(4), schema)
+        batch = relaxed(log, 1, make_rng(4), schema)
         assert batch.size == 1
         assert batch.groups[0] == frozenset([0])
+
+    def test_rows_carry_the_split_ids(self, log, schema):
+        iids, cids = item_ids(log)[0], context_ids(log)
+        rng, again = make_rng(12), make_rng(12)
+        batch = sample_relaxed(log, 9, rng, schema, iids, cids)
+        rows = again.integers(len(log), size=9)
+        assert batch.events == [log[i] for i in rows]
+        assert batch.item_ids.tolist() == iids[rows].tolist()
+        assert batch.context_ids.tolist() == cids[rows].tolist()
+        assert sample_relaxed(log, 9, make_rng(12), schema, iids).context_ids is None
 
     def test_per_event_uniformity_chi_square(self, log, schema):
         rng = make_rng(5)
@@ -120,7 +147,7 @@ class TestSampleRelaxed:
         counts = np.zeros(len(log))
         idx = {id(e): i for i, e in enumerate(log)}
         for _ in range(draws // 100):
-            batch = sample_relaxed(log, 100, rng, schema)
+            batch = relaxed(log, 100, rng, schema)
             for e in batch.events:
                 counts[idx[id(e)]] += 1
         expected = draws / len(log)
@@ -132,18 +159,18 @@ class TestSampleRelaxed:
 class TestGroupPositives:
     def test_direct_definition(self):
         events = [event("u1", "g1"), event("u2", "g1"), event("u3", "g2")]
-        groups = group_positives([e.item_key() for e in events])
+        groups = group_positives(item_ids(events)[0])
         assert groups[0] == groups[1] == frozenset([0, 1])
         assert groups[2] == frozenset([2])
 
     def test_all_distinct(self, log):
-        groups = group_positives([e.item_key() for e in log[:4]])
+        groups = group_positives(item_ids(log[:4])[0])
         assert all(len(g) == 1 for g in groups)
 
     def test_equivalence_relation(self, log, schema):
         rng = make_rng(6)
         for _ in range(20):
-            batch = sample_relaxed(log, 10, rng, schema)
+            batch = relaxed(log, 10, rng, schema)
             groups = batch.groups
             for i, gi in enumerate(groups):
                 assert i in gi  # reflexive
@@ -159,12 +186,12 @@ def oracle_bpr_negatives(batch, observed_log, rng):
     else (negatives drawn so far, index of the first row without one).
     """
     observed = frozenset((e.context_key(), e.item_key()) for e in observed_log)
+    item_keys = [e.item_key() for e in batch.events]
     negatives = []
     for i, e in enumerate(batch.events):
         ctx = e.context_key()
-        own = batch.item_keys[i]
         admissible = [
-            j for j, k in enumerate(batch.item_keys) if k != own and (ctx, k) not in observed
+            j for j, k in enumerate(item_keys) if k != item_keys[i] and (ctx, k) not in observed
         ]
         if not admissible:
             return negatives, i
@@ -175,36 +202,36 @@ def oracle_bpr_negatives(batch, observed_log, rng):
 class TestBprNegative:
     def test_forced_choice(self, schema):
         observed = [event("u1", "g1", 0), event("u1", "g3", 1), event("u2", "g2", 2)]
-        pair_index = PairIndex.from_log(observed)
         batch_events = [event("u1", "g1", 0), event("u2", "g2", 2), event("u1", "g3", 1)]
-        batch = _assemble(batch_events, schema)
+        pair_index, batch = index_and_batch(observed, batch_events, schema)
         # for row 0 (context u1): g2 is the only item unobserved with u1
         for seed in range(10):
             assert bpr_negative(batch, pair_index, make_rng(seed))[0] == 1
 
     def test_contract_never_observed(self, log, schema):
-        pair_index = PairIndex.from_log(log[:3])
         rng = make_rng(7)
         checked = 0
         for _ in range(50):
-            batch = _assemble([log[i] for i in rng.integers(len(log), size=6)], schema)
+            batch_events = [log[i] for i in rng.integers(len(log), size=6)]
+            pair_index, batch = index_and_batch(log[:3], batch_events, schema)
             try:
                 negatives = bpr_negative(batch, pair_index, rng)
             except NoAdmissibleNegative:
                 continue
             assert negatives.dtype == np.intp and negatives.shape == (batch.size,)
+            observed = {(e.context_key(), e.item_key()) for e in log[:3]}
             for i, j in enumerate(negatives):
                 ctx = batch.events[i].context_key()
                 item = batch.events[j].item_key()
-                assert not pair_index.observed([ctx], [item])[0, 0]
+                assert (ctx, item) not in observed
                 assert item != batch.events[i].item_key()
                 checked += 1
         assert checked > 0
 
     def test_uniform_over_admissible(self, schema):
         observed = [event("u1", "g1", 0)]
-        pair_index = PairIndex.from_log(observed)
-        batch = _assemble(
+        pair_index, batch = index_and_batch(
+            observed,
             [event("u1", "g1", 0), event("u2", "g2", 1), event("u3", "g3", 2), event("u4", "g4", 3)],
             schema,
         )
@@ -218,13 +245,14 @@ class TestBprNegative:
 
     def test_no_admissible_raises(self, schema):
         observed = [event("u1", "g1", 0), event("u1", "g2", 1)]
-        pair_index = PairIndex.from_log(observed)
-        batch = _assemble([event("u1", "g1", 0), event("u1", "g2", 1)], schema)
+        pair_index, batch = index_and_batch(
+            observed, [event("u1", "g1", 0), event("u1", "g2", 1)], schema
+        )
         with pytest.raises(NoAdmissibleNegative):
             bpr_negative(batch, pair_index, make_rng(9))
 
-    def assert_matches_oracle(self, batch, observed_log, seed):
-        pair_index = PairIndex.from_log(observed_log)
+    def assert_matches_oracle(self, batch_events, observed_log, schema, seed):
+        pair_index, batch = index_and_batch(observed_log, batch_events, schema)
         expected_rng, rng = make_rng(seed), make_rng(seed)
         expected, empty_row = oracle_bpr_negatives(batch, observed_log, expected_rng)
         if empty_row is None:
@@ -244,39 +272,66 @@ class TestBprNegative:
         empty_rows = []
         for seed in range(300):
             size = int(batch_rng.integers(2, 9))
-            batch = _assemble([log[i] for i in batch_rng.integers(len(log), size=size)], schema)
+            batch_events = [log[i] for i in batch_rng.integers(len(log), size=size)]
             prefix = int(batch_rng.integers(len(log) + 1))
-            empty_rows.append(self.assert_matches_oracle(batch, log[:prefix], seed))
+            empty_rows.append(self.assert_matches_oracle(batch_events, log[:prefix], schema, seed))
         assert None in empty_rows and 0 in empty_rows
         assert any(r is not None and r > 0 for r in empty_rows)
 
     def test_first_empty_row_not_row_zero(self, log, schema):
         # log[:8] observes u1 and u2 with every genre; u3 with none
-        batch = _assemble([event("u3", "g1"), event("u3", "g2"), event("u1", "g3")], schema)
+        batch_events = [event("u3", "g1"), event("u3", "g2"), event("u1", "g3")]
         for seed in range(5):
-            assert self.assert_matches_oracle(batch, log[:8], seed) == 2
+            assert self.assert_matches_oracle(batch_events, log[:8], schema, seed) == 2
+
+    def test_validation_split_matches_oracle(self):
+        # a generated log cut into fit and validation splits, as train() cuts
+        # it; validation events are joined by ones whose context recurs in
+        # the fit split with another item (an equal dict, its viewer tuple
+        # reversed), so recurring and never-seen contexts both occur
+        log = generate(GeneratorConfig(n_weeks=1, events_per_day=40, n_genres=6, seed=3))
+        cut = int(0.8 * len(log))
+        fit, val = log[:cut], log[cut:]
+        genres = sorted({e.item_attributes["genre"] for e in log})
+        rng = make_rng(11)
+        for i in rng.integers(cut, size=len(val)).tolist():
+            ctx = dict(fit[i].context_attributes)
+            ctx["viewer_ids"] = tuple(reversed(ctx["viewer_ids"]))
+            other = genres[(genres.index(fit[i].item_attributes["genre"]) + 1) % len(genres)]
+            val.append(ViewingEvent({"genre": other}, ctx, 0.0, 10.0))
+        schema = build_schema(fit)
+        fit_keys = {e.context_key() for e in fit}
+        recurring = unseen = 0
+        for seed in range(200):
+            batch_events = [val[i] for i in rng.integers(len(val), size=8)]
+            recurring += sum(e.context_key() in fit_keys for e in batch_events)
+            unseen += sum(e.context_key() not in fit_keys for e in batch_events)
+            self.assert_matches_oracle(batch_events, fit, schema, seed)
+        assert recurring > 100 and unseen > 100
 
 
 class TestPairIndexObserved:
     def test_unknown_keys_never_observed(self):
-        # ids: u1 -> 0, u2 -> 1; g1 -> 0, g2 -> 1; codes {0, 1, 2}
-        log = [event("u1", "g1"), event("u1", "g2"), event("u2", "g1")]
-        pair_index = PairIndex.from_log(log)
-        contexts = [event(u, "g1").context_key() for u in ("u1", "u2", "u9")]
-        items = [event("u1", g).item_key() for g in ("g1", "g2", "g9")]
-        # (u2, g9) would read code 1 * 2 - 1 = 1, the code of observed (u1, g2)
+        # one id space over the log and the probes: u1 -> 0, u2 -> 1, u9 -> 2;
+        # g1 -> 0, g2 -> 1, g9 -> 2; the index holds the first three events
+        events = [event("u1", "g1"), event("u1", "g2"), event("u2", "g1")]
+        events += [event("u9", "g9")]
+        iids, keys = item_ids(events)
+        cids = context_ids(events)
+        pair_index = PairIndex.from_log(cids[:3], iids[:3], len(keys))
+        contexts, items = np.array([0, 1, 2]), np.array([0, 1, 2])
         expected = [[True, True, False], [True, False, False], [False, False, False]]
         assert pair_index.observed(contexts, items).tolist() == expected
 
     def test_empty_index(self):
-        pair_index = PairIndex.from_log([])
-        key = event("u1", "g1")
-        assert pair_index.observed([key.context_key()], [key.item_key()]).tolist() == [[False]]
+        empty = np.zeros(0, dtype=np.intp)
+        pair_index = PairIndex.from_log(empty, empty, 1)
+        assert pair_index.observed(np.array([0]), np.array([0])).tolist() == [[False]]
 
 
 def test_samplers_deterministic(log, schema):
-    b1 = sample_relaxed(log, 8, make_rng(42), schema)
-    b2 = sample_relaxed(log, 8, make_rng(42), schema)
+    b1 = relaxed(log, 8, make_rng(42), schema)
+    b2 = relaxed(log, 8, make_rng(42), schema)
     assert [e.item_attributes for e in b1.events] == [e.item_attributes for e in b2.events]
     s1 = sample_npairs(content_pools(log), 4, make_rng(42), schema)
     s2 = sample_npairs(content_pools(log), 4, make_rng(42), schema)

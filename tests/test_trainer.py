@@ -93,6 +93,20 @@ class TestTrain:
         model, history = train(log, schema, cfg)
         assert history.records[-1][1] < history.records[0][1]
 
+    def test_bpr_keys_no_event_on_its_own(self, monkeypatch):
+        # ids are keyed once per call, column by column: no event is keyed
+        # on its own, in set-up or in any fit or validation batch
+        calls = []
+        for name in ("item_key", "context_key"):
+            real = getattr(ViewingEvent, name)
+            monkeypatch.setattr(
+                ViewingEvent, name, lambda e, real=real: calls.append(e) or real(e)
+            )
+        log = toy_log(n_contents=5, per_content=20)
+        cfg = TrainConfig(objective="bpr", batch_size=8, max_steps=20, eval_every=10, seed=2)
+        train(log, build_schema(log), cfg)
+        assert calls == []
+
     def test_strict_sampling_infeasible_batch_clamped(self):
         # batch_size above distinct-content count clamps to the count
         log = toy_log(n_contents=3)
