@@ -115,7 +115,8 @@ def context_ids(events) -> np.ndarray:
 
 def _canonical_column(values: list) -> list:
     """One column of context_ids with multi-values as sorted tuples; when
-    they are all tuples, each distinct tuple is sorted once."""
+    they are all tuples, as read_dataset and datagen give them, each
+    distinct tuple is sorted once rather than every value."""
     multi = {t for t in set(map(type, values)) if issubclass(t, _MULTI_TYPES)}
     if not multi:
         return values

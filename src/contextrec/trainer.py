@@ -72,14 +72,14 @@ class TrainHistory:
     best_validation_loss: float = float("inf")
 
 
-def _batch_sampler(split, ids, config, schema):
+def _batch_sampler(split, iids, cids, config, schema):
     """rng -> batch over one split: strict N-pairs for jcce/ljcce, else relaxed
-    over the split's ids, [item ids] or [item ids, context ids]."""
+    over the split's item ids and, for bpr, its context ids."""
     if config.objective in ("jcce", "ljcce"):
         pools = content_pools(split)
         n = min(config.batch_size, len(pools))
         return lambda rng: sample_npairs(pools, n, rng, schema)
-    return lambda rng: sample_relaxed(split, config.batch_size, rng, schema, *ids)
+    return lambda rng: sample_relaxed(split, config.batch_size, rng, schema, iids, cids)
 
 
 def _next_batch(draw, rng, pair_index):
@@ -168,22 +168,22 @@ def train(
     cut = int(round((1.0 - config.validation_fraction) * len(log)))
     cut = max(1, min(cut, len(log) - 1))
     fit_log, val_log = log[:cut], log[cut:]
-    fit_ids = val_ids = pair_index = None
+    fit_iids = val_iids = fit_cids = val_cids = pair_index = None
     if config.objective in ("rjcce", "bpr"):
         # keyed once over the whole log, so fit and validation share one id space
         iids, keys = item_ids(log)
-        ids = [iids]
+        fit_iids, val_iids = iids[:cut], iids[cut:]
         if config.objective == "bpr":
-            ids.append(context_ids(log))
-            pair_index = PairIndex.from_log(ids[1][:cut], iids[:cut], len(keys))
-        fit_ids, val_ids = [a[:cut] for a in ids], [a[cut:] for a in ids]
+            cids = context_ids(log)
+            fit_cids, val_cids = cids[:cut], cids[cut:]
+            pair_index = PairIndex.from_log(fit_cids, fit_iids, len(keys))
 
     # fixed validation batches so successive evaluations are comparable
     val_rng = make_rng(config.seed + 1)
     n_val_batches = max(1, min(10, len(val_log) // config.batch_size))
-    draw_val = _batch_sampler(val_log, val_ids, config, schema)
+    draw_val = _batch_sampler(val_log, val_iids, val_cids, config, schema)
     val_batches = [_next_batch(draw_val, val_rng, pair_index) for _ in range(n_val_batches)]
-    draw_fit = _batch_sampler(fit_log, fit_ids, config, schema)
+    draw_fit = _batch_sampler(fit_log, fit_iids, fit_cids, config, schema)
 
     def validation_loss(m: TwoTowerModel) -> float:
         vals = [

@@ -17,6 +17,7 @@ from contextrec.features import (
     FeatureSpec,
     SchemaError,
     ViewingEvent,
+    _canonical_column,
     _infer_kind,
     build_schema,
     canonical_key,
@@ -614,6 +615,13 @@ class TestContextIds:
         ]
         ids = context_ids([make_event(c) for c in contexts])
         assert ids.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 3, 4, 5, 6, 7, 4]
+
+    def test_tuple_column_sorts_each_distinct_tuple_once(self):
+        column = _canonical_column([("b", "a"), None, ("b", "a"), ("a", "b"), ()])
+        assert column == [("a", "b"), None, ("a", "b"), ("a", "b"), ()]
+        assert column[0] is column[2]  # one sorted tuple per distinct raw tuple
+        mixed = _canonical_column([["b", "a"], ("b", "a"), "a"])
+        assert mixed == [("a", "b"), ("a", "b"), "a"]
 
     def test_empty_log_and_empty_contexts(self):
         ids = context_ids([])
