@@ -92,6 +92,7 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
     fraction = config["train_fraction"]
     if not (isinstance(fraction, (int, float)) and 0.0 < fraction < 1.0):
         raise ConfigError(f"train_fraction must be in (0, 1), got {fraction!r}")
+    _check_int(config, "seed", 0)
     for key, low in (("snnm_repetitions", 1), ("snnm_sample_size", 2), ("analysis_max_events", 1)):
         _check_int(config, key, low)
     if config["min_item_count"] is not None:
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("recommend", help="rank the catalog for one context")
-    common(p)
+    p.add_argument("--config", help="JSON run-config file")  # no --seed: it draws no numbers
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True, help="dataset providing the item universe")
     p.add_argument("--context", required=True, help="JSON context document")

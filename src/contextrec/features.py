@@ -76,21 +76,31 @@ def canonical_key(attrs: dict):
 
 
 def item_ids(events) -> tuple[np.ndarray, list]:
-    """Dense content ids of the events, in first-seen order: (codes, keys).
+    """Dense content ids of the events, in sorted key order: (codes, keys).
 
     codes[i] is the id of events[i]'s content and keys[j] the canonical_key
-    of id j, so ids are equal exactly when canonical keys are. Each distinct
+    of id j's first event, so ids are equal exactly when keys are, and keys
+    sort ascending; keys that do not sort raise SchemaError. Each distinct
     item dict object is keyed once, found by its id(): the events keep every
     dict alive for the call, and item dicts are read-only.
     """
     dicts = [e.item_attributes for e in events]
     objects = np.fromiter(map(id, dicts), dtype=np.uint64, count=len(dicts))
     _, first, inverse = np.unique(objects, return_index=True, return_inverse=True)
-    ids: dict = {}  # canonical key -> content id
-    code_of = np.empty(len(first), dtype=np.intp)  # per dict object
+    ids: dict = {}  # canonical key -> first-seen rank
+    seen_of = np.empty(len(first), dtype=np.intp)  # per dict object
     for u in np.argsort(first).tolist():  # objects in first-seen order
-        code_of[u] = ids.setdefault(canonical_key(dicts[first[u]]), len(ids))
-    return code_of[inverse], list(ids)
+        seen_of[u] = ids.setdefault(canonical_key(dicts[first[u]]), len(ids))
+    keys = list(ids)
+    try:
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+    except TypeError as exc:  # name a feature that mixes value kinds, as build_schema does
+        pairs = [pair for key in keys for pair in key]
+        for name in sorted({n for n, _ in pairs}):
+            _column_kind(name, [v for n, v in pairs if n == name])
+        raise SchemaError(f"content attributes do not sort: {exc}") from None
+    rank = np.argsort(order)  # first-seen rank -> content id
+    return rank[seen_of][inverse], [keys[j] for j in order]
 
 
 def context_ids(events) -> np.ndarray:
@@ -171,6 +181,14 @@ def _infer_kind(value_type: type) -> str:
     return KIND_SINGLE
 
 
+def _column_kind(name: str, values: list) -> str:
+    """The one kind of a feature's values; SchemaError if they mix kinds."""
+    kinds = {_infer_kind(t) for t in set(map(type, values))}
+    if len(kinds) > 1:
+        raise SchemaError(f"feature {name!r} mixes value kinds {sorted(kinds)}")
+    return kinds.pop()
+
+
 def _build_specs(rows: list[dict]) -> tuple:
     columns = defaultdict(list)  # name -> its values, in row order
     for row in rows:
@@ -179,10 +197,7 @@ def _build_specs(rows: list[dict]) -> tuple:
     specs = []
     for name in sorted(columns):
         values = columns[name]
-        kinds = {_infer_kind(t) for t in set(map(type, values))}
-        if len(kinds) > 1:
-            raise SchemaError(f"feature {name!r} mixes value kinds {sorted(kinds)}")
-        kind = kinds.pop()
+        kind = _column_kind(name, values)
         if kind == KIND_NUMERIC:
             lo = float(min(values))
             hi = float(max(values))

@@ -9,7 +9,6 @@ max shift, so values stay finite for any realistic magnitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -67,23 +66,13 @@ def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (top + np.log(total))[:, 0], e / total
 
 
-def _member_mask(groups: list, n: int) -> np.ndarray:
-    """(n, n) bool mask, [i, j] true when row j is in groups[i]; the groups
-    must be the equivalence classes of some labelling of the rows."""
-    if len(groups) != n:
-        raise ValueError(f"groups length {len(groups)} != batch size {n}")
-    sizes = [len(g) for g in groups]
-    cols = np.fromiter(chain.from_iterable(groups), dtype=np.intp, count=sum(sizes))
-    if np.any((cols < 0) | (cols >= n)):
-        raise ValueError("group index out of range")
-    member = np.zeros((n, n), dtype=bool)
-    member[np.repeat(np.arange(n), sizes), cols] = True
-    # rows in one class share their lowest member; a row outside its own
-    # group, or a group that disagrees with its members' groups, breaks that
-    lowest = member.argmax(axis=1)
-    if not np.array_equal(member, lowest[:, None] == lowest[None, :]):
-        raise ValueError("groups are not consistent equivalence classes")
-    return member
+def _joint_positives(item_ids: np.ndarray, n: int) -> np.ndarray:
+    """(n, n) bool mask, [i, j] true when rows i and j share a content id:
+    an equivalence relation by construction."""
+    ids = np.asarray(item_ids)
+    if ids.shape != (n,):
+        raise ShapeError(f"need one content id per row: shape {(n,)}, got {ids.shape}")
+    return ids[:, None] == ids[None, :]
 
 
 def _relaxed(a: np.ndarray, p: np.ndarray, member: np.ndarray) -> LossResult:
@@ -102,16 +91,16 @@ def _relaxed(a: np.ndarray, p: np.ndarray, member: np.ndarray) -> LossResult:
 
 
 def relaxed_npairs_loss(
-    anchors: np.ndarray, positives: np.ndarray, groups: list
+    anchors: np.ndarray, positives: np.ndarray, item_ids: np.ndarray
 ) -> LossResult:
     """N-pairs generalization where same-content rows are joint positives.
 
-    groups[i] is the index set of rows sharing row i's content (including
-    i). With all-singleton groups this reduces exactly to npairs_loss;
-    with a single all-encompassing group the loss is zero.
+    item_ids[i] is row i's content id; rows with equal ids are each other's
+    joint positives. With all-distinct ids this reduces exactly to
+    npairs_loss; with one id for every row the loss is zero.
     """
     a, p = _check_batch(anchors, positives)
-    return _relaxed(a, p, _member_mask(groups, a.shape[0]))
+    return _relaxed(a, p, _joint_positives(item_ids, a.shape[0]))
 
 
 def l2_reg(anchors: np.ndarray, positives: np.ndarray, lam: float) -> LossResult:
@@ -146,15 +135,15 @@ def jcce_objective(
 
 
 def rjcce_objective(
-    context_emb: np.ndarray, item_emb: np.ndarray, groups: list, lam: float
+    context_emb: np.ndarray, item_emb: np.ndarray, item_ids: np.ndarray, lam: float
 ) -> LossResult:
     """Two-way relaxed N-pairs loss plus the magnitude regularizer.
 
-    The same groups apply in both directions since they are defined by
-    content identity.
+    The same joint positives apply in both directions since they are
+    defined by content identity.
     """
     c, it = _check_batch(context_emb, item_emb)
-    member = _member_mask(groups, c.shape[0])  # symmetric: fits both directions
+    member = _joint_positives(item_ids, c.shape[0])  # symmetric: fits both directions
     return _two_way(_relaxed(it, c, member), _relaxed(c, it, member), l2_reg(c, it, lam))
 
 

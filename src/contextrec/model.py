@@ -113,11 +113,9 @@ class Catalog:
 
 def catalog_from_log(log: list[ViewingEvent]) -> list[dict]:
     """Distinct item descriptors from a log (each content's first item dict),
-    in deterministic sorted order."""
-    codes, keys = item_ids(log)
-    first = np.unique(codes, return_index=True)[1].tolist()  # per id, its first event
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return [log[first[j]].item_attributes for j in order]
+    in sorted content-key order, which is content-id order."""
+    first = np.unique(item_ids(log)[0], return_index=True)[1].tolist()  # per id, its first event
+    return [log[i].item_attributes for i in first]
 
 
 def precompute_catalog(model: TwoTowerModel, items: list[dict]) -> Catalog:

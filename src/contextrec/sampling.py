@@ -1,12 +1,12 @@
 """Mini-batch construction for the pairwise objectives.
 
-Strict N-pairs batches contain N pairwise-distinct contents; relaxed
-batches are uniform draws with replacement. Relaxed batches carry each
-row's dense content id, and for BPR its context id, gathered from the
-split's id arrays (features.item_ids, features.context_ids). BPR
-negatives honor the one-to-one match condition on the full (context, item)
-pair: the observed pairs are stored as sorted int codes over those ids,
-and a batch's negatives come from one masked draw per batch.
+A batch is rows of its split: samplers draw row indices, and the batch
+gathers those rows' vectors, dense content ids (features.item_ids) and,
+for BPR, context ids (features.context_ids). Strict N-pairs batches hold
+N pairwise-distinct contents; relaxed batches are uniform draws with
+replacement. BPR negatives honor the one-to-one match condition on the
+full (context, item) pair: the observed pairs are stored as sorted int
+codes over those ids, and a batch's negatives come from one masked draw.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureSchema, ViewingEvent, item_ids, vectorize_context, vectorize_item
+from .features import FeatureSchema, ViewingEvent, vectorize_context, vectorize_item
 
 
 class SamplingError(ValueError):
@@ -56,72 +56,72 @@ class PairIndex:
 
 @dataclass
 class MiniBatch:
-    events: list[ViewingEvent]
+    rows: np.ndarray  # the split's row index of each batch row
     item_ids: np.ndarray  # dense content id per row
     context_ids: np.ndarray | None  # dense context id per row, when the split has them
     context_vectors: np.ndarray  # (N, |C|)
     item_vectors: np.ndarray  # (N, |I|)
-    groups: list[frozenset]  # X_i per row, indices sharing row i's content
 
     @property
     def size(self) -> int:
-        return len(self.events)
+        return len(self.rows)
+
+    @property
+    def groups(self) -> list[frozenset]:
+        """X_i per row, the rows sharing row i's content id."""
+        return group_positives(self.item_ids)
 
 
 def group_positives(item_ids: np.ndarray) -> list[frozenset]:
     """X_i = indices of rows whose content id matches row i's (including i)."""
     ids = item_ids.tolist()
-    by_item: dict = {}
-    for i, k in enumerate(ids):
-        by_item.setdefault(k, []).append(i)
-    classes = {k: frozenset(v) for k, v in by_item.items()}
+    classes = {k: frozenset(np.flatnonzero(item_ids == k).tolist()) for k in set(ids)}
     return [classes[k] for k in ids]
 
 
 def _assemble(
-    events: list[ViewingEvent],
+    split: list[ViewingEvent],
+    rows: np.ndarray,
     schema: FeatureSchema,
     item_ids: np.ndarray,
     context_ids: np.ndarray | None = None,
 ) -> MiniBatch:
+    events = [split[i] for i in rows.tolist()]
     return MiniBatch(
-        events=events,
-        item_ids=item_ids,
-        context_ids=context_ids,
+        rows=rows,
+        item_ids=item_ids[rows],
+        context_ids=None if context_ids is None else context_ids[rows],
         context_vectors=vectorize_context(events, schema),
         item_vectors=vectorize_item([e.item_attributes for e in events], schema),
-        groups=group_positives(item_ids),
     )
 
 
-def content_pools(log: list[ViewingEvent]) -> list[list[ViewingEvent]]:
-    """The log's events grouped by content, in sorted content-key order."""
-    codes, keys = item_ids(log)
-    pools: list = [[] for _ in keys]
-    for e, c in zip(log, codes.tolist()):
-        pools[c].append(e)
-    return [pools[j] for j in sorted(range(len(keys)), key=keys.__getitem__)]
+def content_pools(item_ids: np.ndarray) -> list[np.ndarray]:
+    """Row indices of each content id present, in id order, rows in log order."""
+    order = np.argsort(item_ids, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(item_ids[order])) + 1) if order.size else []
 
 
 def sample_npairs(
-    pools: list[list[ViewingEvent]],
+    split: list[ViewingEvent],
+    pools: list[np.ndarray],
     n: int,
     rng: np.random.Generator,
     schema: FeatureSchema,
+    item_ids: np.ndarray,
 ) -> MiniBatch:
     """Strict N-pairs batch: N distinct contents, one event per content.
 
-    Contents are chosen uniformly over the content pools (see
-    content_pools), then one event uniformly within each pool, so every
-    group is a singleton. A row's content id is its pool's index.
+    Contents are chosen uniformly over the split's content_pools, then
+    one row uniformly within each pool.
     """
     if n > len(pools):
         raise SamplingError(
             f"requested {n} distinct contents but the log has only {len(pools)}"
         )
     chosen = rng.choice(len(pools), size=n, replace=False)
-    events = [pools[k][rng.integers(len(pools[k]))] for k in chosen]
-    return _assemble(events, schema, chosen)
+    rows = np.array([pools[k][rng.integers(len(pools[k]))] for k in chosen], dtype=np.intp)
+    return _assemble(split, rows, schema, item_ids)
 
 
 def sample_relaxed(
@@ -132,18 +132,11 @@ def sample_relaxed(
     item_ids: np.ndarray,
     context_ids: np.ndarray | None = None,
 ) -> MiniBatch:
-    """Relaxed batch: N events uniform with replacement over the log.
-
-    item_ids (and context_ids, if given) hold the dense id of each log
-    event; the batch takes those of the rows it draws.
-    """
+    """Relaxed batch: N rows uniform with replacement over the log, whose
+    events have the dense ids item_ids (and context_ids, if given)."""
     if not log:
         raise SamplingError("empty log")
-    rows = rng.integers(len(log), size=n)
-    events = [log[i] for i in rows.tolist()]
-    return _assemble(
-        events, schema, item_ids[rows], None if context_ids is None else context_ids[rows]
-    )
+    return _assemble(log, rng.integers(len(log), size=n), schema, item_ids, context_ids)
 
 
 def bpr_negative(

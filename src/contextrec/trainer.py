@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses
-from .features import FeatureSchema, ViewingEvent, context_ids, item_ids
+from .features import _MULTI_TYPES, FeatureSchema, SchemaError, ViewingEvent, context_ids, item_ids
 from .model import EncoderConfig, TwoTowerModel
 from .nn_core import AdamState, adam_step, encoder_backward, encoder_forward, make_rng
 from .sampling import (
@@ -73,12 +73,12 @@ class TrainHistory:
 
 
 def _batch_sampler(split, iids, cids, config, schema):
-    """rng -> batch over one split: strict N-pairs for jcce/ljcce, else relaxed
-    over the split's item ids and, for bpr, its context ids."""
+    """rng -> batch over one split, given its item ids and, for bpr, its
+    context ids: strict N-pairs for jcce/ljcce, else relaxed."""
     if config.objective in ("jcce", "ljcce"):
-        pools = content_pools(split)
+        pools = content_pools(iids)
         n = min(config.batch_size, len(pools))
-        return lambda rng: sample_npairs(pools, n, rng, schema)
+        return lambda rng: sample_npairs(split, pools, n, rng, schema, iids)
     return lambda rng: sample_relaxed(split, config.batch_size, rng, schema, iids, cids)
 
 
@@ -117,7 +117,7 @@ def _loss_and_grads(
     )
     _check_finite("embeddings", ctx_emb, item_emb)
     if config.objective == "rjcce":
-        res = losses.rjcce_objective(ctx_emb, item_emb, batch.groups, config.lam)
+        res = losses.rjcce_objective(ctx_emb, item_emb, batch.item_ids, config.lam)
     elif config.objective == "bpr":
         res = losses.bpr_loss(ctx_emb, item_emb, negatives, config.lam)
     else:
@@ -168,15 +168,14 @@ def train(
     cut = int(round((1.0 - config.validation_fraction) * len(log)))
     cut = max(1, min(cut, len(log) - 1))
     fit_log, val_log = log[:cut], log[cut:]
-    fit_iids = val_iids = fit_cids = val_cids = pair_index = None
-    if config.objective in ("rjcce", "bpr"):
-        # keyed once over the whole log, so fit and validation share one id space
-        iids, keys = item_ids(log)
-        fit_iids, val_iids = iids[:cut], iids[cut:]
-        if config.objective == "bpr":
-            cids = context_ids(log)
-            fit_cids, val_cids = cids[:cut], cids[cut:]
-            pair_index = PairIndex.from_log(fit_cids, fit_iids, len(keys))
+    # keyed once over the whole log, so fit and validation share one id space
+    iids, keys = item_ids(log)
+    fit_iids, val_iids = iids[:cut], iids[cut:]
+    fit_cids = val_cids = pair_index = None
+    if config.objective == "bpr":
+        cids = context_ids(log)
+        fit_cids, val_cids = cids[:cut], cids[cut:]
+        pair_index = PairIndex.from_log(fit_cids, fit_iids, len(keys))
 
     # fixed validation batches so successive evaluations are comparable
     val_rng = make_rng(config.seed + 1)
@@ -233,12 +232,15 @@ def train(
 def ablate_to_single_viewer(
     log: list[ViewingEvent], rng: np.random.Generator
 ) -> list[ViewingEvent]:
-    """Collapse each viewer_ids co-viewing group to one uniformly chosen member."""
+    """Collapse each viewer_ids co-viewing group to one uniformly chosen member;
+    a viewer_ids that is missing or not a list raises SchemaError."""
     out = []
     for e in log:
         viewers = e.context_attributes.get("viewer_ids")
-        if viewers is None:
-            raise ValueError("events lack the 'viewer_ids' feature")
+        if not isinstance(viewers, _MULTI_TYPES):  # None when an event lacks it
+            raise SchemaError(
+                f"attribute 'viewer_ids' takes a list, got {type(viewers).__name__} {viewers!r}"
+            )
         viewers = tuple(sorted(viewers))
         if len(viewers) <= 1:
             out.append(e)

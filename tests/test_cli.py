@@ -270,6 +270,15 @@ class TestRecommend:
         scores = [float(line.split("\t")[1]) for line in out]
         assert scores == sorted(scores, reverse=True)
 
+    def test_has_no_seed_option(self, workspace, tmp_path, capsys):
+        # recommend draws no random numbers, so it takes no --seed
+        ws, config_path, dataset, ckpt = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["recommend", "--seed", "3", "--checkpoint", str(ckpt), "--dataset",
+                  str(dataset), "--context", str(tmp_path / "ctx.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_snnm_curve_file(self, workspace, tmp_path):
@@ -403,6 +412,33 @@ def _context_with(name, value):
     return write
 
 
+def _every_7th_genre_a_number(path, original):
+    lines = original.read_text().splitlines(keepends=True)
+    for i in range(0, len(lines), 7):
+        rec = json.loads(lines[i])
+        rec["item"]["genre"] = 5
+        lines[i] = json.dumps(rec, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+
+
+def _viewers_of_line_6(value):
+    """Writer of the generated dataset with line 6's viewer_ids replaced by
+    value, or removed when value is None; the line's duration passes the
+    duration filter."""
+
+    def write(path, original):
+        lines = original.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[5])
+        del rec["context"]["viewer_ids"]
+        if value is not None:
+            rec["context"]["viewer_ids"] = value
+        rec["duration_min"] = 30.0
+        lines[5] = json.dumps(rec, sort_keys=True) + "\n"
+        path.write_text("".join(lines))
+
+    return write
+
+
 def _test_split_group_size_text(path, original):
     # the last 20 lines fall in the test split; some pass the duration filter
     lines = original.read_text().splitlines(keepends=True)
@@ -480,6 +516,8 @@ EVAL_ARGS = ["eval", "--config", "{config}", "--checkpoint", "{checkpoint}",
              "--dataset", "{dataset}", "--report", "{out}"]
 ANALYZE_ARGS = ["analyze", "--config", "{config}", "--checkpoint", "{checkpoint}",
                 "--dataset", "{dataset}", "--mode", "snnm", "--out", "{out}"]
+SIMMATRIX_ARGS = [*ANALYZE_ARGS[:-3], "simmatrix", "--out", "{out}"]
+MIXED_GENRE = "data error: feature 'genre' mixes value kinds ['categorical_single', 'numeric']"
 
 # id: (config overrides, argv template, input writer, exit code, message prefix);
 # a writer (path name, fn(path, original)) replaces that input; messages may
@@ -576,6 +614,54 @@ BOUNDARY_CASES = {
     "recommend_negative_top_k": (
         {}, RECOMMEND_ARGS + ["--top-k", "-2"], None, EXIT_CONFIG,
         "config error: --top-k must be >= 1",
+    ),
+    "gen_seed_text": (
+        {"seed": "abc"}, ["gen", "--config", "{config}", "--out", "{out}"], None, EXIT_CONFIG,
+        "config error: seed must be an integer >= 0, got 'abc'",
+    ),
+    "train_seed_fraction": (
+        {"seed": 1.5}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: seed must be an integer >= 0, got 1.5",
+    ),
+    "train_seed_flag_negative": (
+        {}, TRAIN_ARGS + ["--seed", "-3"], None, EXIT_CONFIG,
+        "config error: seed must be an integer >= 0, got -3",
+    ),
+    "eval_baselines_seed_negative": (
+        {"seed": -1}, EVAL_ARGS + ["--baselines"], None, EXIT_CONFIG,
+        "config error: seed must be an integer >= 0, got -1",
+    ),
+    "analyze_seed_bool": (
+        {"seed": True}, ANALYZE_ARGS, None, EXIT_CONFIG,
+        "config error: seed must be an integer >= 0, got True",
+    ),
+    "train_1id_viewers_text": (
+        {}, TRAIN_ARGS + ["--1id"], ("dataset", _viewers_of_line_6("u0001")), EXIT_DATA,
+        "data error: attribute 'viewer_ids' takes a list, got str 'u0001'",
+    ),
+    "train_1id_viewers_number": (
+        {}, TRAIN_ARGS + ["--1id"], ("dataset", _viewers_of_line_6(5)), EXIT_DATA,
+        "data error: attribute 'viewer_ids' takes a list, got int 5",
+    ),
+    "train_1id_viewers_missing": (
+        {}, TRAIN_ARGS + ["--1id"], ("dataset", _viewers_of_line_6(None)), EXIT_DATA,
+        "data error: attribute 'viewer_ids' takes a list, got NoneType None",
+    ),
+    "train_mixed_kind_genre": (
+        {"min_item_count": 1}, TRAIN_ARGS, ("dataset", _every_7th_genre_a_number), EXIT_DATA,
+        MIXED_GENRE,
+    ),
+    "eval_mixed_kind_genre": (
+        {"min_item_count": 1}, EVAL_ARGS, ("dataset", _every_7th_genre_a_number), EXIT_DATA,
+        MIXED_GENRE,
+    ),
+    "recommend_mixed_kind_genre": (
+        {"min_item_count": 1}, RECOMMEND_ARGS, ("dataset", _every_7th_genre_a_number), EXIT_DATA,
+        MIXED_GENRE,
+    ),
+    "analyze_simmatrix_mixed_kind_genre": (
+        {"min_item_count": 1}, SIMMATRIX_ARGS, ("dataset", _every_7th_genre_a_number), EXIT_DATA,
+        MIXED_GENRE,
     ),
     "train_mixed_kind_feature": (
         {}, TRAIN_ARGS, ("dataset", _mixed_kind_dataset), EXIT_DATA,

@@ -525,7 +525,7 @@ def ids_of(objects):
 class TestItemIds:
     @settings(deadline=None, max_examples=300)
     @given(item_logs())
-    def test_ids_are_canonical_key_classes_in_first_seen_order(self, log):
+    def test_ids_are_canonical_key_classes_in_sorted_key_order(self, log):
         codes, keys = item_ids(log)
         assert codes.dtype == np.intp and codes.shape == (len(log),)
         key_of = [canonical_key(e.item_attributes) for e in log]
@@ -533,8 +533,12 @@ class TestItemIds:
         for i in range(len(log)):
             for j in range(len(log)):
                 assert (codes[i] == codes[j]) == (key_of[i] == key_of[j])
-        assert list(dict.fromkeys(codes.tolist())) == list(range(len(keys)))
+        assert sorted(set(codes.tolist())) == list(range(len(keys)))
         assert len(set(keys)) == len(keys)
+        assert all(a < b for a, b in zip(keys, keys[1:]))  # numbered in sorted key order
+        # each id's key is its first event's, so 1 and 1.0 label as first seen
+        first = {c: i for i, c in reversed(list(enumerate(codes.tolist())))}
+        assert all(repr(keys[c]) == repr(key_of[i]) for c, i in first.items())
 
     def test_memoized_per_dict_object(self, monkeypatch):
         from contextrec import features
@@ -545,19 +549,28 @@ class TestItemIds:
         shared, copy_ = {"genre": "g1"}, {"genre": "g1"}
         log = [make_event({}, item) for item in (shared, copy_, shared, {"genre": "g0"}, copy_)]
         codes, keys = item_ids(log)
-        assert codes.tolist() == [0, 0, 0, 1, 0]
-        assert keys == [(("genre", "g1"),), (("genre", "g0"),)]
+        assert codes.tolist() == [1, 1, 1, 0, 1]
+        assert keys == [(("genre", "g0"),), (("genre", "g1"),)]
         assert [id(d) for d in calls] == [id(shared), id(copy_), id(log[3].item_attributes)]
 
     def test_empty_log(self):
         codes, keys = item_ids([])
         assert codes.dtype == np.intp and codes.shape == (0,) and keys == []
 
+    def test_keys_that_do_not_sort_raise_schema_error(self):
+        mixed = [make_event({}, {"genre": "g1", "size": 1}), make_event({}, {"genre": 5})]
+        kinds = r"\['categorical_single', 'numeric'\]$"
+        with pytest.raises(SchemaError, match="^feature 'genre' mixes value kinds " + kinds):
+            item_ids(mixed)
+        # one kind, but values that do not order
+        with pytest.raises(SchemaError, match="^content attributes do not sort: '<' not supported"):
+            item_ids([make_event({}, {"genre": "g1"}), make_event({}, {"genre": None})])
+
     @settings(deadline=None, max_examples=300)
     @given(item_logs())
     def test_content_pools_equal_per_event_reference(self, log):
-        got = content_pools(log)
-        assert [ids_of(pool) for pool in got] == [
+        got = content_pools(item_ids(log)[0])
+        assert [ids_of(log[i] for i in pool.tolist()) for pool in got] == [
             ids_of(pool) for pool in per_event_content_pools(log)
         ]
 

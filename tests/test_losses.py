@@ -10,12 +10,13 @@ from contextrec.losses import (
     relaxed_npairs_loss,
     rjcce_objective,
 )
+from contextrec.nn_core import ShapeError
 
 from conftest import finite_difference, relative_error
 
 
-def singleton_groups(n):
-    return [frozenset([i]) for i in range(n)]
+def distinct_ids(n):
+    return np.arange(n)
 
 
 def check_grads(fn, a, p, tol=1e-4, extra=()):
@@ -71,7 +72,7 @@ class TestRelaxedNpairsLoss:
             a = rng.normal(size=(n, e))
             p = rng.normal(size=(n, e))
             strict = npairs_loss(a, p)
-            relaxed = relaxed_npairs_loss(a, p, singleton_groups(n))
+            relaxed = relaxed_npairs_loss(a, p, distinct_ids(n))
             assert abs(strict.value - relaxed.value) <= 1e-12
             assert np.max(np.abs(strict.grad_anchors - relaxed.grad_anchors)) <= 1e-12
             assert np.max(np.abs(strict.grad_positives - relaxed.grad_positives)) <= 1e-12
@@ -80,23 +81,15 @@ class TestRelaxedNpairsLoss:
         n = 5
         a = rng.normal(size=(n, 3))
         p = rng.normal(size=(n, 3))
-        groups = [frozenset(range(n))] * n
-        res = relaxed_npairs_loss(a, p, groups)
+        res = relaxed_npairs_loss(a, p, np.zeros(n, dtype=int))
         assert res.value == 0.0
         assert np.allclose(res.grad_anchors, 0.0, atol=1e-15)
 
     def test_gradients_with_mixed_groups(self, rng):
         a = rng.normal(size=(6, 4))
         p = rng.normal(size=(6, 4))
-        groups = [
-            frozenset([0, 2]),
-            frozenset([1]),
-            frozenset([0, 2]),
-            frozenset([3, 4, 5]),
-            frozenset([3, 4, 5]),
-            frozenset([3, 4, 5]),
-        ]
-        check_grads(lambda x, y: relaxed_npairs_loss(x, y, groups), a, p)
+        ids = np.array([7, 1, 7, 4, 4, 4])
+        check_grads(lambda x, y: relaxed_npairs_loss(x, y, ids), a, p)
 
     def test_finite_when_positive_trails_row_max(self):
         # row 0's only positive sits 800 below its max logit: exp(-800)
@@ -104,22 +97,37 @@ class TestRelaxedNpairsLoss:
         a = np.array([[40.0, 0.0], [0.0, 1.0]])
         p = np.array([[-10.0, 0.0], [10.0, 0.0]])
         strict = npairs_loss(a, p)
-        relaxed = relaxed_npairs_loss(a, p, singleton_groups(2))
+        relaxed = relaxed_npairs_loss(a, p, distinct_ids(2))
         assert strict.value == pytest.approx(400.0 + np.log(2.0) / 2.0, rel=1e-12)
         assert relaxed.value == pytest.approx(strict.value, rel=1e-12)
         assert np.allclose(relaxed.grad_anchors, strict.grad_anchors, rtol=0, atol=1e-12)
         assert np.allclose(relaxed.grad_positives, strict.grad_positives, rtol=0, atol=1e-12)
 
-    def test_inconsistent_groups_rejected(self, rng):
+    def test_ids_not_one_per_row_rejected(self, rng):
         a = rng.normal(size=(2, 2))
-        with pytest.raises(ValueError):
-            relaxed_npairs_loss(a, a, [frozenset([0, 1]), frozenset([1])])
-        with pytest.raises(ValueError):
-            relaxed_npairs_loss(a, a, [frozenset([1]), frozenset([0])])
-        with pytest.raises(ValueError, match="out of range"):
-            relaxed_npairs_loss(a, a, [frozenset([0]), frozenset([1, 2])])
-        with pytest.raises(ValueError, match="groups length"):
-            relaxed_npairs_loss(a, a, singleton_groups(3))
+        for ids in (np.arange(3), np.arange(1), np.zeros((2, 1)), np.int64(0)):
+            with pytest.raises(ShapeError, match="one content id per row"):
+                relaxed_npairs_loss(a, a, ids)
+            with pytest.raises(ShapeError, match="one content id per row"):
+                rjcce_objective(a, a, ids, 0.0)
+
+    def test_relabelled_ids_give_identical_bits(self, rng):
+        # positives depend on id equality only, so any injective relabelling
+        # leaves every bit of the value and the gradients unchanged
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            a = rng.normal(size=(n, 3))
+            p = rng.normal(size=(n, 3))
+            ids = rng.integers(0, 4, size=n)
+            relabel = rng.permutation(1000)[:4] - 500  # injective, negatives too
+            for fn in (
+                lambda i: relaxed_npairs_loss(a, p, i),
+                lambda i: rjcce_objective(a, p, i, 1e-3),
+            ):
+                x, y = fn(ids), fn(relabel[ids])
+                assert x.value == y.value
+                assert np.array_equal(x.grad_anchors, y.grad_anchors)
+                assert np.array_equal(x.grad_positives, y.grad_positives)
 
 
 class TestL2Reg:
@@ -170,9 +178,8 @@ class TestComposites:
     def test_rjcce_distinct_contents_equals_jcce(self, rng):
         c = rng.normal(size=(5, 3))
         it = rng.normal(size=(5, 3))
-        g = singleton_groups(5)
         a = jcce_objective(c, it, 1e-3)
-        b = rjcce_objective(c, it, g, 1e-3)
+        b = rjcce_objective(c, it, distinct_ids(5), 1e-3)
         assert abs(a.value - b.value) <= 1e-12
         assert np.max(np.abs(a.grad_anchors - b.grad_anchors)) <= 1e-12
 
@@ -180,17 +187,16 @@ class TestComposites:
         n = 4
         c = rng.normal(size=(n, 3))
         it = rng.normal(size=(n, 3))
-        groups = [frozenset(range(n))] * n
         lam = 1e-2
-        assert rjcce_objective(c, it, groups, lam).value == pytest.approx(
+        assert rjcce_objective(c, it, np.zeros(n, dtype=int), lam).value == pytest.approx(
             l2_reg(c, it, lam).value, abs=1e-12
         )
 
     def test_rjcce_gradients(self, rng):
         c = rng.normal(size=(6, 3))
         it = rng.normal(size=(6, 3))
-        groups = [frozenset([0, 1]), frozenset([0, 1])] + [frozenset([i]) for i in range(2, 6)]
-        check_grads(lambda x, y: rjcce_objective(x, y, groups, 1e-3), c, it)
+        ids = np.array([0, 0, 2, 3, 4, 5])
+        check_grads(lambda x, y: rjcce_objective(x, y, ids, 1e-3), c, it)
 
 
 class TestBprLoss:
@@ -225,7 +231,7 @@ def test_loss_result_shapes(rng):
     p = rng.normal(size=(4, 3))
     for res in (
         npairs_loss(a, p),
-        relaxed_npairs_loss(a, p, singleton_groups(4)),
+        relaxed_npairs_loss(a, p, distinct_ids(4)),
         l2_reg(a, p, 0.1),
     ):
         assert isinstance(res, LossResult)

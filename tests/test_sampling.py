@@ -47,28 +47,41 @@ def relaxed(log, n, rng, schema):
     return sample_relaxed(log, n, rng, schema, item_ids(log)[0])
 
 
+def strict(log, n, rng, schema):
+    """sample_npairs over the log's own content pools, as train() draws jcce batches."""
+    iids = item_ids(log)[0]
+    return sample_npairs(log, content_pools(iids), n, rng, schema, iids)
+
+
+def events_of(split, batch):
+    """The batch's events: the rows it holds of its split."""
+    return [split[i] for i in batch.rows.tolist()]
+
+
 def index_and_batch(observed, batch_events, schema):
-    """The PairIndex of `observed` and a batch of `batch_events`, their ids
-    keyed in one pass over both, as train() keys its fit and validation
-    splits."""
+    """The PairIndex of `observed` and the batch of every row of the split
+    `batch_events`, their ids keyed in one pass over both, as train() keys
+    its fit and validation splits."""
     iids, keys = item_ids(observed + batch_events)
     cids = context_ids(observed + batch_events)
     k = len(observed)
     pair_index = PairIndex.from_log(cids[:k], iids[:k], len(keys))
-    return pair_index, _assemble(batch_events, schema, iids[k:], cids[k:])
+    rows = np.arange(len(batch_events))
+    return pair_index, _assemble(batch_events, rows, schema, iids[k:], cids[k:])
 
 
 class TestSampleNpairs:
     def test_all_contents_once(self, log, schema):
         rng = make_rng(0)
-        batch = sample_npairs(content_pools(log), 4, rng, schema)
-        genres = [e.item_attributes["genre"] for e in batch.events]
+        batch = strict(log, 4, rng, schema)
+        genres = [e.item_attributes["genre"] for e in events_of(log, batch)]
         assert sorted(genres) == ["g1", "g2", "g3", "g4"]
 
     def test_groups_all_singletons(self, log, schema):
         rng = make_rng(1)
-        batch = sample_npairs(content_pools(log), 3, rng, schema)
+        batch = strict(log, 3, rng, schema)
         assert all(len(g) == 1 for g in batch.groups)
+        assert batch.item_ids.tolist() == item_ids(log)[0][batch.rows].tolist()
 
     def test_content_frequency_uniform(self, schema, log):
         # N = 2 of M = 4 contents: each appears with probability 1/2
@@ -76,38 +89,51 @@ class TestSampleNpairs:
         counts = {g: 0 for g in ("g1", "g2", "g3", "g4")}
         draws = 10_000
         for _ in range(draws):
-            batch = sample_npairs(content_pools(log), 2, rng, schema)
-            for e in batch.events:
+            batch = strict(log, 2, rng, schema)
+            for e in events_of(log, batch):
                 counts[e.item_attributes["genre"]] += 1
         for c in counts.values():
             assert abs(c / draws - 0.5) < 0.02
 
     def test_too_many_contents_rejected(self, log, schema):
         with pytest.raises(SamplingError):
-            sample_npairs(content_pools(log), 5, make_rng(0), schema)
+            strict(log, 5, make_rng(0), schema)
 
 
 class TestContentPools:
     def test_sorted_by_content_in_log_order(self, log):
-        pools = content_pools(log)
-        assert [p[0].item_attributes["genre"] for p in pools] == ["g1", "g2", "g3", "g4"]
+        pools = content_pools(item_ids(log)[0])
+        assert [log[p[0]].item_attributes["genre"] for p in pools] == ["g1", "g2", "g3", "g4"]
         for pool in pools:
-            positions = [log.index(e) for e in pool]
-            assert positions == sorted(positions)
-            assert len({e.item_key() for e in pool}) == 1
-        assert sum(len(p) for p in pools) == len(log)
+            assert pool.dtype == np.intp
+            assert pool.tolist() == sorted(pool.tolist())
+            assert len({log[i].item_key() for i in pool.tolist()}) == 1
+        assert sorted(np.concatenate(pools).tolist()) == list(range(len(log)))
+        assert content_pools(np.zeros(0, dtype=np.intp)) == []
 
     def test_changed_log_is_reflected(self, log, schema):
-        assert len(content_pools(log)) == 4
+        assert len(content_pools(item_ids(log)[0])) == 4
         log[0] = event("u1", "g5")
-        pools = content_pools(log)
-        assert [p[0].item_attributes["genre"] for p in pools] == ["g1", "g2", "g3", "g4", "g5"]
+        iids = item_ids(log)[0]
+        pools = content_pools(iids)
+        assert [log[p[0]].item_attributes["genre"] for p in pools] == ["g1", "g2", "g3", "g4", "g5"]
         assert len(pools[0]) == 2
-        batch = sample_npairs(pools, 5, make_rng(0), schema)
-        genres = [e.item_attributes["genre"] for e in batch.events]
+        batch = sample_npairs(log, pools, 5, make_rng(0), schema, iids)
+        genres = [e.item_attributes["genre"] for e in events_of(log, batch)]
         assert sorted(genres) == ["g1", "g2", "g3", "g4", "g5"]
         log.append(event("u1", "g6"))
-        assert sample_npairs(content_pools(log), 6, make_rng(0), schema).size == 6
+        assert strict(log, 6, make_rng(0), schema).size == 6
+
+    def test_split_pools_hold_the_ids_present(self, log, schema):
+        # ids keyed over a whole log, pooled over one split that lacks some
+        # contents, as train() pools its fit split
+        iids = item_ids(log + [event("u1", "g0"), event("u1", "g9")])[0]
+        split, split_iids = log[:6], iids[:6]  # g1..g4, then g1, g2 again
+        pools = content_pools(split_iids)
+        assert [split_iids[p[0]] for p in pools] == [1, 2, 3, 4]  # g0 is id 0, g9 id 5
+        assert [p.tolist() for p in pools] == [[0, 4], [1, 5], [2], [3]]
+        batch = sample_npairs(split, pools, 4, make_rng(0), schema, split_iids)
+        assert sorted(batch.item_ids.tolist()) == [1, 2, 3, 4]
 
 
 class TestSampleRelaxed:
@@ -121,7 +147,7 @@ class TestSampleRelaxed:
         total_g1 = 0
         for _ in range(draws):
             batch = relaxed(events, n, rng, sch)
-            total_g1 += sum(e.item_attributes["genre"] == "g1" for e in batch.events)
+            total_g1 += sum(e.item_attributes["genre"] == "g1" for e in events_of(events, batch))
         mean = total_g1 / draws
         sigma = np.sqrt(n * 0.9 * 0.1)
         assert abs(mean - 0.9 * n) < 3 * sigma
@@ -136,7 +162,7 @@ class TestSampleRelaxed:
         rng, again = make_rng(12), make_rng(12)
         batch = sample_relaxed(log, 9, rng, schema, iids, cids)
         rows = again.integers(len(log), size=9)
-        assert batch.events == [log[i] for i in rows]
+        assert batch.rows.tolist() == rows.tolist()
         assert batch.item_ids.tolist() == iids[rows].tolist()
         assert batch.context_ids.tolist() == cids[rows].tolist()
         assert sample_relaxed(log, 9, make_rng(12), schema, iids).context_ids is None
@@ -148,7 +174,7 @@ class TestSampleRelaxed:
         idx = {id(e): i for i, e in enumerate(log)}
         for _ in range(draws // 100):
             batch = relaxed(log, 100, rng, schema)
-            for e in batch.events:
+            for e in events_of(log, batch):
                 counts[idx[id(e)]] += 1
         expected = draws / len(log)
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -179,16 +205,18 @@ class TestGroupPositives:
                     assert groups[j] == gi  # transitive via class equality
 
 
-def oracle_bpr_negatives(batch, observed_log, rng):
-    """Reference: the row-by-row draw over a frozenset of key pairs.
+def oracle_bpr_negatives(batch, split, observed_log, rng):
+    """Reference: the row-by-row draw over a frozenset of key pairs, keyed
+    from the batch's rows of its split.
 
     Returns (negatives, None) when every row has an admissible negative,
     else (negatives drawn so far, index of the first row without one).
     """
     observed = frozenset((e.context_key(), e.item_key()) for e in observed_log)
-    item_keys = [e.item_key() for e in batch.events]
+    events = [split[i] for i in batch.rows]
+    item_keys = [e.item_key() for e in events]
     negatives = []
-    for i, e in enumerate(batch.events):
+    for i, e in enumerate(events):
         ctx = e.context_key()
         admissible = [
             j for j, k in enumerate(item_keys) if k != item_keys[i] and (ctx, k) not in observed
@@ -221,10 +249,10 @@ class TestBprNegative:
             assert negatives.dtype == np.intp and negatives.shape == (batch.size,)
             observed = {(e.context_key(), e.item_key()) for e in log[:3]}
             for i, j in enumerate(negatives):
-                ctx = batch.events[i].context_key()
-                item = batch.events[j].item_key()
+                ctx = batch_events[i].context_key()
+                item = batch_events[j].item_key()
                 assert (ctx, item) not in observed
-                assert item != batch.events[i].item_key()
+                assert item != batch_events[i].item_key()
                 checked += 1
         assert checked > 0
 
@@ -254,7 +282,7 @@ class TestBprNegative:
     def assert_matches_oracle(self, batch_events, observed_log, schema, seed):
         pair_index, batch = index_and_batch(observed_log, batch_events, schema)
         expected_rng, rng = make_rng(seed), make_rng(seed)
-        expected, empty_row = oracle_bpr_negatives(batch, observed_log, expected_rng)
+        expected, empty_row = oracle_bpr_negatives(batch, batch_events, observed_log, expected_rng)
         if empty_row is None:
             negatives = bpr_negative(batch, pair_index, rng)
             assert negatives.dtype == np.intp
@@ -332,7 +360,7 @@ class TestPairIndexObserved:
 def test_samplers_deterministic(log, schema):
     b1 = relaxed(log, 8, make_rng(42), schema)
     b2 = relaxed(log, 8, make_rng(42), schema)
-    assert [e.item_attributes for e in b1.events] == [e.item_attributes for e in b2.events]
-    s1 = sample_npairs(content_pools(log), 4, make_rng(42), schema)
-    s2 = sample_npairs(content_pools(log), 4, make_rng(42), schema)
-    assert [e.context_attributes for e in s1.events] == [e.context_attributes for e in s2.events]
+    assert b1.rows.tolist() == b2.rows.tolist()
+    s1 = strict(log, 4, make_rng(42), schema)
+    s2 = strict(log, 4, make_rng(42), schema)
+    assert s1.rows.tolist() == s2.rows.tolist()
