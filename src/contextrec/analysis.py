@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import ViewingEvent, canonical_key, item_ids, vectorize_context
+from .features import ViewingEvent, canonical_key, item_ids, universe_indices, vectorize_context
 from .model import Catalog, TwoTowerModel, embed_context
 from .nn_core import ShapeError
 from .serialization import atomic_write
@@ -32,21 +32,12 @@ class DegenerateMeasure(ValueError):
 
 
 def angular_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """(1/pi) * arccos(cosine(x, y)); a proper metric on directions.
-
-    The cosine is clamped to [-1, 1] before arccos to absorb rounding.
-    Zero-norm inputs are a domain error here; serving scores them 0.
-    """
+    """(1/pi) * arccos(cosine(x, y)) of 1-D vectors: `_angular` on one row each."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ShapeError("inputs must be 1-D vectors of equal length")
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx < 1e-12 or ny < 1e-12:
-        raise ValueError("angular distance is undefined for zero-norm vectors")
-    c = np.clip(np.dot(x, y) / (nx * ny), -1.0, 1.0)
-    return float(np.arccos(c) / np.pi)
+    return float(_angular(x[None], y[None])[0, 0])
 
 
 @dataclass
@@ -61,7 +52,7 @@ class LabeledEmbeddings:
         if self.embeddings.ndim != 2 or self.embeddings.shape[0] != len(self.labels):
             raise ShapeError("embeddings must be (n, E) with one label per row")
         if np.any(np.linalg.norm(self.embeddings, axis=1) < 1e-12):
-            raise ValueError("zero-norm embedding rows are not allowed")
+            raise DegenerateMeasure("zero-norm embedding rows are not allowed")
 
     @property
     def size(self) -> int:
@@ -74,15 +65,14 @@ class LabeledEmbeddings:
 
 
 def _angular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Angular distance between every row of a and every row of b.
-
-    Same measure as angular_distance, as one normalized product; passing
-    the same array twice keeps numpy's symmetric a @ a.T kernel.
-    """
+    """(1/pi) * arccos(cosine) between every row of a and every row of b, as
+    one normalized product, clamped to [-1, 1] to absorb rounding; passing the
+    same array twice keeps numpy's symmetric a @ a.T kernel. Zero-norm rows are
+    a DegenerateMeasure; serving scores them 0."""
     na = np.linalg.norm(a, axis=1, keepdims=True)
     nb = na if b is a else np.linalg.norm(b, axis=1, keepdims=True)
     if np.any(na < 1e-12) or np.any(nb < 1e-12):
-        raise ValueError("angular distance is undefined for zero-norm vectors")
+        raise DegenerateMeasure("angular distance is undefined for zero-norm vectors")
     normed_a = a / na
     normed_b = normed_a if b is a else b / nb
     return np.arccos(np.clip(normed_a @ normed_b.T, -1.0, 1.0)) / np.pi
@@ -105,7 +95,7 @@ def snnm(sample: LabeledEmbeddings, temperatures) -> tuple[np.ndarray, int]:
         raise ValueError("temperatures must be positive")
     n = sample.size
     if n < 2:
-        raise ValueError("need at least two embeddings")
+        raise DegenerateMeasure("need at least two embeddings")
     # map labels (possibly unhashable-unfriendly tuples) to class codes
     codes_map: dict = {}
     codes = np.array([codes_map.setdefault(l, len(codes_map)) for l in sample.labels])
@@ -219,17 +209,15 @@ def similarity_matrix(
     """
     keys = [canonical_key(it) for it in catalog.items]
     m = catalog.size
-    ctx_emb, labels = context_embeddings_by_content(test_log, model)
-    by_content: dict = {}
-    for row, label in zip(ctx_emb, labels):
-        by_content.setdefault(label, []).append(row)
+    ctx_emb = embed_context(model, vectorize_context(test_log, model.schema))
+    where = universe_indices(test_log, catalog.items)
 
     values = np.full((m, m), np.nan)
     dispersion = np.full(m, np.nan)
-    empty = np.array([key not in by_content for key in keys], dtype=bool)
+    empty = np.bincount(where[where >= 0], minlength=m) == 0
     present = np.flatnonzero(~empty)
     if present.size:
-        groups = [np.stack(by_content[keys[i]]) for i in present]
+        groups = [ctx_emb[where == i] for i in present]  # rows in log order
         means = np.stack([g.mean(axis=0) for g in groups])
         values[present] = 1.0 - _angular(means, catalog.embeddings)
         dispersion[present] = [

@@ -243,43 +243,38 @@ def cmd_analyze(args) -> int:
     if len(test_log) > cfg["analysis_max_events"]:
         idx = rng.choice(len(test_log), size=cfg["analysis_max_events"], replace=False)
         test_log = [test_log[i] for i in sorted(idx)]
-    emb, labels = analysis.context_embeddings_by_content(test_log, model)
 
+    if args.mode == "simmatrix":
+        sim = analysis.similarity_matrix(test_log, model, _catalog(model, train_log))
+        names = [_key_label(k) for k in sim.content_keys]
+        with serialization.atomic_write(args.out) as fh:
+            fh.write("content," + ",".join(names) + ",dispersion\n")
+            for i, name in enumerate(names):
+                cells = [name] + [f"{v:.6g}" for v in sim.values[i]] + [f"{sim.dispersion[i]:.6g}"]
+                fh.write(",".join(cells) + "\n")
+        print(f"wrote similarity matrix to {args.out}")
+        return EXIT_OK
+
+    emb, labels = analysis.context_embeddings_by_content(test_log, model)
     if args.mode == "export":
         analysis.export_embeddings(emb, [_key_label(l) for l in labels], args.out)
         print(f"exported {len(labels)} embeddings to {args.out}")
         return EXIT_OK
 
-    if args.mode == "snnm":
-        try:
-            curve = analysis.snnm_sweep(
-                analysis.LabeledEmbeddings(emb, labels),
-                repetitions=cfg["snnm_repetitions"],
-                n=min(cfg["snnm_sample_size"], len(labels)),
-                rng=rng,
-            )
-        except (analysis.DegenerateMeasure, ValueError) as exc:
-            print(f"degenerate SNNM input: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        with serialization.atomic_write(args.out) as fh:
-            fh.write("T,mean,ci95,skipped\n")
-            for t, mean, ci, sk in zip(
-                curve.temperatures, curve.means, curve.ci95, curve.skipped_term_counts
-            ):
-                fh.write(f"{t:.17g},{mean:.17g},{ci:.17g},{sk}\n")
-        print(f"wrote SNNM curve to {args.out}")
-        return EXIT_OK
-
-    # simmatrix
-    catalog = _catalog(model, train_log)
-    sim = analysis.similarity_matrix(test_log, model, catalog)
-    names = [_key_label(k) for k in sim.content_keys]
+    # snnm
+    curve = analysis.snnm_sweep(
+        analysis.LabeledEmbeddings(emb, labels),
+        repetitions=cfg["snnm_repetitions"],
+        n=min(cfg["snnm_sample_size"], len(labels)),
+        rng=rng,
+    )
     with serialization.atomic_write(args.out) as fh:
-        fh.write("content," + ",".join(names) + ",dispersion\n")
-        for i, name in enumerate(names):
-            cells = [name] + [f"{v:.6g}" for v in sim.values[i]] + [f"{sim.dispersion[i]:.6g}"]
-            fh.write(",".join(cells) + "\n")
-    print(f"wrote similarity matrix to {args.out}")
+        fh.write("T,mean,ci95,skipped\n")
+        for t, mean, ci, sk in zip(
+            curve.temperatures, curve.means, curve.ci95, curve.skipped_term_counts
+        ):
+            fh.write(f"{t:.17g},{mean:.17g},{ci:.17g},{sk}\n")
+    print(f"wrote SNNM curve to {args.out}")
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ suppress the temporal term, so delayed viewing carries no slot signal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,17 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_users < 1 or self.n_genres < 2 or self.n_households < 1:
-            raise ValueError("need at least one user/household and two genres")
+        cfg = vars(self)
+        for name, low in (("n_households", 1), ("n_users", 1), ("n_genres", 2), ("n_weeks", 1),
+                          ("events_per_day", 1), ("seed", 0)):
+            if not (type(cfg[name]) is int and cfg[name] >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {cfg[name]!r}")
+        for name in ("coviewing_prob", "timeshift_prob"):
+            if not (type(cfg[name]) in (int, float) and 0.0 <= cfg[name] <= 1.0):
+                raise ValueError(f"{name} must be a number in [0, 1], got {cfg[name]!r}")
+        for name in ("habit_strength", "temporal_strength", "popularity_skew"):
+            if not (type(cfg[name]) in (int, float) and 0.0 <= cfg[name] < math.inf):
+                raise ValueError(f"{name} must be a finite number >= 0, got {cfg[name]!r}")
 
 
 def generate(config: GeneratorConfig) -> list[ViewingEvent]:

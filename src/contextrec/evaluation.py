@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import ViewingEvent, canonical_key, item_ids
+from .features import ViewingEvent, universe_indices
 from .model import rank_scores
 
 
@@ -76,18 +76,10 @@ def evaluate(
     """
     positions = [
         position(ranker(event), j)
-        for event, j in zip(test_log, _universe_indices(test_log, items))
-        if j is not None
+        for event, j in zip(test_log, universe_indices(test_log, items).tolist())
+        if j >= 0
     ]
     return metrics(positions, len(items), ks)
-
-
-def _universe_indices(log: list[ViewingEvent], items: list[dict]) -> list:
-    """Index of each event's content in the item universe, None if absent."""
-    index = {canonical_key(it): j for j, it in enumerate(items)}
-    codes, keys = item_ids(log)
-    where = [index.get(k) for k in keys]
-    return [where[c] for c in codes.tolist()]
 
 
 def random_ranker(m: int, rng: np.random.Generator):
@@ -97,11 +89,6 @@ def random_ranker(m: int, rng: np.random.Generator):
         return rng.permutation(m)
 
     return rank
-
-
-def _frequency_ranking(counts: np.ndarray) -> np.ndarray:
-    # descending count, ties by ascending item index
-    return rank_scores(counts.astype(np.float64))
 
 
 def _temporal_slot(event: ViewingEvent):
@@ -114,8 +101,8 @@ def _popularity(training_log: list[ViewingEvent], items: list[dict]):
     """Global and per-temporal-slot training counts over the item universe."""
     global_counts = np.zeros(len(items))
     slot_counts = defaultdict(lambda: np.zeros(len(items)))
-    for e, j in zip(training_log, _universe_indices(training_log, items)):
-        if j is None:
+    for e, j in zip(training_log, universe_indices(training_log, items).tolist()):
+        if j < 0:
             continue
         global_counts[j] += 1
         slot_counts[_temporal_slot(e)][j] += 1
@@ -123,8 +110,9 @@ def _popularity(training_log: list[ViewingEvent], items: list[dict]):
 
 
 def toppop(training_log: list[ViewingEvent], items: list[dict]):
-    """Context-agnostic ranking by training frequency."""
-    fixed = _frequency_ranking(_popularity(training_log, items)[0])
+    """Context-agnostic ranking by training frequency: descending count,
+    ties by ascending item index."""
+    fixed = rank_scores(_popularity(training_log, items)[0])
 
     def rank(event: ViewingEvent) -> np.ndarray:
         return fixed
@@ -136,8 +124,8 @@ def toppop_temporal(training_log: list[ViewingEvent], items: list[dict]):
     """Per-temporal-slot popularity ranking, falling back to global Toppop
     for slots unseen in training."""
     global_counts, slot_counts = _popularity(training_log, items)
-    global_ranking = _frequency_ranking(global_counts)
-    slot_rankings = {s: _frequency_ranking(c) for s, c in slot_counts.items()}
+    global_ranking = rank_scores(global_counts)
+    slot_rankings = {s: rank_scores(c) for s, c in slot_counts.items()}
 
     def rank(event: ViewingEvent) -> np.ndarray:
         return slot_rankings.get(_temporal_slot(event), global_ranking)

@@ -70,9 +70,18 @@ def canonical_key(attrs: dict):
     for name in sorted(attrs):
         v = attrs[name]
         if isinstance(v, _MULTI_TYPES):
-            v = tuple(sorted(v))
+            v = _sorted_tuple(name, v)
         out.append((name, v))
     return tuple(out)
+
+
+def _sorted_tuple(name: str, values) -> tuple:
+    """A multi-value of attribute name as a sorted tuple; SchemaError naming
+    the attribute if its elements do not sort."""
+    try:
+        return tuple(sorted(values))
+    except TypeError as exc:
+        raise SchemaError(f"attribute {name!r} holds list values that do not sort: {exc}") from None
 
 
 def item_ids(events) -> tuple[np.ndarray, list]:
@@ -103,6 +112,13 @@ def item_ids(events) -> tuple[np.ndarray, list]:
     return rank[seen_of][inverse], [keys[j] for j in order]
 
 
+def universe_indices(events, items: list[dict]) -> np.ndarray:
+    """Index of each event's content in items, -1 where it is absent (intp)."""
+    index = {canonical_key(it): j for j, it in enumerate(items)}
+    codes, keys = item_ids(events)
+    return np.array([index.get(k, -1) for k in keys], dtype=np.intp)[codes]
+
+
 def context_ids(events) -> np.ndarray:
     """Dense ids of the events' contexts, in first-seen order, as intp.
 
@@ -116,24 +132,24 @@ def context_ids(events) -> np.ndarray:
     names = sorted(set().union(*dicts))
     if not names:  # every context is the empty dict
         return np.zeros(len(dicts), dtype=np.intp)
-    columns = [_canonical_column([d.get(name, _ABSENT) for d in dicts]) for name in names]
+    columns = [_canonical_column(name, [d.get(name, _ABSENT) for d in dicts]) for name in names]
     ids: dict = {}  # row of canonical values -> context id
     return np.fromiter(
         (ids.setdefault(row, len(ids)) for row in zip(*columns)), dtype=np.intp, count=len(dicts)
     )
 
 
-def _canonical_column(values: list) -> list:
-    """One column of context_ids with multi-values as sorted tuples; when
-    they are all tuples, as read_dataset and datagen give them, each
-    distinct tuple is sorted once rather than every value."""
+def _canonical_column(name: str, values: list) -> list:
+    """Attribute name's column of context_ids with multi-values as sorted
+    tuples; when they are all tuples, as read_dataset and datagen give them,
+    each distinct tuple is sorted once rather than every value."""
     multi = {t for t in set(map(type, values)) if issubclass(t, _MULTI_TYPES)}
     if not multi:
         return values
     if multi == {tuple}:
-        sorted_of = {v: tuple(sorted(v)) for v in set(values) if type(v) is tuple}
+        sorted_of = {v: _sorted_tuple(name, v) for v in set(values) if type(v) is tuple}
         return [sorted_of.get(v, v) for v in values]
-    return [tuple(sorted(v)) if isinstance(v, _MULTI_TYPES) else v for v in values]
+    return [_sorted_tuple(name, v) if isinstance(v, _MULTI_TYPES) else v for v in values]
 
 
 @dataclass(frozen=True)

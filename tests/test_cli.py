@@ -421,22 +421,31 @@ def _every_7th_genre_a_number(path, original):
     path.write_text("".join(lines))
 
 
-def _viewers_of_line_6(value):
-    """Writer of the generated dataset with line 6's viewer_ids replaced by
-    value, or removed when value is None; the line's duration passes the
-    duration filter."""
+def _line_6_with(part, name, value):
+    """Writer of the generated dataset with line 6's part[name] ("item" or
+    "context") replaced by value, or removed when value is None; the line's
+    duration passes the duration filter."""
 
     def write(path, original):
         lines = original.read_text().splitlines(keepends=True)
         rec = json.loads(lines[5])
-        del rec["context"]["viewer_ids"]
+        del rec[part][name]
         if value is not None:
-            rec["context"]["viewer_ids"] = value
+            rec[part][name] = value
         rec["duration_min"] = 30.0
         lines[5] = json.dumps(rec, sort_keys=True) + "\n"
         path.write_text("".join(lines))
 
     return write
+
+
+def _zero_context_tower(path, original):
+    # the context tower's last layer maps everything to the zero vector
+    doc = json.loads(original.read_text())
+    last = doc["context_encoder"][-1]
+    last["weights"] = [[0.0] * len(row) for row in last["weights"]]
+    last["biases"] = [0.0] * len(last["biases"])
+    path.write_text(json.dumps(doc))
 
 
 def _test_split_group_size_text(path, original):
@@ -517,6 +526,7 @@ EVAL_ARGS = ["eval", "--config", "{config}", "--checkpoint", "{checkpoint}",
 ANALYZE_ARGS = ["analyze", "--config", "{config}", "--checkpoint", "{checkpoint}",
                 "--dataset", "{dataset}", "--mode", "snnm", "--out", "{out}"]
 SIMMATRIX_ARGS = [*ANALYZE_ARGS[:-3], "simmatrix", "--out", "{out}"]
+GEN_ARGS = ["gen", "--config", "{config}", "--out", "{out}"]
 MIXED_GENRE = "data error: feature 'genre' mixes value kinds ['categorical_single', 'numeric']"
 
 # id: (config overrides, argv template, input writer, exit code, message prefix);
@@ -608,15 +618,54 @@ BOUNDARY_CASES = {
         "config error: config {config} must hold a JSON object, got int",
     ),
     "gen_single_genre": (
-        {"n_genres": 1}, ["gen", "--config", "{config}", "--out", "{out}"], None, EXIT_CONFIG,
-        "config error: invalid GeneratorConfig: need at least one user/household",
+        {"n_genres": 1}, GEN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid GeneratorConfig: n_genres must be an integer >= 2, got 1",
+    ),
+    "gen_fractional_genres": (
+        {"n_genres": 2.5}, GEN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid GeneratorConfig: n_genres must be an integer >= 2, got 2.5",
+    ),
+    "gen_negative_events_per_day": (
+        {"events_per_day": -1}, GEN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid GeneratorConfig: events_per_day must be an integer >= 1, got -1",
+    ),
+    "gen_zero_weeks": (
+        {"n_weeks": 0}, GEN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid GeneratorConfig: n_weeks must be an integer >= 1, got 0",
+    ),
+    "gen_bool_users": (
+        {"n_users": True}, GEN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid GeneratorConfig: n_users must be an integer >= 1, got True",
+    ),
+    "gen_negative_coviewing_prob": (
+        {"coviewing_prob": -3}, GEN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid GeneratorConfig: coviewing_prob must be a number in [0, 1], got -3",
+    ),
+    "gen_timeshift_prob_above_one": (
+        {"timeshift_prob": 7}, GEN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid GeneratorConfig: timeshift_prob must be a number in [0, 1], got 7",
+    ),
+    "gen_habit_strength_text": (
+        {"habit_strength": "x"}, GEN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid GeneratorConfig: habit_strength must be a finite number >= 0, "
+        "got 'x'",
+    ),
+    "gen_popularity_skew_infinite": (
+        {"popularity_skew": float("inf")}, GEN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid GeneratorConfig: popularity_skew must be a finite number >= 0, "
+        "got inf",
+    ),
+    "gen_negative_temporal_strength": (
+        {"temporal_strength": -0.5}, GEN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid GeneratorConfig: temporal_strength must be a finite number >= 0, "
+        "got -0.5",
     ),
     "recommend_negative_top_k": (
         {}, RECOMMEND_ARGS + ["--top-k", "-2"], None, EXIT_CONFIG,
         "config error: --top-k must be >= 1",
     ),
     "gen_seed_text": (
-        {"seed": "abc"}, ["gen", "--config", "{config}", "--out", "{out}"], None, EXIT_CONFIG,
+        {"seed": "abc"}, GEN_ARGS, None, EXIT_CONFIG,
         "config error: seed must be an integer >= 0, got 'abc'",
     ),
     "train_seed_fraction": (
@@ -636,15 +685,18 @@ BOUNDARY_CASES = {
         "config error: seed must be an integer >= 0, got True",
     ),
     "train_1id_viewers_text": (
-        {}, TRAIN_ARGS + ["--1id"], ("dataset", _viewers_of_line_6("u0001")), EXIT_DATA,
+        {}, TRAIN_ARGS + ["--1id"], ("dataset", _line_6_with("context", "viewer_ids", "u0001")),
+        EXIT_DATA,
         "data error: attribute 'viewer_ids' takes a list, got str 'u0001'",
     ),
     "train_1id_viewers_number": (
-        {}, TRAIN_ARGS + ["--1id"], ("dataset", _viewers_of_line_6(5)), EXIT_DATA,
+        {}, TRAIN_ARGS + ["--1id"], ("dataset", _line_6_with("context", "viewer_ids", 5)),
+        EXIT_DATA,
         "data error: attribute 'viewer_ids' takes a list, got int 5",
     ),
     "train_1id_viewers_missing": (
-        {}, TRAIN_ARGS + ["--1id"], ("dataset", _viewers_of_line_6(None)), EXIT_DATA,
+        {}, TRAIN_ARGS + ["--1id"], ("dataset", _line_6_with("context", "viewer_ids", None)),
+        EXIT_DATA,
         "data error: attribute 'viewer_ids' takes a list, got NoneType None",
     ),
     "train_mixed_kind_genre": (
@@ -662,6 +714,15 @@ BOUNDARY_CASES = {
     "analyze_simmatrix_mixed_kind_genre": (
         {"min_item_count": 1}, SIMMATRIX_ARGS, ("dataset", _every_7th_genre_a_number), EXIT_DATA,
         MIXED_GENRE,
+    ),
+    "train_genre_list_that_does_not_sort": (
+        {}, TRAIN_ARGS, ("dataset", _line_6_with("item", "genre", ["a", 1])), EXIT_DATA,
+        "data error: attribute 'genre' holds list values that do not sort: '<' not supported",
+    ),
+    "train_bpr_viewers_that_do_not_sort": (
+        {"objective": "bpr"}, TRAIN_ARGS,
+        ("dataset", _line_6_with("context", "viewer_ids", ["u0001", 5])), EXIT_DATA,
+        "data error: attribute 'viewer_ids' holds list values that do not sort: '<' not supported",
     ),
     "train_mixed_kind_feature": (
         {}, TRAIN_ARGS, ("dataset", _mixed_kind_dataset), EXIT_DATA,
@@ -747,6 +808,14 @@ BOUNDARY_CASES = {
     "train_diverging": (
         {"learning_rate": 1e200, "objective": "rjcce"}, TRAIN_ARGS, None, EXIT_NUMERIC,
         "numeric error: training diverged at step",
+    ),
+    "analyze_snnm_zero_norm_contexts": (
+        {}, ANALYZE_ARGS, ("checkpoint", _zero_context_tower), EXIT_NUMERIC,
+        "numeric error: zero-norm embedding rows are not allowed",
+    ),
+    "analyze_simmatrix_zero_norm_contexts": (
+        {}, SIMMATRIX_ARGS, ("checkpoint", _zero_context_tower), EXIT_NUMERIC,
+        "numeric error: angular distance is undefined for zero-norm vectors",
     ),
     "eval_truncated_checkpoint": (
         {}, EVAL_ARGS, ("checkpoint", _truncated_checkpoint), EXIT_DATA,

@@ -5,11 +5,10 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextrec.datagen import filter_log
-from contextrec.evaluation import _universe_indices
 from contextrec.features import (
     KIND_MULTI,
     KIND_NUMERIC,
@@ -23,6 +22,7 @@ from contextrec.features import (
     canonical_key,
     context_ids,
     item_ids,
+    universe_indices,
     vectorize_context,
     vectorize_item,
 )
@@ -453,6 +453,10 @@ class TestCanonicalKey:
             shuffled[name] = value
         assert canonical_key(shuffled) == canonical_key(attrs)
 
+    def test_multi_values_that_do_not_sort_name_the_attribute(self):
+        with pytest.raises(SchemaError, match="^attribute 'genre' holds list values that do not sort"):
+            canonical_key({"genre": ("a", 1)})
+
 
 # Item attributes whose canonical keys collide in every way the key allows:
 # 1, 1.0 and True are one number, -0.0 is 0.0, and a multi-value is its
@@ -582,11 +586,18 @@ class TestItemIds:
 
     @settings(deadline=None, max_examples=300)
     @given(item_logs(), st.integers(0, 30))
+    @example(  # 1, 1.0 and True are one content; ("a",) and {"n": 0} are absent
+        [make_event({}, it) for it in ({"n": 1}, {"m": ("a", "b")}, {"n": 1.0}, {"n": True},
+                                       {"m": ["b", "a"]}, {"n": 0}, {"m": ("a",)})],
+        2,
+    )
     def test_catalog_and_universe_equal_per_event_reference(self, log, cut):
         items = catalog_from_log(log[:cut])
         assert ids_of(items) == ids_of(per_event_catalog(log[:cut]))
         index = {canonical_key(it): j for j, it in enumerate(items)}
-        assert _universe_indices(log, items) == [index.get(e.item_key()) for e in log]
+        where = universe_indices(log, items)
+        assert where.dtype == np.intp and where.shape == (len(log),)
+        assert where.tolist() == [index.get(e.item_key(), -1) for e in log]
 
 
 # Context attributes whose canonical keys collide in every way the key
@@ -630,11 +641,17 @@ class TestContextIds:
         assert ids.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 3, 4, 5, 6, 7, 4]
 
     def test_tuple_column_sorts_each_distinct_tuple_once(self):
-        column = _canonical_column([("b", "a"), None, ("b", "a"), ("a", "b"), ()])
+        column = _canonical_column("t", [("b", "a"), None, ("b", "a"), ("a", "b"), ()])
         assert column == [("a", "b"), None, ("a", "b"), ("a", "b"), ()]
         assert column[0] is column[2]  # one sorted tuple per distinct raw tuple
-        mixed = _canonical_column([["b", "a"], ("b", "a"), "a"])
+        mixed = _canonical_column("m", [["b", "a"], ("b", "a"), "a"])
         assert mixed == [("a", "b"), ("a", "b"), "a"]
+
+    @pytest.mark.parametrize("value", [("u1", 5), ["u1", 5]])
+    def test_multi_values_that_do_not_sort_name_the_attribute(self, value):
+        events = [make_event({"viewer_ids": ("u0",)}), make_event({"viewer_ids": value})]
+        with pytest.raises(SchemaError, match="^attribute 'viewer_ids' holds list values that do not sort"):
+            context_ids(events)
 
     def test_empty_log_and_empty_contexts(self):
         ids = context_ids([])
