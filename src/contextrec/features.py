@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -122,34 +124,41 @@ def universe_indices(events, items: list[dict]) -> np.ndarray:
 def context_ids(events) -> np.ndarray:
     """Dense ids of the events' contexts, in first-seen order, as intp.
 
-    Ids are equal exactly when the contexts' canonical_key are. The log is
-    keyed column by column, as a dictionary-encoded table: one column of
-    values per attribute name, holding a sentinel where a dict lacks the
-    name (so an absent name differs from None), multi-values made sorted
-    tuples, then one dict over the zipped rows.
+    Ids are equal exactly when the contexts' canonical_key are. One
+    itemgetter takes each context's values in sorted name order, with a
+    sentinel for a name the dict lacks (so absent differs from None). Only a
+    column with a multi-value that is not a sorted tuple is made sorted
+    tuples (write_dataset's lists read back as sorted tuples); one dict
+    encodes the rows.
     """
     dicts = [e.context_attributes for e in events]
     names = sorted(set().union(*dicts))
     if not names:  # every context is the empty dict
         return np.zeros(len(dicts), dtype=np.intp)
-    columns = [_canonical_column(name, [d.get(name, _ABSENT) for d in dicts]) for name in names]
+    for i in np.flatnonzero(np.fromiter(map(len, dicts), np.intp, len(dicts)) < len(names)):
+        dicts[i] = dict.fromkeys(names, _ABSENT) | dicts[i]
+    rows = map(itemgetter(*names), dicts)
+    rows = list(rows if len(names) > 1 else zip(rows))  # one name gives bare values
+    if not _sorted_multi_values(chain.from_iterable(rows)):
+        rows = list(zip(*(
+            column if _sorted_multi_values(column)
+            else [_sorted_tuple(name, v) if isinstance(v, _MULTI_TYPES) else v for v in column]
+            for name, column in zip(names, zip(*rows))
+        )))
     ids: dict = {}  # row of canonical values -> context id
     return np.fromiter(
-        (ids.setdefault(row, len(ids)) for row in zip(*columns)), dtype=np.intp, count=len(dicts)
+        (ids.setdefault(row, len(ids)) for row in rows), dtype=np.intp, count=len(rows)
     )
 
 
-def _canonical_column(name: str, values: list) -> list:
-    """Attribute name's column of context_ids with multi-values as sorted
-    tuples; when they are all tuples, as read_dataset and datagen give them,
-    each distinct tuple is sorted once rather than every value."""
-    multi = {t for t in set(map(type, values)) if issubclass(t, _MULTI_TYPES)}
-    if not multi:
-        return values
-    if multi == {tuple}:
-        sorted_of = {v: _sorted_tuple(name, v) for v in set(values) if type(v) is tuple}
-        return [sorted_of.get(v, v) for v in values]
-    return [_sorted_tuple(name, v) if isinstance(v, _MULTI_TYPES) else v for v in values]
+def _sorted_multi_values(values) -> bool:
+    """Whether each distinct multi-value in values is a sorted tuple; False
+    if one is unhashable or a tuple whose elements do not sort."""
+    try:
+        return all(type(v) is tuple and list(v) == sorted(v)
+                   for v in set(values) if isinstance(v, _MULTI_TYPES))
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ class PairIndex:
         return cls(np.unique(context_ids.astype(np.int64) * n_items + item_ids), n_items)
 
     def observed(self, context_ids: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
-        """(N, M) bool matrix: context_ids[r] was observed with item_ids[c]."""
+        """(N, M) bool: context_ids[r] was observed with item_ids[c]; one binary search per cell."""
         query = context_ids.astype(np.int64)[:, None] * self.n_items + item_ids[None, :]
         if self.codes.size == 0:
             return np.zeros(query.shape, dtype=bool)
@@ -145,16 +145,17 @@ def bpr_negative(
     """One uniform admissible in-batch negative per row, as an intp array.
 
     Row j is admissible for row i when its item differs from row i's and
-    is never observed together with row i's context. The draws for all
-    rows come from one rng.integers call, in row order. When row r has no
-    admissible negative, only rows < r draw before NoAdmissibleNegative
-    is raised (the caller draws a fresh batch with the same rng), so the
-    rng advances exactly as a row-by-row draw stopping at row r would.
+    is never observed together with row i's context; the pair index is
+    queried once per distinct item of the batch. The draws for all rows
+    come from one rng.integers call, in row order. When row r has no
+    admissible negative, only rows < r draw before NoAdmissibleNegative is
+    raised (the caller draws a fresh batch with the same rng), so the rng
+    advances exactly as a row-by-row draw stopping at row r would.
     """
     row_item = batch.item_ids
-    admissible = (row_item[:, None] != row_item[None, :]) & ~pair_index.observed(
-        batch.context_ids, row_item
-    )
+    items, inverse = np.unique(row_item, return_inverse=True)
+    observed = pair_index.observed(batch.context_ids, items)[:, inverse]
+    admissible = (row_item[:, None] != row_item[None, :]) & ~observed
     counts = admissible.sum(axis=1)
     empty = np.flatnonzero(counts == 0)
     if empty.size:

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses
-from .features import _MULTI_TYPES, FeatureSchema, SchemaError, ViewingEvent, context_ids, item_ids
+from .features import (
+    _MULTI_TYPES, FeatureSchema, SchemaError, ViewingEvent, _sorted_tuple, context_ids, item_ids
+)
 from .model import EncoderConfig, TwoTowerModel
 from .nn_core import AdamState, adam_step, encoder_backward, encoder_forward, make_rng
 from .sampling import (
@@ -70,6 +72,7 @@ class TrainHistory:
     stopping_reason: str = "max_steps"
     best_step: int = 0
     best_validation_loss: float = float("inf")
+    bpr_redraws: int = 0  # batches redrawn for lack of an admissible BPR negative
 
 
 def _batch_sampler(split, iids, cids, config, schema):
@@ -82,11 +85,12 @@ def _batch_sampler(split, iids, cids, config, schema):
     return lambda rng: sample_relaxed(split, config.batch_size, rng, schema, iids, cids)
 
 
-def _next_batch(draw, rng, pair_index):
+def _next_batch(draw, rng, pair_index, history):
     """Draw one batch and, given a BPR pair index, one negative per row.
 
     With a pair index, batches are redrawn, up to 100 times, until every
-    row has an admissible negative. Returns (batch, negatives or None).
+    row has an admissible negative; history.bpr_redraws counts the redraws.
+    Returns (batch, negatives or None).
     """
     for _ in range(100):
         batch = draw(rng)
@@ -95,7 +99,7 @@ def _next_batch(draw, rng, pair_index):
         try:
             return batch, bpr_negative(batch, pair_index, rng)
         except NoAdmissibleNegative:
-            continue
+            history.bpr_redraws += 1
     raise SamplingError("could not find admissible BPR negatives")
 
 
@@ -181,7 +185,9 @@ def train(
     val_rng = make_rng(config.seed + 1)
     n_val_batches = max(1, min(10, len(val_log) // config.batch_size))
     draw_val = _batch_sampler(val_log, val_iids, val_cids, config, schema)
-    val_batches = [_next_batch(draw_val, val_rng, pair_index) for _ in range(n_val_batches)]
+    val_batches = [
+        _next_batch(draw_val, val_rng, pair_index, history) for _ in range(n_val_batches)
+    ]
     draw_fit = _batch_sampler(fit_log, fit_iids, fit_cids, config, schema)
 
     def validation_loss(m: TwoTowerModel) -> float:
@@ -199,7 +205,7 @@ def train(
 
     try:
         for step in range(1, config.max_steps + 1):
-            batch, negatives = _next_batch(draw_fit, rng, pair_index)
+            batch, negatives = _next_batch(draw_fit, rng, pair_index, history)
             value, grads = _loss_and_grads(
                 model, batch, config, rng, training=True, negatives=negatives
             )
@@ -241,7 +247,7 @@ def ablate_to_single_viewer(
             raise SchemaError(
                 f"attribute 'viewer_ids' takes a list, got {type(viewers).__name__} {viewers!r}"
             )
-        viewers = tuple(sorted(viewers))
+        viewers = _sorted_tuple("viewer_ids", viewers)
         if len(viewers) <= 1:
             out.append(e)
             continue

@@ -699,6 +699,11 @@ BOUNDARY_CASES = {
         EXIT_DATA,
         "data error: attribute 'viewer_ids' takes a list, got NoneType None",
     ),
+    "train_1id_viewers_unsortable": (
+        {}, TRAIN_ARGS + ["--1id"], ("dataset", _line_6_with("context", "viewer_ids", ["u1", 5])),
+        EXIT_DATA,
+        "data error: attribute 'viewer_ids' holds list values that do not sort: '<' not supported",
+    ),
     "train_mixed_kind_genre": (
         {"min_item_count": 1}, TRAIN_ARGS, ("dataset", _every_7th_genre_a_number), EXIT_DATA,
         MIXED_GENRE,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contextrec import features
 from contextrec.datagen import filter_log
 from contextrec.features import (
     KIND_MULTI,
@@ -16,8 +17,8 @@ from contextrec.features import (
     FeatureSpec,
     SchemaError,
     ViewingEvent,
-    _canonical_column,
     _infer_kind,
+    _sorted_multi_values,
     build_schema,
     canonical_key,
     context_ids,
@@ -602,8 +603,7 @@ class TestItemIds:
 
 # Context attributes whose canonical keys collide in every way the key
 # allows (as ITEM_ATTRIBUTES), with None beside absent names: "t" holds only
-# tuples or None, so its column takes the sort-each-distinct-tuple-once path,
-# and "m" mixes lists, tuples and a scalar, so its column does not.
+# tuples or None, and "m" mixes lists, tuples and a scalar.
 CONTEXT_ATTRIBUTES = st.fixed_dictionaries(
     {},
     optional={
@@ -618,15 +618,54 @@ CONTEXT_ATTRIBUTES = st.fixed_dictionaries(
 )
 
 
+# Values for logs whose contexts all hold the same names, as read_dataset
+# gives them: "o" holds only sorted tuples, so a log over "n", "s" and "o"
+# needs no sorting, while "u" holds tuples in any order and "m" lists too.
+SAME_NAME_VALUES = {
+    "n": st.sampled_from([1, 1.0, True, 0, -0.0, False, 2.5, None]),
+    "s": st.sampled_from(["x", "y", "1"]),
+    "o": st.lists(st.sampled_from(["a", "b", "c"]), max_size=3).map(lambda v: tuple(sorted(v))),
+    "u": st.lists(st.sampled_from(["a", "b", "c"]), max_size=3).map(tuple),
+    "m": st.lists(st.sampled_from(["a", "b"]), max_size=3).flatmap(
+        lambda v: st.sampled_from([v, tuple(v)])
+    ),
+}
+
+
+@st.composite
+def same_name_contexts(draw):
+    """Contexts over one set of names (a single one included), each dict's
+    names in its own insertion order; a few dicts may lack one name."""
+    names = draw(st.lists(st.sampled_from(sorted(SAME_NAME_VALUES)), min_size=1, unique=True))
+    contexts = [
+        {name: draw(SAME_NAME_VALUES[name]) for name in draw(st.permutations(names))}
+        for _ in range(draw(st.integers(0, 30)))
+    ]
+    for i in draw(st.lists(st.integers(0, 29), max_size=3)):
+        if i < len(contexts):
+            contexts[i].pop(draw(st.sampled_from(names)), None)
+    return contexts
+
+
+def first_seen_key_classes(contexts) -> list:
+    first_seen: dict = {}
+    return [first_seen.setdefault(canonical_key(c), len(first_seen)) for c in contexts]
+
+
 class TestContextIds:
     @settings(deadline=None, max_examples=500)
     @given(st.lists(CONTEXT_ATTRIBUTES, max_size=30))
     def test_ids_are_canonical_key_classes_in_first_seen_order(self, contexts):
         ids = context_ids([make_event(c) for c in contexts])
         assert ids.dtype == np.intp and ids.shape == (len(contexts),)
-        first_seen: dict = {}
-        expected = [first_seen.setdefault(canonical_key(c), len(first_seen)) for c in contexts]
-        assert ids.tolist() == expected
+        assert ids.tolist() == first_seen_key_classes(contexts)
+
+    @settings(deadline=None, max_examples=500)
+    @given(same_name_contexts())
+    def test_same_name_logs_key_as_canonical_key(self, contexts):
+        ids = context_ids([make_event(c) for c in contexts])
+        assert ids.dtype == np.intp and ids.shape == (len(contexts),)
+        assert ids.tolist() == first_seen_key_classes(contexts)
 
     def test_corners(self):
         contexts = [
@@ -640,12 +679,24 @@ class TestContextIds:
         ids = context_ids([make_event(c) for c in contexts])
         assert ids.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 3, 4, 5, 6, 7, 4]
 
-    def test_tuple_column_sorts_each_distinct_tuple_once(self):
-        column = _canonical_column("t", [("b", "a"), None, ("b", "a"), ("a", "b"), ()])
-        assert column == [("a", "b"), None, ("a", "b"), ("a", "b"), ()]
-        assert column[0] is column[2]  # one sorted tuple per distinct raw tuple
-        mixed = _canonical_column("m", [["b", "a"], ("b", "a"), "a"])
-        assert mixed == [("a", "b"), ("a", "b"), "a"]
+    def test_only_columns_with_unsorted_multi_values_are_sorted(self, monkeypatch):
+        assert _sorted_multi_values([("a", "b"), None, ("a", "b"), (), ("a", "a"), "b", 1])
+        for value in [("b", "a"), ["a"], {"a"}, frozenset("a"), ("u1", 5)]:
+            assert not _sorted_multi_values([("a", "b"), value])
+        sorted_names = []
+        real = features._sorted_tuple
+        monkeypatch.setattr(
+            features, "_sorted_tuple", lambda name, v: sorted_names.append(name) or real(name, v)
+        )
+        contexts = [{"o": ("a", "b"), "s": "x"}, {"o": (), "s": "y"}]
+        assert context_ids([make_event(c) for c in contexts]).tolist() == [0, 1]
+        assert sorted_names == []
+        contexts = [
+            {"o": ("a", "b"), "t": ("b", "a")}, {"o": ("a", "b"), "t": None},
+            {"o": ("a", "b"), "t": ("a", "b")}, {"t": ["b", "a"]}, {"t": "a"},
+        ]
+        assert context_ids([make_event(c) for c in contexts]).tolist() == [0, 1, 0, 2, 3]
+        assert sorted_names == ["t"] * 3  # a tuple or a list per row that holds one
 
     @pytest.mark.parametrize("value", [("u1", 5), ["u1", 5]])
     def test_multi_values_that_do_not_sort_name_the_attribute(self, value):

@@ -4,9 +4,11 @@ import weakref
 import numpy as np
 import pytest
 
+from contextrec import trainer
 from contextrec.datagen import GeneratorConfig, filter_log, generate
 from contextrec.features import ViewingEvent, build_schema
 from contextrec.nn_core import make_rng
+from contextrec.sampling import NoAdmissibleNegative
 from contextrec.trainer import TrainConfig, ablate_to_single_viewer, train
 
 
@@ -94,7 +96,7 @@ class TestTrain:
         assert history.records[-1][1] < history.records[0][1]
 
     def test_bpr_keys_no_event_on_its_own(self, monkeypatch):
-        # ids are keyed once per call, column by column: no event is keyed
+        # ids are keyed once per call, over the whole log: no event is keyed
         # on its own, in set-up or in any fit or validation batch
         calls = []
         for name in ("item_key", "context_key"):
@@ -106,6 +108,31 @@ class TestTrain:
         cfg = TrainConfig(objective="bpr", batch_size=8, max_steps=20, eval_every=10, seed=2)
         train(log, build_schema(log), cfg)
         assert calls == []
+
+    def test_bpr_redraws_counted(self, monkeypatch):
+        # context u0 is seen only with g1 and u1..u5 only with g0, so a batch
+        # has admissible negatives exactly when it holds both contents: about
+        # half of the batches of 4 hold only g0 and are redrawn
+        log = [
+            ViewingEvent({"genre": "g1" if i % 6 == 0 else "g0"}, {"user": f"u{i % 6}"}, i, 10.0)
+            for i in range(120)
+        ]
+        raised = []
+
+        def counting(batch, pair_index, rng, real=trainer.bpr_negative):
+            try:
+                return real(batch, pair_index, rng)
+            except NoAdmissibleNegative:
+                raised.append(batch)
+                raise
+
+        monkeypatch.setattr(trainer, "bpr_negative", counting)
+        cfg = TrainConfig(objective="bpr", batch_size=4, max_steps=20, eval_every=10, seed=0)
+        _, history = train(log, build_schema(log), cfg)
+        assert history.bpr_redraws == len(raised) > 0
+        _, history = train(log, build_schema(log), TrainConfig(
+            objective="rjcce", batch_size=4, max_steps=20, eval_every=10, seed=0))
+        assert history.bpr_redraws == 0
 
     def test_strict_sampling_infeasible_batch_clamped(self):
         # batch_size above distinct-content count clamps to the count
