@@ -40,8 +40,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from contextrec.cli import main as cli_main  # noqa: E402
+from contextrec.trainer import OBJECTIVES  # noqa: E402
 
-OBJECTIVES = ("jcce", "rjcce", "ljcce", "bpr")
 CONFIG = {
     "n_weeks": 1,
     "events_per_day": 200,

@@ -125,8 +125,6 @@ class SnnmCurve:
     temperatures: np.ndarray
     means: np.ndarray
     ci95: np.ndarray
-    repetitions: int
-    sample_size: int
     skipped_term_counts: np.ndarray  # total skipped rows per temperature
 
 
@@ -173,8 +171,6 @@ def snnm_sweep(
         temperatures=temperatures,
         means=means,
         ci95=ci95,
-        repetitions=repetitions,
-        sample_size=n,
         skipped_term_counts=np.full(len(temperatures), skipped),
     )
 

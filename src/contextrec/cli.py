@@ -20,7 +20,7 @@ from .datagen import GeneratorConfig, filter_log, generate, temporal_split
 from .features import SchemaError, ViewingEvent, build_schema
 from .model import catalog_from_log, precompute_catalog, recommend
 from .nn_core import make_rng
-from .trainer import TrainConfig, ablate_to_single_viewer, train
+from .trainer import OBJECTIVES, TrainConfig, ablate_to_single_viewer, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--history", help="optional training-history CSV path")
-    p.add_argument("--objective", choices=["jcce", "rjcce", "ljcce", "bpr"])
+    p.add_argument("--objective", choices=OBJECTIVES)
     p.add_argument(
         "--1id",
         dest="one_id",

@@ -135,35 +135,28 @@ def encoder_forward(
     return h, ForwardTape(inputs, pre_acts, masks, layers)
 
 
-def encoder_backward(
-    tape: ForwardTape, grad_wrt_embedding: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact reverse-mode parameter gradients through the taped forward pass.
+def encoder_backward(tape: ForwardTape, grad_wrt_embedding: np.ndarray) -> list[np.ndarray]:
+    """Exact reverse-mode parameter gradients through the taped forward pass
+    of an (N, in) batch.
 
-    Returns [(dW, db) per layer]. ReLU passes zero gradient where the
-    pre-activation is <= 0.
+    Returns [dW0, db0, dW1, db1, ...], the order of the layers' weights and
+    biases in TwoTowerModel.parameters(). ReLU passes zero gradient where
+    the pre-activation is <= 0.
     """
     g = np.asarray(grad_wrt_embedding, dtype=np.float64)
-    if g.shape != tape.pre_activations[-1].shape:
-        raise ShapeError("gradient shape does not match the taped embedding")
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(tape.layers)
+    if g.ndim != 2 or g.shape != tape.pre_activations[-1].shape:
+        raise ShapeError("gradient must be an (N, E) batch matching the taped embedding")
+    grads: list[np.ndarray] = []  # built from the last layer back, reversed at the end
     for i in range(len(tape.layers) - 1, -1, -1):
         layer = tape.layers[i]
         if tape.dropout_masks[i] is not None:
             g = g * tape.dropout_masks[i]
         if layer.activation == "relu":
             g = g * (tape.pre_activations[i] > 0.0)
-        x = tape.inputs[i]
-        if g.ndim == 1:
-            dW = np.outer(g, x)
-            db = g.copy()
-        else:
-            dW = g.T @ x
-            db = g.sum(axis=0)
-        grads[i] = (dW, db)
+        grads += [g.sum(axis=0), g.T @ tape.inputs[i]]
         if i:
             g = g @ layer.weights
-    return grads
+    return grads[::-1]
 
 
 @dataclass

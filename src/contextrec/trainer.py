@@ -7,6 +7,8 @@ portion of the training log. Returns the best-validation checkpoint.
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +30,21 @@ from .sampling import (
     sample_relaxed,
 )
 
-OBJECTIVES = ("jcce", "rjcce", "ljcce", "bpr")
+# One row per objective: its default encoder architecture, whether its
+# batches are strict N-pairs (else relaxed), whether each row gets a sampled
+# BPR negative, and its loss(anchors, positives, batch, negatives, lam). Each
+# loss looks up losses.<fn> when it runs, so a wrapper set on the module
+# after import sees every call.
+Objective = namedtuple("Objective", "architecture strict negatives loss")
+_OBJECTIVES = {
+    "jcce": Objective("mlp", True, False, lambda a, p, b, n, lam: losses.jcce_objective(a, p, lam)),
+    "rjcce": Objective("mlp", False, False,
+                       lambda a, p, b, n, lam: losses.rjcce_objective(a, p, b.item_ids, lam)),
+    "ljcce": Objective("linear", True, False,
+                       lambda a, p, b, n, lam: losses.jcce_objective(a, p, lam)),
+    "bpr": Objective("mlp", False, True, lambda a, p, b, n, lam: losses.bpr_loss(a, p, n, lam)),
+}
+OBJECTIVES = tuple(_OBJECTIVES)
 
 
 @dataclass(frozen=True)
@@ -45,24 +61,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.objective not in OBJECTIVES:
+        cfg = vars(self)
+        if self.objective not in _OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be > 0")
-        if not self.lam >= 0.0:
-            raise ValueError("lam must be >= 0")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 for pairwise objectives")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if not 0.0 < self.validation_fraction < 0.5:
-            raise ValueError("validation_fraction must be in (0, 0.5)")
+        for name, low in (("batch_size", 2), ("max_steps", 0), ("eval_every", 1), ("patience", 1),
+                          ("seed", 0)):
+            if not (type(cfg[name]) is int and cfg[name] >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {cfg[name]!r}")
+        lr, lam, dr, vf = self.learning_rate, self.lam, self.dropout_rate, self.validation_fraction
+        if not (type(lr) in (int, float) and 0.0 < lr < math.inf):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
+        if not (type(lam) in (int, float) and 0.0 <= lam < math.inf):
+            raise ValueError(f"lam must be a finite number >= 0, got {lam!r}")
+        if not (type(dr) in (int, float) and 0.0 <= dr < 1.0):
+            raise ValueError(f"dropout_rate must be a number in [0, 1), got {dr!r}")
+        if not (type(vf) in (int, float) and 0.0 < vf < 0.5):
+            raise ValueError(f"validation_fraction must be a number in (0, 0.5), got {vf!r}")
 
 
 @dataclass
@@ -75,32 +89,33 @@ class TrainHistory:
     bpr_redraws: int = 0  # batches redrawn for lack of an admissible BPR negative
 
 
-def _batch_sampler(split, iids, cids, config, schema):
-    """rng -> batch over one split, given its item ids and, for bpr, its
-    context ids: strict N-pairs for jcce/ljcce, else relaxed."""
-    if config.objective in ("jcce", "ljcce"):
+def _batch_sampler(split, iids, cids, pair_index, config, schema, history):
+    """rng -> (batch, negatives or None) over one split, given its item ids
+    and, for bpr, its context ids and the fit split's pair index.
+
+    Batches are strict N-pairs or relaxed, as the objective's row says. With
+    a pair index, a batch is redrawn, up to 100 times, until every row has
+    an admissible negative; history.bpr_redraws counts the redraws.
+    """
+    if _OBJECTIVES[config.objective].strict:
         pools = content_pools(iids)
         n = min(config.batch_size, len(pools))
-        return lambda rng: sample_npairs(split, pools, n, rng, schema, iids)
-    return lambda rng: sample_relaxed(split, config.batch_size, rng, schema, iids, cids)
+        draw = lambda rng: sample_npairs(split, pools, n, rng, schema, iids)
+    else:
+        draw = lambda rng: sample_relaxed(split, config.batch_size, rng, schema, iids, cids)
+    if pair_index is None:
+        return lambda rng: (draw(rng), None)
 
+    def draw_with_negatives(rng):
+        for _ in range(100):
+            batch = draw(rng)
+            try:
+                return batch, bpr_negative(batch, pair_index, rng)
+            except NoAdmissibleNegative:
+                history.bpr_redraws += 1
+        raise SamplingError("could not find admissible BPR negatives")
 
-def _next_batch(draw, rng, pair_index, history):
-    """Draw one batch and, given a BPR pair index, one negative per row.
-
-    With a pair index, batches are redrawn, up to 100 times, until every
-    row has an admissible negative; history.bpr_redraws counts the redraws.
-    Returns (batch, negatives or None).
-    """
-    for _ in range(100):
-        batch = draw(rng)
-        if pair_index is None:
-            return batch, None
-        try:
-            return batch, bpr_negative(batch, pair_index, rng)
-        except NoAdmissibleNegative:
-            history.bpr_redraws += 1
-    raise SamplingError("could not find admissible BPR negatives")
+    return draw_with_negatives
 
 
 @np.errstate(all="ignore")  # no overflow warnings: _check_finite raises instead
@@ -120,23 +135,14 @@ def _loss_and_grads(
         model.item_encoder, batch.item_vectors, dr, rng, training
     )
     _check_finite("embeddings", ctx_emb, item_emb)
-    if config.objective == "rjcce":
-        res = losses.rjcce_objective(ctx_emb, item_emb, batch.item_ids, config.lam)
-    elif config.objective == "bpr":
-        res = losses.bpr_loss(ctx_emb, item_emb, negatives, config.lam)
-    else:
-        res = losses.jcce_objective(ctx_emb, item_emb, config.lam)
+    res = _OBJECTIVES[config.objective].loss(ctx_emb, item_emb, batch, negatives, config.lam)
     _check_finite("loss", res.value)
     if not training:
         return res.value, None
-    ctx_grads = encoder_backward(ctx_tape, res.grad_anchors)
-    item_grads = encoder_backward(item_tape, res.grad_positives)
-    flat = []
-    for dw, db in ctx_grads + item_grads:
-        flat.append(dw)
-        flat.append(db)
-    _check_finite("gradients", *flat)
-    return res.value, flat
+    grads = encoder_backward(ctx_tape, res.grad_anchors)
+    grads += encoder_backward(item_tape, res.grad_positives)
+    _check_finite("gradients", *grads)
+    return res.value, grads
 
 
 def _check_finite(what: str, *arrays) -> None:
@@ -157,9 +163,9 @@ def train(
     validation checkpoint. A non-finite embedding, loss or gradient raises
     FloatingPointError naming the step.
     """
+    spec = _OBJECTIVES[config.objective]
     if encoder_config is None:
-        arch = "linear" if config.objective == "ljcce" else "mlp"
-        encoder_config = EncoderConfig(architecture=arch)
+        encoder_config = EncoderConfig(architecture=spec.architecture)
     if not log:
         raise ValueError("empty training log")
 
@@ -176,7 +182,7 @@ def train(
     iids, keys = item_ids(log)
     fit_iids, val_iids = iids[:cut], iids[cut:]
     fit_cids = val_cids = pair_index = None
-    if config.objective == "bpr":
+    if spec.negatives:
         cids = context_ids(log)
         fit_cids, val_cids = cids[:cut], cids[cut:]
         pair_index = PairIndex.from_log(fit_cids, fit_iids, len(keys))
@@ -184,11 +190,9 @@ def train(
     # fixed validation batches so successive evaluations are comparable
     val_rng = make_rng(config.seed + 1)
     n_val_batches = max(1, min(10, len(val_log) // config.batch_size))
-    draw_val = _batch_sampler(val_log, val_iids, val_cids, config, schema)
-    val_batches = [
-        _next_batch(draw_val, val_rng, pair_index, history) for _ in range(n_val_batches)
-    ]
-    draw_fit = _batch_sampler(fit_log, fit_iids, fit_cids, config, schema)
+    draw_val = _batch_sampler(val_log, val_iids, val_cids, pair_index, config, schema, history)
+    val_batches = [draw_val(val_rng) for _ in range(n_val_batches)]
+    draw_fit = _batch_sampler(fit_log, fit_iids, fit_cids, pair_index, config, schema, history)
 
     def validation_loss(m: TwoTowerModel) -> float:
         vals = [
@@ -205,7 +209,7 @@ def train(
 
     try:
         for step in range(1, config.max_steps + 1):
-            batch, negatives = _next_batch(draw_fit, rng, pair_index, history)
+            batch, negatives = draw_fit(rng)
             value, grads = _loss_and_grads(
                 model, batch, config, rng, training=True, negatives=negatives
             )

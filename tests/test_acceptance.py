@@ -146,12 +146,8 @@ def test_criterion_01_gradient_suite(rng):
                         res = bpr_loss(c_emb, i_emb, negs, lam)
                     if not return_grads:
                         return res.value
-                    cg = encoder_backward(c_tape, res.grad_anchors)
-                    ig = encoder_backward(i_tape, res.grad_positives)
-                    flat = []
-                    for dw, db in cg + ig:
-                        flat.extend([dw, db])
-                    return flat
+                    grads = encoder_backward(c_tape, res.grad_anchors)
+                    return grads + encoder_backward(i_tape, res.grad_positives)
 
                 params = []
                 for layer in ctx_layers + item_layers:

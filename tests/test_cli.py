@@ -535,31 +535,68 @@ MIXED_GENRE = "data error: feature 'genre' mixes value kinds ['categorical_singl
 BOUNDARY_CASES = {
     "train_batch_size_1": (
         {"batch_size": 1}, TRAIN_ARGS, None, EXIT_CONFIG,
-        "config error: invalid TrainConfig: batch_size must be >= 2",
+        "config error: invalid TrainConfig: batch_size must be an integer >= 2, got 1",
     ),
     "train_batch_size_text": (
         {"batch_size": "many"}, TRAIN_ARGS, None, EXIT_CONFIG,
-        "config error: invalid TrainConfig:",
+        "config error: invalid TrainConfig: batch_size must be an integer >= 2, got 'many'",
     ),
     "train_eval_every_0": (
         {"eval_every": 0}, TRAIN_ARGS, None, EXIT_CONFIG,
-        "config error: invalid TrainConfig: eval_every must be >= 1",
+        "config error: invalid TrainConfig: eval_every must be an integer >= 1, got 0",
     ),
     "train_negative_lam": (
         {"lam": -1}, TRAIN_ARGS, None, EXIT_CONFIG,
-        "config error: invalid TrainConfig: lam must be >= 0",
+        "config error: invalid TrainConfig: lam must be a finite number >= 0, got -1",
     ),
     "train_dropout_rate_1": (
         {"dropout_rate": 1.0}, TRAIN_ARGS, None, EXIT_CONFIG,
-        "config error: invalid TrainConfig: dropout_rate must be in [0, 1)",
+        "config error: invalid TrainConfig: dropout_rate must be a number in [0, 1), got 1.0",
     ),
     "train_negative_max_steps": (
         {"max_steps": -3}, TRAIN_ARGS, None, EXIT_CONFIG,
-        "config error: invalid TrainConfig: max_steps must be >= 0",
+        "config error: invalid TrainConfig: max_steps must be an integer >= 0, got -3",
     ),
     "train_negative_learning_rate": (
         {"learning_rate": -0.1}, TRAIN_ARGS, None, EXIT_CONFIG,
-        "config error: invalid TrainConfig: learning_rate must be > 0",
+        "config error: invalid TrainConfig: learning_rate must be a finite number > 0, got -0.1",
+    ),
+    "train_fractional_batch_size": (
+        {"batch_size": 8.5}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: batch_size must be an integer >= 2, got 8.5",
+    ),
+    "train_float_max_steps": (
+        {"max_steps": 3.0}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: max_steps must be an integer >= 0, got 3.0",
+    ),
+    "train_bool_eval_every": (
+        {"eval_every": True}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: eval_every must be an integer >= 1, got True",
+    ),
+    "train_bool_patience": (
+        {"patience": True}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: patience must be an integer >= 1, got True",
+    ),
+    "train_fractional_patience": (
+        {"patience": 1.5}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: patience must be an integer >= 1, got 1.5",
+    ),
+    "train_infinite_learning_rate": (
+        {"learning_rate": float("inf")}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: learning_rate must be a finite number > 0, got inf",
+    ),
+    "train_infinite_lam": (
+        {"lam": float("inf")}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: lam must be a finite number >= 0, got inf",
+    ),
+    "train_bool_dropout_rate": (
+        {"dropout_rate": False}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: dropout_rate must be a number in [0, 1), got False",
+    ),
+    "train_validation_fraction_text": (
+        {"validation_fraction": "x"}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: validation_fraction must be a number in (0, 0.5), "
+        "got 'x'",
     ),
     "train_fraction_above_one": (
         {"train_fraction": 1.5}, TRAIN_ARGS, None, EXIT_CONFIG,

@@ -111,24 +111,31 @@ class TestEncoderForwardBackward:
         w = rng.normal(size=(3, 4))
         b = rng.normal(size=3)
         layers = [LayerParams(w, b, "identity")]
-        x = rng.normal(size=4)
-        g = rng.normal(size=3)
+        x = rng.normal(size=(2, 4))
+        g = rng.normal(size=(2, 3))
         _, tape = encoder_forward(layers, x)
-        dW, db = encoder_backward(tape, g)[0]
-        assert np.allclose(dW, np.outer(g, x))
-        assert np.allclose(db, g)
+        dW, db = encoder_backward(tape, g)
+        assert np.allclose(dW, np.outer(g[0], x[0]) + np.outer(g[1], x[1]))
+        assert np.allclose(db, g[0] + g[1])
 
     def test_dead_relu_blocks_gradient(self):
         layers = [LayerParams(np.array([[1.0]]), np.array([0.0]), "relu")]
-        x = np.array([-1.0])
+        x = np.array([[-1.0]])
         _, tape = encoder_forward(layers, x)
-        grads = encoder_backward(tape, np.array([1.0]))
-        assert grads[0][0][0, 0] == 0.0
+        grads = encoder_backward(tape, np.array([[1.0]]))
+        assert grads[0][0, 0] == 0.0
+
+    def test_vector_gradient_rejected(self, rng):
+        # the backward pass takes (N, E) batches only, never a single vector
+        layers = init_layers([4, 3], rng)
+        _, tape = encoder_forward(layers, rng.normal(size=4))
+        with pytest.raises(ShapeError):
+            encoder_backward(tape, np.ones(3))
 
     def test_gradient_vs_finite_differences(self, rng):
         layers = init_layers([5, 6, 4, 3], rng)
-        x = rng.normal(size=5)
-        target = rng.normal(size=3)
+        x = rng.normal(size=(2, 5))
+        target = rng.normal(size=(2, 3))
 
         params = []
         for layer in layers:
@@ -140,15 +147,14 @@ class TestEncoderForwardBackward:
 
         emb, tape = encoder_forward(layers, x)
         analytic = encoder_backward(tape, emb - target)
-        flat = [a for pair in analytic for a in pair]
         numeric = finite_difference(loss, params)
-        assert relative_error(flat, numeric) < 1e-4
+        assert relative_error(analytic, numeric) < 1e-4
 
     def test_dropout_gradient_with_fixed_mask(self):
         # identical seed per forward replays the same mask, so FD is exact
         layers = init_layers([4, 6, 3], make_rng(5))
-        x = make_rng(6).normal(size=4)
-        target = make_rng(7).normal(size=3)
+        x = make_rng(6).normal(size=(2, 4))
+        target = make_rng(7).normal(size=(2, 3))
         params = []
         for layer in layers:
             params.extend([layer.weights, layer.biases])
@@ -159,9 +165,8 @@ class TestEncoderForwardBackward:
 
         emb, tape = encoder_forward(layers, x, dropout_rate=0.4, rng=make_rng(42), training=True)
         analytic = encoder_backward(tape, emb - target)
-        flat = [a for pair in analytic for a in pair]
         numeric = finite_difference(loss, params)
-        assert relative_error(flat, numeric) < 1e-4
+        assert relative_error(analytic, numeric) < 1e-4
 
     def test_shape_mismatch_rejected(self, rng):
         layers = init_layers([5, 4], rng)

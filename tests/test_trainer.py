@@ -1,10 +1,12 @@
 import gc
+import re
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from contextrec import trainer
+from contextrec import losses, trainer
 from contextrec.datagen import GeneratorConfig, filter_log, generate
 from contextrec.features import ViewingEvent, build_schema
 from contextrec.nn_core import make_rng
@@ -153,6 +155,41 @@ class TestTrain:
         del log
         gc.collect()
         assert sum(r() is not None for r in refs) == 0
+
+    @pytest.mark.parametrize("objective", trainer.OBJECTIVES)
+    def test_objective_calls_its_own_sampler_and_loss(self, monkeypatch, objective):
+        # samplers are reached through trainer's globals and losses through
+        # the losses module when they run, so wrappers set after import (as
+        # the benchmark's spans are) see every call
+        sampler, loss, architecture = {
+            "jcce": ("sample_npairs", "jcce_objective", "mlp"),
+            "rjcce": ("sample_relaxed", "rjcce_objective", "mlp"),
+            "ljcce": ("sample_npairs", "jcce_objective", "linear"),
+            "bpr": ("sample_relaxed", "bpr_loss", "mlp"),
+        }[objective]
+        calls = Counter()
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for owner, name in [(trainer, "sample_npairs"), (trainer, "sample_relaxed"),
+                            (losses, "jcce_objective"), (losses, "rjcce_objective"),
+                            (losses, "bpr_loss")]:
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        log = toy_log(n_contents=5, per_content=20)
+        cfg = TrainConfig(objective=objective, batch_size=4, max_steps=4, eval_every=2, seed=0)
+        model, _ = train(log, build_schema(log), cfg)
+        assert set(calls) == {sampler, loss}
+        assert model.config.architecture == architecture
+
+    def test_negative_seed_rejected(self):
+        # the CLI checks seed before TrainConfig does; a library caller has only this check
+        with pytest.raises(ValueError, match=re.escape("seed must be an integer >= 0, got -1")):
+            TrainConfig(seed=-1)
 
 
 class TestAblateToSingleViewer:
