@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -353,6 +354,23 @@ class TestAtomicWrite:
             fh.write("new\n")
         assert path.read_bytes() == b"new\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_never_renames_over_a_file(self, tmp_path, monkeypatch):
+        # ext4 flushes a file renamed over another to disk first
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        targets = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            targets.append(os.path.exists(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(serialization.os, "replace", replace)
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+        assert targets == [False]
+        assert path.read_bytes() == b"new\n"
 
     def test_directory_target_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "out"
