@@ -23,7 +23,7 @@ import numpy as np
 
 from .features import ViewingEvent, canonical_key, item_ids, universe_indices, vectorize_context
 from .model import Catalog, TwoTowerModel, embed_context
-from .nn_core import ShapeError
+from .nn_core import ShapeError, check_range
 from .serialization import atomic_write
 
 
@@ -150,8 +150,7 @@ def snnm_sweep(
     temperatures = np.asarray(temperatures, dtype=np.float64)
     if np.any(np.diff(temperatures) <= 0):
         raise ValueError("temperature grid must be strictly increasing")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions!r}")
+    check_range("repetitions", repetitions, 1, integer=True)
 
     avail = all_embeddings.size
     draws = [rng.choice(avail, size=n, replace=n > avail) for _ in range(repetitions)]

@@ -10,16 +10,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import analysis, evaluation, serialization
 from .datagen import GeneratorConfig, filter_log, generate, temporal_split
-from .features import SchemaError, ViewingEvent, build_schema
+from .features import SchemaError, ViewingEvent, build_schema, universe_indices
 from .model import catalog_from_log, precompute_catalog, recommend
-from .nn_core import make_rng
+from .nn_core import check_range, make_rng
 from .trainer import OBJECTIVES, TrainConfig, ablate_to_single_viewer, train
 
 EXIT_OK = 0
@@ -51,13 +50,13 @@ RUN_CONFIG_DEFAULTS = {
 
 
 def _key_label(item_key) -> str:
-    """Compact CSV-safe label for a canonical item key."""
+    """Compact CSV-safe label for a canonical item key: ";" for ",", " " for CR and LF."""
     parts = []
     for name, value in item_key:
         if isinstance(value, tuple):
             value = "+".join(str(v) for v in value)
         parts.append(f"{name}={value}")
-    return "|".join(parts).replace(",", ";")
+    return "|".join(parts).translate(str.maketrans(",\r\n", ";  "))
 
 
 def _check_ks(ks):
@@ -89,25 +88,17 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
         if v is not None:
             config[k] = v
     _check_ks(config["ks"])
-    fraction = config["train_fraction"]
-    if not (isinstance(fraction, (int, float)) and 0.0 < fraction < 1.0):
-        raise ConfigError(f"train_fraction must be in (0, 1), got {fraction!r}")
-    _check_int(config, "seed", 0)
-    for key, low in (("snnm_repetitions", 1), ("snnm_sample_size", 2), ("analysis_max_events", 1)):
-        _check_int(config, key, low)
-    if config["min_item_count"] is not None:
-        _check_int(config, "min_item_count", 1)
-    minutes = config["min_duration_minutes"]
-    if not (type(minutes) in (int, float) and math.isfinite(minutes) and minutes >= 0):
-        raise ConfigError(f"min_duration_minutes must be a finite number >= 0, got {minutes!r}")
+    try:
+        check_range("train_fraction", config["train_fraction"], 0, 1, "()")
+        for key, low in (("seed", 0), ("snnm_repetitions", 1), ("snnm_sample_size", 2),
+                         ("analysis_max_events", 1)):
+            check_range(key, config[key], low, integer=True)
+        if config["min_item_count"] is not None:
+            check_range("min_item_count", config["min_item_count"], 1, integer=True)
+        check_range("min_duration_minutes", config["min_duration_minutes"], 0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return config
-
-
-def _check_int(config: dict, key: str, low: int) -> None:
-    """An integer run-config value of at least low; booleans are rejected."""
-    value = config[key]
-    if not (type(value) is int and value >= low):
-        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
 
 
 def _dataclass_config(cls, cfg: dict):
@@ -136,6 +127,14 @@ def _prepared_split(cfg: dict, dataset_path: str):
     return temporal_split(log, cfg["train_fraction"])
 
 
+def _check_test_split(test_log, catalog=None) -> None:
+    """A data error for a test split with nothing to score: empty, or none of it in the catalog."""
+    if not test_log:
+        raise serialization.FormatError("empty test split")
+    if catalog is not None and not (universe_indices(test_log, catalog.items) >= 0).any():
+        raise serialization.FormatError("no test event's content is in the catalog")
+
+
 def cmd_gen(args) -> int:
     cfg = load_run_config(args.config, {"seed": args.seed})
     log = generate(_dataclass_config(GeneratorConfig, cfg))
@@ -158,7 +157,8 @@ def cmd_train(args) -> int:
         model, args.checkpoint, objective=train_cfg.objective, seed=train_cfg.seed
     )
     if args.history:
-        serialization.write_history_csv(history, args.history)
+        header = ("step", "train_loss", "val_loss")
+        serialization.write_csv(args.history, header, history.records, 17)
     print(
         f"trained {train_cfg.objective} for {history.stopping_step} steps "
         f"({history.stopping_reason}); checkpoint at {args.checkpoint}"
@@ -181,6 +181,7 @@ def cmd_eval(args) -> int:
     model, meta = serialization.load_checkpoint(args.checkpoint)
     train_log, test_log = _prepared_split(cfg, args.dataset)
     catalog = _catalog(model, train_log)
+    _check_test_split(test_log, catalog)
     items = catalog.items
     ks = cfg["ks"]
 
@@ -200,7 +201,7 @@ def cmd_eval(args) -> int:
             ("toppop_temporal", evaluation.toppop_temporal(train_log, items)),
         ):
             rows.append(evaluation.evaluate(ranker, test_log, items, ks).as_row(name))
-    serialization.write_report_csv(rows, args.report)
+    serialization.write_csv(args.report, list(rows[0]), [list(r.values()) for r in rows], 6)
     for row in rows:
         print(",".join(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}" for k, v in row.items()))
     return EXIT_OK
@@ -237,21 +238,19 @@ def cmd_analyze(args) -> int:
     cfg = load_run_config(args.config, {"seed": args.seed})
     model, _ = serialization.load_checkpoint(args.checkpoint)
     train_log, test_log = _prepared_split(cfg, args.dataset)
-    if not test_log:
-        raise serialization.FormatError("empty test split")
+    _check_test_split(test_log)
     rng = make_rng(cfg["seed"])
     if len(test_log) > cfg["analysis_max_events"]:
         idx = rng.choice(len(test_log), size=cfg["analysis_max_events"], replace=False)
         test_log = [test_log[i] for i in sorted(idx)]
 
     if args.mode == "simmatrix":
-        sim = analysis.similarity_matrix(test_log, model, _catalog(model, train_log))
+        catalog = _catalog(model, train_log)
+        _check_test_split(test_log, catalog)
+        sim = analysis.similarity_matrix(test_log, model, catalog)
         names = [_key_label(k) for k in sim.content_keys]
-        with serialization.atomic_write(args.out) as fh:
-            fh.write("content," + ",".join(names) + ",dispersion\n")
-            for i, name in enumerate(names):
-                cells = [name] + [f"{v:.6g}" for v in sim.values[i]] + [f"{sim.dispersion[i]:.6g}"]
-                fh.write(",".join(cells) + "\n")
+        rows = ([n, *v, d] for n, v, d in zip(names, sim.values.tolist(), sim.dispersion.tolist()))
+        serialization.write_csv(args.out, ["content", *names, "dispersion"], rows, 6)
         print(f"wrote similarity matrix to {args.out}")
         return EXIT_OK
 
@@ -268,12 +267,8 @@ def cmd_analyze(args) -> int:
         n=min(cfg["snnm_sample_size"], len(labels)),
         rng=rng,
     )
-    with serialization.atomic_write(args.out) as fh:
-        fh.write("T,mean,ci95,skipped\n")
-        for t, mean, ci, sk in zip(
-            curve.temperatures, curve.means, curve.ci95, curve.skipped_term_counts
-        ):
-            fh.write(f"{t:.17g},{mean:.17g},{ci:.17g},{sk}\n")
+    columns = (curve.temperatures, curve.means, curve.ci95, curve.skipped_term_counts)
+    serialization.write_csv(args.out, ("T", "mean", "ci95", "skipped"), zip(*columns), 17)
     print(f"wrote SNNM curve to {args.out}")
     return EXIT_OK
 

@@ -9,13 +9,12 @@ suppress the temporal term, so delayed viewing carries no slot signal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .features import ViewingEvent, item_ids
-from .nn_core import make_rng
+from .nn_core import check_range, make_rng
 
 DAY_NAMES = ("0mon", "1tue", "2wed", "3thu", "4fri", "5sat", "6sun")
 REGIONS = ("north", "south", "east", "west")
@@ -37,17 +36,13 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        cfg = vars(self)
         for name, low in (("n_households", 1), ("n_users", 1), ("n_genres", 2), ("n_weeks", 1),
                           ("events_per_day", 1), ("seed", 0)):
-            if not (type(cfg[name]) is int and cfg[name] >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {cfg[name]!r}")
+            check_range(name, getattr(self, name), low, integer=True)
         for name in ("coviewing_prob", "timeshift_prob"):
-            if not (type(cfg[name]) in (int, float) and 0.0 <= cfg[name] <= 1.0):
-                raise ValueError(f"{name} must be a number in [0, 1], got {cfg[name]!r}")
+            check_range(name, getattr(self, name), 0, 1, "[]")
         for name in ("habit_strength", "temporal_strength", "popularity_skew"):
-            if not (type(cfg[name]) in (int, float) and 0.0 <= cfg[name] < math.inf):
-                raise ValueError(f"{name} must be a finite number >= 0, got {cfg[name]!r}")
+            check_range(name, getattr(self, name), 0)
 
 
 def generate(config: GeneratorConfig) -> list[ViewingEvent]:
@@ -158,8 +153,7 @@ def temporal_split(
     Events are ordered by timestamp, ties by position in the log. A NaN
     timestamp has no order and raises ValueError.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
+    check_range("train_fraction", train_fraction, 0, 1, "()")
     stamps = np.fromiter((e.timestamp for e in log), dtype=np.float64, count=len(log))
     if np.isnan(stamps).any():
         raise ValueError("a NaN timestamp has no temporal order")

@@ -24,7 +24,7 @@ from .features import (
     vectorize_context,
     vectorize_item,
 )
-from .nn_core import LayerParams, encoder_forward, init_layers
+from .nn_core import LayerParams, check_range, encoder_forward, init_layers
 
 ARCHITECTURES = ("linear", "mlp")
 
@@ -38,8 +38,9 @@ class EncoderConfig:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
-        if self.embedding_dim < 1:
-            raise ValueError("embedding_dim must be >= 1")
+        check_range("embedding_dim", self.embedding_dim, 1, integer=True)
+        for i, width in enumerate(self.hidden_widths):
+            check_range(f"hidden_widths[{i}]", width, 1, integer=True)
 
     def widths(self, input_width: int) -> list[int]:
         if self.architecture == "linear":

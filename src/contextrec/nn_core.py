@@ -7,6 +7,7 @@ explicit numpy Generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,21 @@ ACTIVATIONS = ("relu", "identity")
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator; identical seed gives an identical stream."""
     return np.random.default_rng(seed)
+
+
+def check_range(name: str, value, low, high=math.inf, bounds="[)", integer=False) -> None:
+    """Raise ValueError unless value is an int >= low (integer) or an int or
+    float from low to high, each end closed or open as bounds says; a bool
+    never passes, and an infinite high asks for a finite number."""
+    if integer:
+        ok, want = type(value) is int and value >= low, f"an integer >= {low}"
+    else:
+        ok = (type(value) in (int, float) and (low <= value if bounds[0] == "[" else low < value)
+              and (value <= high if bounds[1] == "]" else value < high))
+        want = (f"a number in {bounds[0]}{low}, {high}{bounds[1]}" if high < math.inf
+                else f"a finite number {'>=' if bounds[0] == '[' else '>'} {low}")
+    if not ok:
+        raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
 class ShapeError(ValueError):

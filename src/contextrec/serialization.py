@@ -1,4 +1,4 @@
-"""Stable, versioned file formats: dataset, checkpoint, history, reports.
+"""Stable, versioned file formats: dataset, checkpoint, CSV tables.
 
 Datasets are line-delimited JSON (one event per line, sorted keys);
 checkpoints are a single versioned JSON document carrying the config,
@@ -223,23 +223,13 @@ def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
     return model, {"objective": doc.get("objective"), "seed": doc.get("seed")}
 
 
-def write_history_csv(history, path) -> None:
+def write_csv(path, header, rows, digits: int) -> None:
+    """A header line, then one comma-joined line per row, replaced whole: a
+    float cell (np.float64 too) takes `digits` significant digits, any other
+    its str(). Nothing is quoted, so no cell may hold a comma, CR or LF."""
+    spec = f".{digits}g"
     with atomic_write(path) as fh:
-        fh.write("step,train_loss,val_loss\n")
-        for step, train_loss, val_loss in history.records:
-            fh.write(f"{step},{train_loss:.17g},{val_loss:.17g}\n")
-
-
-def write_report_csv(rows: list[dict], path) -> None:
-    """One CSV row per evaluated method; HR@K columns for each requested K."""
-    if not rows:
-        raise ValueError("no report rows")
-    columns = list(rows[0].keys())
-    with atomic_write(path) as fh:
-        fh.write(",".join(columns) + "\n")
+        fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = []
-            for c in columns:
-                v = row[c]
-                cells.append(format(v, ".6g") if isinstance(v, float) else str(v))
+            cells = (format(v, spec) if isinstance(v, float) else str(v) for v in row)
             fh.write(",".join(cells) + "\n")

@@ -7,7 +7,6 @@ portion of the training log. Returns the best-validation checkpoint.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ from .features import (
     _MULTI_TYPES, FeatureSchema, SchemaError, ViewingEvent, _sorted_tuple, context_ids, item_ids
 )
 from .model import EncoderConfig, TwoTowerModel
-from .nn_core import AdamState, adam_step, encoder_backward, encoder_forward, make_rng
+from .nn_core import AdamState, adam_step, check_range, encoder_backward, encoder_forward, make_rng
 from .sampling import (
     MiniBatch,
     NoAdmissibleNegative,
@@ -61,22 +60,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        cfg = vars(self)
         if self.objective not in _OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
         for name, low in (("batch_size", 2), ("max_steps", 0), ("eval_every", 1), ("patience", 1),
                           ("seed", 0)):
-            if not (type(cfg[name]) is int and cfg[name] >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {cfg[name]!r}")
-        lr, lam, dr, vf = self.learning_rate, self.lam, self.dropout_rate, self.validation_fraction
-        if not (type(lr) in (int, float) and 0.0 < lr < math.inf):
-            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
-        if not (type(lam) in (int, float) and 0.0 <= lam < math.inf):
-            raise ValueError(f"lam must be a finite number >= 0, got {lam!r}")
-        if not (type(dr) in (int, float) and 0.0 <= dr < 1.0):
-            raise ValueError(f"dropout_rate must be a number in [0, 1), got {dr!r}")
-        if not (type(vf) in (int, float) and 0.0 < vf < 0.5):
-            raise ValueError(f"validation_fraction must be a number in (0, 0.5), got {vf!r}")
+            check_range(name, getattr(self, name), low, integer=True)
+        check_range("learning_rate", self.learning_rate, 0, bounds="()")
+        check_range("lam", self.lam, 0)
+        check_range("dropout_rate", self.dropout_rate, 0, 1)
+        check_range("validation_fraction", self.validation_fraction, 0, 0.5, "()")
 
 
 @dataclass

@@ -240,9 +240,9 @@ class TestSnnmSweep:
         with pytest.raises(ValueError):
             snnm_sweep(sample, temperatures=np.array([1.0, 0.5]), rng=make_rng(4))
 
-    @pytest.mark.parametrize("repetitions", [0, -2])
+    @pytest.mark.parametrize("repetitions", [0, -2, True, 2.5])
     def test_repetitions_below_one_rejected(self, repetitions):
-        with pytest.raises(ValueError, match="repetitions"):
+        with pytest.raises(ValueError, match="repetitions must be an integer >= 1"):
             snnm_sweep(two_clusters(), repetitions=repetitions, n=8, rng=make_rng(4))
 
     def test_matches_per_row_reference_sweep(self, rng):

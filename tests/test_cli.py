@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -328,6 +329,22 @@ class TestAnalyze:
         assert lines[0].endswith(",dispersion")
         assert all(len(ln.split(",")) == n_cols for ln in lines[1:])
 
+    @pytest.mark.parametrize("genre", ["g0\n01", "g0\r01", "g0\r\n01"])
+    def test_simmatrix_line_breaks_in_labels(self, workspace, tmp_path, genre):
+        # a label holding CR or LF would split its row; the matrix must still
+        # parse into M + 1 rows of M + 2 cells
+        ws, config_path, dataset, ckpt = workspace
+        data, out = tmp_path / "data.jsonl", tmp_path / "sim.csv"
+        data.write_text(dataset.read_text().replace('"g001"', json.dumps(genre)))
+        code = main(["analyze", "--config", str(config_path), "--checkpoint", str(ckpt),
+                     "--dataset", str(data), "--mode", "simmatrix", "--out", str(out)])
+        assert code == EXIT_OK
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        m = len(rows) - 1
+        assert m >= 2 and all(len(row) == m + 2 for row in rows)
+        assert "genre=" + genre.replace("\r", " ").replace("\n", " ") in rows[0]
+
     def test_export_round_trip(self, workspace, tmp_path):
         ws, config_path, dataset, ckpt = workspace
         out = tmp_path / "emb.csv"
@@ -454,6 +471,18 @@ def _test_split_group_size_text(path, original):
     for i in range(len(lines) - 20, len(lines)):
         rec = json.loads(lines[i])
         rec["context"]["group_size"] = "two"
+        lines[i] = json.dumps(rec, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+
+
+def _test_split_genres_new(path, original):
+    # with min_item_count 1 only the duration filter drops events, so the
+    # test split is the last tenth of the lines that pass it
+    lines = original.read_text().splitlines(keepends=True)
+    kept = [i for i, line in enumerate(lines) if json.loads(line)["duration_min"] >= 3.0]
+    for i in kept[round(0.9 * len(kept)):]:
+        rec = json.loads(lines[i])
+        rec["item"]["genre"] = "gNEW"
         lines[i] = json.dumps(rec, sort_keys=True) + "\n"
     path.write_text("".join(lines))
 
@@ -600,11 +629,27 @@ BOUNDARY_CASES = {
     ),
     "train_fraction_above_one": (
         {"train_fraction": 1.5}, TRAIN_ARGS, None, EXIT_CONFIG,
-        "config error: train_fraction must be in (0, 1), got 1.5",
+        "config error: train_fraction must be a number in (0, 1), got 1.5",
     ),
     "eval_config_ks_zero": (
         {"ks": [0]}, EVAL_ARGS, None, EXIT_CONFIG,
         "config error: ks must be a non-empty list of positive integers, got [0]",
+    ),
+    "eval_empty_test_split": (
+        {"train_fraction": 0.9999}, EVAL_ARGS, None, EXIT_DATA,
+        "data error: empty test split",
+    ),
+    "eval_test_contents_not_in_catalog": (
+        {"min_item_count": 1}, EVAL_ARGS, ("dataset", _test_split_genres_new), EXIT_DATA,
+        "data error: no test event's content is in the catalog",
+    ),
+    "analyze_simmatrix_test_contents_not_in_catalog": (
+        {"min_item_count": 1}, SIMMATRIX_ARGS, ("dataset", _test_split_genres_new), EXIT_DATA,
+        "data error: no test event's content is in the catalog",
+    ),
+    "analyze_empty_test_split": (
+        {"train_fraction": 0.9999}, ANALYZE_ARGS, None, EXIT_DATA,
+        "data error: empty test split",
     ),
     "eval_min_item_count_empties_catalog": (
         {"min_item_count": 10**6}, EVAL_ARGS, None, EXIT_DATA,

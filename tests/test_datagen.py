@@ -129,6 +129,12 @@ class TestTemporalSplit:
         with pytest.raises(ValueError, match="NaN timestamp"):
             temporal_split(log)
 
+    @pytest.mark.parametrize("fraction", [0, 1, 1.5, float("nan"), True, "0.5"])
+    def test_train_fraction_outside_open_interval_rejected(self, fraction):
+        log = [self.mk(t) for t in range(10)]
+        with pytest.raises(ValueError, match=r"train_fraction must be a number in \(0, 1\)"):
+            temporal_split(log, fraction)
+
     @settings(deadline=None, max_examples=200)
     @given(
         st.lists(

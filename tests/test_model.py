@@ -68,6 +68,24 @@ def brute_force_ranking(ctx, rows):
     return sorted(range(len(scores)), key=lambda j: (-scores[j], j))
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"embedding_dim": 2.5}, "embedding_dim must be an integer >= 1, got 2.5"),
+        ({"embedding_dim": True}, "embedding_dim must be an integer >= 1, got True"),
+        ({"embedding_dim": 0}, "embedding_dim must be an integer >= 1, got 0"),
+        ({"hidden_widths": (3.5,)}, "hidden_widths[0] must be an integer >= 1, got 3.5"),
+        ({"hidden_widths": (8, 0)}, "hidden_widths[1] must be an integer >= 1, got 0"),
+        ({"hidden_widths": (True,)}, "hidden_widths[0] must be an integer >= 1, got True"),
+    ],
+    ids=["dim_fraction", "dim_bool", "dim_zero", "width_fraction", "width_zero", "width_bool"],
+)
+def test_encoder_config_widths_rejected(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        EncoderConfig(**kwargs)
+    assert str(exc.value) == message
+
+
 class TestEmbedding:
     def test_constant_context_map(self, schema):
         model = linear_model(schema, b_ctx=np.array([3.0, -1.0]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from contextrec.nn_core import (
     LayerParams,
     ShapeError,
     adam_step,
+    check_range,
     dropout,
     encoder_backward,
     encoder_forward,
@@ -15,6 +18,57 @@ from contextrec.nn_core import (
 )
 
 from conftest import finite_difference, relative_error
+
+
+# id: (check_range arguments, message): the three wordings, each refusing
+# bools, strings, NaN and infinity
+INTEGER = (math.inf, "[)", True)
+RANGE_REFUSALS = {
+    "integer_below": (("n", 0, 1, *INTEGER), "n must be an integer >= 1, got 0"),
+    "integer_float": (("n", 2.0, 1, *INTEGER), "n must be an integer >= 1, got 2.0"),
+    "integer_bool": (("n", True, 1, *INTEGER), "n must be an integer >= 1, got True"),
+    "integer_text": (("n", "3", 1, *INTEGER), "n must be an integer >= 1, got '3'"),
+    "integer_nan": (("n", math.nan, 0, *INTEGER), "n must be an integer >= 0, got nan"),
+    "integer_inf": (("n", math.inf, 0, *INTEGER), "n must be an integer >= 0, got inf"),
+    "finite_below": (("x", -0.5, 0), "x must be a finite number >= 0, got -0.5"),
+    "finite_open_low": (("x", 0, 0, math.inf, "()"), "x must be a finite number > 0, got 0"),
+    "finite_inf": (("x", math.inf, 0), "x must be a finite number >= 0, got inf"),
+    "finite_nan": (("x", math.nan, 0), "x must be a finite number >= 0, got nan"),
+    "finite_bool": (("x", False, 0), "x must be a finite number >= 0, got False"),
+    "finite_text": (("x", "1", 0), "x must be a finite number >= 0, got '1'"),
+    "interval_above": (("p", 1.5, 0, 1, "[]"), "p must be a number in [0, 1], got 1.5"),
+    "interval_open_high": (("p", 1, 0, 1, "[)"), "p must be a number in [0, 1), got 1"),
+    "interval_open_low": (("p", 0, 0, 0.5, "()"), "p must be a number in (0, 0.5), got 0"),
+    "interval_bool": (("p", True, 0, 1, "[]"), "p must be a number in [0, 1], got True"),
+    "interval_text": (("p", "0.5", 0, 1, "[]"), "p must be a number in [0, 1], got '0.5'"),
+    "interval_nan": (("p", math.nan, 0, 1, "[]"), "p must be a number in [0, 1], got nan"),
+    "interval_inf": (("p", -math.inf, 0, 1, "[]"), "p must be a number in [0, 1], got -inf"),
+}
+
+
+class TestCheckRange:
+    @pytest.mark.parametrize("case", RANGE_REFUSALS.values(), ids=RANGE_REFUSALS.keys())
+    def test_refusal_wording(self, case):
+        args, message = case
+        with pytest.raises(ValueError) as exc:
+            check_range(*args)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("n", 1, 1, *INTEGER),
+            ("n", 10**30, 0, *INTEGER),
+            ("x", 0, 0),
+            ("x", 0.0, 0),
+            ("x", 1e308, 0, math.inf, "()"),
+            ("p", 0, 0, 1, "[]"),
+            ("p", 1.0, 0, 1, "[]"),
+            ("p", 0.499, 0, 0.5, "()"),
+        ],
+    )
+    def test_accepted(self, args):
+        assert check_range(*args) is None
 
 
 class TestXavierInit:

@@ -20,9 +20,8 @@ from contextrec.serialization import (
     load_checkpoint,
     read_dataset,
     save_checkpoint,
+    write_csv,
     write_dataset,
-    write_history_csv,
-    write_report_csv,
 )
 from contextrec.trainer import TrainHistory
 
@@ -298,11 +297,12 @@ class TestCsvWriters:
             best_validation_loss=0.9,
         )
         path = tmp_path / "hist.csv"
-        write_history_csv(hist, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,train_loss,val_loss"
-        assert lines[1].startswith("200,1.5")
-        assert len(lines) == 3
+        write_csv(path, ("step", "train_loss", "val_loss"), hist.records, 17)
+        assert path.read_text() == (
+            "step,train_loss,val_loss\n"
+            "200,1.5,1.6000000000000001\n"
+            "400,0.69999999999999996,0.90000000000000002\n"
+        )
 
     def test_report_csv_columns(self, tmp_path):
         rows = [
@@ -310,14 +310,25 @@ class TestCsvWriters:
             {"method": "random", "HR@1": 0.1, "HR@5": 0.4, "MRR": 0.2, "AUC": 0.5},
         ]
         path = tmp_path / "report.csv"
-        write_report_csv(rows, path)
+        write_csv(path, list(rows[0]), [list(r.values()) for r in rows], 6)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "method,HR@1,HR@5,MRR,AUC"
-        assert len(lines) == 3
+        assert lines[1:] == ["model,0.5,0.8,0.6,0.9", "random,0.1,0.4,0.2,0.5"]
 
-    def test_empty_report_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_report_csv([], tmp_path / "r.csv")
+    @pytest.mark.parametrize(
+        "digits, line", [(6, "a,3,4,0.333333,nan"), (17, "a,3,4,0.33333333333333331,nan")]
+    )
+    def test_cell_bytes(self, tmp_path, digits, line):
+        # floats, NumPy's included, take the digits; other cells their str()
+        path = tmp_path / "t.csv"
+        row = ["a", 3, np.int64(4), np.float64(1 / 3), float("nan")]
+        write_csv(path, ("s", "i", "n", "f", "x"), [row], digits)
+        assert path.read_bytes() == f"s,i,n,f,x\n{line}\n".encode()
+
+    def test_header_only_without_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ("T", "mean"), iter(()), 17)
+        assert path.read_bytes() == b"T,mean\n"
 
 
 class TestAtomicWrite:
