@@ -3,7 +3,9 @@
 Angular distance, the soft nearest neighbor measure (SNNM) of class
 entanglement with a temperature sweep, the angular-similarity matrix of
 per-content average context embeddings to content embeddings, and a plain
-CSV embedding export for external visualization tools.
+CSV embedding export for external visualization tools. Context
+embeddings come from one vectorize and one forward call over the whole
+test log, through the sparse first layer when the context is wide.
 
 An SNNM sweep works sample by sample: one `snnm` call builds a sample's
 (n, n) angular matrix and label masks once, then derives every temperature

@@ -1,11 +1,13 @@
 """Vectorization of raw viewing events into fixed-length real vectors.
 
-Each attribute dict becomes one row of a float64 matrix, and callers
-vectorize a whole batch with one call. Single-valued categorical
-attributes become one-hot blocks, multi-valued ones become L1-normalized
-multi-hot blocks, numerics are min-max scaled to [0, 1].
-Out-of-vocabulary values contribute nothing (zero block); a value of the
-wrong kind for its attribute raises SchemaError.
+Each attribute dict becomes one row of an input, and callers vectorize a
+whole batch with one call. Single-valued categorical attributes become
+one-hot blocks, multi-valued ones become L1-normalized multi-hot blocks,
+numerics are min-max scaled to [0, 1]. Out-of-vocabulary values
+contribute nothing (zero block); a value of the wrong kind for its
+attribute raises SchemaError. An input narrower than SPARSE_WIDTH is a
+dense float64 matrix; a wider one is nn_core.Cells, its nonzero cells,
+whose first layer skips the zeros.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from operator import itemgetter
 
 import numpy as np
 
+from .nn_core import Cells
+
 KIND_SINGLE = "categorical_single"
 KIND_MULTI = "categorical_multi"
 KIND_NUMERIC = "numeric"
@@ -25,6 +29,11 @@ KIND_NUMERIC = "numeric"
 _MULTI_TYPES = (list, set, frozenset, tuple)  # multi-valued attribute values
 _NUMBER_TYPES = (float, int, np.floating, np.integer)  # numeric ones, bool aside
 _ABSENT = object()  # context_ids' cell for a name a dict lacks; equal to no value
+
+# Inputs at least this wide are vectorized as Cells. The crossover of a
+# training step's layer-0 forward pass plus weight gradient, dense against
+# cells, at batch 256 with 9 cells per row (README, "Sparse first layer").
+SPARSE_WIDTH = 1000
 
 
 class SchemaError(ValueError):
@@ -264,8 +273,9 @@ def _kind_error(spec: FeatureSpec, raw) -> SchemaError:
     )
 
 
-def _vectorize(rows: list[dict], specs: tuple) -> np.ndarray:
-    """One row per attribute dict. A missing or None value is a zero block;
+def _vectorize(rows: list[dict], specs: tuple) -> np.ndarray | Cells:
+    """One row per attribute dict: a dense matrix, or Cells when the specs
+    are at least SPARSE_WIDTH wide. A missing or None value is a zero block;
     a value of the wrong kind for its spec (a string or bool for a numeric
     spec, a scalar for a multi-valued one, a list for a single-valued one)
     raises SchemaError naming the attribute."""
@@ -305,16 +315,21 @@ def _vectorize(rows: list[dict], specs: tuple) -> np.ndarray:
             at_col.append(start + c)
             weight.append(w)
         start += spec.width
+    if start >= SPARSE_WIDTH:
+        at_row, at_col = np.array(at_row, dtype=np.intp), np.array(at_col, dtype=np.intp)
+        order = np.argsort(at_row * start + at_col)  # by row, then column
+        return Cells((len(rows), start), at_row[order], at_col[order],
+                     np.array(weight, dtype=np.float64)[order])
     out = np.zeros((len(rows), start))
     out[at_row, at_col] = weight
     return out
 
 
-def vectorize_context(events: list[ViewingEvent], schema: FeatureSchema) -> np.ndarray:
-    """(N, context_width) matrix, one row per event's context."""
+def vectorize_context(events: list[ViewingEvent], schema: FeatureSchema) -> np.ndarray | Cells:
+    """(N, context_width) input, one row per event's context."""
     return _vectorize([e.context_attributes for e in events], schema.context_specs)
 
 
-def vectorize_item(items: list[dict], schema: FeatureSchema) -> np.ndarray:
-    """(N, item_width) matrix, one row per item attribute dict."""
+def vectorize_item(items: list[dict], schema: FeatureSchema) -> np.ndarray | Cells:
+    """(N, item_width) input, one row per item attribute dict."""
     return _vectorize(items, schema.item_specs)

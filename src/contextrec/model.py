@@ -1,12 +1,14 @@
 """Two-tower encoder pair and the serving path.
 
 Context and content encoders map their vectorized inputs into a shared
-E-dimensional space. Serving precomputes the catalog's content
-embeddings, and caches their norms, once; each request is one context
-forward pass, one matrix-vector product against the catalog and a
-ranking. Ranking takes NumPy's default (fast) sort and falls back to a
-stable sort only when the scores hold ties, so the order is always
-descending score with ties broken by ascending item index.
+E-dimensional space; a wide input arrives as nn_core.Cells, whose first
+layer gathers weight columns instead of multiplying zeros. Serving
+precomputes the catalog's content embeddings, and caches their norms,
+once; each request is one context forward pass, one matrix-vector
+product against the catalog and a ranking. Ranking takes NumPy's default
+(fast) sort and falls back to a stable sort only when the scores hold
+ties, so the order is always descending score with ties broken by
+ascending item index.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .features import (
     vectorize_context,
     vectorize_item,
 )
-from .nn_core import LayerParams, check_range, encoder_forward, init_layers
+from .nn_core import Cells, LayerParams, check_range, encoder_forward, init_layers
 
 ARCHITECTURES = ("linear", "mlp")
 
@@ -79,14 +81,14 @@ class TwoTowerModel:
         return out
 
 
-def embed_context(model: TwoTowerModel, context_vector: np.ndarray) -> np.ndarray:
-    """Serving-mode context embedding (no dropout)."""
+def embed_context(model: TwoTowerModel, context_vector: np.ndarray | Cells) -> np.ndarray:
+    """Serving-mode context embedding (no dropout) of a vector or a batch."""
     emb, _ = encoder_forward(model.context_encoder, context_vector, training=False)
     return emb
 
 
-def embed_item(model: TwoTowerModel, item_vector: np.ndarray) -> np.ndarray:
-    """Serving-mode content embedding (no dropout)."""
+def embed_item(model: TwoTowerModel, item_vector: np.ndarray | Cells) -> np.ndarray:
+    """Serving-mode content embedding (no dropout) of a vector or a batch."""
     emb, _ = encoder_forward(model.item_encoder, item_vector, training=False)
     return emb
 
@@ -127,6 +129,7 @@ def precompute_catalog(model: TwoTowerModel, items: list[dict]) -> Catalog:
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate item descriptors in catalog")
     # one item at a time so each row is bit-identical to a fresh embed_item
+    # of its vector, dense or cells: a row of one cell sums to the same bits
     rows = [embed_item(model, vectorize_item([it], model.schema)[0]) for it in items]
     return Catalog(items=list(items), embeddings=np.stack(rows))
 

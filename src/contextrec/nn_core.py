@@ -2,7 +2,10 @@
 
 Everything runs in float64 so finite-difference gradient checks are
 meaningful. No hidden global state; randomness always comes from an
-explicit numpy Generator.
+explicit numpy Generator. A wide one-hot input may reach the first layer
+as Cells, its nonzero (row, column, value) cells: the forward pass then
+sums the cells' weight columns per row and the backward pass builds the
+weight gradient per column, so neither multiplies the zeros.
 """
 
 from __future__ import annotations
@@ -37,6 +40,28 @@ def check_range(name: str, value, low, high=math.inf, bounds="[)", integer=False
 
 class ShapeError(ValueError):
     """Raised when array dimensions do not chain; never silently broadcast."""
+
+
+@dataclass(frozen=True, eq=False)
+class Cells:
+    """The nonzero cells of a sparse input, in place of its dense array.
+
+    shape is (N, width) for a batch of rows or (width,) for one vector,
+    whose cells all have row 0. Cells are sorted by row, then column, with
+    at most one cell per (row, column); a cell not listed is zero.
+    """
+
+    shape: tuple
+    rows: np.ndarray  # intp
+    cols: np.ndarray  # intp
+    values: np.ndarray  # float64
+
+    def __getitem__(self, i: int) -> "Cells":
+        """Row i of a batch as a vector, as x[i] is for a dense matrix."""
+        if len(self.shape) != 2 or not 0 <= i < self.shape[0]:
+            raise IndexError(f"row {i!r} of cells shaped {self.shape}")
+        lo, hi = np.searchsorted(self.rows, (i, i + 1))
+        return Cells(self.shape[1:], self.rows[lo:hi] * 0, self.cols[lo:hi], self.values[lo:hi])
 
 
 @dataclass
@@ -126,13 +151,13 @@ def encoder_forward(
 ) -> tuple[np.ndarray, ForwardTape]:
     """Run a vector or (N, in) batch through the layer stack.
 
-    Dropout is applied to hidden-layer outputs only, never to the final
-    linear embedding. Returns the embedding and a tape for the backward
-    pass.
+    x may be Cells, which only the first layer reads. Dropout is applied to
+    hidden-layer outputs only, never to the final linear embedding.
+    Returns the embedding and a tape for the backward pass.
     """
     if training and dropout_rate > 0.0 and rng is None:
         raise ValueError("training dropout requires an rng")
-    h = np.asarray(x, dtype=np.float64)
+    h = x if isinstance(x, Cells) else np.asarray(x, dtype=np.float64)
     inputs, pre_acts, masks = [], [], []
     for i, layer in enumerate(layers):
         if h.shape[-1] != layer.fan_in:
@@ -140,7 +165,7 @@ def encoder_forward(
                 f"layer {i}: input width {h.shape[-1]} != fan_in {layer.fan_in}"
             )
         inputs.append(h)
-        z = h @ layer.weights.T + layer.biases
+        z = _cells_affine(h, layer) if isinstance(h, Cells) else h @ layer.weights.T + layer.biases
         pre_acts.append(z)
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
         if i < len(layers) - 1 and dropout_rate > 0.0 and training:
@@ -149,6 +174,42 @@ def encoder_forward(
         else:
             masks.append(None)
     return h, ForwardTape(inputs, pre_acts, masks, layers)
+
+
+def _cells_affine(x: Cells, layer: LayerParams) -> np.ndarray:
+    """x @ W.T + b from the cells: each row sums its cells' weight columns.
+
+    A row with one cell gives the dense product's bits. A row with none
+    sums to 0, as its dense product does, and so gives the bias: it gets
+    no reduceat segment, since an empty one would return the next cell.
+    """
+    sums = np.zeros((x.shape[0] if len(x.shape) == 2 else 1, layer.weights.shape[0]))
+    if x.rows.size:
+        starts = _run_starts(x.rows)
+        gathered = np.take(layer.weights, x.cols, axis=1)
+        gathered *= x.values
+        sums[x.rows[starts]] = np.add.reduceat(gathered, starts, axis=1).T
+    return (sums + layer.biases).reshape(x.shape[:-1] + layer.biases.shape)
+
+
+def _cells_weight_grad(x: Cells, g: np.ndarray) -> np.ndarray:
+    """g.T @ x from the cells: each column sums its cells' g rows times
+    their values, over the cells sorted by column."""
+    order = np.argsort(x.cols, kind="stable")
+    cols = x.cols[order]
+    dw = np.zeros((g.shape[1], x.shape[-1]))
+    if cols.size:
+        starts = _run_starts(cols)
+        contrib = g[x.rows[order]]
+        contrib *= x.values[order, None]
+        dw[:, cols[starts]] = np.add.reduceat(contrib, starts, axis=0).T
+    return dw
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in a sorted,
+    nonempty array."""
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 
 
 def encoder_backward(tape: ForwardTape, grad_wrt_embedding: np.ndarray) -> list[np.ndarray]:
@@ -169,7 +230,8 @@ def encoder_backward(tape: ForwardTape, grad_wrt_embedding: np.ndarray) -> list[
             g = g * tape.dropout_masks[i]
         if layer.activation == "relu":
             g = g * (tape.pre_activations[i] > 0.0)
-        grads += [g.sum(axis=0), g.T @ tape.inputs[i]]
+        x = tape.inputs[i]
+        grads += [g.sum(axis=0), _cells_weight_grad(x, g) if isinstance(x, Cells) else g.T @ x]
         if i:
             g = g @ layer.weights
     return grads[::-1]

@@ -1,12 +1,13 @@
 """Mini-batch construction for the pairwise objectives.
 
 A batch is rows of its split: samplers draw row indices, and the batch
-gathers those rows' vectors, dense content ids (features.item_ids) and,
-for BPR, context ids (features.context_ids). Strict N-pairs batches hold
-N pairwise-distinct contents; relaxed batches are uniform draws with
-replacement. BPR negatives honor the one-to-one match condition on the
-full (context, item) pair: the observed pairs are stored as sorted int
-codes over those ids, and a batch's negatives come from one masked draw.
+gathers those rows' vectors (dense, or Cells for a wide input), dense
+content ids (features.item_ids) and, for BPR, context ids
+(features.context_ids). Strict N-pairs batches hold N pairwise-distinct
+contents; relaxed batches are uniform draws with replacement. BPR
+negatives honor the one-to-one match condition on the full (context,
+item) pair: the observed pairs are stored as sorted int codes over those
+ids, and a batch's negatives come from one masked draw.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureSchema, ViewingEvent, vectorize_context, vectorize_item
+from .nn_core import Cells
 
 
 class SamplingError(ValueError):
@@ -59,8 +61,8 @@ class MiniBatch:
     rows: np.ndarray  # the split's row index of each batch row
     item_ids: np.ndarray  # dense content id per row
     context_ids: np.ndarray | None  # dense context id per row, when the split has them
-    context_vectors: np.ndarray  # (N, |C|)
-    item_vectors: np.ndarray  # (N, |I|)
+    context_vectors: np.ndarray | Cells  # (N, |C|)
+    item_vectors: np.ndarray | Cells  # (N, |I|)
 
     @property
     def size(self) -> int:

@@ -35,7 +35,7 @@ from contextrec.model import (
 from contextrec.nn_core import encoder_backward, encoder_forward, init_layers, make_rng
 from contextrec.trainer import TrainConfig, ablate_to_single_viewer, train
 
-from conftest import finite_difference, relative_error
+from conftest import cells_of, finite_difference, relative_error, sparse_rows
 
 
 def verdict(number: int, description: str, ok: bool) -> None:
@@ -97,72 +97,80 @@ def _random_ids(n, rng):
 
 
 def test_criterion_01_gradient_suite(rng):
-    """All six losses, through both encoder architectures, vs central FD."""
+    """All six losses, through both encoder architectures, vs central FD;
+    dense inputs, then cells (L1 multi-hot and numeric) into both towers."""
     t0 = time.monotonic()
     instances = 0
     worst = 0.0
-    for arch in ("mlp", "linear"):
-        for loss_kind in ("npairs", "relaxed", "reg", "jcce", "rjcce", "bpr"):
-            for _ in range(2):
-                n = int(rng.integers(3, 9))
-                e = int(rng.integers(2, 7))
-                dc, di = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-                hidden = [int(rng.integers(3, 7))] if arch == "mlp" else []
-                ctx_layers = init_layers([dc] + hidden + [e], rng)
-                item_layers = init_layers([di] + hidden + [e], rng)
-                # keep relu pre-activations away from the kink so the
-                # central-difference step never crosses it
-                while True:
-                    xc = rng.normal(size=(n, dc))
-                    xi = rng.normal(size=(n, di))
-                    margins = [
-                        np.min(np.abs(z))
-                        for layers, x in ((ctx_layers, xc), (item_layers, xi))
-                        for layer, z in zip(
-                            layers, encoder_forward(layers, x)[1].pre_activations
-                        )
-                        if layer.activation == "relu"
-                    ]
-                    if not margins or min(margins) > 1e-3:
-                        break
-                ids = _random_ids(n, rng)
-                negs = np.array([(i + 1) % n for i in range(n)])
-                lam = 0.01
+    for form, repeats in (("dense", 2), ("cells", 1)):
+        for arch in ("mlp", "linear"):
+            for loss_kind in ("npairs", "relaxed", "reg", "jcce", "rjcce", "bpr"):
+                for _ in range(repeats):
+                    n = int(rng.integers(3, 9))
+                    e = int(rng.integers(2, 7))
+                    dc, di = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+                    if form == "cells":
+                        dc, di = dc + 6, di + 6
+                    hidden = [int(rng.integers(3, 7))] if arch == "mlp" else []
+                    ctx_layers = init_layers([dc] + hidden + [e], rng)
+                    item_layers = init_layers([di] + hidden + [e], rng)
+                    # keep relu pre-activations away from the kink so the
+                    # central-difference step never crosses it
+                    while True:
+                        if form == "dense":
+                            xc = rng.normal(size=(n, dc))
+                            xi = rng.normal(size=(n, di))
+                        else:
+                            xc = cells_of(sparse_rows(rng, n, dc))
+                            xi = cells_of(sparse_rows(rng, n, di))
+                        margins = [
+                            np.min(np.abs(z))
+                            for layers, x in ((ctx_layers, xc), (item_layers, xi))
+                            for layer, z in zip(
+                                layers, encoder_forward(layers, x)[1].pre_activations
+                            )
+                            if layer.activation == "relu"
+                        ]
+                        if not margins or min(margins) > 1e-3:
+                            break
+                    ids = _random_ids(n, rng)
+                    negs = np.array([(i + 1) % n for i in range(n)])
+                    lam = 0.01
 
-                def compute(return_grads=False):
-                    c_emb, c_tape = encoder_forward(ctx_layers, xc)
-                    i_emb, i_tape = encoder_forward(item_layers, xi)
-                    if loss_kind == "npairs":
-                        res = npairs_loss(c_emb, i_emb)
-                    elif loss_kind == "relaxed":
-                        res = relaxed_npairs_loss(c_emb, i_emb, ids)
-                    elif loss_kind == "reg":
-                        res = l2_reg(c_emb, i_emb, lam)
-                    elif loss_kind == "jcce":
-                        res = jcce_objective(c_emb, i_emb, lam)
-                    elif loss_kind == "rjcce":
-                        res = rjcce_objective(c_emb, i_emb, ids, lam)
-                    else:
-                        res = bpr_loss(c_emb, i_emb, negs, lam)
-                    if not return_grads:
-                        return res.value
-                    grads = encoder_backward(c_tape, res.grad_anchors)
-                    return grads + encoder_backward(i_tape, res.grad_positives)
+                    def compute(return_grads=False):
+                        c_emb, c_tape = encoder_forward(ctx_layers, xc)
+                        i_emb, i_tape = encoder_forward(item_layers, xi)
+                        if loss_kind == "npairs":
+                            res = npairs_loss(c_emb, i_emb)
+                        elif loss_kind == "relaxed":
+                            res = relaxed_npairs_loss(c_emb, i_emb, ids)
+                        elif loss_kind == "reg":
+                            res = l2_reg(c_emb, i_emb, lam)
+                        elif loss_kind == "jcce":
+                            res = jcce_objective(c_emb, i_emb, lam)
+                        elif loss_kind == "rjcce":
+                            res = rjcce_objective(c_emb, i_emb, ids, lam)
+                        else:
+                            res = bpr_loss(c_emb, i_emb, negs, lam)
+                        if not return_grads:
+                            return res.value
+                        grads = encoder_backward(c_tape, res.grad_anchors)
+                        return grads + encoder_backward(i_tape, res.grad_positives)
 
-                params = []
-                for layer in ctx_layers + item_layers:
-                    params.extend([layer.weights, layer.biases])
-                analytic = np.concatenate(
-                    [np.ravel(g) for g in compute(return_grads=True)]
-                )
-                numeric = np.concatenate(
-                    [np.ravel(g) for g in finite_difference(lambda _: compute(), params)]
-                )
-                # floor above central-difference noise (~1e-11) so gradients
-                # that are structurally zero don't register as mismatches
-                denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
-                worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
-                instances += 1
+                    params = []
+                    for layer in ctx_layers + item_layers:
+                        params.extend([layer.weights, layer.biases])
+                    analytic = np.concatenate(
+                        [np.ravel(g) for g in compute(return_grads=True)]
+                    )
+                    numeric = np.concatenate(
+                        [np.ravel(g) for g in finite_difference(lambda _: compute(), params)]
+                    )
+                    # floor above central-difference noise (~1e-11) so gradients
+                    # that are structurally zero don't register as mismatches
+                    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
+                    worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
+                    instances += 1
     elapsed = time.monotonic() - t0
     ok = instances >= 20 and worst < 1e-4 and elapsed < 30.0
     verdict(

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import contextrec
 from contextrec.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -13,6 +18,9 @@ from contextrec.cli import (
     load_run_config,
     main,
 )
+from contextrec.serialization import write_dataset
+
+from conftest import wide_log
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +132,32 @@ class TestTrain:
         )
         assert code == EXIT_OK
         assert ckpt.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_wide_checkpoint_same_under_hash_seeds(self, tmp_path, threads):
+        # the cells path's bits do not follow string hashing; each run is a
+        # fresh interpreter. Thread counts are compared each with itself: the
+        # hidden layers' products sum in another order on more threads.
+        write_dataset(wide_log(co_viewers=True), tmp_path / "wide.jsonl")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"min_item_count": 1, "batch_size": 32, "max_steps": 6, "eval_every": 3}
+        ))
+        src = str(Path(contextrec.__file__).resolve().parent.parent)
+        checkpoints = []
+        for hash_seed in ("1", "2"):
+            ckpt = tmp_path / f"hash{hash_seed}.json"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": src}
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from contextrec.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "train", "--config", str(config),
+                 "--dataset", str(tmp_path / "wide.jsonl"), "--checkpoint", str(ckpt),
+                 "--objective", "rjcce"],
+                env=env, check=True, timeout=120, capture_output=True,
+            )
+            checkpoints.append(ckpt.read_bytes())
+        assert checkpoints[0] == checkpoints[1]
 
     def test_missing_dataset_exit_code(self, workspace, tmp_path):
         _, config_path, _, _ = workspace

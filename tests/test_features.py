@@ -2,6 +2,7 @@ import copy
 import pickle
 import weakref
 from dataclasses import FrozenInstanceError
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from contextrec.features import (
     vectorize_item,
 )
 from contextrec.model import catalog_from_log
+from contextrec.nn_core import Cells
 from contextrec.sampling import content_pools
 
 
@@ -333,6 +335,21 @@ class TestVectorizeProperties:
                 if hits:
                     assert len(set(row[list(hits)])) == 1
                     assert row.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(deadline=None)
+    @given(schema_and_batch())
+    def test_cells_hold_the_dense_matrix(self, case):
+        # above SPARSE_WIDTH the same cells come back sorted, never densified
+        schema, batch = case
+        dense = vectorize_context(batch, schema)
+        with mock.patch.object(features, "SPARSE_WIDTH", 1):
+            cells = vectorize_context(batch, schema)
+        assert isinstance(cells, Cells) and cells.shape == dense.shape
+        keys = cells.rows * dense.shape[1] + cells.cols
+        assert np.all(keys[1:] > keys[:-1])
+        rebuilt = np.zeros(dense.shape)
+        rebuilt[cells.rows, cells.cols] = cells.values
+        assert rebuilt.tobytes() == dense.tobytes()
 
     @settings(deadline=None)
     @given(schema_and_batch(), st.data())

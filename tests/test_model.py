@@ -17,7 +17,9 @@ from contextrec.model import (
     rank_scores,
     recommend,
 )
-from contextrec.nn_core import LayerParams, make_rng
+from contextrec.nn_core import Cells, LayerParams, make_rng
+
+from conftest import one_hot, wide_log
 
 
 def event(user, genre, t=0.0):
@@ -56,6 +58,17 @@ def linear_model(schema, w_ctx=None, b_ctx=None, w_item=None, b_item=None, e=2):
         ],
         config=EncoderConfig(architecture="linear", embedding_dim=e),
     )
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """A model whose towers both take cells, and its catalog's items."""
+    log = wide_log()
+    schema = build_schema(log)
+    model = TwoTowerModel.initialize(
+        schema, EncoderConfig(embedding_dim=6, hidden_widths=(16,)), make_rng(21)
+    )
+    return model, catalog_from_log(log)
 
 
 def brute_force_ranking(ctx, rows):
@@ -147,6 +160,16 @@ class TestCatalog:
         with pytest.raises(ValueError):
             precompute_catalog(model, [{"genre": "g0"}, {"genre": "g0"}])
 
+    def test_wide_rows_match_dense_one_hot(self, wide):
+        # each catalog row is bit for bit the embedding of its dense vector
+        model, items = wide
+        (spec,) = model.schema.item_specs
+        assert isinstance(vectorize_item(items[:1], model.schema), Cells)
+        catalog = precompute_catalog(model, items)
+        for j, it in enumerate(items):
+            dense = one_hot(it["genre"], spec)
+            assert np.array_equal(catalog.embeddings[j], embed_item(model, dense))
+
     def test_catalog_from_log_distinct_sorted(self):
         log = [event("u", "g2"), event("u", "g1"), event("u", "g2")]
         assert catalog_from_log(log) == [{"genre": "g1"}, {"genre": "g2"}]
@@ -185,6 +208,20 @@ class TestRecommend:
             # oracle: fresh embedding per item, stable sort by -cosine
             ctx = embed_context(model, vectorize_context([ev], schema)[0])
             rows = [embed_item(model, vectorize_item([it], schema)[0]) for it in items]
+            assert list(got) == brute_force_ranking(ctx, rows)
+
+    def test_wide_matches_brute_force_oracle(self, wide):
+        # criterion 08 on cells: the ranking equals one from dense vectors
+        model, items = wide
+        (ctx_spec,), (item_spec,) = model.schema.context_specs, model.schema.item_specs
+        catalog = precompute_catalog(model, items)
+        rows = [embed_item(model, one_hot(it["genre"], item_spec)) for it in items]
+        rng = make_rng(22)
+        users = [f"u{i:05d}" for i in rng.choice(len(items), size=20)] + ["unseen"]
+        for user in users:
+            ev = event(user, "g00000")
+            got = recommend(model, ev, catalog).ranked_item_indices
+            ctx = embed_context(model, one_hot(user, ctx_spec))
             assert list(got) == brute_force_ranking(ctx, rows)
 
     def test_mixed_catalog_with_zero_row_matches_oracle(self, schema):

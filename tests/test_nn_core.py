@@ -5,6 +5,7 @@ import pytest
 
 from contextrec.nn_core import (
     AdamState,
+    Cells,
     LayerParams,
     ShapeError,
     adam_step,
@@ -17,7 +18,7 @@ from contextrec.nn_core import (
     xavier_init,
 )
 
-from conftest import finite_difference, relative_error
+from conftest import cells_of, finite_difference, relative_error, sparse_rows
 
 
 # id: (check_range arguments, message): the three wordings, each refusing
@@ -187,22 +188,23 @@ class TestEncoderForwardBackward:
             encoder_backward(tape, np.ones(3))
 
     def test_gradient_vs_finite_differences(self, rng):
-        layers = init_layers([5, 6, 4, 3], rng)
-        x = rng.normal(size=(2, 5))
-        target = rng.normal(size=(2, 3))
+        # a dense input, then cells fed to the first layer
+        for x in (rng.normal(size=(2, 5)), cells_of(sparse_rows(rng, 4, 9))):
+            layers = init_layers([x.shape[1], 6, 4, 3], rng)
+            target = rng.normal(size=(x.shape[0], 3))
 
-        params = []
-        for layer in layers:
-            params.extend([layer.weights, layer.biases])
+            params = []
+            for layer in layers:
+                params.extend([layer.weights, layer.biases])
 
-        def loss(_):
-            emb, _ = encoder_forward(layers, x)
-            return 0.5 * float(np.sum((emb - target) ** 2))
+            def loss(_):
+                emb, _ = encoder_forward(layers, x)
+                return 0.5 * float(np.sum((emb - target) ** 2))
 
-        emb, tape = encoder_forward(layers, x)
-        analytic = encoder_backward(tape, emb - target)
-        numeric = finite_difference(loss, params)
-        assert relative_error(analytic, numeric) < 1e-4
+            emb, tape = encoder_forward(layers, x)
+            analytic = encoder_backward(tape, emb - target)
+            numeric = finite_difference(loss, params)
+            assert relative_error(analytic, numeric) < 1e-4
 
     def test_dropout_gradient_with_fixed_mask(self):
         # identical seed per forward replays the same mask, so FD is exact
@@ -226,6 +228,79 @@ class TestEncoderForwardBackward:
         layers = init_layers([5, 4], rng)
         with pytest.raises(ShapeError):
             encoder_forward(layers, rng.normal(size=6))
+
+
+def close(a, b, rel=1e-12):
+    """a matches b to within rel of b's largest magnitude."""
+    return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+class TestCellsLayer:
+    """The first layer fed cells against the same input as a dense matrix."""
+
+    @pytest.fixture
+    def layers(self, rng):
+        layers = init_layers([40, 7, 3], rng)
+        for layer in layers:  # nonzero biases, so an empty row shows the bias
+            layer.biases[:] = rng.normal(size=layer.biases.shape)
+        return layers
+
+    def test_one_cell_rows_bit_identical(self, layers, rng):
+        x = np.zeros((30, 40))
+        x[np.arange(30), rng.integers(40, size=30)] = [1.0] * 15 + list(rng.random(15))
+        x[[0, 11, 29]] = 0.0  # rows with no cell, first, inside and last
+        dense, dense_tape = encoder_forward(layers, x)
+        cells, cells_tape = encoder_forward(layers, cells_of(x))
+        assert np.array_equal(cells_tape.pre_activations[0], dense_tape.pre_activations[0])
+        assert np.array_equal(cells, dense)
+
+    def test_one_row_vector_bit_identical(self, layers, rng):
+        x = np.zeros((5, 40))
+        x[np.arange(4), rng.integers(40, size=4)] = rng.random(4)
+        cells = cells_of(x)
+        for i in range(5):
+            assert cells[i].shape == (40,)
+            assert np.array_equal(encoder_forward(layers, cells[i])[0],
+                                  encoder_forward(layers, x[i])[0])
+
+    def test_multi_cell_rows_close(self, layers, rng):
+        x = sparse_rows(rng, 50, 40, max_cells=6)
+        dense, dense_tape = encoder_forward(layers, x)
+        cells, cells_tape = encoder_forward(layers, cells_of(x))
+        assert close(cells, dense)
+        g = rng.normal(size=dense.shape)
+        dense_grads = encoder_backward(dense_tape, g)
+        cells_grads = encoder_backward(cells_tape, g)
+        assert cells_grads[0].shape == (7, 40)
+        for a, b in zip(cells_grads, dense_grads):
+            assert close(a, b)
+
+    def test_empty_rows_give_the_bias(self, layers, rng):
+        x = sparse_rows(rng, 8, 40)
+        x[[0, 3, 4, 7]] = 0.0
+        _, tape = encoder_forward(layers, cells_of(x))
+        z = tape.pre_activations[0]
+        for r in (0, 3, 4, 7):
+            assert np.array_equal(z[r], layers[0].biases)
+        empty = Cells((3, 40), np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))
+        _, tape = encoder_forward(layers, empty)
+        assert np.array_equal(tape.pre_activations[0], np.tile(layers[0].biases, (3, 1)))
+        g = rng.normal(size=(3, 3))
+        assert np.array_equal(encoder_backward(tape, g)[0], np.zeros((7, 40)))
+
+    def test_width_mismatch_rejected(self, layers, rng):
+        wide = cells_of(sparse_rows(rng, 4, 41))
+        with pytest.raises(ShapeError):
+            encoder_forward(layers, wide)
+        with pytest.raises(ShapeError):
+            encoder_forward(layers, wide[0])
+
+    def test_row_out_of_range(self, rng):
+        cells = cells_of(sparse_rows(rng, 4, 10))
+        with pytest.raises(IndexError):
+            cells[4]
+        with pytest.raises(IndexError):
+            cells[0][0]
 
 
 class TestAdam:

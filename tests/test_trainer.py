@@ -9,9 +9,13 @@ import pytest
 from contextrec import losses, trainer
 from contextrec.datagen import GeneratorConfig, filter_log, generate
 from contextrec.features import ViewingEvent, build_schema
-from contextrec.nn_core import make_rng
+from contextrec.model import EncoderConfig
+from contextrec.nn_core import Cells, make_rng
 from contextrec.sampling import NoAdmissibleNegative
+from contextrec.serialization import save_checkpoint
 from contextrec.trainer import TrainConfig, ablate_to_single_viewer, train
+
+from conftest import wide_log
 
 
 def toy_log(n_contents=4, per_content=12):
@@ -68,6 +72,25 @@ class TestTrain:
         for p1, p2 in zip(m1.parameters(), m2.parameters()):
             assert np.array_equal(p1, p2)
         assert h1.records == h2.records
+
+    def test_wide_checkpoint_byte_identical(self, tmp_path, monkeypatch):
+        # both towers train on cells; one seed gives one checkpoint's bytes
+        log = wide_log()
+        schema = build_schema(log)
+        cfg = TrainConfig(objective="rjcce", batch_size=64, max_steps=6, eval_every=3, seed=4)
+        inputs = []
+        forward = trainer.encoder_forward
+
+        def recording_forward(layers, x, *args):
+            inputs.append(x)
+            return forward(layers, x, *args)
+
+        monkeypatch.setattr(trainer, "encoder_forward", recording_forward)
+        for name in ("a.json", "b.json"):
+            model, _ = train(log, schema, cfg, EncoderConfig(embedding_dim=8, hidden_widths=(16,)))
+            save_checkpoint(model, tmp_path / name, objective="rjcce", seed=4)
+        assert inputs and all(isinstance(x, Cells) for x in inputs)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_best_checkpoint_restored(self):
         log = toy_log()
