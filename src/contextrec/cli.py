@@ -110,13 +110,21 @@ def _dataclass_config(cls, cfg: dict):
 
 
 def _catalog(model, train_log):
-    """The model's catalog of the train split's distinct items."""
+    """The model's catalog of the train split's distinct items; a data error
+    when they all embed alike, as when none of their values is in the
+    checkpoint's vocabulary, since every ranking would then be one tie."""
     items = catalog_from_log(train_log)
     if len(items) < 2:
         raise serialization.FormatError(
             f"the train split holds {len(items)} distinct item(s); a catalog needs at least 2"
         )
-    return precompute_catalog(model, items)
+    catalog = precompute_catalog(model, items)
+    if (catalog.embeddings == catalog.embeddings[0]).all():
+        raise serialization.FormatError(
+            f"all {len(items)} catalog items have the same embedding, so every score ties; "
+            "is the dataset the one the checkpoint was trained on?"
+        )
+    return catalog
 
 
 def _prepared_split(cfg: dict, dataset_path: str):

@@ -1,13 +1,15 @@
 """Stable, versioned file formats: dataset, checkpoint, CSV tables.
 
 Datasets are line-delimited JSON (one event per line, sorted keys);
-checkpoints are a single versioned JSON document carrying the config,
-schema and all parameter arrays as decimal text. Identical inputs always
+checkpoints are a single versioned JSON document carrying the config and
+schema as JSON and each parameter array as its shape and the base64 text
+of its C-order little-endian float64 bytes. Identical inputs always
 serialize byte-identically.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -22,7 +24,8 @@ from .features import FeatureSchema, FeatureSpec, ViewingEvent
 from .model import EncoderConfig, TwoTowerModel
 from .nn_core import LayerParams
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_FLOAT64_LE = np.dtype("<f8")
 
 
 class FormatError(ValueError):
@@ -160,39 +163,89 @@ def _schema_from_json(doc: dict) -> FeatureSchema:
     return FeatureSchema(**{name: specs(rows) for name, rows in doc.items()})
 
 
-def _layers_to_json(layers: list[LayerParams]) -> list:
-    return [
-        {
-            "weights": layer.weights.tolist(),
-            "biases": layer.biases.tolist(),
+def encode_array(a: np.ndarray) -> dict:
+    """{"shape", "data"}: data is the base64 of the array's C-order
+    little-endian float64 bytes."""
+    raw = np.ascontiguousarray(a, dtype=_FLOAT64_LE).tobytes()
+    return {"shape": list(a.shape), "data": base64.b64encode(raw).decode("ascii")}
+
+
+def decode_array(doc, ndim: int) -> np.ndarray:
+    """The array of an encode_array object of rank `ndim`, as an owned,
+    writeable, C-contiguous native float64 array; FormatError unless the
+    shape, the base64 and its length agree and every value is finite."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"expected an object with shape and data, got {type(doc).__name__}")
+    shape, data = doc["shape"], doc["data"]
+    if not (type(shape) is list and len(shape) == ndim
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise FormatError(f"shape must be a list of {ndim} non-negative integers, got {shape!r}")
+    if type(data) is not str:
+        raise FormatError(f"data must be a base64 string, got {type(data).__name__}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise FormatError(f"data is not base64: {exc}") from None
+    needed = 8 * math.prod(shape)
+    if len(raw) != needed:
+        raise FormatError(f"data holds {len(raw)} bytes; shape {shape} needs {needed}")
+    out = np.frombuffer(raw, dtype=_FLOAT64_LE).reshape(shape).astype(np.float64)
+    if not np.isfinite(out).all():
+        raise FormatError("data holds a non-finite value")
+    return out
+
+
+def _layers_to_json(tower: str, layers: list[LayerParams]) -> list:
+    out = []
+    for i, layer in enumerate(layers):
+        for part in ("weights", "biases"):
+            if not np.isfinite(getattr(layer, part)).all():
+                raise ValueError(
+                    f"{tower} layer {i} {part} hold a non-finite value; "
+                    "such values are not JSON compliant and no checkpoint stores them"
+                )
+        out.append({
+            "weights": encode_array(layer.weights),
+            "biases": encode_array(layer.biases),
             "activation": layer.activation,
-        }
-        for layer in layers
-    ]
+        })
+    return out
 
 
-def _layers_from_json(doc: list) -> list[LayerParams]:
-    return [
-        LayerParams(
-            weights=np.asarray(d["weights"], dtype=np.float64),
-            biases=np.asarray(d["biases"], dtype=np.float64),
-            activation=d["activation"],
-        )
-        for d in doc
-    ]
+def _layers_from_json(tower: str, doc: list, widths: list[int]) -> list[LayerParams]:
+    """The tower's layers; each must map widths[i] inputs to widths[i + 1]."""
+    if type(doc) is not list or len(doc) != len(widths) - 1:
+        raise FormatError(f"{tower} must be a list of {len(widths) - 1} layers")
+    layers = []
+    for i, d in enumerate(doc):
+        arrays = {}
+        for part, shape in (("weights", [widths[i + 1], widths[i]]), ("biases", [widths[i + 1]])):
+            try:
+                arrays[part] = decode_array(d[part], len(shape))
+            except FormatError as exc:
+                raise FormatError(f"{tower} layer {i} {part}: {exc}") from None
+            if list(arrays[part].shape) != shape:
+                raise FormatError(
+                    f"{tower} layer {i} {part} have shape {list(arrays[part].shape)}; "
+                    f"the schema and encoder_config give {shape}"
+                )
+        layers.append(LayerParams(**arrays, activation=d["activation"]))
+    return layers
 
 
 def save_checkpoint(
     model: TwoTowerModel, path, objective: str = "", seed: int = 0
 ) -> None:
+    """Write `model` as one checkpoint document; a non-finite parameter
+    raises ValueError and leaves `path` as it was."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "objective": objective,
         "seed": seed,
         "encoder_config": dataclasses.asdict(model.config),
         "schema": dataclasses.asdict(model.schema),
-        "context_encoder": _layers_to_json(model.context_encoder),
-        "item_encoder": _layers_to_json(model.item_encoder),
+        "context_encoder": _layers_to_json("context_encoder", model.context_encoder),
+        "item_encoder": _layers_to_json("item_encoder", model.item_encoder),
     }
     with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -201,23 +254,34 @@ def save_checkpoint(
 def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
     """Returns (model, metadata with objective and seed).
 
-    A file that is not a complete checkpoint raises FormatError naming it.
+    A file that is not a complete checkpoint of this format version, or
+    whose layers do not chain from the schema's widths through the encoder
+    config to the embedding size, raises FormatError naming it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         version = doc.get("format_version")
         if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint format_version: {version!r}")
+            raise FormatError(
+                f"unsupported checkpoint format_version: {version!r}; this version reads "
+                f"format {CHECKPOINT_VERSION} only, so re-run `contextrec train` to write one"
+            )
         cfg = doc["encoder_config"]
+        config = EncoderConfig(**{**cfg, "hidden_widths": tuple(cfg["hidden_widths"])})
+        schema = _schema_from_json(doc["schema"])
         model = TwoTowerModel(
-            schema=_schema_from_json(doc["schema"]),
-            context_encoder=_layers_from_json(doc["context_encoder"]),
-            item_encoder=_layers_from_json(doc["item_encoder"]),
-            config=EncoderConfig(**{**cfg, "hidden_widths": tuple(cfg["hidden_widths"])}),
+            schema=schema,
+            context_encoder=_layers_from_json(
+                "context_encoder", doc["context_encoder"], config.widths(schema.context_width)),
+            item_encoder=_layers_from_json(
+                "item_encoder", doc["item_encoder"], config.widths(schema.item_width)),
+            config=config,
         )
     except KeyError as exc:
         raise FormatError(f"checkpoint {path} lacks key {exc}") from exc
+    except FormatError as exc:
+        raise FormatError(f"checkpoint {path}: {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint {path} is malformed: {exc}") from exc
     return model, {"objective": doc.get("objective"), "seed": doc.get("seed")}

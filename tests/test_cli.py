@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import contextrec
@@ -436,29 +438,27 @@ def _mean_age_literal(literal):
     return write
 
 
+# a context of the generated schema: the context document a row reads
+# unless it writes its own
+CONTEXT = {
+    "activity": "live", "day_of_week": "0mon", "female_fraction": 0.0,
+    "group_size": 1.0, "guest_count": "0", "hour_of_day": "20",
+    "mean_age": 40.0, "region": "north", "tv_location": "bedroom",
+    "viewer_ids": ["u0001"],
+}
+
+
 def _context_nan_group_size(path, _original):
-    # a context of the generated schema, so only the NaN is wrong
-    context = {
-        "activity": "live", "day_of_week": "0mon", "female_fraction": 0.0,
-        "group_size": "<nan>", "guest_count": "0", "hour_of_day": "20",
-        "mean_age": 40.0, "region": "north", "tv_location": "bedroom",
-        "viewer_ids": ["u0001"],
-    }
+    # only the NaN is wrong
+    context = {**CONTEXT, "group_size": "<nan>"}
     path.write_text(json.dumps({"context": context}).replace('"<nan>"', "NaN"))
 
 
 def _context_with(name, value):
-    """Writer of a context document of the generated schema with one value
-    replaced."""
+    """Writer of the context document with one value replaced."""
 
     def write(path, _original):
-        context = {
-            "activity": "live", "day_of_week": "0mon", "female_fraction": 0.0,
-            "group_size": 1.0, "guest_count": "0", "hour_of_day": "20",
-            "mean_age": 40.0, "region": "north", "tv_location": "bedroom",
-            "viewer_ids": ["u0001"], name: value,
-        }
-        path.write_text(json.dumps({"context": context}))
+        path.write_text(json.dumps({"context": {**CONTEXT, name: value}}))
 
     return write
 
@@ -490,12 +490,22 @@ def _line_6_with(part, name, value):
     return write
 
 
+def _encode(a):
+    """A parameter array in checkpoint format 2, by this file's own codec."""
+    a = np.asarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _decode(d):
+    return np.frombuffer(base64.b64decode(d["data"]), dtype="<f8").reshape(d["shape"])
+
+
 def _zero_context_tower(path, original):
     # the context tower's last layer maps everything to the zero vector
     doc = json.loads(original.read_text())
     last = doc["context_encoder"][-1]
-    last["weights"] = [[0.0] * len(row) for row in last["weights"]]
-    last["biases"] = [0.0] * len(last["biases"])
+    last["weights"] = _encode(np.zeros_like(_decode(last["weights"])))
+    last["biases"] = _encode(np.zeros_like(_decode(last["biases"])))
     path.write_text(json.dumps(doc))
 
 
@@ -576,9 +586,57 @@ def _checkpoint_without_schema(path, original):
 
 
 def _checkpoint_with_text_weights(path, original):
+    # format 1's decimal text inside a format 2 document, one entry a word
     doc = json.loads(original.read_text())
-    doc["item_encoder"][0]["weights"][0][0] = "heavy"
+    weights = _decode(doc["item_encoder"][0]["weights"]).tolist()
+    weights[0][0] = "heavy"
+    doc["item_encoder"][0]["weights"] = weights
     path.write_text(json.dumps(doc))
+
+
+def _layer_0_array(tower, part, edit):
+    """Writer of the checkpoint with layer 0's encoded `part` array of
+    `tower` replaced by edit(that object)."""
+
+    def write(path, original):
+        doc = json.loads(original.read_text())
+        layer = doc[tower][0]
+        layer[part] = edit(layer[part])
+        path.write_text(json.dumps(doc))
+
+    return write
+
+
+def _first_value(value):
+    def edit(d):
+        a = _decode(d).copy()
+        a.flat[0] = value
+        return _encode(a)
+
+    return edit
+
+
+def _checkpoint_format_1(path, original):
+    # what format 1 wrote: every parameter array as nested decimal lists
+    doc = json.loads(original.read_text())
+    for tower in ("context_encoder", "item_encoder"):
+        for layer in doc[tower]:
+            for part in ("weights", "biases"):
+                layer[part] = _decode(layer[part]).tolist()
+    doc["format_version"] = 1
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+
+
+def _region_vocabulary_one_short(path, original):
+    doc = json.loads(original.read_text())
+    (region,) = [s for s in doc["schema"]["context_specs"] if s["name"] == "region"]
+    region["vocabulary"].pop()
+    path.write_text(json.dumps(doc))
+
+
+def _every_genre_renamed(path, original):
+    # the same events, but no item value is in the checkpoint's vocabulary
+    path.write_text(original.read_text().replace('"genre":"g', '"genre":"renamed-g'))
 
 
 TRAIN_ARGS = ["train", "--config", "{config}", "--dataset", "{dataset}", "--checkpoint", "{out}"]
@@ -952,7 +1010,74 @@ BOUNDARY_CASES = {
     ),
     "eval_checkpoint_text_weights": (
         {}, EVAL_ARGS, ("checkpoint", _checkpoint_with_text_weights), EXIT_DATA,
-        "data error: checkpoint {checkpoint} is malformed: could not convert string to float",
+        "data error: checkpoint {checkpoint}: item_encoder layer 0 weights: expected an object "
+        "with shape and data, got list",
+    ),
+    "eval_checkpoint_payload_not_base64": (
+        {}, EVAL_ARGS,
+        ("checkpoint", _layer_0_array("item_encoder", "weights",
+                                      lambda d: {**d, "data": "*" + d["data"][1:]})),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint}: item_encoder layer 0 weights: data is not base64",
+    ),
+    "eval_checkpoint_payload_one_value_short": (
+        {}, EVAL_ARGS,
+        ("checkpoint", _layer_0_array("context_encoder", "weights",
+                                      lambda d: {**_encode(_decode(d).ravel()[1:]),
+                                                 "shape": d["shape"]})),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint}: context_encoder layer 0 weights: data holds ",
+    ),
+    "eval_checkpoint_negative_shape": (
+        {}, EVAL_ARGS,
+        ("checkpoint", _layer_0_array("context_encoder", "weights",
+                                      lambda d: {**d, "shape": [d["shape"][0], -d["shape"][1]]})),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint}: context_encoder layer 0 weights: shape must be a "
+        "list of 2 non-negative integers, got [",
+    ),
+    "eval_checkpoint_bias_of_rank_2": (
+        {}, EVAL_ARGS,
+        ("checkpoint", _layer_0_array("item_encoder", "biases",
+                                      lambda d: {**d, "shape": [*d["shape"], 1]})),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint}: item_encoder layer 0 biases: shape must be a "
+        "list of 1 non-negative integers, got [",
+    ),
+    "eval_checkpoint_nan_weight": (
+        {}, EVAL_ARGS,
+        ("checkpoint", _layer_0_array("context_encoder", "weights", _first_value(np.nan))),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint}: context_encoder layer 0 weights: data holds a "
+        "non-finite value",
+    ),
+    "recommend_checkpoint_infinite_bias": (
+        {}, RECOMMEND_ARGS,
+        ("checkpoint", _layer_0_array("item_encoder", "biases", _first_value(-np.inf))),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint}: item_encoder layer 0 biases: data holds a "
+        "non-finite value",
+    ),
+    "eval_checkpoint_format_version_1": (
+        {}, EVAL_ARGS, ("checkpoint", _checkpoint_format_1), EXIT_DATA,
+        "data error: checkpoint {checkpoint}: unsupported checkpoint format_version: 1; "
+        "this version reads format 2 only, so re-run `contextrec train` to write one",
+    ),
+    "recommend_checkpoint_vocabulary_short_of_layer_0": (
+        {}, RECOMMEND_ARGS, ("checkpoint", _region_vocabulary_one_short), EXIT_DATA,
+        "data error: checkpoint {checkpoint}: context_encoder layer 0 weights have shape [",
+    ),
+    "eval_every_genre_renamed": (
+        {}, EVAL_ARGS, ("dataset", _every_genre_renamed), EXIT_DATA,
+        "data error: all 8 catalog items have the same embedding, so every score ties",
+    ),
+    "recommend_every_genre_renamed": (
+        {}, RECOMMEND_ARGS, ("dataset", _every_genre_renamed), EXIT_DATA,
+        "data error: all 8 catalog items have the same embedding, so every score ties",
+    ),
+    "analyze_simmatrix_every_genre_renamed": (
+        {}, SIMMATRIX_ARGS, ("dataset", _every_genre_renamed), EXIT_DATA,
+        "data error: all 8 catalog items have the same embedding, so every score ties",
     ),
 }
 
@@ -965,7 +1090,7 @@ def test_boundary_exit_codes(workspace, tmp_path, capsys, case):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**json.loads(config_path.read_text()), **overrides}))
     context = tmp_path / "ctx.json"
-    context.write_text(json.dumps({"context": _record(0)["context"]}))
+    context.write_text(json.dumps({"context": CONTEXT}))
     out = tmp_path / "out"
     paths = dict(config=config, dataset=dataset, checkpoint=ckpt, context=context, out=out)
     if writer is not None:

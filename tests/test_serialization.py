@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from contextrec.datagen import GeneratorConfig, generate
 from contextrec.features import ViewingEvent, build_schema, vectorize_context, vectorize_item
@@ -17,6 +19,8 @@ from contextrec import serialization
 from contextrec.serialization import (
     FormatError,
     atomic_write,
+    decode_array,
+    encode_array,
     load_checkpoint,
     read_dataset,
     save_checkpoint,
@@ -213,6 +217,12 @@ class TestDataset:
         assert len({id(e.item_attributes) for e in log}) == 5  # only lines 1 and 6 merge
 
 
+EDGE_FLOATS = st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308]
+)
+
+
 def tiny_model():
     log = [
         ViewingEvent({"genre": f"g{j}"}, {"user": f"u{j}", "size": float(j)}, float(j), 9.0)
@@ -222,6 +232,9 @@ def tiny_model():
     config = EncoderConfig(architecture="mlp", hidden_widths=(8,), embedding_dim=5)
     model = TwoTowerModel.initialize(schema, config, make_rng(3))
     return log, schema, model
+
+
+PARAMETER_COUNT = sum(p.size for p in tiny_model()[2].parameters())
 
 
 class TestCheckpoint:
@@ -285,6 +298,109 @@ class TestCheckpoint:
         save_checkpoint(model, p1, objective="rjcce", seed=1)
         save_checkpoint(model, p2, objective="rjcce", seed=1)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(deadline=None)
+    @given(arrays(np.float64, PARAMETER_COUNT, elements=EDGE_FLOATS | FINITE))
+    def test_round_trip_bit_exact_property(self, values):
+        _, _, model = tiny_model()
+        offset = 0
+        for p in model.parameters():
+            p.flat[:] = values[offset:offset + p.size]
+            offset += p.size
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
+            save_checkpoint(model, first, objective="bpr", seed=7)
+            loaded, _ = load_checkpoint(first)
+            for a, b in zip(model.parameters(), loaded.parameters(), strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            save_checkpoint(loaded, second, objective="bpr", seed=7)
+            assert first.read_bytes() == second.read_bytes()
+
+    def test_format_pinned(self, tmp_path):
+        # the saved document, read with this file's own decoder
+        _, _, model = tiny_model()
+        model.context_encoder[0].weights[0, :3] = [-0.0, 5e-324, -1.7976931348623157e308]
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path, objective="jcce", seed=4)
+        text = path.read_text(encoding="ascii")
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert doc["format_version"] == 2
+        assert (doc["objective"], doc["seed"]) == ("jcce", 4)
+        for tower in ("context_encoder", "item_encoder"):
+            layers = getattr(model, tower)
+            assert len(doc[tower]) == len(layers)
+            for d, layer in zip(doc[tower], layers):
+                assert d["activation"] == layer.activation
+                for part in ("weights", "biases"):
+                    assert set(d[part]) == {"shape", "data"}
+                    want = getattr(layer, part)
+                    got = np.frombuffer(base64.b64decode(d[part]["data"], validate=True), "<f8")
+                    assert got.reshape(d[part]["shape"]).shape == want.shape
+                    assert got.tobytes() == np.ascontiguousarray(want, "<f8").tobytes()
+
+    def test_loaded_arrays_owned_writeable_native(self, tmp_path):
+        _, _, model = tiny_model()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        loaded, _ = load_checkpoint(path)
+        for a in loaded.parameters():
+            assert a.dtype == np.float64 and a.dtype.isnative
+            assert a.flags.writeable and a.flags.c_contiguous and a.flags.owndata
+
+    def test_bias_one_short_rejected(self, tmp_path):
+        _, _, model = tiny_model()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        biases = doc["item_encoder"][1]["biases"]
+        short = np.frombuffer(base64.b64decode(biases["data"]), "<f8")[:-1]
+        biases.update(shape=[short.size], data=base64.b64encode(short.tobytes()).decode())
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"item_encoder layer 1 biases have shape \[4\]; "
+                                              r"the schema and encoder_config give \[5\]"):
+            load_checkpoint(path)
+
+    def test_layer_count_checked(self, tmp_path):
+        _, _, model = tiny_model()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        del doc["context_encoder"][1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="context_encoder must be a list of 2 layers"):
+            load_checkpoint(path)
+
+
+class TestArrayCodec:
+    def test_round_trip(self):
+        for a in (np.arange(6.0).reshape(2, 3), np.zeros((0, 4)), np.array([-0.0, 5e-324])):
+            back = decode_array(encode_array(a), a.ndim)
+            assert back.shape == a.shape and back.tobytes() == a.tobytes()
+
+    def test_non_contiguous_input_written_in_c_order(self):
+        a = np.arange(6.0).reshape(2, 3)
+        assert decode_array(encode_array(a.T), 2).tobytes() == a.T.copy().tobytes()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1.0], "expected an object with shape and data, got list"),
+            ({"shape": [1], "data": "AAAAAAAA8D8="}, "shape must be a list of 2 non-negative"),
+            ({"shape": [1, -1], "data": ""}, "shape must be a list of 2 non-negative"),
+            ({"shape": [True, 1], "data": "AAAAAAAA8D8="}, "shape must be a list of 2"),
+            ({"shape": [1, 1], "data": 1.0}, "data must be a base64 string, got float"),
+            ({"shape": [1, 1], "data": "AAAAAAAA8D8"}, "data is not base64"),
+            ({"shape": [1, 1], "data": "AAAA AAAA8D8="}, "data is not base64"),
+            ({"shape": [1, 1], "data": "AAAAAAAA8D\u00e9="}, "data is not base64"),
+            ({"shape": [1, 2], "data": "AAAAAAAA8D8="}, r"holds 8 bytes; shape \[1, 2\] needs 16"),
+            ({"shape": [1, 1], "data": "AAAAAAAA+H8="}, "data holds a non-finite value"),
+            ({"shape": [1, 1], "data": "AAAAAAAA8P8="}, "data holds a non-finite value"),
+        ],
+    )
+    def test_bad_payload_rejected(self, doc, message):
+        with pytest.raises(FormatError, match=message):
+            decode_array(doc, 2)
 
 
 class TestCsvWriters:
