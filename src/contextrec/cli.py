@@ -19,6 +19,7 @@ from .datagen import GeneratorConfig, filter_log, generate, temporal_split
 from .features import SchemaError, ViewingEvent, build_schema, universe_indices
 from .model import catalog_from_log, precompute_catalog, recommend
 from .nn_core import check_range, make_rng
+from .sampling import SamplingError
 from .trainer import OBJECTIVES, TrainConfig, ablate_to_single_viewer, train
 
 EXIT_OK = 0
@@ -345,9 +346,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        serialization.FormatError, SchemaError, FileNotFoundError, IsADirectoryError
-    ) as exc:
+    except (serialization.FormatError, SchemaError, SamplingError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (FloatingPointError, analysis.DegenerateMeasure) as exc:

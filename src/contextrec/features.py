@@ -12,6 +12,7 @@ whose first layer skips the zeros.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -179,6 +180,18 @@ class FeatureSpec:
     vocabulary: tuple = ()  # categorical kinds, lexicographically sorted
     min: float = 0.0  # numeric kind
     max: float = 0.0
+
+    def __post_init__(self):
+        v = self.vocabulary
+        if self.kind not in _EXPECTED:
+            raise SchemaError(f"feature {self.name!r} has unknown kind {self.kind!r}")
+        if self.kind == KIND_NUMERIC and not -math.inf < self.min < self.max < math.inf:
+            raise SchemaError(f"numeric feature {self.name!r} needs finite min < max, "
+                              f"got {self.min!r} and {self.max!r}")
+        if self.kind != KIND_NUMERIC and not (type(v) is tuple and all(type(x) is str for x in v)
+                                              and all(a < b for a, b in zip(v, v[1:]))):
+            raise SchemaError(f"feature {self.name!r} vocabulary must be distinct strings "
+                              "in sorted order")
 
     @property
     def width(self) -> int:

@@ -28,25 +28,18 @@ from .features import (
 )
 from .nn_core import Cells, LayerParams, check_range, encoder_forward, init_layers
 
-ARCHITECTURES = ("linear", "mlp")
-
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    architecture: str = "mlp"
-    hidden_widths: tuple = (250, 250)
+    hidden_widths: tuple = (250, 250)  # () is the linear encoder
     embedding_dim: int = 50
 
     def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {self.architecture!r}")
         check_range("embedding_dim", self.embedding_dim, 1, integer=True)
         for i, width in enumerate(self.hidden_widths):
             check_range(f"hidden_widths[{i}]", width, 1, integer=True)
 
     def widths(self, input_width: int) -> list[int]:
-        if self.architecture == "linear":
-            return [input_width, self.embedding_dim]
         return [input_width, *self.hidden_widths, self.embedding_dim]
 
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "identity")
-
 
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator; identical seed gives an identical stream."""
@@ -81,8 +79,6 @@ class LayerParams:
             raise ShapeError(
                 f"bias length {self.biases.shape[0]} != output dim {self.weights.shape[0]}"
             )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def fan_in(self) -> int:
@@ -100,22 +96,23 @@ def xavier_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
 
-def init_layers(widths: list[int], rng: np.random.Generator) -> list[LayerParams]:
-    """Build a chain of layers from a width list [in, h1, ..., out].
+def chain_activations(n_layers: int) -> list[str]:
+    """Hidden layers relu, the last identity (a linear readout)."""
+    return ["relu"] * (n_layers - 1) + ["identity"]
 
-    Hidden layers are relu, the final layer identity (linear readout).
-    Biases start at zero.
-    """
+
+def chain_layers(arrays: list[np.ndarray]) -> list[LayerParams]:
+    """The layers of [W0, b0, W1, b1, ...], activations by chain_activations."""
+    activations = chain_activations(len(arrays) // 2)
+    return [LayerParams(w, b, a) for w, b, a in zip(arrays[::2], arrays[1::2], activations)]
+
+
+def init_layers(widths: list[int], rng: np.random.Generator) -> list[LayerParams]:
+    """A chain of layers from a width list [in, h1, ..., out], biases zero."""
     if len(widths) < 2:
         raise ValueError("need at least input and output widths")
-    return [
-        LayerParams(
-            weights=xavier_init(widths[i], widths[i + 1], rng),
-            biases=np.zeros(widths[i + 1]),
-            activation="identity" if i == len(widths) - 2 else "relu",
-        )
-        for i in range(len(widths) - 1)
-    ]
+    return chain_layers([a for n_in, n_out in zip(widths, widths[1:])
+                         for a in (xavier_init(n_in, n_out, rng), np.zeros(n_out))])
 
 
 def dropout(x: np.ndarray, rate: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -2,9 +2,10 @@
 
 Datasets are line-delimited JSON (one event per line, sorted keys);
 checkpoints are a single versioned JSON document carrying the config and
-schema as JSON and each parameter array as its shape and the base64 text
-of its C-order little-endian float64 bytes. Identical inputs always
-serialize byte-identically.
+schema as JSON and each parameter array, in TwoTowerModel.parameters()
+order, as the base64 text of its C-order little-endian float64 bytes. Its
+shape and its layer's activation follow from the schema and the config.
+Identical inputs always serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .features import FeatureSchema, FeatureSpec, ViewingEvent
+from .features import _MULTI_TYPES, FeatureSchema, FeatureSpec, ViewingEvent, _sorted_tuple
 from .model import EncoderConfig, TwoTowerModel
-from .nn_core import LayerParams
+from .nn_core import chain_activations, chain_layers
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _FLOAT64_LE = np.dtype("<f8")
 
 
@@ -33,13 +34,10 @@ class FormatError(ValueError):
 
 
 def attrs_to_json(attrs: dict) -> dict:
-    out = {}
-    for k, v in attrs.items():
-        if isinstance(v, (list, set, frozenset, tuple)):
-            out[k] = sorted(str(x) for x in v)
-        else:
-            out[k] = v
-    return out
+    """attrs with each multi-value a list of its elements, sorted as
+    canonical_key sorts them; SchemaError if they do not sort."""
+    return {k: list(_sorted_tuple(k, v)) if isinstance(v, _MULTI_TYPES) else v
+            for k, v in attrs.items()}
 
 
 def attrs_from_json(attrs: dict) -> dict:
@@ -157,95 +155,75 @@ def read_dataset(path) -> list[ViewingEvent]:
 
 
 def _schema_from_json(doc: dict) -> FeatureSchema:
-    def specs(rows: list) -> tuple:
-        return tuple(FeatureSpec(**{**d, "vocabulary": tuple(d["vocabulary"])}) for d in rows)
+    def spec(d: dict) -> FeatureSpec:
+        if type(d["vocabulary"]) is not list:
+            raise FormatError(f"feature {d['name']!r} vocabulary is not a JSON list")
+        return FeatureSpec(**{**d, "vocabulary": tuple(d["vocabulary"])})
 
-    return FeatureSchema(**{name: specs(rows) for name, rows in doc.items()})
-
-
-def encode_array(a: np.ndarray) -> dict:
-    """{"shape", "data"}: data is the base64 of the array's C-order
-    little-endian float64 bytes."""
-    raw = np.ascontiguousarray(a, dtype=_FLOAT64_LE).tobytes()
-    return {"shape": list(a.shape), "data": base64.b64encode(raw).decode("ascii")}
+    return FeatureSchema(**{name: tuple(map(spec, rows)) for name, rows in doc.items()})
 
 
-def decode_array(doc, ndim: int) -> np.ndarray:
-    """The array of an encode_array object of rank `ndim`, as an owned,
-    writeable, C-contiguous native float64 array; FormatError unless the
-    shape, the base64 and its length agree and every value is finite."""
-    if not isinstance(doc, dict):
-        raise FormatError(f"expected an object with shape and data, got {type(doc).__name__}")
-    shape, data = doc["shape"], doc["data"]
-    if not (type(shape) is list and len(shape) == ndim
-            and all(type(n) is int and n >= 0 for n in shape)):
-        raise FormatError(f"shape must be a list of {ndim} non-negative integers, got {shape!r}")
-    if type(data) is not str:
-        raise FormatError(f"data must be a base64 string, got {type(data).__name__}")
+def encode_array(a: np.ndarray) -> str:
+    """The base64 of the array's C-order little-endian float64 bytes."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype=_FLOAT64_LE).tobytes()).decode("ascii")
+
+
+def decode_array(text, shape: tuple) -> np.ndarray:
+    """The array of `shape` that encode_array wrote as `text`, as an owned,
+    writeable, C-contiguous native float64 array; FormatError unless text
+    is base64 of exactly that many values and every value is finite."""
+    if type(text) is not str:
+        raise FormatError(f"data must be a base64 string, got {type(text).__name__}")
     try:
-        raw = base64.b64decode(data, validate=True)
+        raw = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise FormatError(f"data is not base64: {exc}") from None
     needed = 8 * math.prod(shape)
     if len(raw) != needed:
-        raise FormatError(f"data holds {len(raw)} bytes; shape {shape} needs {needed}")
+        raise FormatError(f"data holds {len(raw)} bytes; shape {list(shape)} needs {needed}")
     out = np.frombuffer(raw, dtype=_FLOAT64_LE).reshape(shape).astype(np.float64)
     if not np.isfinite(out).all():
         raise FormatError("data holds a non-finite value")
     return out
 
 
-def _layers_to_json(tower: str, layers: list[LayerParams]) -> list:
-    out = []
-    for i, layer in enumerate(layers):
-        for part in ("weights", "biases"):
-            if not np.isfinite(getattr(layer, part)).all():
-                raise ValueError(
-                    f"{tower} layer {i} {part} hold a non-finite value; "
-                    "such values are not JSON compliant and no checkpoint stores them"
-                )
-        out.append({
-            "weights": encode_array(layer.weights),
-            "biases": encode_array(layer.biases),
-            "activation": layer.activation,
-        })
+def _shapes(schema: FeatureSchema, config: EncoderConfig) -> dict:
+    """Name -> shape of each array of TwoTowerModel.parameters(), in order,
+    as the schema's input widths and the encoder config give them."""
+    out = {}
+    for tower, width in (("context_encoder", schema.context_width),
+                         ("item_encoder", schema.item_width)):
+        w = config.widths(width)
+        for i, (n_in, n_out) in enumerate(zip(w, w[1:])):
+            name = f"{tower} layer {i}"
+            out |= {f"{name} weights": (n_out, n_in), f"{name} biases": (n_out,)}
     return out
-
-
-def _layers_from_json(tower: str, doc: list, widths: list[int]) -> list[LayerParams]:
-    """The tower's layers; each must map widths[i] inputs to widths[i + 1]."""
-    if type(doc) is not list or len(doc) != len(widths) - 1:
-        raise FormatError(f"{tower} must be a list of {len(widths) - 1} layers")
-    layers = []
-    for i, d in enumerate(doc):
-        arrays = {}
-        for part, shape in (("weights", [widths[i + 1], widths[i]]), ("biases", [widths[i + 1]])):
-            try:
-                arrays[part] = decode_array(d[part], len(shape))
-            except FormatError as exc:
-                raise FormatError(f"{tower} layer {i} {part}: {exc}") from None
-            if list(arrays[part].shape) != shape:
-                raise FormatError(
-                    f"{tower} layer {i} {part} have shape {list(arrays[part].shape)}; "
-                    f"the schema and encoder_config give {shape}"
-                )
-        layers.append(LayerParams(**arrays, activation=d["activation"]))
-    return layers
 
 
 def save_checkpoint(
     model: TwoTowerModel, path, objective: str = "", seed: int = 0
 ) -> None:
-    """Write `model` as one checkpoint document; a non-finite parameter
-    raises ValueError and leaves `path` as it was."""
+    """Write `model` as one checkpoint document. ValueError, leaving `path`
+    as it was, for a non-finite parameter, or for layer shapes or
+    activations other than those of the model's schema and encoder config:
+    the file stores neither, so it would load as another model."""
+    shapes, params = _shapes(model.schema, model.config), model.parameters()
+    activations = [[x.activation for x in t] for t in (model.context_encoder, model.item_encoder)]
+    if ([p.shape for p in params] != list(shapes.values())
+            or activations != [chain_activations(len(model.config.hidden_widths) + 1)] * 2):
+        raise ValueError("the model's layer shapes or activations are not those that its "
+                         "schema and encoder_config give, and a checkpoint stores only those")
+    for name, p in zip(shapes, params):
+        if not np.isfinite(p).all():
+            raise ValueError(f"{name} hold a non-finite value; such values are not JSON "
+                             "compliant and no checkpoint stores them")
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "objective": objective,
         "seed": seed,
         "encoder_config": dataclasses.asdict(model.config),
         "schema": dataclasses.asdict(model.schema),
-        "context_encoder": _layers_to_json("context_encoder", model.context_encoder),
-        "item_encoder": _layers_to_json("item_encoder", model.item_encoder),
+        "parameters": [encode_array(p) for p in params],
     }
     with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -255,8 +233,8 @@ def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
     """Returns (model, metadata with objective and seed).
 
     A file that is not a complete checkpoint of this format version, or
-    whose layers do not chain from the schema's widths through the encoder
-    config to the embedding size, raises FormatError naming it.
+    whose parameters are not the arrays its schema and encoder config
+    give, raises FormatError naming it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -270,14 +248,20 @@ def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
         cfg = doc["encoder_config"]
         config = EncoderConfig(**{**cfg, "hidden_widths": tuple(cfg["hidden_widths"])})
         schema = _schema_from_json(doc["schema"])
-        model = TwoTowerModel(
-            schema=schema,
-            context_encoder=_layers_from_json(
-                "context_encoder", doc["context_encoder"], config.widths(schema.context_width)),
-            item_encoder=_layers_from_json(
-                "item_encoder", doc["item_encoder"], config.widths(schema.item_width)),
-            config=config,
-        )
+        shapes, texts = _shapes(schema, config), doc["parameters"]
+        if type(texts) is not list or len(texts) != len(shapes):
+            got = len(texts) if type(texts) is list else type(texts).__name__
+            raise FormatError(f"parameters must be a list of the {len(shapes)} arrays that "
+                              f"the schema and encoder_config give, got {got}")
+        arrays = []
+        for (name, shape), text in zip(shapes.items(), texts):
+            try:
+                arrays.append(decode_array(text, shape))
+            except FormatError as exc:
+                raise FormatError(f"{name}: {exc}") from None
+        half = len(arrays) // 2  # the towers have equally many layers
+        model = TwoTowerModel(schema, chain_layers(arrays[:half]), chain_layers(arrays[half:]),
+                              config)
     except KeyError as exc:
         raise FormatError(f"checkpoint {path} lacks key {exc}") from exc
     except FormatError as exc:

@@ -29,19 +29,19 @@ from .sampling import (
     sample_relaxed,
 )
 
-# One row per objective: its default encoder architecture, whether its
-# batches are strict N-pairs (else relaxed), whether each row gets a sampled
-# BPR negative, and its loss(anchors, positives, batch, negatives, lam). Each
-# loss looks up losses.<fn> when it runs, so a wrapper set on the module
-# after import sees every call.
-Objective = namedtuple("Objective", "architecture strict negatives loss")
+# One row per objective: its default encoder hidden widths (() is linear),
+# whether its batches are strict N-pairs (else relaxed), whether each row gets
+# a sampled BPR negative, and its loss(anchors, positives, batch, negatives,
+# lam). Each loss looks up losses.<fn> when it runs, so a wrapper set on the
+# module after import sees every call.
+Objective = namedtuple("Objective", "hidden_widths strict negatives loss")
+_MLP = EncoderConfig().hidden_widths
 _OBJECTIVES = {
-    "jcce": Objective("mlp", True, False, lambda a, p, b, n, lam: losses.jcce_objective(a, p, lam)),
-    "rjcce": Objective("mlp", False, False,
+    "jcce": Objective(_MLP, True, False, lambda a, p, b, n, lam: losses.jcce_objective(a, p, lam)),
+    "rjcce": Objective(_MLP, False, False,
                        lambda a, p, b, n, lam: losses.rjcce_objective(a, p, b.item_ids, lam)),
-    "ljcce": Objective("linear", True, False,
-                       lambda a, p, b, n, lam: losses.jcce_objective(a, p, lam)),
-    "bpr": Objective("mlp", False, True, lambda a, p, b, n, lam: losses.bpr_loss(a, p, n, lam)),
+    "ljcce": Objective((), True, False, lambda a, p, b, n, lam: losses.jcce_objective(a, p, lam)),
+    "bpr": Objective(_MLP, False, True, lambda a, p, b, n, lam: losses.bpr_loss(a, p, n, lam)),
 }
 OBJECTIVES = tuple(_OBJECTIVES)
 
@@ -157,7 +157,7 @@ def train(
     """
     spec = _OBJECTIVES[config.objective]
     if encoder_config is None:
-        encoder_config = EncoderConfig(architecture=spec.architecture)
+        encoder_config = EncoderConfig(hidden_widths=spec.hidden_widths)
     if not log:
         raise ValueError("empty training log")
 

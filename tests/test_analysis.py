@@ -288,7 +288,7 @@ def aligned_model(schema):
         schema=schema,
         context_encoder=[LayerParams(w_ctx, np.zeros(e), "identity")],
         item_encoder=[LayerParams(w_item, np.zeros(e), "identity")],
-        config=EncoderConfig(architecture="linear", embedding_dim=e),
+        config=EncoderConfig(hidden_widths=(), embedding_dim=e),
     )
 
 

@@ -491,21 +491,34 @@ def _line_6_with(part, name, value):
 
 
 def _encode(a):
-    """A parameter array in checkpoint format 2, by this file's own codec."""
-    a = np.asarray(a, dtype="<f8")
-    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
+    """A parameter array in checkpoint format 3, by this file's own codec."""
+    return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _decode(d):
-    return np.frombuffer(base64.b64decode(d["data"]), dtype="<f8").reshape(d["shape"])
+def _decode(text, shape):
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").reshape(shape)
+
+
+def _shapes(doc):
+    """The shape of each entry of a format 3 document's parameters, worked
+    out here from its schema and encoder config: per tower, context first,
+    each layer's (out, in) weights, then its (out,) biases."""
+    config, shapes = doc["encoder_config"], []
+    for specs in (doc["schema"]["context_specs"], doc["schema"]["item_specs"]):
+        width = sum(1 if s["kind"] == "numeric" else len(s["vocabulary"]) for s in specs)
+        w = [width, *config["hidden_widths"], config["embedding_dim"]]
+        for n_in, n_out in zip(w, w[1:]):
+            shapes += [(n_out, n_in), (n_out,)]
+    return shapes
 
 
 def _zero_context_tower(path, original):
     # the context tower's last layer maps everything to the zero vector
     doc = json.loads(original.read_text())
-    last = doc["context_encoder"][-1]
-    last["weights"] = _encode(np.zeros_like(_decode(last["weights"])))
-    last["biases"] = _encode(np.zeros_like(_decode(last["biases"])))
+    params, shapes = doc["parameters"], _shapes(doc)
+    half = len(params) // 2  # the towers have equally many layers
+    for k in (half - 2, half - 1):
+        params[k] = _encode(np.zeros(shapes[k]))
     path.write_text(json.dumps(doc))
 
 
@@ -586,52 +599,92 @@ def _checkpoint_without_schema(path, original):
 
 
 def _checkpoint_with_text_weights(path, original):
-    # format 1's decimal text inside a format 2 document, one entry a word
+    # format 1's decimal text inside a format 3 document, one entry a word
     doc = json.loads(original.read_text())
-    weights = _decode(doc["item_encoder"][0]["weights"]).tolist()
+    k = len(doc["parameters"]) // 2  # item_encoder layer 0 weights
+    weights = _decode(doc["parameters"][k], _shapes(doc)[k]).tolist()
     weights[0][0] = "heavy"
-    doc["item_encoder"][0]["weights"] = weights
+    doc["parameters"][k] = weights
     path.write_text(json.dumps(doc))
 
 
 def _layer_0_array(tower, part, edit):
-    """Writer of the checkpoint with layer 0's encoded `part` array of
-    `tower` replaced by edit(that object)."""
+    """Writer of the checkpoint with the parameters entry of layer 0's
+    `part` of `tower` replaced by edit(that entry, its shape)."""
 
     def write(path, original):
         doc = json.loads(original.read_text())
-        layer = doc[tower][0]
-        layer[part] = edit(layer[part])
+        params = doc["parameters"]
+        k = (len(params) // 2 if tower == "item_encoder" else 0) + (part == "biases")
+        params[k] = edit(params[k], _shapes(doc)[k])
         path.write_text(json.dumps(doc))
 
     return write
 
 
 def _first_value(value):
-    def edit(d):
-        a = _decode(d).copy()
+    def edit(text, shape):
+        a = _decode(text, shape).copy()
         a.flat[0] = value
         return _encode(a)
 
     return edit
 
 
-def _checkpoint_format_1(path, original):
-    # what format 1 wrote: every parameter array as nested decimal lists
-    doc = json.loads(original.read_text())
-    for tower in ("context_encoder", "item_encoder"):
-        for layer in doc[tower]:
-            for part in ("weights", "biases"):
-                layer[part] = _decode(layer[part]).tolist()
-    doc["format_version"] = 1
-    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+def _parameters(edit):
+    """Writer of the checkpoint with its parameters list replaced by edit(list)."""
+
+    def write(path, original):
+        doc = json.loads(original.read_text())
+        doc["parameters"] = edit(doc["parameters"])
+        path.write_text(json.dumps(doc))
+
+    return write
 
 
-def _region_vocabulary_one_short(path, original):
-    doc = json.loads(original.read_text())
-    (region,) = [s for s in doc["schema"]["context_specs"] if s["name"] == "region"]
-    region["vocabulary"].pop()
-    path.write_text(json.dumps(doc))
+def _per_layer_format(version, array):
+    """Writer of the checkpoint in the layout of formats 1 and 2: each tower
+    a list of layers, each with its activation and array(values) of its
+    weights and biases, and an encoder config with an architecture."""
+
+    def write(path, original):
+        doc = json.loads(original.read_text())
+        arrays = [array(_decode(t, s)) for t, s in zip(doc.pop("parameters"), _shapes(doc))]
+        half = len(arrays) // 2
+        for tower, tower_arrays in (("context_encoder", arrays[:half]),
+                                    ("item_encoder", arrays[half:])):
+            n = len(tower_arrays) // 2
+            doc[tower] = [{"weights": tower_arrays[2 * i], "biases": tower_arrays[2 * i + 1],
+                           "activation": "identity" if i == n - 1 else "relu"} for i in range(n)]
+        doc["encoder_config"]["architecture"] = "mlp"
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+
+    return write
+
+
+def _spec_edit(part, name, edit):
+    """Writer of the checkpoint with edit(spec) applied to the schema's
+    `part` spec ("context_specs" or "item_specs") of feature `name`."""
+
+    def write(path, original):
+        doc = json.loads(original.read_text())
+        (spec,) = [s for s in doc["schema"][part] if s["name"] == name]
+        edit(spec)
+        path.write_text(json.dumps(doc))
+
+    return write
+
+
+def _vocabulary_as_text(spec):
+    # a string as long as the vocabulary: as a tuple, its characters fit layer 0
+    spec["vocabulary"] = "abcdefgh"[:len(spec["vocabulary"])]
+
+
+def _one_context_two_genres(path, _original):
+    # every genre is seen in the one context, so no BPR negative is admissible
+    rows = [{**_record(i), "context": {"user": "u0"}} for i in range(40)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
 
 
 def _every_genre_renamed(path, original):
@@ -1010,39 +1063,32 @@ BOUNDARY_CASES = {
     ),
     "eval_checkpoint_text_weights": (
         {}, EVAL_ARGS, ("checkpoint", _checkpoint_with_text_weights), EXIT_DATA,
-        "data error: checkpoint {checkpoint}: item_encoder layer 0 weights: expected an object "
-        "with shape and data, got list",
+        "data error: checkpoint {checkpoint}: item_encoder layer 0 weights: data must be a "
+        "base64 string, got list",
     ),
     "eval_checkpoint_payload_not_base64": (
         {}, EVAL_ARGS,
-        ("checkpoint", _layer_0_array("item_encoder", "weights",
-                                      lambda d: {**d, "data": "*" + d["data"][1:]})),
+        ("checkpoint", _layer_0_array("item_encoder", "weights", lambda t, shape: "*" + t[1:])),
         EXIT_DATA,
         "data error: checkpoint {checkpoint}: item_encoder layer 0 weights: data is not base64",
     ),
     "eval_checkpoint_payload_one_value_short": (
         {}, EVAL_ARGS,
         ("checkpoint", _layer_0_array("context_encoder", "weights",
-                                      lambda d: {**_encode(_decode(d).ravel()[1:]),
-                                                 "shape": d["shape"]})),
+                                      lambda t, shape: _encode(_decode(t, shape).ravel()[1:]))),
         EXIT_DATA,
         "data error: checkpoint {checkpoint}: context_encoder layer 0 weights: data holds ",
     ),
-    "eval_checkpoint_negative_shape": (
-        {}, EVAL_ARGS,
-        ("checkpoint", _layer_0_array("context_encoder", "weights",
-                                      lambda d: {**d, "shape": [d["shape"][0], -d["shape"][1]]})),
-        EXIT_DATA,
-        "data error: checkpoint {checkpoint}: context_encoder layer 0 weights: shape must be a "
-        "list of 2 non-negative integers, got [",
+    "eval_checkpoint_parameters_one_short": (
+        {}, EVAL_ARGS, ("checkpoint", _parameters(lambda texts: texts[:-1])), EXIT_DATA,
+        "data error: checkpoint {checkpoint}: parameters must be a list of the 12 arrays that "
+        "the schema and encoder_config give, got 11",
     ),
-    "eval_checkpoint_bias_of_rank_2": (
-        {}, EVAL_ARGS,
-        ("checkpoint", _layer_0_array("item_encoder", "biases",
-                                      lambda d: {**d, "shape": [*d["shape"], 1]})),
+    "eval_checkpoint_parameters_not_a_list": (
+        {}, EVAL_ARGS, ("checkpoint", _parameters(lambda texts: dict(enumerate(texts)))),
         EXIT_DATA,
-        "data error: checkpoint {checkpoint}: item_encoder layer 0 biases: shape must be a "
-        "list of 1 non-negative integers, got [",
+        "data error: checkpoint {checkpoint}: parameters must be a list of the 12 arrays that "
+        "the schema and encoder_config give, got dict",
     ),
     "eval_checkpoint_nan_weight": (
         {}, EVAL_ARGS,
@@ -1059,13 +1105,58 @@ BOUNDARY_CASES = {
         "non-finite value",
     ),
     "eval_checkpoint_format_version_1": (
-        {}, EVAL_ARGS, ("checkpoint", _checkpoint_format_1), EXIT_DATA,
+        {}, EVAL_ARGS, ("checkpoint", _per_layer_format(1, lambda a: a.tolist())), EXIT_DATA,
         "data error: checkpoint {checkpoint}: unsupported checkpoint format_version: 1; "
-        "this version reads format 2 only, so re-run `contextrec train` to write one",
+        "this version reads format 3 only, so re-run `contextrec train` to write one",
+    ),
+    "eval_checkpoint_format_version_2": (
+        {}, EVAL_ARGS,
+        ("checkpoint", _per_layer_format(2, lambda a: {"data": _encode(a), "shape": [*a.shape]})),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint}: unsupported checkpoint format_version: 2; "
+        "this version reads format 3 only, so re-run `contextrec train` to write one",
     ),
     "recommend_checkpoint_vocabulary_short_of_layer_0": (
-        {}, RECOMMEND_ARGS, ("checkpoint", _region_vocabulary_one_short), EXIT_DATA,
-        "data error: checkpoint {checkpoint}: context_encoder layer 0 weights have shape [",
+        {}, RECOMMEND_ARGS,
+        ("checkpoint", _spec_edit("context_specs", "region", lambda s: s["vocabulary"].pop())),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint}: context_encoder layer 0 weights: data holds ",
+    ),
+    "recommend_checkpoint_unknown_kind": (
+        {}, RECOMMEND_ARGS,
+        ("checkpoint", _spec_edit("item_specs", "genre", lambda s: s.update(kind="mystery"))),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint} is malformed: feature 'genre' has unknown kind "
+        "'mystery'",
+    ),
+    "recommend_checkpoint_vocabulary_text": (
+        {}, RECOMMEND_ARGS,
+        ("checkpoint", _spec_edit("context_specs", "region", _vocabulary_as_text)),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint}: feature 'region' vocabulary is not a JSON list",
+    ),
+    "recommend_checkpoint_vocabulary_unsorted": (
+        {}, RECOMMEND_ARGS,
+        ("checkpoint", _spec_edit("context_specs", "region", lambda s: s["vocabulary"].reverse())),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint} is malformed: feature 'region' vocabulary must be "
+        "distinct strings in sorted order",
+    ),
+    "recommend_checkpoint_numeric_range_empty": (
+        {}, RECOMMEND_ARGS,
+        ("checkpoint", _spec_edit("context_specs", "group_size",
+                                  lambda s: s.update(max=s["min"]))),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint} is malformed: numeric feature 'group_size' needs "
+        "finite min < max, got 1.0 and 1.0",
+    ),
+    "train_bpr_one_context_two_genres": (
+        {"objective": "bpr"}, TRAIN_ARGS, ("dataset", _one_context_two_genres), EXIT_DATA,
+        "data error: could not find admissible BPR negatives",
+    ),
+    "gen_out_under_a_file": (
+        {}, ["gen", "--config", "{config}", "--out", "{dataset}/x.jsonl"], None, EXIT_DATA,
+        "data error: [Errno 20] Not a directory: '{dataset}/.x.jsonl.",
     ),
     "eval_every_genre_renamed": (
         {}, EVAL_ARGS, ("dataset", _every_genre_renamed), EXIT_DATA,

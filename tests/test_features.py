@@ -14,6 +14,7 @@ from contextrec.datagen import filter_log
 from contextrec.features import (
     KIND_MULTI,
     KIND_NUMERIC,
+    KIND_SINGLE,
     FeatureSchema,
     FeatureSpec,
     SchemaError,
@@ -79,6 +80,38 @@ class TestBuildSchema:
         log = [make_event({"x": v}, t=float(i)) for i, v in enumerate(values)]
         with pytest.raises(SchemaError, match="'x' mixes value kinds"):
             build_schema(log)
+
+
+class TestFeatureSpec:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(kind=KIND_SINGLE, vocabulary=("a", "b")),
+            dict(kind=KIND_MULTI, vocabulary=()),
+            dict(kind=KIND_NUMERIC, min=-1, max=2.5),
+        ],
+    )
+    def test_valid_specs_accepted(self, kwargs):
+        FeatureSpec("x", **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(kind="mystery"), "feature 'x' has unknown kind 'mystery'"),
+            (dict(kind=KIND_SINGLE, vocabulary=("b", "a")), "distinct strings in sorted order"),
+            (dict(kind=KIND_MULTI, vocabulary=("a", "a")), "distinct strings in sorted order"),
+            (dict(kind=KIND_SINGLE, vocabulary=("1", 2)), "distinct strings in sorted order"),
+            (dict(kind=KIND_SINGLE, vocabulary="ab"), "distinct strings in sorted order"),
+            (dict(kind=KIND_SINGLE, vocabulary=["a", "b"]), "distinct strings in sorted order"),
+            (dict(kind=KIND_NUMERIC, min=1.0, max=1.0), "needs finite min < max, got 1.0 and 1.0"),
+            (dict(kind=KIND_NUMERIC, min=2.0, max=1.0), "needs finite min < max"),
+            (dict(kind=KIND_NUMERIC, min=float("nan"), max=1.0), "needs finite min < max"),
+            (dict(kind=KIND_NUMERIC, min=0.0, max=float("inf")), "needs finite min < max"),
+        ],
+    )
+    def test_invalid_spec_rejected(self, kwargs, message):
+        with pytest.raises(SchemaError, match=message):
+            FeatureSpec("x", **kwargs)
 
 
 def column_by_column_specs(rows: list[dict]) -> tuple:

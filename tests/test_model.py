@@ -56,7 +56,7 @@ def linear_model(schema, w_ctx=None, b_ctx=None, w_item=None, b_item=None, e=2):
                 "identity",
             )
         ],
-        config=EncoderConfig(architecture="linear", embedding_dim=e),
+        config=EncoderConfig(hidden_widths=(), embedding_dim=e),
     )
 
 
@@ -121,7 +121,7 @@ class TestEmbedding:
                 LayerParams(w2, np.array([0.25]), "identity"),
             ],
             item_encoder=[LayerParams(np.zeros((1, schema.item_width)), np.zeros(1), "identity")],
-            config=EncoderConfig(architecture="mlp", hidden_widths=(3,), embedding_dim=1),
+            config=EncoderConfig(hidden_widths=(3,), embedding_dim=1),
         )
         x = np.zeros(cw)
         x[0], x[1], x[2] = 2.0, 3.0, 1.0

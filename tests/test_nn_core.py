@@ -96,6 +96,16 @@ class TestXavierInit:
         for layer in layers:
             assert np.all(layer.biases == 0.0)
 
+    @pytest.mark.parametrize("widths", [[5, 3], [5, 4, 3], [5, 4, 6, 3]])
+    def test_chain_rule_and_draw_order(self, widths):
+        # hidden layers relu, the last identity; one Xavier draw per layer,
+        # first layer first, as before the layers were chained by rule
+        layers = init_layers(widths, make_rng(8))
+        rng = make_rng(8)
+        for i, layer in enumerate(layers):
+            assert layer.weights.tobytes() == xavier_init(widths[i], widths[i + 1], rng).tobytes()
+            assert layer.activation == ("identity" if i == len(widths) - 2 else "relu")
+
 
 class TestDenseForward:
     """A single layer through encoder_forward, the one forward pass."""

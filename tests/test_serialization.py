@@ -14,7 +14,8 @@ from hypothesis.extra.numpy import arrays
 from contextrec.datagen import GeneratorConfig, generate
 from contextrec.features import ViewingEvent, build_schema, vectorize_context, vectorize_item
 from contextrec.model import EncoderConfig, TwoTowerModel, embed_context, embed_item
-from contextrec.nn_core import make_rng
+from contextrec import nn_core
+from contextrec.nn_core import LayerParams, make_rng
 from contextrec import serialization
 from contextrec.serialization import (
     FormatError,
@@ -45,6 +46,9 @@ EVENTS = st.builds(
     context_attributes=ATTRIBUTES,
     timestamp=FINITE,
     duration_min=FINITE,
+)
+INTEGER_LISTS = st.dictionaries(
+    st.text(max_size=6), st.lists(st.integers(), max_size=4).map(tuple), max_size=3
 )
 
 
@@ -94,6 +98,28 @@ class TestDataset:
         assert rec["context"]["viewer_ids"] == ["u1", "u9"]
         # round trip canonicalizes to the sorted tuple
         assert read_dataset(path)[0].context_attributes["viewer_ids"] == ("u1", "u9")
+
+    def test_integer_multi_values_written_as_numbers(self, tmp_path):
+        ev = ViewingEvent({"genre": "g"}, {"viewer_ids": (9, 10, -1)}, 0.0, 5.0)
+        path = tmp_path / "data.jsonl"
+        write_dataset([ev], path)
+        assert json.loads(path.read_text())["context"]["viewer_ids"] == [-1, 9, 10]
+        assert read_dataset(path)[0].context_attributes["viewer_ids"] == (-1, 9, 10)
+
+    @settings(deadline=None)
+    @given(st.lists(st.builds(ViewingEvent, INTEGER_LISTS, INTEGER_LISTS, FINITE, FINITE),
+                    max_size=5))
+    def test_integer_multi_values_keep_their_keys(self, log):
+        # elements keep their JSON types, in canonical_key's order
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "a.jsonl")
+            write_dataset(log, path)
+            back = read_dataset(path)
+
+        def keys(events):
+            return repr([(e.item_key(), e.context_key()) for e in events])
+
+        assert keys(back) == keys(log)
 
     def test_corrupt_line_reported_with_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -229,7 +255,7 @@ def tiny_model():
         for j in range(4)
     ]
     schema = build_schema(log)
-    config = EncoderConfig(architecture="mlp", hidden_widths=(8,), embedding_dim=5)
+    config = EncoderConfig(hidden_widths=(8,), embedding_dim=5)
     model = TwoTowerModel.initialize(schema, config, make_rng(3))
     return log, schema, model
 
@@ -317,7 +343,8 @@ class TestCheckpoint:
             assert first.read_bytes() == second.read_bytes()
 
     def test_format_pinned(self, tmp_path):
-        # the saved document, read with this file's own decoder
+        # the saved document, read with this file's own decoder: six keys, and
+        # the arrays in parameters() order as base64 of little-endian float64
         _, _, model = tiny_model()
         model.context_encoder[0].weights[0, :3] = [-0.0, 5e-324, -1.7976931348623157e308]
         path = tmp_path / "ckpt.json"
@@ -325,19 +352,17 @@ class TestCheckpoint:
         text = path.read_text(encoding="ascii")
         doc = json.loads(text)
         assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        assert doc["format_version"] == 2
-        assert (doc["objective"], doc["seed"]) == ("jcce", 4)
-        for tower in ("context_encoder", "item_encoder"):
-            layers = getattr(model, tower)
-            assert len(doc[tower]) == len(layers)
-            for d, layer in zip(doc[tower], layers):
-                assert d["activation"] == layer.activation
-                for part in ("weights", "biases"):
-                    assert set(d[part]) == {"shape", "data"}
-                    want = getattr(layer, part)
-                    got = np.frombuffer(base64.b64decode(d[part]["data"], validate=True), "<f8")
-                    assert got.reshape(d[part]["shape"]).shape == want.shape
-                    assert got.tobytes() == np.ascontiguousarray(want, "<f8").tobytes()
+        assert sorted(doc) == [
+            "encoder_config", "format_version", "objective", "parameters", "schema", "seed"
+        ]
+        assert (doc["format_version"], doc["objective"], doc["seed"]) == (3, "jcce", 4)
+        assert doc["encoder_config"] == {"embedding_dim": 5, "hidden_widths": [8]}
+        params = model.parameters()
+        assert len(doc["parameters"]) == len(params)
+        for data, want in zip(doc["parameters"], params):
+            got = np.frombuffer(base64.b64decode(data, validate=True), "<f8")
+            assert got.tobytes() == np.ascontiguousarray(want, "<f8").tobytes()
+        assert '"shape"' not in text and '"activation"' not in text
 
     def test_loaded_arrays_owned_writeable_native(self, tmp_path):
         _, _, model = tiny_model()
@@ -348,17 +373,73 @@ class TestCheckpoint:
             assert a.dtype == np.float64 and a.dtype.isnative
             assert a.flags.writeable and a.flags.c_contiguous and a.flags.owndata
 
+    @pytest.mark.parametrize("hidden_widths", [(), (8,), (8, 6)])
+    def test_loaded_activations_follow_the_rule(self, tmp_path, hidden_widths):
+        # hidden layers relu, the last identity: the file does not store them
+        schema = tiny_model()[1]
+        model = TwoTowerModel.initialize(
+            schema, EncoderConfig(hidden_widths=hidden_widths, embedding_dim=5), make_rng(3)
+        )
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        loaded, _ = load_checkpoint(path)
+        rule = ["relu"] * len(hidden_widths) + ["identity"]
+        for tower in (loaded.context_encoder, loaded.item_encoder):
+            assert [layer.activation for layer in tower] == rule
+            assert [layer.weights.shape[0] for layer in tower] == [*hidden_widths, 5]
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        _, _, model = tiny_model()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(nn_core, "xavier_init", refuse)
+        loaded, _ = load_checkpoint(path)
+        assert [p.tobytes() for p in loaded.parameters()] == [
+            p.tobytes() for p in model.parameters()
+        ]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: setattr(m.context_encoder[0], "activation", "identity"),
+             "layer shapes or activations are not those"),
+            (lambda m: setattr(m.item_encoder[-1], "activation", "relu"),
+             "layer shapes or activations are not those"),
+            (lambda m: m.item_encoder.__setitem__(
+                0, LayerParams(np.zeros((7, m.schema.item_width)), np.zeros(7), "relu")),
+             "layer shapes or activations are not those"),
+            (lambda m: m.context_encoder.pop(0), "layer shapes or activations are not those"),
+            (lambda m: m.item_encoder[1].biases.__setitem__(0, np.nan), "not JSON compliant"),
+        ],
+        ids=["hidden_identity", "last_relu", "mis_shaped_layer", "layer_missing", "nan_bias"],
+    )
+    def test_non_standard_model_not_saved(self, tmp_path, edit, message):
+        # the file holds no shapes or activations, so such a model would
+        # load as another one
+        _, _, model = tiny_model()
+        path = tmp_path / "ckpt.json"
+        path.write_text("old")
+        edit(model)
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(model, path)
+        assert path.read_text() == "old"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_bias_one_short_rejected(self, tmp_path):
         _, _, model = tiny_model()
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
         doc = json.loads(path.read_text())
-        biases = doc["item_encoder"][1]["biases"]
-        short = np.frombuffer(base64.b64decode(biases["data"]), "<f8")[:-1]
-        biases.update(shape=[short.size], data=base64.b64encode(short.tobytes()).decode())
+        short = np.frombuffer(base64.b64decode(doc["parameters"][-1]), "<f8")[:-1]
+        doc["parameters"][-1] = base64.b64encode(short.tobytes()).decode()
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match=r"item_encoder layer 1 biases have shape \[4\]; "
-                                              r"the schema and encoder_config give \[5\]"):
+        with pytest.raises(FormatError, match=r"item_encoder layer 1 biases: data holds 32 "
+                                              r"bytes; shape \[5\] needs 40"):
             load_checkpoint(path)
 
     def test_layer_count_checked(self, tmp_path):
@@ -366,41 +447,43 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
         doc = json.loads(path.read_text())
-        del doc["context_encoder"][1]
+        del doc["parameters"][2:4]  # context_encoder layer 1
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="context_encoder must be a list of 2 layers"):
+        with pytest.raises(FormatError, match="parameters must be a list of the 8 arrays that "
+                                              "the schema and encoder_config give, got 6"):
             load_checkpoint(path)
 
 
 class TestArrayCodec:
     def test_round_trip(self):
         for a in (np.arange(6.0).reshape(2, 3), np.zeros((0, 4)), np.array([-0.0, 5e-324])):
-            back = decode_array(encode_array(a), a.ndim)
+            back = decode_array(encode_array(a), a.shape)
             assert back.shape == a.shape and back.tobytes() == a.tobytes()
 
     def test_non_contiguous_input_written_in_c_order(self):
         a = np.arange(6.0).reshape(2, 3)
-        assert decode_array(encode_array(a.T), 2).tobytes() == a.T.copy().tobytes()
+        assert decode_array(encode_array(a.T), (3, 2)).tobytes() == a.T.copy().tobytes()
 
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ([1.0], "expected an object with shape and data, got list"),
-            ({"shape": [1], "data": "AAAAAAAA8D8="}, "shape must be a list of 2 non-negative"),
-            ({"shape": [1, -1], "data": ""}, "shape must be a list of 2 non-negative"),
-            ({"shape": [True, 1], "data": "AAAAAAAA8D8="}, "shape must be a list of 2"),
-            ({"shape": [1, 1], "data": 1.0}, "data must be a base64 string, got float"),
-            ({"shape": [1, 1], "data": "AAAAAAAA8D8"}, "data is not base64"),
-            ({"shape": [1, 1], "data": "AAAA AAAA8D8="}, "data is not base64"),
-            ({"shape": [1, 1], "data": "AAAAAAAA8D\u00e9="}, "data is not base64"),
-            ({"shape": [1, 2], "data": "AAAAAAAA8D8="}, r"holds 8 bytes; shape \[1, 2\] needs 16"),
-            ({"shape": [1, 1], "data": "AAAAAAAA+H8="}, "data holds a non-finite value"),
-            ({"shape": [1, 1], "data": "AAAAAAAA8P8="}, "data holds a non-finite value"),
+            ((None, (1, 1)), "data must be a base64 string, got NoneType"),
+            ((["AAAAAAAA8D8="], (1, 1)), "data must be a base64 string, got list"),
+            (("AAAAAAAA8D8AAAAAAAAAAA==", (1, 1)), r"holds 16 bytes; shape \[1, 1\] needs 8"),
+            (("", (1, 1)), r"holds 0 bytes; shape \[1, 1\] needs 8"),
+            ((1.0, (1, 1)), "data must be a base64 string, got float"),
+            (("AAAAAAAA8D8", (1, 1)), "data is not base64"),
+            (("AAAA AAAA8D8=", (1, 1)), "data is not base64"),
+            (("AAAAAAAA8D\u00e9=", (1, 1)), "data is not base64"),
+            (("AAAAAAAA8D8=", (1, 2)), r"holds 8 bytes; shape \[1, 2\] needs 16"),
+            (("AAAAAAAA+H8=", (1, 1)), "data holds a non-finite value"),
+            (("AAAAAAAA8P8=", (1, 1)), "data holds a non-finite value"),
         ],
     )
     def test_bad_payload_rejected(self, doc, message):
+        # doc is (text, shape)
         with pytest.raises(FormatError, match=message):
-            decode_array(doc, 2)
+            decode_array(*doc)
 
 
 class TestCsvWriters:

@@ -43,7 +43,7 @@ class TestTrain:
         cfg = TrainConfig(objective="jcce", batch_size=4, max_steps=0, seed=0)
         model, history = train(log, schema, cfg)
         assert history.records == []
-        assert model.config.architecture == "mlp"
+        assert model.config.hidden_widths == (250, 250)
 
     def test_overfit_probe(self):
         # repeated training on a 4-content toy log must crush the loss
@@ -107,7 +107,7 @@ class TestTrain:
         schema = build_schema(log)
         cfg = TrainConfig(objective="ljcce", batch_size=4, max_steps=10, eval_every=5, seed=0)
         model, _ = train(log, schema, cfg)
-        assert model.config.architecture == "linear"
+        assert model.config.hidden_widths == ()
         assert len(model.context_encoder) == 1
 
     def test_bpr_objective_trains(self):
@@ -184,11 +184,11 @@ class TestTrain:
         # samplers are reached through trainer's globals and losses through
         # the losses module when they run, so wrappers set after import (as
         # the benchmark's spans are) see every call
-        sampler, loss, architecture = {
-            "jcce": ("sample_npairs", "jcce_objective", "mlp"),
-            "rjcce": ("sample_relaxed", "rjcce_objective", "mlp"),
-            "ljcce": ("sample_npairs", "jcce_objective", "linear"),
-            "bpr": ("sample_relaxed", "bpr_loss", "mlp"),
+        sampler, loss, hidden_widths = {
+            "jcce": ("sample_npairs", "jcce_objective", (250, 250)),
+            "rjcce": ("sample_relaxed", "rjcce_objective", (250, 250)),
+            "ljcce": ("sample_npairs", "jcce_objective", ()),
+            "bpr": ("sample_relaxed", "bpr_loss", (250, 250)),
         }[objective]
         calls = Counter()
 
@@ -207,7 +207,7 @@ class TestTrain:
         cfg = TrainConfig(objective=objective, batch_size=4, max_steps=4, eval_every=2, seed=0)
         model, _ = train(log, build_schema(log), cfg)
         assert set(calls) == {sampler, loss}
-        assert model.config.architecture == architecture
+        assert model.config.hidden_widths == hidden_widths
 
     def test_negative_seed_rejected(self):
         # the CLI checks seed before TrainConfig does; a library caller has only this check
