@@ -9,7 +9,7 @@ test events.
 from contextrec.datagen import GeneratorConfig, filter_log, generate, temporal_split
 from contextrec.evaluation import evaluate
 from contextrec.features import build_schema
-from contextrec.model import catalog_from_log, precompute_catalog, recommend
+from contextrec.model import precompute_catalog, recommend
 from contextrec.nn_core import make_rng
 from contextrec.trainer import TrainConfig, ablate_to_single_viewer, train
 
@@ -31,7 +31,6 @@ train_log, test_log = temporal_split(log)
 coviewed = [e for e in test_log if len(e.context_attributes["viewer_ids"]) >= 2]
 print(f"{len(coviewed)} of {len(test_log)} test events are co-viewed")
 
-items = catalog_from_log(train_log)
 for name, fit_log in (
     ("full viewer sets", train_log),
     ("single-viewer ablation", ablate_to_single_viewer(train_log, make_rng(8))),
@@ -42,8 +41,8 @@ for name, fit_log in (
         schema,
         TrainConfig(objective="jcce", batch_size=15, max_steps=1200, seed=1),
     )
-    catalog = precompute_catalog(model, items)
+    catalog = precompute_catalog(model, model.items)
     rep = evaluate(
-        lambda e: recommend(model, e, catalog).ranked_item_indices, coviewed, items, [1]
+        lambda e: recommend(model, e, catalog).ranked_item_indices, coviewed, catalog.items, [1]
     )
     print(f"  {name:<24} HR@1 on co-viewed events: {rep.hr[1]:.3f}")

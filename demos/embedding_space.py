@@ -16,7 +16,7 @@ from contextrec.analysis import (
 )
 from contextrec.datagen import GeneratorConfig, filter_log, generate, temporal_split
 from contextrec.features import build_schema
-from contextrec.model import TwoTowerModel, catalog_from_log, precompute_catalog
+from contextrec.model import TwoTowerModel, precompute_catalog
 from contextrec.nn_core import make_rng
 from contextrec.trainer import TrainConfig, train
 
@@ -56,7 +56,7 @@ for name, m in (("trained", model), ("fresh", fresh)):
         f"(T={curve.temperatures[best]:.3g}, ±{curve.ci95[best]:.3f})"
     )
 
-catalog = precompute_catalog(model, catalog_from_log(train_log))
+catalog = precompute_catalog(model, model.items)
 sim = similarity_matrix(test_log, model, catalog)
 hits = sum(
     int(np.argmax(sim.values[i])) == i

@@ -9,7 +9,7 @@ AUC next to Random, Toppop and per-timeslot Toppop.
 from contextrec.datagen import GeneratorConfig, filter_log, generate, temporal_split
 from contextrec.evaluation import evaluate, random_ranker, toppop, toppop_temporal
 from contextrec.features import build_schema
-from contextrec.model import catalog_from_log, precompute_catalog, recommend
+from contextrec.model import precompute_catalog, recommend
 from contextrec.nn_core import make_rng
 from contextrec.trainer import TrainConfig, train
 
@@ -39,8 +39,8 @@ model, history = train(train_log, schema, config)
 print(f"  stopped at step {history.stopping_step} ({history.stopping_reason}), "
       f"best validation loss {history.best_validation_loss:.4f}")
 
-items = catalog_from_log(train_log)
-catalog = precompute_catalog(model, items)
+catalog = precompute_catalog(model, model.items)
+items = catalog.items
 
 rankers = {
     "model": lambda e: recommend(model, e, catalog).ranked_item_indices,

@@ -1,7 +1,7 @@
 """Hash every output of a small seeded CLI pipeline, to check byte identity.
 
 Usage: python scripts/byte_identity.py OUTDIR > hashes.txt
-       python scripts/byte_identity.py OUTDIR --compare hashes.txt
+       python scripts/byte_identity.py OUTDIR --compare hashes.txt [--expect LIST]
 
 Runs gen, then train for each of the four objectives (each with a history
 CSV), then eval --baselines, recommend and the three analyze modes on
@@ -19,9 +19,12 @@ Run it at two commits under the same conditions and compare: save the first
 commit's printout, then run the second with `--compare` on that file. It
 prints one `changed`, `missing` or `extra` line per differing path and a
 summary on stderr, and exits 1 on any difference, 0 when every file
-matches. A printout whose header names other conditions is refused with a
-one-line message and exit 2, before anything runs; a printout without a
-header is compared as it is.
+matches. With `--expect LIST` it exits 0 only when the differing paths are
+exactly those that LIST names, one relative path a line (blank lines and
+lines starting with `#` are skipped), and names on stderr each unlisted
+difference and each listed path that did not differ. A printout whose
+header names other conditions is refused with a one-line message and exit
+2, before anything runs; a printout without a header is compared as it is.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ def pipeline(out: Path) -> None:
         with_ckpt = common + ["--checkpoint", ckpt]
         run(out, f"eval-{obj}", "eval", *with_ckpt, "--baselines",
             "--report", out / f"{obj}.report.csv")
-        run(out, f"recommend-{obj}", "recommend", *with_ckpt, "--context", context,
+        run(out, f"recommend-{obj}", "recommend", "--checkpoint", ckpt, "--context", context,
             "--top-k", 1000)
         for mode in ("snnm", "simmatrix", "export"):
             run(out, f"analyze-{mode}-{obj}", "analyze", *with_ckpt, "--mode", mode,
@@ -143,14 +146,32 @@ def compare(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
     return diffs
 
 
+def read_expected(lines) -> set[str]:
+    """The relative paths a LIST file names, one a line; blank lines and
+    `#` comments are skipped."""
+    return {line.strip() for line in lines if line.strip() and not line.startswith("#")}
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="byte_identity.py")
     parser.add_argument("outdir", help="absent or empty directory for the outputs")
     parser.add_argument("--compare", metavar="HASHES",
                         help="a saved printout to compare against instead of printing")
+    parser.add_argument("--expect", metavar="LIST",
+                        help="with --compare: a file naming the paths that must differ")
     args = parser.parse_args(argv)
+    if args.expect and not args.compare:
+        parser.error("--expect needs --compare")
     expected = None
+    listed = set()
     here = conditions()
+    if args.expect:
+        try:
+            with open(args.expect, encoding="utf-8") as fh:
+                listed = read_expected(fh)
+        except OSError as exc:
+            print(f"cannot read {args.expect}: {exc}", file=sys.stderr)
+            return 2
     if args.compare:
         try:
             with open(args.compare, encoding="utf-8") as fh:
@@ -189,7 +210,13 @@ def main(argv: list[str]) -> int:
     same = sum(expected.get(rel) == digest for rel, digest in actual.items())
     print(f"{same} of {len(expected | actual)} files identical, {len(diffs)} differ",
           file=sys.stderr)
-    return 1 if diffs else 0
+    differing = {rel for rel in expected | actual if expected.get(rel) != actual.get(rel)}
+    if args.expect:
+        for rel in sorted(differing - listed):
+            print(f"unlisted difference: {rel}", file=sys.stderr)
+        for rel in sorted(listed - differing):
+            print(f"listed but identical: {rel}", file=sys.stderr)
+    return 0 if differing == listed else 1
 
 
 if __name__ == "__main__":

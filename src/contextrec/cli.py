@@ -17,7 +17,7 @@ import numpy as np
 from . import analysis, evaluation, serialization
 from .datagen import GeneratorConfig, filter_log, generate, temporal_split
 from .features import SchemaError, ViewingEvent, build_schema, universe_indices
-from .model import catalog_from_log, precompute_catalog, recommend
+from .model import precompute_catalog, recommend
 from .nn_core import check_range, make_rng
 from .sampling import SamplingError
 from .trainer import OBJECTIVES, TrainConfig, ablate_to_single_viewer, train
@@ -110,20 +110,14 @@ def _dataclass_config(cls, cfg: dict):
         raise ConfigError(f"invalid {cls.__name__}: {exc}") from exc
 
 
-def _catalog(model, train_log):
-    """The model's catalog of the train split's distinct items; a data error
-    when they all embed alike, as when none of their values is in the
-    checkpoint's vocabulary, since every ranking would then be one tie."""
-    items = catalog_from_log(train_log)
-    if len(items) < 2:
-        raise serialization.FormatError(
-            f"the train split holds {len(items)} distinct item(s); a catalog needs at least 2"
-        )
-    catalog = precompute_catalog(model, items)
+def _catalog(model):
+    """The catalog of the model's items; a data error when they all embed
+    alike, as when none of their values is in the checkpoint's vocabulary,
+    since every ranking would then be one tie."""
+    catalog = precompute_catalog(model, model.items)
     if (catalog.embeddings == catalog.embeddings[0]).all():
         raise serialization.FormatError(
-            f"all {len(items)} catalog items have the same embedding, so every score ties; "
-            "is the dataset the one the checkpoint was trained on?"
+            f"all {catalog.size} catalog items have the same embedding, so every score ties"
         )
     return catalog
 
@@ -189,7 +183,7 @@ def cmd_eval(args) -> int:
         cfg["ks"] = _parse_ks(args.Ks)
     model, meta = serialization.load_checkpoint(args.checkpoint)
     train_log, test_log = _prepared_split(cfg, args.dataset)
-    catalog = _catalog(model, train_log)
+    catalog = _catalog(model)
     _check_test_split(test_log, catalog)
     items = catalog.items
     ks = cfg["ks"]
@@ -197,11 +191,7 @@ def cmd_eval(args) -> int:
     def model_ranker(event: ViewingEvent) -> np.ndarray:
         return recommend(model, event, catalog).ranked_item_indices
 
-    rows = [
-        evaluation.evaluate(model_ranker, test_log, items, ks).as_row(
-            meta.get("objective") or "model"
-        )
-    ]
+    rows = [evaluation.evaluate(model_ranker, test_log, items, ks).as_row(meta["objective"])]
     if args.baselines:
         rng = make_rng(cfg["seed"])
         for name, ranker in (
@@ -220,7 +210,6 @@ def cmd_recommend(args) -> int:
     if args.top_k < 1:
         raise ConfigError("--top-k must be >= 1")
     model, _ = serialization.load_checkpoint(args.checkpoint)
-    cfg = load_run_config(args.config, {})
     try:
         with open(args.context, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -232,8 +221,7 @@ def cmd_recommend(args) -> int:
     event = ViewingEvent(
         item_attributes={}, context_attributes=attrs, timestamp=0.0, duration_min=0.0
     )
-    train_log, _ = _prepared_split(cfg, args.dataset)
-    catalog = _catalog(model, train_log)
+    catalog = _catalog(model)
     result = recommend(model, event, catalog)
     for idx, score in list(zip(result.ranked_item_indices, result.scores))[: args.top_k]:
         label = json.dumps(
@@ -246,7 +234,7 @@ def cmd_recommend(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = load_run_config(args.config, {"seed": args.seed})
     model, _ = serialization.load_checkpoint(args.checkpoint)
-    train_log, test_log = _prepared_split(cfg, args.dataset)
+    _, test_log = _prepared_split(cfg, args.dataset)
     _check_test_split(test_log)
     rng = make_rng(cfg["seed"])
     if len(test_log) > cfg["analysis_max_events"]:
@@ -254,7 +242,7 @@ def cmd_analyze(args) -> int:
         test_log = [test_log[i] for i in sorted(idx)]
 
     if args.mode == "simmatrix":
-        catalog = _catalog(model, train_log)
+        catalog = _catalog(model)
         _check_test_split(test_log, catalog)
         sim = analysis.similarity_matrix(test_log, model, catalog)
         names = [_key_label(k) for k in sim.content_keys]
@@ -321,10 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Ks", help="comma-separated HR cutoffs, e.g. 1,3,5")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("recommend", help="rank the catalog for one context")
-    p.add_argument("--config", help="JSON run-config file")  # no --seed: it draws no numbers
+    # no --seed, --config or --dataset: it draws no numbers and ranks the checkpoint's items
+    p = sub.add_parser("recommend", help="rank the checkpoint's catalog for one context")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True, help="dataset providing the item universe")
     p.add_argument("--context", required=True, help="JSON context document")
     p.add_argument("--top-k", type=int, default=10)
     p.set_defaults(func=cmd_recommend)

@@ -51,6 +51,7 @@ class TwoTowerModel:
     context_encoder: list[LayerParams]
     item_encoder: list[LayerParams]
     config: EncoderConfig
+    items: tuple = ()  # the catalog: the train split's distinct item dicts, in content-id order
 
     @classmethod
     def initialize(
@@ -114,13 +115,17 @@ def catalog_from_log(log: list[ViewingEvent]) -> list[dict]:
     return [log[i].item_attributes for i in first]
 
 
+def check_catalog_items(items) -> None:
+    """ValueError unless items are at least 2 dicts of distinct canonical_key."""
+    if len(items) < 2:
+        raise ValueError(f"a catalog needs at least 2 items, got {len(items)}")
+    if len(set(map(canonical_key, items))) != len(items):
+        raise ValueError("duplicate item descriptors in catalog")
+
+
 def precompute_catalog(model: TwoTowerModel, items: list[dict]) -> Catalog:
     """Embed every distinct item once; static until the model changes."""
-    if len(items) < 2:
-        raise ValueError("catalog needs at least 2 items")
-    keys = [canonical_key(it) for it in items]
-    if len(set(keys)) != len(keys):
-        raise ValueError("duplicate item descriptors in catalog")
+    check_catalog_items(items)
     # one item at a time so each row is bit-identical to a fresh embed_item
     # of its vector, dense or cells: a row of one cell sums to the same bits
     rows = [embed_item(model, vectorize_item([it], model.schema)[0]) for it in items]

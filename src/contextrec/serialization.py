@@ -1,11 +1,12 @@
 """Stable, versioned file formats: dataset, checkpoint, CSV tables.
 
 Datasets are line-delimited JSON (one event per line, sorted keys);
-checkpoints are a single versioned JSON document carrying the config and
-schema as JSON and each parameter array, in TwoTowerModel.parameters()
-order, as the base64 text of its C-order little-endian float64 bytes. Its
-shape and its layer's activation follow from the schema and the config.
-Identical inputs always serialize byte-identically.
+checkpoints are a single versioned JSON document carrying the config,
+schema and catalog items as JSON and each parameter array, in
+TwoTowerModel.parameters() order, as the base64 text of its C-order
+little-endian float64 bytes. Its shape and its layer's activation follow
+from the schema and the config, and the catalog's embeddings from the
+parameters and the items. Identical inputs always serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from contextlib import contextmanager, suppress
 import numpy as np
 
 from .features import _MULTI_TYPES, FeatureSchema, FeatureSpec, ViewingEvent, _sorted_tuple
-from .model import EncoderConfig, TwoTowerModel
-from .nn_core import chain_activations, chain_layers
+from .model import EncoderConfig, TwoTowerModel, check_catalog_items
+from .nn_core import chain_activations, chain_layers, check_range
+from .trainer import OBJECTIVES
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _FLOAT64_LE = np.dtype("<f8")
 
 
@@ -200,13 +202,21 @@ def _shapes(schema: FeatureSchema, config: EncoderConfig) -> dict:
     return out
 
 
-def save_checkpoint(
-    model: TwoTowerModel, path, objective: str = "", seed: int = 0
-) -> None:
+def _check_run(objective, seed) -> None:
+    """ValueError unless objective is a trainer objective and seed an integer >= 0."""
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {list(OBJECTIVES)}, got {objective!r}")
+    check_range("seed", seed, 0, integer=True)
+
+
+def save_checkpoint(model: TwoTowerModel, path, *, objective: str, seed: int) -> None:
     """Write `model` as one checkpoint document. ValueError, leaving `path`
-    as it was, for a non-finite parameter, or for layer shapes or
-    activations other than those of the model's schema and encoder config:
-    the file stores neither, so it would load as another model."""
+    as it was, for what load_checkpoint refuses (a bad objective, seed or
+    items, a non-finite parameter), or for layer shapes or activations other
+    than those of the model's schema and encoder config: the file stores
+    neither, so it would load as another model."""
+    _check_run(objective, seed)
+    check_catalog_items(model.items)
     shapes, params = _shapes(model.schema, model.config), model.parameters()
     activations = [[x.activation for x in t] for t in (model.context_encoder, model.item_encoder)]
     if ([p.shape for p in params] != list(shapes.values())
@@ -223,6 +233,7 @@ def save_checkpoint(
         "seed": seed,
         "encoder_config": dataclasses.asdict(model.config),
         "schema": dataclasses.asdict(model.schema),
+        "items": [attrs_to_json(it) for it in model.items],
         "parameters": [encode_array(p) for p in params],
     }
     with atomic_write(path) as fh:
@@ -232,9 +243,10 @@ def save_checkpoint(
 def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
     """Returns (model, metadata with objective and seed).
 
-    A file that is not a complete checkpoint of this format version, or
-    whose parameters are not the arrays its schema and encoder config
-    give, raises FormatError naming it.
+    A file that is not a complete checkpoint of this format version, whose
+    parameters are not the arrays its schema and encoder config give, or
+    whose items, objective or seed save_checkpoint would refuse, raises
+    FormatError naming it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -259,16 +271,21 @@ def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
                 arrays.append(decode_array(text, shape))
             except FormatError as exc:
                 raise FormatError(f"{name}: {exc}") from None
+        if type(doc["items"]) is not list or not all(type(it) is dict for it in doc["items"]):
+            raise FormatError("items must be a list of attribute objects")
+        items = tuple(map(attrs_from_json, doc["items"]))
+        check_catalog_items(items)
+        _check_run(doc["objective"], doc["seed"])
         half = len(arrays) // 2  # the towers have equally many layers
         model = TwoTowerModel(schema, chain_layers(arrays[:half]), chain_layers(arrays[half:]),
-                              config)
+                              config, items)
     except KeyError as exc:
         raise FormatError(f"checkpoint {path} lacks key {exc}") from exc
     except FormatError as exc:
         raise FormatError(f"checkpoint {path}: {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint {path} is malformed: {exc}") from exc
-    return model, {"objective": doc.get("objective"), "seed": doc.get("seed")}
+    return model, {"objective": doc["objective"], "seed": doc["seed"]}
 
 
 def write_csv(path, header, rows, digits: int) -> None:

@@ -152,17 +152,23 @@ def train(
 
     The log must be temporally ordered; the last validation_fraction of
     it becomes the validation split. Returns the parameters of the best
-    validation checkpoint. A non-finite embedding, loss or gradient raises
-    FloatingPointError naming the step.
+    validation checkpoint, and the log's distinct item dicts as the model's
+    items. Fewer than 2 of those raise SamplingError, and a non-finite
+    embedding, loss or gradient FloatingPointError naming the step.
     """
     spec = _OBJECTIVES[config.objective]
     if encoder_config is None:
         encoder_config = EncoderConfig(hidden_widths=spec.hidden_widths)
     if not log:
         raise ValueError("empty training log")
+    # keyed once over the whole log, so fit and validation share one id space
+    iids, keys = item_ids(log)
+    if len(keys) < 2:  # the log is not empty, so it holds one
+        raise SamplingError("the training log holds 1 distinct content; a model needs at least 2")
 
     rng = make_rng(config.seed)
     model = TwoTowerModel.initialize(schema, encoder_config, rng)
+    model.items = tuple(map(dict, keys))
     history = TrainHistory()
     if config.max_steps == 0:
         return model, history
@@ -170,8 +176,6 @@ def train(
     cut = int(round((1.0 - config.validation_fraction) * len(log)))
     cut = max(1, min(cut, len(log) - 1))
     fit_log, val_log = log[:cut], log[cut:]
-    # keyed once over the whole log, so fit and validation share one id space
-    iids, keys = item_ids(log)
     fit_iids, val_iids = iids[:cut], iids[cut:]
     fit_cids = val_cids = pair_index = None
     if spec.negatives:

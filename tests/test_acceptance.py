@@ -394,11 +394,14 @@ def test_criterion_07_coviewing_ablation():
 
 
 # ---------------------------------------------------------------------------
-# criterion 8: catalog serving path equals a per-item brute-force oracle
+# criterion 8: catalog serving path equals a per-item brute-force oracle, and
+# the model's own items are the train split's catalog
 
 
 def test_criterion_08_serving_equivalence(planted):
     model, catalog = planted["model"], planted["catalog"]
+    # the model carries its catalog: the train split's distinct items
+    own_catalog = list(model.items) == planted["items"]
     schema = planted["schema"]
     rng = make_rng(11)
     test_log = planted["test_log"]
@@ -418,8 +421,9 @@ def test_criterion_08_serving_equivalence(planted):
         oracle = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
         if not np.array_equal(fast, np.array(oracle)):
             mismatches += 1
-    ok = mismatches == 0
-    verdict(8, f"serving equivalence: {mismatches}/1000 mismatched rankings", ok)
+    ok = mismatches == 0 and own_catalog
+    verdict(8, f"serving equivalence: {mismatches}/1000 mismatched rankings, "
+               f"model items are the train split's catalog = {own_catalog}", ok)
 
 
 # ---------------------------------------------------------------------------

@@ -67,3 +67,34 @@ class TestConditions:
             "(OPENBLAS_NUM_THREADS 2 there, 1 here); its hashes do not compare\n"
         )
         assert not out.exists()
+
+
+class TestExpect:
+    """--expect LIST: exactly the listed paths may differ."""
+
+    def run(self, tmp_path, monkeypatch, listed):
+        # the pipeline writes a.csv and b.csv; the saved printout has other
+        # bytes for a.csv only
+        def pipeline(out):
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "a.csv").write_text("new")
+            (out / "b.csv").write_text("same")
+
+        monkeypatch.setattr(byte_identity, "pipeline", pipeline)
+        hashes, expect = tmp_path / "hashes.txt", tmp_path / "expected.txt"
+        b_digest = byte_identity.hashlib.sha256(b"same").hexdigest()
+        hashes.write_text("".join(printout({"a.csv": A, "b.csv": b_digest})))
+        expect.write_text("# paths that differ on purpose\n\n" + "".join(f"{p}\n" for p in listed))
+        return byte_identity.main([str(tmp_path / "out"), "--compare", str(hashes),
+                                   "--expect", str(expect)])
+
+    def test_exact_match_exits_0(self, tmp_path, monkeypatch):
+        assert self.run(tmp_path, monkeypatch, ["a.csv"]) == 0
+
+    def test_unlisted_change_exits_1(self, tmp_path, monkeypatch, capsys):
+        assert self.run(tmp_path, monkeypatch, []) == 1
+        assert "unlisted difference: a.csv" in capsys.readouterr().err
+
+    def test_listed_path_that_did_not_change_exits_1(self, tmp_path, monkeypatch, capsys):
+        assert self.run(tmp_path, monkeypatch, ["a.csv", "b.csv"]) == 1
+        assert "listed but identical: b.csv" in capsys.readouterr().err

@@ -286,35 +286,46 @@ class TestRecommend:
         # borrow a context from the dataset itself
         first = json.loads(dataset.read_text().splitlines()[0])
         ctx.write_text(json.dumps({"context": first["context"]}))
-        code = main(
-            [
-                "recommend",
-                "--config",
-                str(config_path),
-                "--checkpoint",
-                str(ckpt),
-                "--dataset",
-                str(dataset),
-                "--context",
-                str(ctx),
-                "--top-k",
-                "3",
-            ]
-        )
+        code = main(["recommend", "--checkpoint", str(ckpt), "--context", str(ctx),
+                     "--top-k", "3"])
         assert code == EXIT_OK
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 3
         scores = [float(line.split("\t")[1]) for line in out]
         assert scores == sorted(scores, reverse=True)
 
+    def test_ranks_the_checkpoint_catalog(self, workspace, tmp_path, capsys):
+        # every item the checkpoint stores is ranked, each once
+        ws, config_path, dataset, ckpt = workspace
+        ctx = tmp_path / "ctx.json"
+        ctx.write_text(json.dumps({"context": CONTEXT}))
+        assert main(["recommend", "--checkpoint", str(ckpt), "--context", str(ctx),
+                     "--top-k", "1000"]) == EXIT_OK
+        ranked = [json.loads(line.split("\t")[0])
+                  for line in capsys.readouterr().out.splitlines()]
+        items = json.loads(ckpt.read_text())["items"]
+        assert sorted(ranked, key=json.dumps) == sorted(items, key=json.dumps)
+        assert len(items) == 8
+
     def test_has_no_seed_option(self, workspace, tmp_path, capsys):
         # recommend draws no random numbers, so it takes no --seed
         ws, config_path, dataset, ckpt = workspace
         with pytest.raises(SystemExit) as exc:
-            main(["recommend", "--seed", "3", "--checkpoint", str(ckpt), "--dataset",
-                  str(dataset), "--context", str(tmp_path / "ctx.json")])
+            main(["recommend", "--seed", "3", "--checkpoint", str(ckpt),
+                  "--context", str(tmp_path / "ctx.json")])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--dataset data.jsonl", "--config config.json"])
+    def test_has_no_dataset_or_config_option(self, workspace, tmp_path, capsys, option):
+        # recommend serves the checkpoint's catalog, so it reads no dataset
+        # and no run config
+        ws, config_path, dataset, ckpt = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["recommend", *option.split(), "--checkpoint", str(ckpt),
+                  "--context", str(tmp_path / "ctx.json")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -368,12 +379,16 @@ class TestAnalyze:
     @pytest.mark.parametrize("genre", ["g0\n01", "g0\r01", "g0\r\n01"])
     def test_simmatrix_line_breaks_in_labels(self, workspace, tmp_path, genre):
         # a label holding CR or LF would split its row; the matrix must still
-        # parse into M + 1 rows of M + 2 cells
-        ws, config_path, dataset, ckpt = workspace
-        data, out = tmp_path / "data.jsonl", tmp_path / "sim.csv"
+        # parse into M + 1 rows of M + 2 cells. The labels come from the
+        # checkpoint's catalog, so a model is trained on the renamed log.
+        ws, config_path, dataset, _ = workspace
+        data, ckpt, out = tmp_path / "data.jsonl", tmp_path / "model.json", tmp_path / "sim.csv"
+        config = tmp_path / "config.json"
         data.write_text(dataset.read_text().replace('"g001"', json.dumps(genre)))
-        code = main(["analyze", "--config", str(config_path), "--checkpoint", str(ckpt),
-                     "--dataset", str(data), "--mode", "simmatrix", "--out", str(out)])
+        config.write_text(json.dumps({**json.loads(config_path.read_text()), "max_steps": 2}))
+        common = ["--config", str(config), "--dataset", str(data), "--checkpoint", str(ckpt)]
+        assert main(["train", *common]) == EXIT_OK
+        code = main(["analyze", *common, "--mode", "simmatrix", "--out", str(out)])
         assert code == EXIT_OK
         with open(out, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -631,15 +646,23 @@ def _first_value(value):
     return edit
 
 
-def _parameters(edit):
-    """Writer of the checkpoint with its parameters list replaced by edit(list)."""
+def _checkpoint_key(key, edit):
+    """Writer of the checkpoint with the value of `key` replaced by edit(value)."""
 
     def write(path, original):
         doc = json.loads(original.read_text())
-        doc["parameters"] = edit(doc["parameters"])
+        doc[key] = edit(doc[key])
         path.write_text(json.dumps(doc))
 
     return write
+
+
+def _format_3(path, original):
+    # the same model in format 3, which stores no items
+    doc = json.loads(original.read_text())
+    del doc["items"]
+    doc["format_version"] = 3
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 def _per_layer_format(version, array):
@@ -688,13 +711,17 @@ def _one_context_two_genres(path, _original):
 
 
 def _every_genre_renamed(path, original):
-    # the same events, but no item value is in the checkpoint's vocabulary
+    # the same events, but no content is in the checkpoint's catalog
     path.write_text(original.read_text().replace('"genre":"g', '"genre":"renamed-g'))
 
 
+def _one_genre_dataset(path, _original):
+    rows = [{**_record(i), "item": {"genre": "g0"}} for i in range(40)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+
 TRAIN_ARGS = ["train", "--config", "{config}", "--dataset", "{dataset}", "--checkpoint", "{out}"]
-RECOMMEND_ARGS = ["recommend", "--config", "{config}", "--checkpoint", "{checkpoint}",
-                  "--dataset", "{dataset}", "--context", "{context}"]
+RECOMMEND_ARGS = ["recommend", "--checkpoint", "{checkpoint}", "--context", "{context}"]
 EVAL_ARGS = ["eval", "--config", "{config}", "--checkpoint", "{checkpoint}",
              "--dataset", "{dataset}", "--report", "{out}"]
 ANALYZE_ARGS = ["analyze", "--config", "{config}", "--checkpoint", "{checkpoint}",
@@ -702,6 +729,10 @@ ANALYZE_ARGS = ["analyze", "--config", "{config}", "--checkpoint", "{checkpoint}
 SIMMATRIX_ARGS = [*ANALYZE_ARGS[:-3], "simmatrix", "--out", "{out}"]
 GEN_ARGS = ["gen", "--config", "{config}", "--out", "{out}"]
 MIXED_GENRE = "data error: feature 'genre' mixes value kinds ['categorical_single', 'numeric']"
+OBJECTIVE_NOT_KNOWN = ("data error: checkpoint {checkpoint} is malformed: objective must be one "
+                       "of ['jcce', 'rjcce', 'ljcce', 'bpr'], got ")
+SEED_NOT_KNOWN = ("data error: checkpoint {checkpoint} is malformed: seed must be an integer >= 0, "
+                  "got ")
 
 # id: (config overrides, argv template, input writer, exit code, message prefix);
 # a writer (path name, fn(path, original)) replaces that input; messages may
@@ -798,7 +829,7 @@ BOUNDARY_CASES = {
     ),
     "eval_min_item_count_empties_catalog": (
         {"min_item_count": 10**6}, EVAL_ARGS, None, EXIT_DATA,
-        "data error: the train split holds 0 distinct item(s); a catalog needs at least 2",
+        "data error: empty test split",
     ),
     "analyze_snnm_repetitions_0": (
         {"snnm_repetitions": 0}, ANALYZE_ARGS, None, EXIT_CONFIG,
@@ -939,10 +970,6 @@ BOUNDARY_CASES = {
         {"min_item_count": 1}, EVAL_ARGS, ("dataset", _every_7th_genre_a_number), EXIT_DATA,
         MIXED_GENRE,
     ),
-    "recommend_mixed_kind_genre": (
-        {"min_item_count": 1}, RECOMMEND_ARGS, ("dataset", _every_7th_genre_a_number), EXIT_DATA,
-        MIXED_GENRE,
-    ),
     "analyze_simmatrix_mixed_kind_genre": (
         {"min_item_count": 1}, SIMMATRIX_ARGS, ("dataset", _every_7th_genre_a_number), EXIT_DATA,
         MIXED_GENRE,
@@ -1080,12 +1107,14 @@ BOUNDARY_CASES = {
         "data error: checkpoint {checkpoint}: context_encoder layer 0 weights: data holds ",
     ),
     "eval_checkpoint_parameters_one_short": (
-        {}, EVAL_ARGS, ("checkpoint", _parameters(lambda texts: texts[:-1])), EXIT_DATA,
+        {}, EVAL_ARGS, ("checkpoint", _checkpoint_key("parameters", lambda texts: texts[:-1])),
+        EXIT_DATA,
         "data error: checkpoint {checkpoint}: parameters must be a list of the 12 arrays that "
         "the schema and encoder_config give, got 11",
     ),
     "eval_checkpoint_parameters_not_a_list": (
-        {}, EVAL_ARGS, ("checkpoint", _parameters(lambda texts: dict(enumerate(texts)))),
+        {}, EVAL_ARGS,
+        ("checkpoint", _checkpoint_key("parameters", lambda texts: dict(enumerate(texts)))),
         EXIT_DATA,
         "data error: checkpoint {checkpoint}: parameters must be a list of the 12 arrays that "
         "the schema and encoder_config give, got dict",
@@ -1107,14 +1136,62 @@ BOUNDARY_CASES = {
     "eval_checkpoint_format_version_1": (
         {}, EVAL_ARGS, ("checkpoint", _per_layer_format(1, lambda a: a.tolist())), EXIT_DATA,
         "data error: checkpoint {checkpoint}: unsupported checkpoint format_version: 1; "
-        "this version reads format 3 only, so re-run `contextrec train` to write one",
+        "this version reads format 4 only, so re-run `contextrec train` to write one",
     ),
     "eval_checkpoint_format_version_2": (
         {}, EVAL_ARGS,
         ("checkpoint", _per_layer_format(2, lambda a: {"data": _encode(a), "shape": [*a.shape]})),
         EXIT_DATA,
         "data error: checkpoint {checkpoint}: unsupported checkpoint format_version: 2; "
-        "this version reads format 3 only, so re-run `contextrec train` to write one",
+        "this version reads format 4 only, so re-run `contextrec train` to write one",
+    ),
+    "eval_checkpoint_format_version_3": (
+        {}, EVAL_ARGS, ("checkpoint", _format_3), EXIT_DATA,
+        "data error: checkpoint {checkpoint}: unsupported checkpoint format_version: 3; "
+        "this version reads format 4 only, so re-run `contextrec train` to write one",
+    ),
+    "recommend_checkpoint_items_not_a_list": (
+        {}, RECOMMEND_ARGS, ("checkpoint", _checkpoint_key("items", lambda items: items[0])),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint}: items must be a list of attribute objects",
+    ),
+    "recommend_checkpoint_one_item": (
+        {}, RECOMMEND_ARGS, ("checkpoint", _checkpoint_key("items", lambda items: items[:1])),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint} is malformed: a catalog needs at least 2 items, "
+        "got 1",
+    ),
+    "recommend_checkpoint_duplicate_items": (
+        {}, RECOMMEND_ARGS,
+        ("checkpoint", _checkpoint_key("items", lambda items: [*items, items[3]])), EXIT_DATA,
+        "data error: checkpoint {checkpoint} is malformed: duplicate item descriptors in catalog",
+    ),
+    "recommend_checkpoint_item_unknown_attribute": (
+        {}, RECOMMEND_ARGS,
+        ("checkpoint", _checkpoint_key("items", lambda items: [{**items[0], "mood": "calm"},
+                                                               *items[1:]])),
+        EXIT_DATA,
+        "data error: unknown attribute names: ['mood']",
+    ),
+    "eval_checkpoint_objective_csv": (
+        {}, EVAL_ARGS, ("checkpoint", _checkpoint_key("objective", lambda _: "a,b\nc")),
+        EXIT_DATA, OBJECTIVE_NOT_KNOWN + "'a,b\\nc'",
+    ),
+    "eval_checkpoint_objective_number": (
+        {}, EVAL_ARGS, ("checkpoint", _checkpoint_key("objective", lambda _: 5)), EXIT_DATA,
+        OBJECTIVE_NOT_KNOWN + "5",
+    ),
+    "eval_checkpoint_seed_negative": (
+        {}, EVAL_ARGS, ("checkpoint", _checkpoint_key("seed", lambda _: -1)), EXIT_DATA,
+        SEED_NOT_KNOWN + "-1",
+    ),
+    "eval_checkpoint_seed_text": (
+        {}, EVAL_ARGS, ("checkpoint", _checkpoint_key("seed", lambda _: "x")), EXIT_DATA,
+        SEED_NOT_KNOWN + "'x'",
+    ),
+    "eval_checkpoint_seed_bool": (
+        {}, EVAL_ARGS, ("checkpoint", _checkpoint_key("seed", lambda _: True)), EXIT_DATA,
+        SEED_NOT_KNOWN + "True",
     ),
     "recommend_checkpoint_vocabulary_short_of_layer_0": (
         {}, RECOMMEND_ARGS,
@@ -1160,15 +1237,23 @@ BOUNDARY_CASES = {
     ),
     "eval_every_genre_renamed": (
         {}, EVAL_ARGS, ("dataset", _every_genre_renamed), EXIT_DATA,
-        "data error: all 8 catalog items have the same embedding, so every score ties",
+        "data error: no test event's content is in the catalog",
     ),
     "recommend_every_genre_renamed": (
-        {}, RECOMMEND_ARGS, ("dataset", _every_genre_renamed), EXIT_DATA,
+        # no item value is in the checkpoint's vocabulary
+        {}, RECOMMEND_ARGS,
+        ("checkpoint", _checkpoint_key("items", lambda items: [
+            {**it, "genre": "renamed-" + it["genre"]} for it in items])),
+        EXIT_DATA,
         "data error: all 8 catalog items have the same embedding, so every score ties",
     ),
     "analyze_simmatrix_every_genre_renamed": (
         {}, SIMMATRIX_ARGS, ("dataset", _every_genre_renamed), EXIT_DATA,
-        "data error: all 8 catalog items have the same embedding, so every score ties",
+        "data error: no test event's content is in the catalog",
+    ),
+    "train_one_genre": (
+        {}, TRAIN_ARGS, ("dataset", _one_genre_dataset), EXIT_DATA,
+        "data error: the training log holds 1 distinct content; a model needs at least 2",
     ),
 }
 

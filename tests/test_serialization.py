@@ -11,9 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from contextrec.datagen import GeneratorConfig, generate
+from contextrec.datagen import GeneratorConfig, filter_log, generate, temporal_split
 from contextrec.features import ViewingEvent, build_schema, vectorize_context, vectorize_item
-from contextrec.model import EncoderConfig, TwoTowerModel, embed_context, embed_item
+from contextrec.model import (
+    EncoderConfig,
+    TwoTowerModel,
+    catalog_from_log,
+    embed_context,
+    embed_item,
+    precompute_catalog,
+)
 from contextrec import nn_core
 from contextrec.nn_core import LayerParams, make_rng
 from contextrec import serialization
@@ -28,7 +35,7 @@ from contextrec.serialization import (
     write_csv,
     write_dataset,
 )
-from contextrec.trainer import TrainHistory
+from contextrec.trainer import OBJECTIVES, TrainConfig, TrainHistory, train
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -257,6 +264,7 @@ def tiny_model():
     schema = build_schema(log)
     config = EncoderConfig(hidden_widths=(8,), embedding_dim=5)
     model = TwoTowerModel.initialize(schema, config, make_rng(3))
+    model.items = tuple(e.item_attributes for e in log)
     return log, schema, model
 
 
@@ -276,7 +284,7 @@ class TestCheckpoint:
     def test_serving_scores_preserved(self, tmp_path):
         log, schema, model = tiny_model()
         path = tmp_path / "ckpt.json"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, objective="rjcce", seed=0)
         loaded, _ = load_checkpoint(path)
         for e in log:
             c = embed_context(model, vectorize_context([e], schema)[0])
@@ -289,7 +297,7 @@ class TestCheckpoint:
     def test_schema_round_trip(self, tmp_path):
         _, schema, model = tiny_model()
         path = tmp_path / "ckpt.json"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, objective="rjcce", seed=0)
         loaded, _ = load_checkpoint(path)
         assert loaded.schema == schema
         assert loaded.config == model.config
@@ -297,7 +305,7 @@ class TestCheckpoint:
     def test_unknown_version_rejected(self, tmp_path):
         _, _, model = tiny_model()
         path = tmp_path / "ckpt.json"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, objective="rjcce", seed=0)
         doc = json.loads(path.read_text())
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
@@ -315,7 +323,7 @@ class TestCheckpoint:
         model.item_encoder[0].biases[0] = np.inf
         path = tmp_path / "ckpt.json"
         with pytest.raises(ValueError, match="not JSON compliant"):
-            save_checkpoint(model, path)
+            save_checkpoint(model, path, objective="rjcce", seed=0)
         assert not path.exists()
 
     def test_byte_identical_saves(self, tmp_path):
@@ -343,8 +351,9 @@ class TestCheckpoint:
             assert first.read_bytes() == second.read_bytes()
 
     def test_format_pinned(self, tmp_path):
-        # the saved document, read with this file's own decoder: six keys, and
-        # the arrays in parameters() order as base64 of little-endian float64
+        # the saved document, read with this file's own decoder: seven keys,
+        # the items as JSON objects, and the arrays in parameters() order as
+        # base64 of little-endian float64
         _, _, model = tiny_model()
         model.context_encoder[0].weights[0, :3] = [-0.0, 5e-324, -1.7976931348623157e308]
         path = tmp_path / "ckpt.json"
@@ -353,9 +362,11 @@ class TestCheckpoint:
         doc = json.loads(text)
         assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
         assert sorted(doc) == [
-            "encoder_config", "format_version", "objective", "parameters", "schema", "seed"
+            "encoder_config", "format_version", "items", "objective", "parameters", "schema",
+            "seed",
         ]
-        assert (doc["format_version"], doc["objective"], doc["seed"]) == (3, "jcce", 4)
+        assert (doc["format_version"], doc["objective"], doc["seed"]) == (4, "jcce", 4)
+        assert doc["items"] == [{"genre": f"g{j}"} for j in range(4)]
         assert doc["encoder_config"] == {"embedding_dim": 5, "hidden_widths": [8]}
         params = model.parameters()
         assert len(doc["parameters"]) == len(params)
@@ -367,7 +378,7 @@ class TestCheckpoint:
     def test_loaded_arrays_owned_writeable_native(self, tmp_path):
         _, _, model = tiny_model()
         path = tmp_path / "ckpt.json"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, objective="rjcce", seed=0)
         loaded, _ = load_checkpoint(path)
         for a in loaded.parameters():
             assert a.dtype == np.float64 and a.dtype.isnative
@@ -376,12 +387,13 @@ class TestCheckpoint:
     @pytest.mark.parametrize("hidden_widths", [(), (8,), (8, 6)])
     def test_loaded_activations_follow_the_rule(self, tmp_path, hidden_widths):
         # hidden layers relu, the last identity: the file does not store them
-        schema = tiny_model()[1]
+        _, schema, tiny = tiny_model()
         model = TwoTowerModel.initialize(
             schema, EncoderConfig(hidden_widths=hidden_widths, embedding_dim=5), make_rng(3)
         )
+        model.items = tiny.items
         path = tmp_path / "ckpt.json"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, objective="rjcce", seed=0)
         loaded, _ = load_checkpoint(path)
         rule = ["relu"] * len(hidden_widths) + ["identity"]
         for tower in (loaded.context_encoder, loaded.item_encoder):
@@ -391,7 +403,7 @@ class TestCheckpoint:
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
         _, _, model = tiny_model()
         path = tmp_path / "ckpt.json"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, objective="rjcce", seed=0)
 
         def refuse(*args, **kwargs):
             raise AssertionError("load_checkpoint drew random numbers")
@@ -426,14 +438,14 @@ class TestCheckpoint:
         path.write_text("old")
         edit(model)
         with pytest.raises(ValueError, match=message):
-            save_checkpoint(model, path)
+            save_checkpoint(model, path, objective="rjcce", seed=0)
         assert path.read_text() == "old"
         assert list(tmp_path.iterdir()) == [path]
 
     def test_bias_one_short_rejected(self, tmp_path):
         _, _, model = tiny_model()
         path = tmp_path / "ckpt.json"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, objective="rjcce", seed=0)
         doc = json.loads(path.read_text())
         short = np.frombuffer(base64.b64decode(doc["parameters"][-1]), "<f8")[:-1]
         doc["parameters"][-1] = base64.b64encode(short.tobytes()).decode()
@@ -445,12 +457,72 @@ class TestCheckpoint:
     def test_layer_count_checked(self, tmp_path):
         _, _, model = tiny_model()
         path = tmp_path / "ckpt.json"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, objective="rjcce", seed=0)
         doc = json.loads(path.read_text())
         del doc["parameters"][2:4]  # context_encoder layer 1
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="parameters must be a list of the 8 arrays that "
                                               "the schema and encoder_config give, got 6"):
+            load_checkpoint(path)
+
+    def test_items_are_the_train_split_catalog(self, tmp_path):
+        # the catalog travels with the checkpoint: the loaded items are the
+        # train split's, and the catalog rebuilt from the loaded model is bit
+        # for bit the one built from the split
+        log = filter_log(generate(GeneratorConfig(n_weeks=1, events_per_day=120, n_genres=8,
+                                                  seed=5)))
+        train_log, _ = temporal_split(log)
+        config = TrainConfig(objective="rjcce", batch_size=16, max_steps=3, eval_every=3, seed=1)
+        model, _ = train(train_log, build_schema(train_log), config)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path, objective="rjcce", seed=1)
+        loaded, _ = load_checkpoint(path)
+        items = catalog_from_log(train_log)
+        assert len(items) >= 2 and list(loaded.items) == items
+        rebuilt = precompute_catalog(loaded, loaded.items)
+        assert rebuilt.items == items
+        expected = precompute_catalog(model, items).embeddings
+        assert rebuilt.embeddings.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "objective, seed, items, message",
+        [
+            ("", 0, None, f"objective must be one of {list(OBJECTIVES)}, got ''"),
+            ("a,b\nc", 0, None, f"objective must be one of {list(OBJECTIVES)}, got 'a,b\\nc'"),
+            (5, 0, None, f"objective must be one of {list(OBJECTIVES)}, got 5"),
+            ("jcce", -1, None, "seed must be an integer >= 0, got -1"),
+            ("jcce", "x", None, "seed must be an integer >= 0, got 'x'"),
+            ("jcce", True, None, "seed must be an integer >= 0, got True"),
+            ("jcce", 0, lambda items: items[:1], "a catalog needs at least 2 items, got 1"),
+            ("jcce", 0, lambda items: (), "a catalog needs at least 2 items, got 0"),
+            ("jcce", 0, lambda items: (*items, dict(items[0])),
+             "duplicate item descriptors in catalog"),
+        ],
+        ids=["objective_empty", "objective_csv", "objective_number", "seed_negative",
+             "seed_text", "seed_bool", "one_item", "no_items", "duplicate_items"],
+    )
+    def test_what_train_cannot_make_is_not_saved(self, tmp_path, objective, seed, items,
+                                                 message):
+        _, _, model = tiny_model()
+        if items is not None:
+            model.items = items(model.items)
+        path = tmp_path / "ckpt.json"
+        path.write_text("old")
+        with pytest.raises(ValueError) as exc:
+            save_checkpoint(model, path, objective=objective, seed=seed)
+        assert str(exc.value) == message
+        assert path.read_text() == "old"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("items", [{"genre": "g0"}, ["g0", "g1"], [{"genre": "g0"}, 5]])
+    def test_items_not_a_list_of_objects_rejected(self, tmp_path, items):
+        _, _, model = tiny_model()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path, objective="rjcce", seed=0)
+        doc = json.loads(path.read_text())
+        doc["items"] = items
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="items must be a list of attribute objects"):
             load_checkpoint(path)
 
 
