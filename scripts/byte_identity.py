@@ -43,6 +43,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from contextrec.cli import main as cli_main  # noqa: E402
+from contextrec.serialization import attrs_to_json, read_dataset  # noqa: E402
 from contextrec.trainer import OBJECTIVES  # noqa: E402
 
 CONFIG = {
@@ -94,9 +95,9 @@ def pipeline(out: Path) -> None:
     config, dataset = out / "config.json", out / "data.jsonl"
     config.write_text(json.dumps(CONFIG, sort_keys=True), encoding="utf-8")
     run(out, "gen", "gen", "--config", config, "--out", dataset)
-    first = json.loads(dataset.read_text(encoding="utf-8").splitlines()[0])
+    first = attrs_to_json(read_dataset(dataset)[0].context_attributes)
     context = out / "context.json"
-    context.write_text(json.dumps({"context": first["context"]}, sort_keys=True), encoding="utf-8")
+    context.write_text(json.dumps({"context": first}, sort_keys=True), encoding="utf-8")
     common = ["--config", config, "--dataset", dataset]
     for obj in OBJECTIVES:
         ckpt = out / f"{obj}.ckpt.json"

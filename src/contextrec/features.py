@@ -29,7 +29,7 @@ KIND_NUMERIC = "numeric"
 
 _MULTI_TYPES = (list, set, frozenset, tuple)  # multi-valued attribute values
 _NUMBER_TYPES = (float, int, np.floating, np.integer)  # numeric ones, bool aside
-_ABSENT = object()  # context_ids' cell for a name a dict lacks; equal to no value
+_ABSENT = object()  # the value of a name a dict lacks (context_ids, read_dataset); equal to none
 
 # Inputs at least this wide are vectorized as Cells. The crossover of a
 # training step's layer-0 forward pass plus weight gradient, dense against

@@ -20,7 +20,9 @@ import numpy as np
 
 from .features import (
     FeatureSchema,
+    SchemaError,
     ViewingEvent,
+    _infer_kind,
     canonical_key,
     item_ids,
     vectorize_context,
@@ -115,17 +117,27 @@ def catalog_from_log(log: list[ViewingEvent]) -> list[dict]:
     return [log[i].item_attributes for i in first]
 
 
-def check_catalog_items(items) -> None:
-    """ValueError unless items are at least 2 dicts of distinct canonical_key."""
+def check_catalog_items(items, schema: FeatureSchema) -> None:
+    """ValueError unless items are at least 2 dicts of distinct canonical_key;
+    SchemaError naming the item and attribute for a value whose kind is not
+    that of the schema's feature of its name (an unknown name is left to the
+    vectorizer)."""
     if len(items) < 2:
         raise ValueError(f"a catalog needs at least 2 items, got {len(items)}")
     if len(set(map(canonical_key, items))) != len(items):
         raise ValueError("duplicate item descriptors in catalog")
+    kinds = {spec.name: spec.kind for spec in schema.item_specs}
+    for i, item in enumerate(items):
+        for name, value in item.items():
+            kind = _infer_kind(type(value))
+            if kinds.get(name, kind) != kind:
+                raise SchemaError(f"item {i} attribute {name!r} is {kind}, but its feature "
+                                  f"is {kinds[name]}")
 
 
 def precompute_catalog(model: TwoTowerModel, items: list[dict]) -> Catalog:
     """Embed every distinct item once; static until the model changes."""
-    check_catalog_items(items)
+    check_catalog_items(items, model.schema)
     # one item at a time so each row is bit-identical to a fresh embed_item
     # of its vector, dense or cells: a row of one cell sums to the same bits
     rows = [embed_item(model, vectorize_item([it], model.schema)[0]) for it in items]

@@ -1,6 +1,7 @@
 """Stable, versioned file formats: dataset, checkpoint, CSV tables.
 
-Datasets are line-delimited JSON (one event per line, sorted keys);
+Datasets are versioned, dictionary-coded JSON lines: a header of each
+attribute's distinct values, then one array of table indices per event;
 checkpoints are a single versioned JSON document carrying the config,
 schema and catalog items as JSON and each parameter array, in
 TwoTowerModel.parameters() order, as the base64 text of its C-order
@@ -19,15 +20,20 @@ import os
 import secrets
 import sys
 from contextlib import contextmanager, suppress
+from itertools import compress, islice, repeat
 
 import numpy as np
 
-from .features import _MULTI_TYPES, FeatureSchema, FeatureSpec, ViewingEvent, _sorted_tuple
+from .features import (
+    _ABSENT, _MULTI_TYPES, FeatureSchema, FeatureSpec, ViewingEvent, _sorted_tuple,
+)
 from .model import EncoderConfig, TwoTowerModel, check_catalog_items
 from .nn_core import chain_activations, chain_layers, check_range
 from .trainer import OBJECTIVES
 
 CHECKPOINT_VERSION = 4
+DATASET_VERSION = 2
+_CHUNK_LINES = 4096  # event lines per json.loads call of read_dataset
 _FLOAT64_LE = np.dtype("<f8")
 
 
@@ -104,56 +110,189 @@ def atomic_write(path, newline=None):
 
 
 def write_dataset(log: list[ViewingEvent], path) -> None:
+    """Write `log` in dataset format DATASET_VERSION, replacing `path` whole.
+
+    Line 1 is the header: `format_version`, then per part ("context",
+    "item") each attribute name, sorted, with the list of its distinct
+    attrs_to_json values in first-seen order, told apart by their JSON
+    text. Each later line is one event, `[timestamp, duration_min, cell...]`:
+    per context name, then per item name, the index of the event's value in
+    that name's list, or -1 where the event lacks the attribute.
+    """
+    (ctx_names, ctx_tables, ctx_cells), (item_names, item_tables, item_cells) = (
+        _encode_part([e.context_attributes for e in log]),
+        _encode_part([e.item_attributes for e in log]),
+    )
+    header = {
+        "format_version": DATASET_VERSION,
+        "context": dict(zip(ctx_names, ctx_tables)),
+        "item": dict(zip(item_names, item_tables)),
+    }
+    encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
     with atomic_write(path) as fh:
-        for e in log:
-            record = {
-                "context": attrs_to_json(e.context_attributes),
-                "duration_min": e.duration_min,
-                "item": attrs_to_json(e.item_attributes),
-                "timestamp": e.timestamp,
-            }
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False))
-            fh.write("\n")
+        fh.write(encode(header) + "\n")
+        for e, ctx, item in zip(log, ctx_cells, item_cells):
+            fh.write(encode([e.timestamp, e.duration_min, *ctx, *item]) + "\n")
+
+
+def _encode_part(dicts: list[dict]) -> tuple[list, list, list]:
+    """(names, tables, cells) of one part of a log's events: the sorted
+    attribute names, each name's distinct attrs_to_json values in first-seen
+    order, and per dict its index into each name's table, -1 where the dict
+    lacks the name. Each distinct dict object is encoded once."""
+    names = sorted(set().union(*dicts))
+    positions = [{} for _ in names]  # per name: value key -> index in its table
+    tables = [[] for _ in names]
+    done: dict = {}  # id(dict) -> its cells; the caller's list keeps every dict alive
+    cells = []
+    for d in dicts:
+        row = done.get(id(d))
+        if row is None:
+            attrs, row = attrs_to_json(d), []
+            for name, pos, table in zip(names, positions, tables):
+                if name not in attrs:
+                    row.append(-1)
+                    continue
+                v = attrs[name]
+                # keys as distinct as JSON texts, so 1, 1.0, true, 0.0 and
+                # -0.0 stay apart: a string itself, a list its text, any
+                # other value its type and repr (a float's repr is its text)
+                key = (v if type(v) is str else json.dumps(v) if type(v) is list
+                       else (type(v), repr(v)))
+                index = pos.setdefault(key, len(table))
+                if index == len(table):
+                    table.append(v)
+                row.append(index)
+            done[id(d)] = row
+        cells.append(row)
+    return names, tables, cells
 
 
 def read_dataset(path) -> list[ViewingEvent]:
-    """The events of a dataset file; a bad line raises FormatError naming it.
+    """The events of a dataset file of format DATASET_VERSION.
 
-    Equal strings are one object, and so are equal item dicts whose values
-    are all strings, so attribute dicts of the returned events are read-only.
+    A file without that version is refused with a FormatError. So is a bad
+    header value, naming its attribute, and a bad event line, naming the
+    line: the table values pass attrs_from_json's checks once each, and the
+    event lines, parsed in chunks of _CHUNK_LINES with one json.loads call,
+    are checked column by column; a chunk that fails is parsed again line by
+    line to find the line. Equal strings are one object, and events with the
+    same item cells share one item dict, so attribute dicts of the returned
+    events are read-only.
     """
-    events = []
-    strings: dict = {}  # one object per distinct string
-    items: dict = {}  # (name, value) pairs of an all-string item -> its one dict
+    events: list[ViewingEvent] = []
+    items: dict = {}  # item cells -> the one dict of those values
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                ts, duration = float(rec["timestamp"]), float(rec["duration_min"])
-                if not (math.isfinite(ts) and math.isfinite(duration)):
-                    raise ValueError("timestamp and duration_min must be finite")
-                item = rec["item"]
-                if isinstance(item, dict) and all(type(v) is str for v in item.values()):
-                    key = tuple(item.items())
-                    if key not in items:
-                        items[key] = _attrs_from_json(item, strings)
-                    item = items[key]
-                else:
-                    item = _attrs_from_json(item, strings)
-                events.append(
-                    ViewingEvent(
-                        item_attributes=item,
-                        context_attributes=_attrs_from_json(rec["context"], strings),
-                        timestamp=ts,
-                        duration_min=duration,
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise FormatError(f"bad dataset record at line {lineno}: {exc}") from exc
+        (ctx_names, ctx_tables), (item_names, item_tables) = _read_header(fh.readline())
+        labels = [f"context attribute {n!r}" for n in ctx_names] + [
+            f"item attribute {n!r}" for n in item_names]
+        sizes = [len(t) - 1 for t in ctx_tables + item_tables]
+        n_ctx, lineno = len(ctx_names), 2
+        while lines := list(islice(fh, _CHUNK_LINES)):
+            columns = _chunk_columns(lines, lineno, labels, sizes)
+            lineno += len(lines)
+            n, ctx_columns, item_columns = len(lines), columns[2:2 + n_ctx], columns[2 + n_ctx:]
+            contexts = _dicts(ctx_names, ctx_tables, ctx_columns, n)
+            keys = list(zip(*item_columns)) if item_columns else [()] * n
+            new = [k for k in dict.fromkeys(keys) if k not in items]
+            items.update(zip(new, _dicts(item_names, item_tables, list(zip(*new)), len(new))))
+            events += map(ViewingEvent, map(items.__getitem__, keys), contexts,
+                          map(float, columns[0]), map(float, columns[1]))
     return events
+
+
+def _read_header(line: bytes) -> tuple:
+    """((names, tables) of the context, (names, tables) of the item) of a
+    dataset's first line; each table ends with _ABSENT, which cell -1 reads."""
+    try:
+        doc = json.loads(line.decode("utf-8")) if line.strip() else None
+    except ValueError as exc:
+        raise FormatError(f"bad dataset header at line 1: {exc}") from exc
+    version = doc.get("format_version") if type(doc) is dict else None
+    if version != DATASET_VERSION:
+        raise FormatError(
+            f"unsupported dataset format_version: {version!r}; this version reads format "
+            f"{DATASET_VERSION} only, so re-run `contextrec gen` to write one"
+        )
+    strings: dict = {}  # one object per distinct string
+    parts = []
+    try:
+        for part in ("context", "item"):
+            attrs = doc.get(part)
+            if type(attrs) is not dict or any(type(v) is not list for v in attrs.values()):
+                raise FormatError(f"{part!r} must map each attribute name to a JSON list of its "
+                                  "values")
+            if list(attrs) != sorted(attrs):
+                raise FormatError(f"{part!r} attribute names are not sorted")
+            names = [strings.setdefault(n, n) for n in attrs]
+            tables = [[_attrs_from_json({n: v}, strings)[n] for v in values] + [_ABSENT]
+                      for n, values in zip(names, attrs.values())]
+            parts.append((names, tables))
+    except FormatError as exc:
+        raise FormatError(f"bad dataset header at line 1: {exc}") from exc
+    return tuple(parts)
+
+
+def _chunk_columns(lines: list[bytes], lineno: int, labels: list, sizes: list) -> list:
+    """The columns of the event lines `lines`, the first of which is line
+    `lineno`, after _check_rows; FormatError naming the first bad line."""
+    text = b",".join(lines)
+    # a checked row is a flat array, holding one "]", so when every line
+    # ends in "]" the rows are the lines' values one to one
+    if text.count(b"]\n,") == len(lines) - 1 and text.rstrip().endswith(b"]"):
+        try:
+            rows = json.loads((b"[" + text + b"]").decode("utf-8"))
+            if len(rows) == len(lines):
+                return _check_rows(rows, labels, sizes)
+        except ValueError:
+            pass
+    rows = []
+    for n, raw in enumerate(lines, lineno):
+        try:
+            rows.append(json.loads(raw.decode("utf-8")))
+            _check_rows(rows[-1:], labels, sizes)
+        except ValueError as exc:
+            raise FormatError(f"bad dataset record at line {n}: {exc}") from exc
+    return _check_rows(rows, labels, sizes)
+
+
+def _check_rows(rows: list, labels: list, sizes: list) -> list:
+    """The columns of rows, each a tuple; ValueError unless every row is a
+    list of a finite timestamp and duration_min, then per attribute an int
+    cell in [-1, its table size)."""
+    width = 2 + len(sizes)
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {width}:
+        raise ValueError(f"a record must be a JSON array of {width} values: timestamp, "
+                         f"duration_min and {len(sizes)} attribute cells")
+    columns = list(zip(*rows))
+    times = columns[0] + columns[1]
+    if not set(map(type, times)) <= {int, float} or not _all_finite(times):
+        raise ValueError("timestamp and duration_min must be finite numbers")
+    for column, label, size in zip(columns[2:], labels, sizes):
+        if set(map(type, column)) != {int} or min(column) < -1 or max(column) >= size:
+            bad = next(c for c in column if type(c) is not int or not -1 <= c < size)
+            raise ValueError(f"{label} cell must be an index in [-1, {size}), got {bad!r}")
+    return columns
+
+
+def _all_finite(numbers) -> bool:
+    try:
+        return all(map(math.isfinite, numbers))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _dicts(names: list, tables: list, columns: list, n: int) -> list[dict]:
+    """The attribute dict of each of the n rows of the cell columns; a name
+    whose cell is -1 is left out."""
+    if not columns:
+        return [{} for _ in range(n)]
+    values = [list(map(table.__getitem__, column)) for table, column in zip(tables, columns)]
+    out = list(map(dict, map(zip, repeat(names), zip(*values))))
+    for i in {i for column in columns if -1 in column
+              for i in compress(range(n), map((-1).__eq__, column))}:
+        out[i] = {k: v for k, v in out[i].items() if v is not _ABSENT}
+    return out
 
 
 def _schema_from_json(doc: dict) -> FeatureSchema:
@@ -216,7 +355,7 @@ def save_checkpoint(model: TwoTowerModel, path, *, objective: str, seed: int) ->
     than those of the model's schema and encoder config: the file stores
     neither, so it would load as another model."""
     _check_run(objective, seed)
-    check_catalog_items(model.items)
+    check_catalog_items(model.items, model.schema)
     shapes, params = _shapes(model.schema, model.config), model.parameters()
     activations = [[x.activation for x in t] for t in (model.context_encoder, model.item_encoder)]
     if ([p.shape for p in params] != list(shapes.values())
@@ -274,7 +413,7 @@ def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
         if type(doc["items"]) is not list or not all(type(it) is dict for it in doc["items"]):
             raise FormatError("items must be a list of attribute objects")
         items = tuple(map(attrs_from_json, doc["items"]))
-        check_catalog_items(items)
+        check_catalog_items(items, schema)
         _check_run(doc["objective"], doc["seed"])
         half = len(arrays) // 2  # the towers have equally many layers
         model = TwoTowerModel(schema, chain_layers(arrays[:half]), chain_layers(arrays[half:]),

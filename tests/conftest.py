@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,54 @@ def wide_log(extra=20, co_viewers=False):
             duration_min=10.0,
         ))
     return events
+
+
+def encode_dataset(records, version=2) -> str:
+    """Dataset format 2 text of records, each a dict of "context" and "item"
+    attribute objects, "timestamp" and "duration_min", by this file's own
+    rules: a header line of format_version and, per part, each attribute
+    name in sorted order with the JSON texts of its distinct values in
+    first-seen order; then per record one line [timestamp, duration_min,
+    cell...], a cell per context name then per item name, each the index of
+    the record's value in that name's list or -1 where the record lacks it.
+    Non-finite numbers are written as the literals NaN and Infinity."""
+    dumps = json.JSONEncoder(separators=(",", ":")).encode
+    parts = {}
+    for part in ("context", "item"):
+        names = sorted({name for r in records for name in r[part]})
+        texts = {name: [] for name in names}
+        for r in records:
+            for name, value in r[part].items():
+                text = dumps(value)
+                if text not in texts[name]:
+                    texts[name].append(text)
+        parts[part] = names, texts
+    header = ",".join(
+        f'"{part}":{{' + ",".join(f"{dumps(n)}:[{','.join(texts[n])}]" for n in names) + "}"
+        for part, (names, texts) in parts.items()
+    )
+    lines = [f'{{"format_version":{version},{header}}}']
+    for r in records:
+        cells = [texts[n].index(dumps(r[part][n])) if n in r[part] else -1
+                 for part, (names, texts) in parts.items() for n in names]
+        lines.append(dumps([r["timestamp"], r["duration_min"], *cells]))
+    return "".join(line + "\n" for line in lines)
+
+
+def decode_dataset(text) -> list[dict]:
+    """The records of a dataset format 2 text, as encode_dataset takes them."""
+    header, *lines = text.splitlines()
+    doc = json.loads(header)
+    parts = [(part, list(doc[part].items())) for part in ("context", "item")]
+    records = []
+    for line in lines:
+        row = json.loads(line)
+        cells = iter(row[2:])
+        record = {"timestamp": row[0], "duration_min": row[1]}
+        for part, tables in parts:
+            record[part] = {name: values[c] for (name, values), c in zip(tables, cells) if c != -1}
+        records.append(record)
+    return records
 
 
 def one_hot(value, spec):

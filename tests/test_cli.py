@@ -22,7 +22,7 @@ from contextrec.cli import (
 )
 from contextrec.serialization import write_dataset
 
-from conftest import wide_log
+from conftest import decode_dataset, encode_dataset, wide_log
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +284,7 @@ class TestRecommend:
         ws, config_path, dataset, ckpt = workspace
         ctx = tmp_path / "ctx.json"
         # borrow a context from the dataset itself
-        first = json.loads(dataset.read_text().splitlines()[0])
+        first = decode_dataset(dataset.read_text())[0]
         ctx.write_text(json.dumps({"context": first["context"]}))
         code = main(["recommend", "--checkpoint", str(ckpt), "--context", str(ctx),
                      "--top-k", "3"])
@@ -428,26 +428,62 @@ def _record(i, **context):
     }
 
 
+def _write_records(path, records, version=2):
+    path.write_text(encode_dataset(records, version))
+
+
 def _mixed_kind_dataset(path, _original):
-    rows = [_record(0, size="big")] + [_record(i, size=float(i)) for i in range(1, 20)]
-    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    _write_records(path, [_record(0, size="big")] + [_record(i, size=float(i))
+                                                     for i in range(1, 20)])
 
 
 def _non_finite_dataset(path, _original):
     rows = [_record(i) for i in range(20)]
     rows[5]["timestamp"] = float("nan")
-    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    _write_records(path, rows)
 
 
 def _mean_age_literal(literal):
-    """Writer of the generated dataset with line 6's mean_age set to a raw
-    JSON number literal, such as NaN or 1e400."""
+    """Writer of the generated dataset with the sixth event's mean_age set
+    to a raw JSON number literal, such as NaN or 1e400, which lands in the
+    header's mean_age values."""
 
     def write(path, original):
-        lines = original.read_text().splitlines(keepends=True)
-        rec = json.loads(lines[5])
-        rec["context"]["mean_age"] = "<age>"
-        lines[5] = json.dumps(rec, sort_keys=True).replace('"<age>"', literal) + "\n"
+        records = decode_dataset(original.read_text())
+        records[5]["context"]["mean_age"] = "<age>"
+        path.write_text(encode_dataset(records).replace('"<age>"', literal))
+
+    return write
+
+
+def _edited_records(edit):
+    """Writer of the generated dataset's records after edit(records)."""
+
+    def write(path, original):
+        records = decode_dataset(original.read_text())
+        edit(records)
+        _write_records(path, records)
+
+    return write
+
+
+def _format_1_dataset(path, original):
+    # the generated events as format 1 wrote them: one JSON object a line
+    path.write_text("".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+                            for r in decode_dataset(original.read_text())))
+
+
+def _dataset_format_version_3(path, original):
+    _write_records(path, decode_dataset(original.read_text()), version=3)
+
+
+def _row_at_line(lineno, row, n=20):
+    """Writer of a dataset of n _record events, of a user (3 values) and a
+    genre (2 values), whose line `lineno` is `row`."""
+
+    def write(path, _original):
+        lines = encode_dataset([_record(i) for i in range(n)]).splitlines(keepends=True)
+        lines[lineno - 1] = row + "\n"
         path.write_text("".join(lines))
 
     return write
@@ -478,31 +514,25 @@ def _context_with(name, value):
     return write
 
 
-def _every_7th_genre_a_number(path, original):
-    lines = original.read_text().splitlines(keepends=True)
-    for i in range(0, len(lines), 7):
-        rec = json.loads(lines[i])
+@_edited_records
+def _every_7th_genre_a_number(records):
+    for rec in records[::7]:
         rec["item"]["genre"] = 5
-        lines[i] = json.dumps(rec, sort_keys=True) + "\n"
-    path.write_text("".join(lines))
 
 
-def _line_6_with(part, name, value):
-    """Writer of the generated dataset with line 6's part[name] ("item" or
-    "context") replaced by value, or removed when value is None; the line's
-    duration passes the duration filter."""
+def _event_6_with(part, name, value):
+    """Writer of the generated dataset with the sixth event's part[name]
+    ("item" or "context") replaced by value, or removed when value is None;
+    the event's duration passes the duration filter."""
 
-    def write(path, original):
-        lines = original.read_text().splitlines(keepends=True)
-        rec = json.loads(lines[5])
+    def edit(records):
+        rec = records[5]
         del rec[part][name]
         if value is not None:
             rec[part][name] = value
         rec["duration_min"] = 30.0
-        lines[5] = json.dumps(rec, sort_keys=True) + "\n"
-        path.write_text("".join(lines))
 
-    return write
+    return _edited_records(edit)
 
 
 def _encode(a):
@@ -537,50 +567,45 @@ def _zero_context_tower(path, original):
     path.write_text(json.dumps(doc))
 
 
-def _test_split_group_size_text(path, original):
-    # the last 20 lines fall in the test split; some pass the duration filter
-    lines = original.read_text().splitlines(keepends=True)
-    for i in range(len(lines) - 20, len(lines)):
-        rec = json.loads(lines[i])
+@_edited_records
+def _test_split_group_size_text(records):
+    # the last 20 events fall in the test split; some pass the duration filter
+    for rec in records[-20:]:
         rec["context"]["group_size"] = "two"
-        lines[i] = json.dumps(rec, sort_keys=True) + "\n"
-    path.write_text("".join(lines))
 
 
-def _test_split_genres_new(path, original):
+@_edited_records
+def _test_split_genres_new(records):
     # with min_item_count 1 only the duration filter drops events, so the
-    # test split is the last tenth of the lines that pass it
-    lines = original.read_text().splitlines(keepends=True)
-    kept = [i for i, line in enumerate(lines) if json.loads(line)["duration_min"] >= 3.0]
-    for i in kept[round(0.9 * len(kept)):]:
-        rec = json.loads(lines[i])
+    # test split is the last tenth of the events that pass it
+    kept = [rec for rec in records if rec["duration_min"] >= 3.0]
+    for rec in kept[round(0.9 * len(kept)):]:
         rec["item"]["genre"] = "gNEW"
-        lines[i] = json.dumps(rec, sort_keys=True) + "\n"
-    path.write_text("".join(lines))
 
 
 def _non_utf8_dataset(path, _original):
-    rows = [json.dumps(_record(i)).encode() + b"\n" for i in range(20)]
-    rows[3] = b'{"\xff\xfe": 1}\n'
-    path.write_bytes(b"".join(rows))
+    lines = encode_dataset([_record(i) for i in range(20)]).encode().splitlines(keepends=True)
+    lines[4] = b'["\xff\xfe",1]\n'
+    path.write_bytes(b"".join(lines))
 
 
 def _item_not_object_dataset(path, _original):
-    rows = [_record(i) for i in range(20)]
-    rows[3]["item"] = ["g0"]
-    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    header, *lines = encode_dataset([_record(i) for i in range(20)]).splitlines(keepends=True)
+    doc = json.loads(header)
+    doc["item"] = ["g0"]
+    path.write_text(json.dumps(doc) + "\n" + "".join(lines))
 
 
 def _nested_object_dataset(path, _original):
     rows = [_record(i) for i in range(20)]
     rows[4]["context"]["user"] = {"id": "u1"}
-    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    _write_records(path, rows)
 
 
 def _nested_list_dataset(path, _original):
     rows = [_record(i) for i in range(20)]
     rows[7]["item"]["genre"] = ["g0", ["g1"]]
-    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    _write_records(path, rows)
 
 
 def _context_nested_value(path, _original):
@@ -706,18 +731,18 @@ def _vocabulary_as_text(spec):
 
 def _one_context_two_genres(path, _original):
     # every genre is seen in the one context, so no BPR negative is admissible
-    rows = [{**_record(i), "context": {"user": "u0"}} for i in range(40)]
-    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    _write_records(path, [{**_record(i), "context": {"user": "u0"}} for i in range(40)])
 
 
-def _every_genre_renamed(path, original):
+@_edited_records
+def _every_genre_renamed(records):
     # the same events, but no content is in the checkpoint's catalog
-    path.write_text(original.read_text().replace('"genre":"g', '"genre":"renamed-g'))
+    for rec in records:
+        rec["item"]["genre"] = "renamed-" + rec["item"]["genre"]
 
 
 def _one_genre_dataset(path, _original):
-    rows = [{**_record(i), "item": {"genre": "g0"}} for i in range(40)]
-    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    _write_records(path, [{**_record(i), "item": {"genre": "g0"}} for i in range(40)])
 
 
 TRAIN_ARGS = ["train", "--config", "{config}", "--dataset", "{dataset}", "--checkpoint", "{out}"]
@@ -943,22 +968,22 @@ BOUNDARY_CASES = {
         "config error: seed must be an integer >= 0, got True",
     ),
     "train_1id_viewers_text": (
-        {}, TRAIN_ARGS + ["--1id"], ("dataset", _line_6_with("context", "viewer_ids", "u0001")),
+        {}, TRAIN_ARGS + ["--1id"], ("dataset", _event_6_with("context", "viewer_ids", "u0001")),
         EXIT_DATA,
         "data error: attribute 'viewer_ids' takes a list, got str 'u0001'",
     ),
     "train_1id_viewers_number": (
-        {}, TRAIN_ARGS + ["--1id"], ("dataset", _line_6_with("context", "viewer_ids", 5)),
+        {}, TRAIN_ARGS + ["--1id"], ("dataset", _event_6_with("context", "viewer_ids", 5)),
         EXIT_DATA,
         "data error: attribute 'viewer_ids' takes a list, got int 5",
     ),
     "train_1id_viewers_missing": (
-        {}, TRAIN_ARGS + ["--1id"], ("dataset", _line_6_with("context", "viewer_ids", None)),
+        {}, TRAIN_ARGS + ["--1id"], ("dataset", _event_6_with("context", "viewer_ids", None)),
         EXIT_DATA,
         "data error: attribute 'viewer_ids' takes a list, got NoneType None",
     ),
     "train_1id_viewers_unsortable": (
-        {}, TRAIN_ARGS + ["--1id"], ("dataset", _line_6_with("context", "viewer_ids", ["u1", 5])),
+        {}, TRAIN_ARGS + ["--1id"], ("dataset", _event_6_with("context", "viewer_ids", ["u1", 5])),
         EXIT_DATA,
         "data error: attribute 'viewer_ids' holds list values that do not sort: '<' not supported",
     ),
@@ -975,12 +1000,12 @@ BOUNDARY_CASES = {
         MIXED_GENRE,
     ),
     "train_genre_list_that_does_not_sort": (
-        {}, TRAIN_ARGS, ("dataset", _line_6_with("item", "genre", ["a", 1])), EXIT_DATA,
+        {}, TRAIN_ARGS, ("dataset", _event_6_with("item", "genre", ["a", 1])), EXIT_DATA,
         "data error: attribute 'genre' holds list values that do not sort: '<' not supported",
     ),
     "train_bpr_viewers_that_do_not_sort": (
         {"objective": "bpr"}, TRAIN_ARGS,
-        ("dataset", _line_6_with("context", "viewer_ids", ["u0001", 5])), EXIT_DATA,
+        ("dataset", _event_6_with("context", "viewer_ids", ["u0001", 5])), EXIT_DATA,
         "data error: attribute 'viewer_ids' holds list values that do not sort: '<' not supported",
     ),
     "train_mixed_kind_feature": (
@@ -989,27 +1014,78 @@ BOUNDARY_CASES = {
     ),
     "train_nan_timestamp": (
         {}, TRAIN_ARGS, ("dataset", _non_finite_dataset), EXIT_DATA,
-        "data error: bad dataset record at line 6: timestamp and duration_min must be finite",
+        "data error: bad dataset record at line 7: timestamp and duration_min must be finite "
+        "numbers",
     ),
     "train_nan_attribute": (
         {}, TRAIN_ARGS, ("dataset", _mean_age_literal("NaN")), EXIT_DATA,
-        "data error: bad dataset record at line 6: attribute 'mean_age' is not a finite "
+        "data error: bad dataset header at line 1: attribute 'mean_age' is not a finite "
         "number (nan)",
     ),
     "train_infinite_attribute": (
         {}, TRAIN_ARGS, ("dataset", _mean_age_literal("Infinity")), EXIT_DATA,
-        "data error: bad dataset record at line 6: attribute 'mean_age' is not a finite "
+        "data error: bad dataset header at line 1: attribute 'mean_age' is not a finite "
         "number (inf)",
     ),
     "train_overflowing_attribute": (
         {}, TRAIN_ARGS, ("dataset", _mean_age_literal("1e400")), EXIT_DATA,
-        "data error: bad dataset record at line 6: attribute 'mean_age' is not a finite "
+        "data error: bad dataset header at line 1: attribute 'mean_age' is not a finite "
         "number (inf)",
     ),
     "train_integer_beyond_float_range": (
         {}, TRAIN_ARGS, ("dataset", _mean_age_literal("1" + "0" * 400)), EXIT_DATA,
-        "data error: bad dataset record at line 6: attribute 'mean_age' is not a finite "
+        "data error: bad dataset header at line 1: attribute 'mean_age' is not a finite "
         "number (an integer beyond the float range)",
+    ),
+    "train_dataset_format_1": (
+        {}, TRAIN_ARGS, ("dataset", _format_1_dataset), EXIT_DATA,
+        "data error: unsupported dataset format_version: None; this version reads format 2 "
+        "only, so re-run `contextrec gen` to write one",
+    ),
+    "eval_dataset_format_1": (
+        {}, EVAL_ARGS, ("dataset", _format_1_dataset), EXIT_DATA,
+        "data error: unsupported dataset format_version: None; this version reads format 2 "
+        "only, so re-run `contextrec gen` to write one",
+    ),
+    "analyze_dataset_format_1": (
+        {}, ANALYZE_ARGS, ("dataset", _format_1_dataset), EXIT_DATA,
+        "data error: unsupported dataset format_version: None; this version reads format 2 "
+        "only, so re-run `contextrec gen` to write one",
+    ),
+    "train_dataset_format_version_3": (
+        {}, TRAIN_ARGS, ("dataset", _dataset_format_version_3), EXIT_DATA,
+        "data error: unsupported dataset format_version: 3; this version reads format 2 only, "
+        "so re-run `contextrec gen` to write one",
+    ),
+    "train_cell_out_of_range": (
+        {}, TRAIN_ARGS, ("dataset", _row_at_line(6, "[4.0,30.0,3,0]")), EXIT_DATA,
+        "data error: bad dataset record at line 6: context attribute 'user' cell must be an "
+        "index in [-1, 3), got 3",
+    ),
+    "train_cell_minus_2": (
+        {}, TRAIN_ARGS, ("dataset", _row_at_line(6, "[4.0,30.0,0,-2]")), EXIT_DATA,
+        "data error: bad dataset record at line 6: item attribute 'genre' cell must be an index "
+        "in [-1, 2), got -2",
+    ),
+    "train_cell_bool": (
+        {}, TRAIN_ARGS, ("dataset", _row_at_line(6, "[4.0,30.0,true,0]")), EXIT_DATA,
+        "data error: bad dataset record at line 6: context attribute 'user' cell must be an "
+        "index in [-1, 3), got True",
+    ),
+    "train_cell_float": (
+        {}, TRAIN_ARGS, ("dataset", _row_at_line(6, "[4.0,30.0,0,1.0]")), EXIT_DATA,
+        "data error: bad dataset record at line 6: item attribute 'genre' cell must be an index "
+        "in [-1, 2), got 1.0",
+    ),
+    "train_row_of_wrong_length": (
+        {}, TRAIN_ARGS, ("dataset", _row_at_line(6, "[4.0,30.0,0]")), EXIT_DATA,
+        "data error: bad dataset record at line 6: a record must be a JSON array of 4 values: "
+        "timestamp, duration_min and 2 attribute cells",
+    ),
+    "train_bad_line_past_the_first_chunk": (
+        {}, TRAIN_ARGS, ("dataset", _row_at_line(4500, "[4.0,30.0,0,0,0]", n=5000)), EXIT_DATA,
+        "data error: bad dataset record at line 4500: a record must be a JSON array of 4 "
+        "values: timestamp, duration_min and 2 attribute cells",
     ),
     "recommend_context_text_for_number": (
         {}, RECOMMEND_ARGS, ("context", _context_with("group_size", "abc")), EXIT_DATA,
@@ -1038,19 +1114,20 @@ BOUNDARY_CASES = {
     ),
     "train_non_utf8_dataset": (
         {}, TRAIN_ARGS, ("dataset", _non_utf8_dataset), EXIT_DATA,
-        "data error: bad dataset record at line 4: 'utf-8' codec can't decode byte 0xff",
+        "data error: bad dataset record at line 5: 'utf-8' codec can't decode byte 0xff",
     ),
     "train_item_not_object": (
         {}, TRAIN_ARGS, ("dataset", _item_not_object_dataset), EXIT_DATA,
-        "data error: bad dataset record at line 4: attributes must be a JSON object, got list",
+        "data error: bad dataset header at line 1: 'item' must map each attribute name to a "
+        "JSON list of its values",
     ),
     "train_nested_object_attribute": (
         {"objective": "rjcce"}, TRAIN_ARGS, ("dataset", _nested_object_dataset), EXIT_DATA,
-        "data error: bad dataset record at line 5: attribute 'user' nests an object or array",
+        "data error: bad dataset header at line 1: attribute 'user' nests an object or array",
     ),
     "train_bpr_nested_list_attribute": (
         {"objective": "bpr"}, TRAIN_ARGS, ("dataset", _nested_list_dataset), EXIT_DATA,
-        "data error: bad dataset record at line 8: attribute 'genre' nests an object or array",
+        "data error: bad dataset header at line 1: attribute 'genre' nests an object or array",
     ),
     "recommend_context_nested_value": (
         {}, RECOMMEND_ARGS, ("context", _context_nested_value), EXIT_DATA,
@@ -1172,6 +1249,14 @@ BOUNDARY_CASES = {
                                                                *items[1:]])),
         EXIT_DATA,
         "data error: unknown attribute names: ['mood']",
+    ),
+    "recommend_checkpoint_item_of_another_kind": (
+        {}, RECOMMEND_ARGS,
+        ("checkpoint", _checkpoint_key("items", lambda items: [{**items[0], "genre": 5},
+                                                               *items[1:]])),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint} is malformed: item 0 attribute 'genre' is numeric, "
+        "but its feature is categorical_single",
     ),
     "eval_checkpoint_objective_csv": (
         {}, EVAL_ARGS, ("checkpoint", _checkpoint_key("objective", lambda _: "a,b\nc")),

@@ -37,6 +37,8 @@ from contextrec.serialization import (
 )
 from contextrec.trainer import OBJECTIVES, TrainConfig, TrainHistory, train
 
+from conftest import encode_dataset
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 ATTRIBUTES = st.dictionaries(
@@ -59,6 +61,28 @@ INTEGER_LISTS = st.dictionaries(
 )
 
 
+EDGE_FLOATS = st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308]
+)
+
+
+JSON_SCALARS = (st.text(max_size=4) | st.integers(-(2**64), 2**64) | FINITE | EDGE_FLOATS
+                | st.booleans() | st.none())
+JSON_ATTRIBUTES = st.dictionaries(
+    st.text(max_size=4),
+    JSON_SCALARS
+    | st.lists(st.text(max_size=4), max_size=3).map(tuple)
+    | st.lists(st.integers(-9, 9) | FINITE | EDGE_FLOATS | st.booleans(), max_size=3),
+    max_size=4,
+)
+
+
+def record(context=(), item=(), timestamp=0.0, duration_min=5.0):
+    return {"context": dict(context), "item": dict(item), "timestamp": timestamp,
+            "duration_min": duration_min}
+
+
 class TestDataset:
     @settings(deadline=None)
     @given(st.lists(EVENTS, max_size=5))
@@ -72,6 +96,31 @@ class TestDataset:
             assert back == log
             write_dataset(back, second)
             assert first.read_bytes() == second.read_bytes()
+
+    @settings(deadline=None)
+    @given(st.lists(st.builds(ViewingEvent, JSON_ATTRIBUTES, JSON_ATTRIBUTES,
+                              FINITE | EDGE_FLOATS, FINITE | EDGE_FLOATS), max_size=6))
+    def test_round_trip_keeps_keys_and_types_property(self, log):
+        # repr tells 1, 1.0 and True apart, and -0.0 from 0.0, and gives each
+        # float's exact value; a key lists an absent name not at all and a
+        # null as None; multi-values come back as sorted tuples
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "a.jsonl")
+            write_dataset(log, path)
+            back = read_dataset(path)
+
+        def keys(events):
+            return repr([(e.item_key(), e.context_key(), e.timestamp, e.duration_min)
+                         for e in events])
+
+        assert keys(back) == keys(log)
+        for e, original in zip(back, log):
+            for got, want in ((e.context_attributes, original.context_attributes),
+                              (e.item_attributes, original.item_attributes)):
+                assert list(got) == sorted(want)
+                for name, value in want.items():
+                    if isinstance(value, (list, tuple)):
+                        assert got[name] == tuple(sorted(value)) and type(got[name]) is tuple
 
     def sample_log(self):
         return generate(GeneratorConfig(n_weeks=1, events_per_day=40, seed=11))
@@ -93,7 +142,29 @@ class TestDataset:
         log = self.sample_log()
         path = tmp_path / "data.jsonl"
         write_dataset(log, path)
-        assert len(path.read_text().strip().splitlines()) == len(log)
+        assert len(path.read_text().strip().splitlines()) == 1 + len(log)
+
+    def test_format_pinned(self, tmp_path):
+        # the written bytes are those of this suite's own encoder: names
+        # sorted, values by first sight and told apart by their JSON text,
+        # -1 for an absent name, multi-values sorted
+        log = [
+            ViewingEvent({"genre": "g1"}, {"viewer_ids": ("u9", "u1"), "size": 1}, 5.0, 9.5),
+            ViewingEvent({"genre": "g0"}, {"size": 1.0, "flag": True}, -0.0, 5e-324),
+            ViewingEvent({"genre": "g1", "x": None}, {"size": True, "flag": None}, 2.0, 1.0),
+            ViewingEvent({"genre": "g1"}, {"size": -0.0, "viewer_ids": ["u1", "u9"]}, 3.0, 1.0),
+        ]
+        path = tmp_path / "data.jsonl"
+        write_dataset(log, path)
+        records = [record({k: sorted(v) if isinstance(v, (list, tuple)) else v
+                           for k, v in e.context_attributes.items()},
+                          e.item_attributes, e.timestamp, e.duration_min) for e in log]
+        assert path.read_text() == encode_dataset(records)
+        assert path.read_text().splitlines()[:2] == [
+            '{"format_version":2,"context":{"flag":[true,null],"size":[1,1.0,true,-0.0],'
+            '"viewer_ids":[["u1","u9"]]},"item":{"genre":["g1","g0"],"x":[null]}}',
+            "[5.0,9.5,-1,0,0,0,-1]",
+        ]
 
     def test_multi_valued_attrs_sorted(self, tmp_path):
         ev = ViewingEvent(
@@ -101,8 +172,8 @@ class TestDataset:
         )
         path = tmp_path / "data.jsonl"
         write_dataset([ev], path)
-        rec = json.loads(path.read_text())
-        assert rec["context"]["viewer_ids"] == ["u1", "u9"]
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["context"]["viewer_ids"] == [["u1", "u9"]]
         # round trip canonicalizes to the sorted tuple
         assert read_dataset(path)[0].context_attributes["viewer_ids"] == ("u1", "u9")
 
@@ -110,7 +181,8 @@ class TestDataset:
         ev = ViewingEvent({"genre": "g"}, {"viewer_ids": (9, 10, -1)}, 0.0, 5.0)
         path = tmp_path / "data.jsonl"
         write_dataset([ev], path)
-        assert json.loads(path.read_text())["context"]["viewer_ids"] == [-1, 9, 10]
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["context"]["viewer_ids"] == [[-1, 9, 10]]
         assert read_dataset(path)[0].context_attributes["viewer_ids"] == (-1, 9, 10)
 
     @settings(deadline=None)
@@ -130,19 +202,19 @@ class TestDataset:
 
     def test_corrupt_line_reported_with_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"item":{},"context":{},"timestamp":0,"duration_min":1}\n{"nope":1}\n')
-        with pytest.raises(FormatError, match="line 2"):
+        path.write_text(encode_dataset([record()]) + '{"nope":1}\n')
+        with pytest.raises(FormatError, match="line 3"):
             read_dataset(path)
 
     @pytest.mark.parametrize(
         "field, value",
-        [("timestamp", float("nan")), ("duration_min", float("inf")), ("timestamp", float("-inf"))],
+        [("timestamp", float("nan")), ("duration_min", float("inf")), ("timestamp", float("-inf")),
+         ("timestamp", "5"), ("duration_min", True), ("timestamp", None), ("timestamp", 10**400)],
     )
     def test_non_finite_record_rejected(self, tmp_path, field, value):
-        rec = {"item": {}, "context": {}, "timestamp": 0, "duration_min": 1}
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, field: value}) + "\n")
-        with pytest.raises(FormatError, match="line 2: timestamp and duration_min must be finite"):
+        path.write_text(encode_dataset([record(), {**record(), field: value}]))
+        with pytest.raises(FormatError, match="line 3: timestamp and duration_min must be finite"):
             read_dataset(path)
 
     @pytest.mark.parametrize(
@@ -156,11 +228,12 @@ class TestDataset:
         ],
     )
     def test_nested_value_rejected(self, tmp_path, part, value):
-        rec = {"item": {"genre": "g"}, "context": {"user": "u"}, "timestamp": 0, "duration_min": 1}
+        rec = record({"user": "u"}, {"genre": "g"})
         bad = {**rec, part: {**rec[part], "nested": value}}
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(rec) + "\n" + json.dumps(bad) + "\n")
-        with pytest.raises(FormatError, match="line 2: attribute 'nested' nests an object or array"):
+        path.write_text(encode_dataset([rec, bad]))
+        with pytest.raises(FormatError, match="header at line 1: attribute 'nested' nests an "
+                                              "object or array"):
             read_dataset(path)
 
     def test_attrs_from_json_rejects_nested_value(self):
@@ -170,14 +243,16 @@ class TestDataset:
         with pytest.raises(FormatError, match="attribute 'a' nests an object or array"):
             serialization.attrs_from_json({"a": [["x"]]})
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                                         "1" + "0" * 400])
     @pytest.mark.parametrize("part", ["context", "item"])
     def test_non_finite_attribute_rejected(self, tmp_path, part, literal):
-        rec = {"item": {"genre": "g"}, "context": {"user": "u"}, "timestamp": 0, "duration_min": 1}
-        bad = json.dumps({**rec, part: {**rec[part], "size": "<n>"}}).replace('"<n>"', literal)
+        rec = record({"user": "u"}, {"genre": "g"})
+        bad = {**rec, part: {**rec[part], "size": "<n>"}}
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(rec) + "\n" + bad + "\n")
-        with pytest.raises(FormatError, match="line 2: attribute 'size' is not a finite number"):
+        path.write_text(encode_dataset([rec, bad]).replace('"<n>"', literal))
+        with pytest.raises(FormatError, match="header at line 1: attribute 'size' is not a "
+                                              "finite number"):
             read_dataset(path)
 
     def test_attrs_from_json_rejects_non_finite_number(self):
@@ -190,22 +265,129 @@ class TestDataset:
     def test_non_finite_event_not_written(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text("old\n")
-        ev = ViewingEvent({"genre": "g"}, {"age": float("nan")}, 0.0, 5.0)
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            write_dataset([ev], path)
-        assert path.read_text() == "old\n"
+        for ev in (ViewingEvent({"genre": "g"}, {"age": float("nan")}, 0.0, 5.0),
+                   ViewingEvent({"genre": "g"}, {"age": 1.0}, float("inf"), 5.0)):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                write_dataset([ev], path)
+            assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
 
-    def write_records(self, path, records):
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    @pytest.mark.parametrize(
+        "text, version",
+        [
+            ('{"context":{"user":"u0"},"duration_min":5.0,"item":{"genre":"g0"},'
+             '"timestamp":0.0}\n', "None"),
+            ("", "None"),
+            ('{"format_version":3,"context":{},"item":{}}\n', "3"),
+            ('{"format_version":"2","context":{},"item":{}}\n', "'2'"),
+            ("[2]\n", "None"),
+        ],
+        ids=["format_1", "empty", "version_3", "version_text", "array"],
+    )
+    def test_other_format_refused(self, tmp_path, text, version):
+        path = tmp_path / "data.jsonl"
+        path.write_text(text)
+        with pytest.raises(FormatError) as exc:
+            read_dataset(path)
+        assert str(exc.value) == (
+            f"unsupported dataset format_version: {version}; this version reads format 2 only, "
+            "so re-run `contextrec gen` to write one"
+        )
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ('{"format_version":2,"context":{"user":["u0"]}}',
+             "'item' must map each attribute name to a JSON list of its values"),
+            ('{"format_version":2,"context":{"user":"u0"},"item":{}}',
+             "'context' must map each attribute name to a JSON list of its values"),
+            ('{"format_version":2,"context":{},"item":["g0"]}',
+             "'item' must map each attribute name to a JSON list of its values"),
+            ('{"format_version":2,"context":{"b":[1],"a":[2]},"item":{}}',
+             "'context' attribute names are not sorted"),
+            ('{"format_version":2,"context":{},"item":{}', "Expecting ',' delimiter"),
+            (b'{"format_version":2,"context":{"\xff":[]},"item":{}}',
+             "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["item_missing", "table_not_a_list", "part_not_an_object", "names_unsorted",
+             "truncated", "not_utf8"],
+    )
+    def test_bad_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "data.jsonl"
+        raw = header if type(header) is bytes else header.encode()
+        path.write_bytes(raw + b"\n[0.0,1.0]\n")
+        with pytest.raises(FormatError) as exc:
+            read_dataset(path)
+        assert str(exc.value).startswith(f"bad dataset header at line 1: {message}")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[0.0,5.0,2,0]", "context attribute 'user' cell must be an index in [-1, 2), got 2"),
+            ("[0.0,5.0,0,-2]", "item attribute 'genre' cell must be an index in [-1, 1), got -2"),
+            ("[0.0,5.0,true,0]",
+             "context attribute 'user' cell must be an index in [-1, 2), got True"),
+            ("[0.0,5.0,0,0.0]", "item attribute 'genre' cell must be an index in [-1, 1), got 0.0"),
+            ('[0.0,5.0,"0",0]',
+             "context attribute 'user' cell must be an index in [-1, 2), got '0'"),
+            ("[0.0,5.0,null,0]",
+             "context attribute 'user' cell must be an index in [-1, 2), got None"),
+            ("[0.0,5.0,0]", "a record must be a JSON array of 4 values: timestamp, duration_min "
+                            "and 2 attribute cells"),
+            ("[0.0,5.0,0,0,0]", "a record must be a JSON array of 4 values"),
+            ('{"timestamp":0.0}', "a record must be a JSON array of 4 values"),
+            ("[0.0,5.0,0,0],[0.0,5.0,0,0]", "Extra data"),
+            ("[0.0,5.0\n0,0],[0.0,5.0,0,0]", "Expecting ',' delimiter"),
+            ("", "Expecting value"),
+            (b"[0.0,5.0,0,0]\xff", "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["cell_out_of_range", "cell_minus_2", "cell_bool", "cell_float", "cell_text",
+             "cell_null", "row_short", "row_long", "row_object", "two_rows", "row_split", "blank",
+             "not_utf8"],
+    )
+    def test_bad_row_rejected(self, tmp_path, line, message):
+        records = [record({"user": f"u{i % 2}"}, {"genre": "g0"}, float(i)) for i in range(3)]
+        lines = encode_dataset(records).encode().splitlines(keepends=True)
+        lines[2] = (line if type(line) is bytes else line.encode()) + b"\n"
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(FormatError) as exc:
+            read_dataset(path)
+        assert str(exc.value).startswith(f"bad dataset record at line 3: {message}")
+
+    @pytest.mark.parametrize("lineno", [4097, 4098, 4150, 8195])
+    def test_bad_line_named_past_the_first_chunk(self, tmp_path, lineno):
+        # rows are parsed 4,096 lines at a time, from line 2 on
+        records = [record({"user": f"u{i % 3}"}, {"genre": f"g{i % 2}"}, float(i))
+                   for i in range(8200)]
+        lines = encode_dataset(records).splitlines(keepends=True)
+        lines[lineno - 1] = lines[lineno - 1].replace(",", ",7,", 1)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(lines))
+        with pytest.raises(FormatError) as exc:
+            read_dataset(path)
+        assert str(exc.value).startswith(f"bad dataset record at line {lineno}: a record must "
+                                         "be a JSON array of 4 values")
+
+    def test_many_chunks_read_in_order(self, tmp_path):
+        records = [record({"user": f"u{i % 5}"} if i % 7 else {}, {"genre": f"g{i % 3}"},
+                          float(i), i % 11) for i in range(9000)]
+        path = tmp_path / "data.jsonl"
+        path.write_text(encode_dataset(records))
+        log = read_dataset(path)
+        assert [(e.context_attributes, e.item_attributes, e.timestamp, e.duration_min)
+                for e in log] == [(r["context"], r["item"], r["timestamp"], r["duration_min"])
+                                  for r in records]
+        assert {type(e.duration_min) for e in log} == {float}
+        assert len({id(e.item_attributes) for e in log}) == 3
 
     def test_equal_strings_and_string_items_shared(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        self.write_records(path, [
-            {"item": {"genre": "g1"},
-             "context": {"last_genre": "g1", "user": "u1", "viewers": ["u1", "u2"]},
-             "timestamp": float(i), "duration_min": 5.0}
+        path.write_text(encode_dataset([
+            record({"last_genre": "g1", "user": "u1", "viewers": ["u1", "u2"]}, {"genre": "g1"},
+                   float(i))
             for i in range(3)
-        ])
+        ]))
         a, b, c = read_dataset(path)
         assert a.item_attributes is b.item_attributes is c.item_attributes
         assert a.context_attributes is not b.context_attributes
@@ -219,41 +401,34 @@ class TestDataset:
                 assert name is first
 
     def test_numeric_items_not_merged(self, tmp_path):
+        # items merge only when their values have the same JSON text
         path = tmp_path / "data.jsonl"
         values = [1, 1.0, True, 1, -0.0, 0.0, -0.0]
-        self.write_records(path, [
-            {"item": {"x": v}, "context": {"y": v}, "timestamp": 0.0, "duration_min": 5.0}
-            for v in values
-        ])
+        path.write_text(encode_dataset([record({"y": v}, {"x": v}) for v in values]))
         log = read_dataset(path)
-        assert len({id(e.item_attributes) for e in log}) == len(values)
+        assert len({id(e.item_attributes) for e in log}) == 5
+        assert log[3].item_attributes is log[0].item_attributes
+        assert log[6].item_attributes is log[4].item_attributes
         for e, v in zip(log, values):
             for attrs in (e.item_attributes, e.context_attributes):
                 (got,) = attrs.values()
                 assert type(got) is type(v) and got == v
                 assert math.copysign(1.0, got) == math.copysign(1.0, v)
 
-    def test_items_with_other_key_order_or_values_not_merged(self, tmp_path):
+    def test_items_of_other_values_not_merged(self, tmp_path):
+        # an absent name differs from a null, and a list from a string
         path = tmp_path / "data.jsonl"
-        items = [{"a": "1", "b": "2"}, {"b": "2", "a": "1"}, {"a": "1", "b": "3"},
-                 {"a": "1", "b": ["2"]}, {"a": "1", "b": ["2"]}, {"a": "1", "b": "2"}]
-        self.write_records(path, [
-            {"item": item, "context": {}, "timestamp": 0.0, "duration_min": 5.0} for item in items
-        ])
+        items = [{"a": "1", "b": "2"}, {"a": "1", "b": "3"}, {"a": "1", "b": ["2"]},
+                 {"a": "1", "b": ["2"]}, {"a": "1", "b": "2"}, {"a": "1"}, {"a": "1", "b": None}]
+        path.write_text(encode_dataset([record(item=item) for item in items]))
         log = read_dataset(path)
         assert [e.item_attributes for e in log] == [
-            {"a": "1", "b": "2"}, {"b": "2", "a": "1"}, {"a": "1", "b": "3"},
-            {"a": "1", "b": ("2",)}, {"a": "1", "b": ("2",)}, {"a": "1", "b": "2"},
+            {"a": "1", "b": "2"}, {"a": "1", "b": "3"}, {"a": "1", "b": ("2",)},
+            {"a": "1", "b": ("2",)}, {"a": "1", "b": "2"}, {"a": "1"}, {"a": "1", "b": None},
         ]
-        assert list(log[1].item_attributes) == ["b", "a"]
-        assert log[5].item_attributes is log[0].item_attributes
-        assert len({id(e.item_attributes) for e in log}) == 5  # only lines 1 and 6 merge
-
-
-EDGE_FLOATS = st.sampled_from(
-    [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
-     -1.7976931348623157e308]
-)
+        assert log[4].item_attributes is log[0].item_attributes
+        assert log[3].item_attributes is log[2].item_attributes
+        assert len({id(e.item_attributes) for e in log}) == 5
 
 
 def tiny_model():
@@ -497,9 +672,15 @@ class TestCheckpoint:
             ("jcce", 0, lambda items: (), "a catalog needs at least 2 items, got 0"),
             ("jcce", 0, lambda items: (*items, dict(items[0])),
              "duplicate item descriptors in catalog"),
+            ("jcce", 0, lambda items: ({"genre": 5}, *items[1:]),
+             "item 0 attribute 'genre' is numeric, but its feature is categorical_single"),
+            ("jcce", 0, lambda items: (*items[:2], {"genre": ("g2",)}),
+             "item 2 attribute 'genre' is categorical_multi, but its feature is "
+             "categorical_single"),
         ],
         ids=["objective_empty", "objective_csv", "objective_number", "seed_negative",
-             "seed_text", "seed_bool", "one_item", "no_items", "duplicate_items"],
+             "seed_text", "seed_bool", "one_item", "no_items", "duplicate_items",
+             "item_number", "item_list"],
     )
     def test_what_train_cannot_make_is_not_saved(self, tmp_path, objective, seed, items,
                                                  message):
@@ -513,6 +694,18 @@ class TestCheckpoint:
         assert str(exc.value) == message
         assert path.read_text() == "old"
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("value, kind", [(5, "numeric"), (["g1"], "categorical_multi")])
+    def test_item_of_another_kind_rejected(self, tmp_path, value, kind):
+        _, _, model = tiny_model()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path, objective="rjcce", seed=0)
+        doc = json.loads(path.read_text())
+        doc["items"][1] = {"genre": value}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"is malformed: item 1 attribute 'genre' is "
+                                              f"{kind}, but its feature is categorical_single$"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("items", [{"genre": "g0"}, ["g0", "g1"], [{"genre": "g0"}, 5]])
     def test_items_not_a_list_of_objects_rejected(self, tmp_path, items):
