@@ -97,37 +97,29 @@ def _temporal_slot(event: ViewingEvent):
     return (c.get("day_of_week"), c.get("hour_of_day"))
 
 
-def _popularity(training_log: list[ViewingEvent], items: list[dict]):
-    """Global and per-temporal-slot training counts over the item universe."""
-    global_counts = np.zeros(len(items))
-    slot_counts = defaultdict(lambda: np.zeros(len(items)))
+def _popularity_ranker(training_log: list[ViewingEvent], items: list[dict], slot):
+    """Ranking by training count in the event's slot(event): descending
+    count, ties by ascending item index; a slot unseen in training ranks by
+    the counts summed over all slots, which are exact integer sums."""
+    counts = defaultdict(lambda: np.zeros(len(items)))
     for e, j in zip(training_log, universe_indices(training_log, items).tolist()):
-        if j < 0:
-            continue
-        global_counts[j] += 1
-        slot_counts[_temporal_slot(e)][j] += 1
-    return global_counts, slot_counts
+        if j >= 0:
+            counts[slot(e)][j] += 1
+    rankings = {s: rank_scores(c) for s, c in counts.items()}
+    overall = rank_scores(sum(counts.values(), np.zeros(len(items))))
+
+    def rank(event: ViewingEvent) -> np.ndarray:
+        return rankings.get(slot(event), overall)
+
+    return rank
 
 
 def toppop(training_log: list[ViewingEvent], items: list[dict]):
-    """Context-agnostic ranking by training frequency: descending count,
-    ties by ascending item index."""
-    fixed = rank_scores(_popularity(training_log, items)[0])
-
-    def rank(event: ViewingEvent) -> np.ndarray:
-        return fixed
-
-    return rank
+    """Context-agnostic ranking by training frequency: one slot for all."""
+    return _popularity_ranker(training_log, items, lambda event: None)
 
 
 def toppop_temporal(training_log: list[ViewingEvent], items: list[dict]):
     """Per-temporal-slot popularity ranking, falling back to global Toppop
     for slots unseen in training."""
-    global_counts, slot_counts = _popularity(training_log, items)
-    global_ranking = rank_scores(global_counts)
-    slot_rankings = {s: rank_scores(c) for s, c in slot_counts.items()}
-
-    def rank(event: ViewingEvent) -> np.ndarray:
-        return slot_rankings.get(_temporal_slot(event), global_ranking)
-
-    return rank
+    return _popularity_ranker(training_log, items, _temporal_slot)

@@ -209,6 +209,12 @@ class FeatureSchema:
     context_specs: tuple
     item_specs: tuple
 
+    def __post_init__(self):
+        for part, width in (("context", self.context_width), ("item", self.item_width)):
+            if width == 0:
+                raise SchemaError(f"the {part} input is 0 wide: the schema has no {part} "
+                                  "feature value to encode")
+
     @property
     def context_width(self) -> int:
         return sum(s.width for s in self.context_specs)

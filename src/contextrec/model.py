@@ -138,9 +138,9 @@ def check_catalog_items(items, schema: FeatureSchema) -> None:
 def precompute_catalog(model: TwoTowerModel, items: list[dict]) -> Catalog:
     """Embed every distinct item once; static until the model changes."""
     check_catalog_items(items, model.schema)
-    # one item at a time so each row is bit-identical to a fresh embed_item
-    # of its vector, dense or cells: a row of one cell sums to the same bits
-    rows = [embed_item(model, vectorize_item([it], model.schema)[0]) for it in items]
+    # one item at a time, so each row has the bits of a fresh embed_item of
+    # its one-row batch, dense or cells: a row of one cell sums to those bits
+    rows = [embed_item(model, vectorize_item([it], model.schema))[0] for it in items]
     return Catalog(items=list(items), embeddings=np.stack(rows))
 
 
@@ -171,7 +171,7 @@ def recommend(
     One context-encoder forward pass; item embeddings come from the
     precomputed catalog.
     """
-    ctx = embed_context(model, vectorize_context([context_event], model.schema)[0])
+    ctx = embed_context(model, vectorize_context([context_event], model.schema))[0]
     cn = np.linalg.norm(ctx)
     scores = np.zeros(catalog.size)
     if cn >= 1e-12:

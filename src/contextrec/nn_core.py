@@ -42,24 +42,15 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Cells:
-    """The nonzero cells of a sparse input, in place of its dense array.
-
-    shape is (N, width) for a batch of rows or (width,) for one vector,
-    whose cells all have row 0. Cells are sorted by row, then column, with
-    at most one cell per (row, column); a cell not listed is zero.
+    """The nonzero cells of an (N, width) sparse input, in place of its
+    dense array. Cells are sorted by row, then column, with at most one
+    cell per (row, column); a cell not listed is zero.
     """
 
     shape: tuple
     rows: np.ndarray  # intp
     cols: np.ndarray  # intp
     values: np.ndarray  # float64
-
-    def __getitem__(self, i: int) -> "Cells":
-        """Row i of a batch as a vector, as x[i] is for a dense matrix."""
-        if len(self.shape) != 2 or not 0 <= i < self.shape[0]:
-            raise IndexError(f"row {i!r} of cells shaped {self.shape}")
-        lo, hi = np.searchsorted(self.rows, (i, i + 1))
-        return Cells(self.shape[1:], self.rows[lo:hi] * 0, self.cols[lo:hi], self.values[lo:hi])
 
 
 @dataclass
@@ -180,13 +171,13 @@ def _cells_affine(x: Cells, layer: LayerParams) -> np.ndarray:
     sums to 0, as its dense product does, and so gives the bias: it gets
     no reduceat segment, since an empty one would return the next cell.
     """
-    sums = np.zeros((x.shape[0] if len(x.shape) == 2 else 1, layer.weights.shape[0]))
+    sums = np.zeros((x.shape[0], layer.weights.shape[0]))
     if x.rows.size:
         starts = _run_starts(x.rows)
         gathered = np.take(layer.weights, x.cols, axis=1)
         gathered *= x.values
         sums[x.rows[starts]] = np.add.reduceat(gathered, starts, axis=1).T
-    return (sums + layer.biases).reshape(x.shape[:-1] + layer.biases.shape)
+    return sums + layer.biases
 
 
 def _cells_weight_grad(x: Cells, g: np.ndarray) -> np.ndarray:
@@ -194,7 +185,7 @@ def _cells_weight_grad(x: Cells, g: np.ndarray) -> np.ndarray:
     their values, over the cells sorted by column."""
     order = np.argsort(x.cols, kind="stable")
     cols = x.cols[order]
-    dw = np.zeros((g.shape[1], x.shape[-1]))
+    dw = np.zeros((g.shape[1], x.shape[1]))
     if cols.size:
         starts = _run_starts(cols)
         contrib = g[x.rows[order]]

@@ -49,29 +49,21 @@ def attrs_to_json(attrs: dict) -> dict:
 
 
 def attrs_from_json(attrs: dict) -> dict:
-    return _attrs_from_json(attrs, {})
-
-
-def _attrs_from_json(attrs: dict, strings: dict) -> dict:
-    """attrs_from_json, keeping one object per distinct string in `strings`.
-
-    A value must be a string, finite number, bool, null, or a list of those;
-    a list becomes a tuple. An integer beyond the largest finite float is
-    not a finite number.
+    """attrs as read: a value must be a string, finite number, bool, null,
+    or a list of those; a list becomes a tuple. An integer beyond the
+    largest finite float is not a finite number.
     """
     if not isinstance(attrs, dict):
         raise FormatError(f"attributes must be a JSON object, got {type(attrs).__name__}")
     out = {}
     for k, v in attrs.items():
-        if type(v) is str:
-            v = strings.setdefault(v, v)
-        elif type(v) in (list, dict):
+        if type(v) in (list, dict):
             if type(v) is dict or any(type(x) in (list, dict) for x in v):
                 raise FormatError(
                     f"attribute {k!r} nests an object or array; a value must be "
                     "a string, number, bool, null or a list of those"
                 )
-            v = tuple(strings.setdefault(x, x) if type(x) is str else x for x in v)
+            v = tuple(v)
         elif type(v) is float:
             if not math.isfinite(v):
                 raise FormatError(f"attribute {k!r} is not a finite number ({v!r})")
@@ -79,7 +71,7 @@ def _attrs_from_json(attrs: dict, strings: dict) -> dict:
             raise FormatError(
                 f"attribute {k!r} is not a finite number (an integer beyond the float range)"
             )
-        out[strings.setdefault(k, k)] = v
+        out[k] = v
     return out
 
 
@@ -139,31 +131,27 @@ def _encode_part(dicts: list[dict]) -> tuple[list, list, list]:
     """(names, tables, cells) of one part of a log's events: the sorted
     attribute names, each name's distinct attrs_to_json values in first-seen
     order, and per dict its index into each name's table, -1 where the dict
-    lacks the name. Each distinct dict object is encoded once."""
+    lacks the name."""
     names = sorted(set().union(*dicts))
     positions = [{} for _ in names]  # per name: value key -> index in its table
     tables = [[] for _ in names]
-    done: dict = {}  # id(dict) -> its cells; the caller's list keeps every dict alive
     cells = []
-    for d in dicts:
-        row = done.get(id(d))
-        if row is None:
-            attrs, row = attrs_to_json(d), []
-            for name, pos, table in zip(names, positions, tables):
-                if name not in attrs:
-                    row.append(-1)
-                    continue
-                v = attrs[name]
-                # keys as distinct as JSON texts, so 1, 1.0, true, 0.0 and
-                # -0.0 stay apart: a string itself, a list its text, any
-                # other value its type and repr (a float's repr is its text)
-                key = (v if type(v) is str else json.dumps(v) if type(v) is list
-                       else (type(v), repr(v)))
-                index = pos.setdefault(key, len(table))
-                if index == len(table):
-                    table.append(v)
-                row.append(index)
-            done[id(d)] = row
+    for attrs in map(attrs_to_json, dicts):
+        row = []
+        for name, pos, table in zip(names, positions, tables):
+            if name not in attrs:
+                row.append(-1)
+                continue
+            v = attrs[name]
+            # keys as distinct as JSON texts, so 1, 1.0, true, 0.0 and
+            # -0.0 stay apart: a string itself, a list its text, any
+            # other value its type and repr (a float's repr is its text)
+            key = (v if type(v) is str else json.dumps(v) if type(v) is list
+                   else (type(v), repr(v)))
+            index = pos.setdefault(key, len(table))
+            if index == len(table):
+                table.append(v)
+            row.append(index)
         cells.append(row)
     return names, tables, cells
 
@@ -176,9 +164,8 @@ def read_dataset(path) -> list[ViewingEvent]:
     line: the table values pass attrs_from_json's checks once each, and the
     event lines, parsed in chunks of _CHUNK_LINES with one json.loads call,
     are checked column by column; a chunk that fails is parsed again line by
-    line to find the line. Equal strings are one object, and events with the
-    same item cells share one item dict, so attribute dicts of the returned
-    events are read-only.
+    line to find the line. Events with the same item cells share one item
+    dict, so attribute dicts of the returned events are read-only.
     """
     events: list[ViewingEvent] = []
     items: dict = {}  # item cells -> the one dict of those values
@@ -214,7 +201,6 @@ def _read_header(line: bytes) -> tuple:
             f"unsupported dataset format_version: {version!r}; this version reads format "
             f"{DATASET_VERSION} only, so re-run `contextrec gen` to write one"
         )
-    strings: dict = {}  # one object per distinct string
     parts = []
     try:
         for part in ("context", "item"):
@@ -224,10 +210,9 @@ def _read_header(line: bytes) -> tuple:
                                   "values")
             if list(attrs) != sorted(attrs):
                 raise FormatError(f"{part!r} attribute names are not sorted")
-            names = [strings.setdefault(n, n) for n in attrs]
-            tables = [[_attrs_from_json({n: v}, strings)[n] for v in values] + [_ABSENT]
-                      for n, values in zip(names, attrs.values())]
-            parts.append((names, tables))
+            tables = [[attrs_from_json({n: v})[n] for v in values] + [_ABSENT]
+                      for n, values in attrs.items()]
+            parts.append((list(attrs), tables))
     except FormatError as exc:
         raise FormatError(f"bad dataset header at line 1: {exc}") from exc
     return tuple(parts)

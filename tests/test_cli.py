@@ -741,6 +741,12 @@ def _every_genre_renamed(records):
         rec["item"]["genre"] = "renamed-" + rec["item"]["genre"]
 
 
+@_edited_records
+def _no_context_attribute(records):
+    for rec in records:
+        rec["context"].clear()
+
+
 def _one_genre_dataset(path, _original):
     _write_records(path, [{**_record(i), "item": {"genre": "g0"}} for i in range(40)])
 
@@ -1339,6 +1345,18 @@ BOUNDARY_CASES = {
     "train_one_genre": (
         {}, TRAIN_ARGS, ("dataset", _one_genre_dataset), EXIT_DATA,
         "data error: the training log holds 1 distinct content; a model needs at least 2",
+    ),
+    "train_no_context_attribute": (
+        {}, TRAIN_ARGS, ("dataset", _no_context_attribute), EXIT_DATA,
+        "data error: the context input is 0 wide: the schema has no context feature value to "
+        "encode",
+    ),
+    "recommend_checkpoint_no_context_specs": (
+        {}, RECOMMEND_ARGS,
+        ("checkpoint", _checkpoint_key("schema", lambda schema: {**schema, "context_specs": []})),
+        EXIT_DATA,
+        "data error: checkpoint {checkpoint} is malformed: the context input is 0 wide: the "
+        "schema has no context feature value to encode",
     ),
 }
 

@@ -70,6 +70,13 @@ class TestBuildSchema:
         with pytest.raises(SchemaError):
             build_schema([])
 
+    @pytest.mark.parametrize("ctx, item, part",
+                             [({}, {"genre": "g1"}, "context"), ({"user": "u1"}, {}, "item")])
+    def test_zero_width_part_rejected(self, ctx, item, part):
+        # an encoder needs at least one input column
+        with pytest.raises(SchemaError, match=f"^the {part} input is 0 wide"):
+            build_schema([ViewingEvent(item, ctx, 0.0, 1.0)])
+
     def test_constant_numeric_rejected(self):
         log = [make_event({"age": 5.0}), make_event({"age": 5.0})]
         with pytest.raises(SchemaError):

@@ -391,14 +391,21 @@ class TestDataset:
         a, b, c = read_dataset(path)
         assert a.item_attributes is b.item_attributes is c.item_attributes
         assert a.context_attributes is not b.context_attributes
-        # one object per distinct string, across lines, dicts, names and tuples
-        assert a.context_attributes["last_genre"] is a.item_attributes["genre"]
-        assert a.context_attributes["viewers"][0] is a.context_attributes["user"]
+        # one object per attribute value and per name, across lines
         for e in (b, c):
             assert e.context_attributes["user"] is a.context_attributes["user"]
-            assert e.context_attributes["viewers"][1] is a.context_attributes["viewers"][1]
+            assert e.context_attributes["viewers"] is a.context_attributes["viewers"]
             for name, first in zip(e.context_attributes, a.context_attributes):
                 assert name is first
+
+    def test_shared_attribute_dicts_written_as_copies(self, tmp_path):
+        # the writer encodes each event's dicts by value, not by identity
+        context, item = {"user": "u1", "viewers": ("u1", "u2")}, {"genre": "g1"}
+        shared = [ViewingEvent(item, context, float(i), 5.0) for i in range(3)]
+        copies = [ViewingEvent(dict(item), dict(context), float(i), 5.0) for i in range(3)]
+        write_dataset(shared, tmp_path / "shared.jsonl")
+        write_dataset(copies, tmp_path / "copies.jsonl")
+        assert (tmp_path / "shared.jsonl").read_bytes() == (tmp_path / "copies.jsonl").read_bytes()
 
     def test_numeric_items_not_merged(self, tmp_path):
         # items merge only when their values have the same JSON text
