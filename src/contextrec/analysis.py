@@ -211,10 +211,13 @@ def similarity_matrix(
 
     values = np.full((m, m), np.nan)
     dispersion = np.full(m, np.nan)
-    empty = np.bincount(where[where >= 0], minlength=m) == 0
+    counts = np.bincount(where[where >= 0], minlength=m)
+    empty = counts == 0
     present = np.flatnonzero(~empty)
     if present.size:
-        groups = [ctx_emb[where == i] for i in present]  # rows in log order
+        # one stable sort groups the rows by content, each group in log order
+        order = np.argsort(where, kind="stable")[np.count_nonzero(where < 0):]
+        groups = np.split(ctx_emb[order], np.cumsum(counts[present])[:-1])
         means = np.stack([g.mean(axis=0) for g in groups])
         values[present] = 1.0 - _angular(means, catalog.embeddings)
         dispersion[present] = [

@@ -16,8 +16,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import is_not, itemgetter
 
 import numpy as np
 
@@ -35,6 +35,12 @@ _ABSENT = object()  # the value of a name a dict lacks (context_ids, read_datase
 # training step's layer-0 forward pass plus weight gradient, dense against
 # cells, at batch 256 with 9 cells per row (README, "Sparse first layer").
 SPARSE_WIDTH = 1000
+
+# Batches of at least this many rows are vectorized one attribute column at
+# a time. The crossover of a training batch's context and item inputs, row
+# loop against column passes, on the train benchmark's schema (README,
+# "Batch vectorization").
+COLUMN_ROWS = 64
 
 
 class SchemaError(ValueError):
@@ -145,10 +151,7 @@ def context_ids(events) -> np.ndarray:
     names = sorted(set().union(*dicts))
     if not names:  # every context is the empty dict
         return np.zeros(len(dicts), dtype=np.intp)
-    for i in np.flatnonzero(np.fromiter(map(len, dicts), np.intp, len(dicts)) < len(names)):
-        dicts[i] = dict.fromkeys(names, _ABSENT) | dicts[i]
-    rows = map(itemgetter(*names), dicts)
-    rows = list(rows if len(names) > 1 else zip(rows))  # one name gives bare values
+    rows = _value_rows(dicts, names, _ABSENT)
     if not _sorted_multi_values(chain.from_iterable(rows)):
         rows = list(zip(*(
             column if _sorted_multi_values(column)
@@ -159,6 +162,17 @@ def context_ids(events) -> np.ndarray:
     return np.fromiter(
         (ids.setdefault(row, len(ids)) for row in rows), dtype=np.intp, count=len(rows)
     )
+
+
+def _value_rows(dicts: list[dict], names: list, fill) -> list[tuple]:
+    """Each dict's values of names, in that order, fill where it lacks one:
+    one itemgetter per dict, after giving each dict that lacks a name a
+    filled copy. Every dict's names must be among names."""
+    dicts = list(dicts)
+    for i in np.flatnonzero(np.fromiter(map(len, dicts), np.intp, len(dicts)) < len(names)):
+        dicts[i] = dict.fromkeys(names, fill) | dicts[i]
+    rows = map(itemgetter(*names), dicts)
+    return list(rows if len(names) > 1 else zip(rows))  # one name gives bare values
 
 
 def _sorted_multi_values(values) -> bool:
@@ -297,13 +311,22 @@ def _vectorize(rows: list[dict], specs: tuple) -> np.ndarray | Cells:
     are at least SPARSE_WIDTH wide. A missing or None value is a zero block;
     a value of the wrong kind for its spec (a string or bool for a numeric
     spec, a scalar for a multi-valued one, a list for a single-valued one)
-    raises SchemaError naming the attribute."""
+    raises SchemaError naming the attribute. A batch of at least COLUMN_ROWS
+    rows encodes each column _column_cells takes in C-level passes, and every
+    other column row by row, to the same cells."""
     unknown = set().union(*rows) - {s.name for s in specs}
     if unknown:
         raise SchemaError(f"unknown attribute names: {sorted(unknown)}")
     at_row, at_col, weight = [], [], []  # the nonzero cells
+    blocks = []  # the column path's (rows, cols, weights) arrays
+    columns = (zip(*_value_rows(rows, [s.name for s in specs], None)) if len(rows) >= COLUMN_ROWS
+               else repeat(None))
     start = 0  # first column of the spec's block
-    for spec in specs:
+    for spec, column in zip(specs, columns):
+        if column is not None and (block := _column_cells(column, spec, start)) is not None:
+            blocks.append(block)
+            start += spec.width
+            continue
         pos, name, kind = spec.positions, spec.name, spec.kind
         lo, span = spec.min, spec.max - spec.min
         for r, attrs in enumerate(rows):
@@ -334,6 +357,10 @@ def _vectorize(rows: list[dict], specs: tuple) -> np.ndarray | Cells:
             at_col.append(start + c)
             weight.append(w)
         start += spec.width
+    if blocks:  # no two cells share a (row, column), so any order writes the same input
+        blocks.append((np.array(at_row, dtype=np.intp), np.array(at_col, dtype=np.intp),
+                       np.array(weight, dtype=np.float64)))
+        at_row, at_col, weight = map(np.concatenate, zip(*blocks))
     if start >= SPARSE_WIDTH:
         at_row, at_col = np.array(at_row, dtype=np.intp), np.array(at_col, dtype=np.intp)
         order = np.argsort(at_row * start + at_col)  # by row, then column
@@ -342,6 +369,48 @@ def _vectorize(rows: list[dict], specs: tuple) -> np.ndarray | Cells:
     out = np.zeros((len(rows), start))
     out[at_row, at_col] = weight
     return out
+
+
+_COLUMN_TYPES = {  # the value types _column_cells takes, per kind
+    KIND_SINGLE: {str, type(None)},
+    KIND_NUMERIC: {int, float, type(None)},
+    KIND_MULTI: {tuple, type(None)},
+}
+
+
+def _column_cells(column: tuple, spec: FeatureSpec, start: int) -> tuple | None:
+    """(rows, cols, weights) of the nonzero cells of spec's block, whose
+    first column is start, from the block's column of values in C-level
+    passes: str codes by dict lookups, int and float numerics by one clamp,
+    str tuples by their flattened codes and one np.unique of the (row,
+    column) pairs. None if the column holds another type, which the row loop
+    then encodes or refuses."""
+    types = set(map(type, column))
+    if not types <= _COLUMN_TYPES[spec.kind]:
+        return None
+    n, pos = len(column), spec.positions
+    if spec.kind == KIND_SINGLE:
+        codes = np.fromiter(map(pos.get, column, repeat(-1)), dtype=np.intp, count=n)
+        at = np.flatnonzero(codes >= 0)
+        return at, codes[at] + start, np.ones(at.size)
+    at, values = np.arange(n), column
+    if type(None) in types:  # a None is a zero block
+        present = np.fromiter(map(is_not, column, repeat(None)), dtype=bool, count=n)
+        at, values = np.flatnonzero(present), list(compress(column, present))
+    if spec.kind == KIND_NUMERIC:
+        w = np.fromiter(map(float, values), dtype=np.float64, count=at.size)
+        w = (w - spec.min) / (spec.max - spec.min)
+        w[w < 0.0] = 0.0  # the row loop's min(max(w, 0.0), 1.0): NaN and -0.0 stay
+        w[w > 1.0] = 1.0
+        return at, np.full(at.size, start, dtype=np.intp), w
+    flat = list(chain.from_iterable(values))
+    if not set(map(type, flat)) <= {str}:
+        return None
+    codes = np.fromiter(map(pos.get, flat, repeat(-1)), dtype=np.intp, count=len(flat))
+    owner = np.repeat(at, np.fromiter(map(len, values), dtype=np.intp, count=at.size))
+    hit = codes >= 0
+    cell_rows, cols = np.divmod(np.unique(owner[hit] * spec.width + codes[hit]), spec.width)
+    return cell_rows, cols + start, 1.0 / np.bincount(cell_rows, minlength=n)[cell_rows]
 
 
 def vectorize_context(events: list[ViewingEvent], schema: FeatureSchema) -> np.ndarray | Cells:

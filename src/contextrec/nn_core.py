@@ -11,7 +11,7 @@ weight gradient per column, so neither multiplies the zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -225,13 +225,26 @@ def encoder_backward(tape: ForwardTape, grad_wrt_embedding: np.ndarray) -> list[
     return grads[::-1]
 
 
+# Elements per slice of an Adam update: the slices of a parameter, its
+# gradient, its moments and two scratch buffers (768 KB) fit a core's L2
+# cache, where a whole-array update streams a large array through memory
+# about ten times (README, "Adam over slices").
+ADAM_SLICE = 16384
+
+
+def _scratch() -> list[np.ndarray]:
+    return [np.empty(ADAM_SLICE), np.empty(ADAM_SLICE)]
+
+
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment accumulators and step counter."""
+    """Per-parameter first/second moment accumulators, step counter, and the
+    two scratch buffers of an update's slices."""
 
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
     step_count: int = 0
+    scratch: list[np.ndarray] = field(default_factory=_scratch, repr=False, compare=False)
 
     @classmethod
     def for_params(cls, params: list[np.ndarray]) -> "AdamState":
@@ -244,19 +257,41 @@ class AdamState:
 def adam_step(
     params: list[np.ndarray], grads: list[np.ndarray], state: AdamState, lr: float
 ) -> None:
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place.
+
+    Runs over ADAM_SLICE-element slices of each flattened array, so each
+    slice stays in cache for all of its operations. Every operation is
+    elementwise and keeps the whole-array update's order, so the bits are
+    that update's.
+    """
     beta1, beta2, eps = 0.9, 0.999, 1e-8  # the standard settings (Kingma & Ba, ICLR 2015)
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ShapeError("params/grads/state length mismatch")
     state.step_count += 1
     t = state.step_count
+    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t  # the bias corrections
+    a_buf, b_buf = state.scratch
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
         if p.shape != g.shape:
             raise ShapeError("gradient shape does not match parameter")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        pf, gf, mf, vf = flats = [x.reshape(-1) for x in (p, g, m, v)]
+        for s in range(0, p.size, ADAM_SLICE):
+            ps, gs, ms, vs = (f[s:s + ADAM_SLICE] for f in flats)
+            a, b = a_buf[:ps.size], b_buf[:ps.size]
+            ms *= beta1  # m = beta1 * m + (1 - beta1) * g
+            np.multiply(gs, 1.0 - beta1, out=a)
+            ms += a
+            vs *= beta2  # v = beta2 * v + (1 - beta2) * g * g
+            np.multiply(gs, 1.0 - beta2, out=a)
+            a *= gs
+            vs += a
+            np.divide(ms, c1, out=a)  # p -= lr * m_hat / (sqrt(v_hat) + eps)
+            a *= lr
+            np.divide(vs, c2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            ps -= a
+        for x, flat in ((p, pf), (m, mf), (v, vf)):
+            if not x.flags.c_contiguous:  # reshape gave a copy: write it back
+                x[...] = flat.reshape(x.shape)

@@ -25,7 +25,7 @@ from itertools import compress, islice, repeat
 import numpy as np
 
 from .features import (
-    _ABSENT, _MULTI_TYPES, FeatureSchema, FeatureSpec, ViewingEvent, _sorted_tuple,
+    _ABSENT, _MULTI_TYPES, FeatureSchema, FeatureSpec, SchemaError, ViewingEvent, _sorted_tuple,
 )
 from .model import EncoderConfig, TwoTowerModel, check_catalog_items
 from .nn_core import chain_activations, chain_layers, check_range
@@ -161,7 +161,8 @@ def read_dataset(path) -> list[ViewingEvent]:
 
     A file without that version is refused with a FormatError. So is a bad
     header value, naming its attribute, and a bad event line, naming the
-    line: the table values pass attrs_from_json's checks once each, and the
+    line: the table values pass attrs_from_json's checks once each, a list
+    becoming a sorted tuple (a list that does not sort is a bad value), and the
     event lines, parsed in chunks of _CHUNK_LINES with one json.loads call,
     are checked column by column; a chunk that fails is parsed again line by
     line to find the line. Events with the same item cells share one item
@@ -210,12 +211,25 @@ def _read_header(line: bytes) -> tuple:
                                   "values")
             if list(attrs) != sorted(attrs):
                 raise FormatError(f"{part!r} attribute names are not sorted")
-            tables = [[attrs_from_json({n: v})[n] for v in values] + [_ABSENT]
+            tables = [[_header_value(n, v) for v in values] + [_ABSENT]
                       for n, values in attrs.items()]
             parts.append((list(attrs), tables))
     except FormatError as exc:
         raise FormatError(f"bad dataset header at line 1: {exc}") from exc
     return tuple(parts)
+
+
+def _header_value(name: str, value):
+    """A header table value as attrs_from_json reads it, a list made a
+    sorted tuple as ViewingEvent keeps a multi-value; FormatError naming the
+    attribute if its elements do not sort."""
+    value = attrs_from_json({name: value})[name]
+    if type(value) is not tuple:
+        return value
+    try:
+        return _sorted_tuple(name, value)
+    except SchemaError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def _chunk_columns(lines: list[bytes], lineno: int, labels: list, sizes: list) -> list:

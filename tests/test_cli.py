@@ -760,6 +760,9 @@ ANALYZE_ARGS = ["analyze", "--config", "{config}", "--checkpoint", "{checkpoint}
 SIMMATRIX_ARGS = [*ANALYZE_ARGS[:-3], "simmatrix", "--out", "{out}"]
 GEN_ARGS = ["gen", "--config", "{config}", "--out", "{out}"]
 MIXED_GENRE = "data error: feature 'genre' mixes value kinds ['categorical_single', 'numeric']"
+# read_dataset refuses a header list that does not sort; write_dataset never writes one
+UNSORTABLE = ("data error: bad dataset header at line 1: attribute '{name}' holds list values "
+              "that do not sort: '<' not supported")
 OBJECTIVE_NOT_KNOWN = ("data error: checkpoint {checkpoint} is malformed: objective must be one "
                        "of ['jcce', 'rjcce', 'ljcce', 'bpr'], got ")
 SEED_NOT_KNOWN = ("data error: checkpoint {checkpoint} is malformed: seed must be an integer >= 0, "
@@ -990,8 +993,7 @@ BOUNDARY_CASES = {
     ),
     "train_1id_viewers_unsortable": (
         {}, TRAIN_ARGS + ["--1id"], ("dataset", _event_6_with("context", "viewer_ids", ["u1", 5])),
-        EXIT_DATA,
-        "data error: attribute 'viewer_ids' holds list values that do not sort: '<' not supported",
+        EXIT_DATA, UNSORTABLE.format(name="viewer_ids"),
     ),
     "train_mixed_kind_genre": (
         {"min_item_count": 1}, TRAIN_ARGS, ("dataset", _every_7th_genre_a_number), EXIT_DATA,
@@ -1007,12 +1009,16 @@ BOUNDARY_CASES = {
     ),
     "train_genre_list_that_does_not_sort": (
         {}, TRAIN_ARGS, ("dataset", _event_6_with("item", "genre", ["a", 1])), EXIT_DATA,
-        "data error: attribute 'genre' holds list values that do not sort: '<' not supported",
+        UNSORTABLE.format(name="genre"),
     ),
     "train_bpr_viewers_that_do_not_sort": (
         {"objective": "bpr"}, TRAIN_ARGS,
         ("dataset", _event_6_with("context", "viewer_ids", ["u0001", 5])), EXIT_DATA,
-        "data error: attribute 'viewer_ids' holds list values that do not sort: '<' not supported",
+        UNSORTABLE.format(name="viewer_ids"),
+    ),
+    "eval_viewers_that_do_not_sort": (
+        {}, EVAL_ARGS, ("dataset", _event_6_with("context", "viewer_ids", ["u0001", 5])),
+        EXIT_DATA, UNSORTABLE.format(name="viewer_ids"),
     ),
     "train_mixed_kind_feature": (
         {}, TRAIN_ARGS, ("dataset", _mixed_kind_dataset), EXIT_DATA,

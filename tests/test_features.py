@@ -491,6 +491,118 @@ class TestValueKinds:
         assert not row.any()
 
 
+def column_specs(vocabulary: tuple) -> tuple:
+    """A numeric, a single-valued and a multi-valued spec over vocabulary."""
+    return (
+        FeatureSpec("age", KIND_NUMERIC, min=0.0, max=100.0),
+        FeatureSpec("user", KIND_SINGLE, vocabulary=vocabulary),
+        FeatureSpec("viewers", KIND_MULTI, vocabulary=vocabulary),
+    )
+
+
+COLUMN_VOCABULARY = ("1", "2", "True", "a", "b", "c")
+NARROW_SPECS = column_specs(COLUMN_VOCABULARY)
+WIDE_SPECS = column_specs(
+    tuple(sorted(COLUMN_VOCABULARY + tuple(f"w{i:04d}" for i in range(features.SPARSE_WIDTH))))
+)
+COLUMN_TOKENS = st.sampled_from(["a", "b", "c", "1", "w0007", "zz"])  # w0007: wide only
+# Values of every form the column passes take (str, int and float, str
+# tuples, None) and of every other form the row loop takes: non-str scalars
+# of a single-valued attribute, NumPy numbers, lists, non-str elements
+COLUMN_ROWS_ATTRS = st.fixed_dictionaries(
+    {},
+    optional={
+        "age": st.none()
+        | st.sampled_from([0.0, -0.0, 100.0, 0, 100, -5, 250, -7.5, 1e300])
+        | st.floats(-50.0, 150.0, allow_nan=False)
+        | st.integers(-100, 200)
+        | st.integers(-100, 200).map(np.int64)
+        | st.floats(-50.0, 150.0, allow_nan=False).map(np.float32),
+        "user": COLUMN_TOKENS | st.none() | st.integers(0, 3) | st.booleans() | st.just(2.0),
+        "viewers": st.none()
+        | st.lists(COLUMN_TOKENS, max_size=4).map(tuple)
+        | st.lists(COLUMN_TOKENS, max_size=3)
+        | st.lists(COLUMN_TOKENS | st.integers(1, 2), max_size=3).map(tuple),
+    },
+)
+WRONG_KINDS = st.sampled_from(
+    [("age", "abc"), ("age", True), ("viewers", "a"), ("viewers", 5), ("user", ["a"]),
+     ("user", ("a", "b"))]
+)
+COLUMN_BATCH_SIZES = st.sampled_from(
+    [1, features.COLUMN_ROWS - 1, features.COLUMN_ROWS, 2 * features.COLUMN_ROWS + 1]
+)
+
+
+def column_batch(pool: list, n: int, seed: int) -> list:
+    """n rows drawn from pool, the same dict objects repeated as a log's."""
+    return [pool[i] for i in np.random.default_rng(seed).integers(len(pool), size=n)]
+
+
+def row_by_row(rows: list, specs: tuple):
+    """The one-row vectorizations of rows, stacked: a matrix, or the
+    (rows, cols, values) of the cells."""
+    parts = [features._vectorize([r], specs) for r in rows]
+    if not isinstance(parts[0], Cells):
+        return np.vstack(parts)
+    return (np.concatenate([np.full(p.rows.size, i, dtype=np.intp) for i, p in enumerate(parts)]),
+            np.concatenate([p.cols for p in parts]), np.concatenate([p.values for p in parts]))
+
+
+class TestColumnPath:
+    @settings(deadline=None, max_examples=120)
+    @given(st.sampled_from([NARROW_SPECS, WIDE_SPECS]),
+           st.lists(COLUMN_ROWS_ATTRS, min_size=1, max_size=6), COLUMN_BATCH_SIZES,
+           st.integers(0, 2**16))
+    @example(NARROW_SPECS, [{"age": -0.0, "user": "a", "viewers": ("a", "zz", "a")}, {}],
+             features.COLUMN_ROWS, 0)
+    @example(WIDE_SPECS, [{"age": 150, "user": "w0007", "viewers": ("b", "w0007")},
+                          {"age": None, "user": None, "viewers": None}], features.COLUMN_ROWS, 0)
+    def test_batch_bits_equal_one_row_calls(self, specs, pool, n, seed):
+        rows = column_batch(pool, n, seed)
+        got = features._vectorize(rows, specs)
+        expected = row_by_row(rows, specs)
+        if isinstance(got, Cells):
+            assert specs is WIDE_SPECS and got.shape == (n, got.shape[1])
+            for array, want in zip((got.rows, got.cols, got.values), expected):
+                assert array.dtype == want.dtype and array.tobytes() == want.tobytes()
+        else:
+            assert specs is NARROW_SPECS and got.tobytes() == expected.tobytes()
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([NARROW_SPECS, WIDE_SPECS]),
+           st.lists(COLUMN_ROWS_ATTRS, min_size=1, max_size=6), COLUMN_BATCH_SIZES,
+           st.integers(0, 2**16), WRONG_KINDS, st.integers(0, 2**16))
+    @example(NARROW_SPECS, [{"age": 5.0, "user": "a", "viewers": ("a",)}], features.COLUMN_ROWS,
+             0, ("age", True), 3)
+    @example(WIDE_SPECS, [{"age": 5, "user": "b", "viewers": ("b", "zz")}], features.COLUMN_ROWS,
+             0, ("viewers", "a"), 0)
+    def test_wrong_kind_raises_the_one_row_error(self, specs, pool, n, seed, wrong, at):
+        rows = column_batch(pool, n, seed)
+        name, value = wrong
+        rows[at % n] = {**rows[at % n], name: value}
+        with pytest.raises(SchemaError, match=f"attribute '{name}' takes a") as one_row:
+            features._vectorize([rows[at % n]], specs)
+        with pytest.raises(SchemaError) as batch:
+            features._vectorize(rows, specs)
+        assert str(batch.value) == str(one_row.value)
+
+    def test_only_batches_of_column_rows_take_the_column_path(self):
+        pool = [{"age": 5.0, "user": "a", "viewers": ("a", "b")}, {"user": "zz"}]
+        taken = []
+        real = features._column_cells
+
+        def spy(column, spec, start):
+            taken.append((len(column), spec.name))
+            return real(column, spec, start)
+
+        with mock.patch.object(features, "_column_cells", spy):
+            features._vectorize(column_batch(pool, features.COLUMN_ROWS - 1, 0), NARROW_SPECS)
+            assert taken == []
+            features._vectorize(column_batch(pool, features.COLUMN_ROWS, 0), NARROW_SPECS)
+        assert taken == [(features.COLUMN_ROWS, s.name) for s in NARROW_SPECS]
+
+
 class TestCanonicalKey:
     @given(
         st.dictionaries(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contextrec.nn_core import (
+    ADAM_SLICE,
     AdamState,
     Cells,
     LayerParams,
@@ -306,6 +307,21 @@ class TestCellsLayer:
             encoder_forward(layers, wide)
 
 
+def whole_array_adam(params, grads, state, lr):
+    """adam_step as one pass of each operation over every whole array."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    state.step_count += 1
+    t = state.step_count
+    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 class TestAdam:
     def test_zero_gradient_no_move(self, rng):
         p = rng.normal(size=(3, 2))
@@ -335,6 +351,23 @@ class TestAdam:
         v = (1 - b2) * g * g * (1 + b2)
         assert np.isclose(state.first_moment[0][0], m)
         assert np.isclose(state.second_moment[0][0], v)
+
+    def test_slices_keep_the_whole_array_bits(self, rng):
+        # one array over a slice and not a multiple of it, one transposed
+        # (not C-contiguous, so updated through a copy), one smaller than a slice
+        shapes = [(3, ADAM_SLICE // 2 + 7), (ADAM_SLICE // 3 + 1, 5), (11,)]
+        params = [rng.normal(size=s) for s in shapes]
+        params[1] = params[1].T
+        ref = [p.copy() for p in params]
+        state, ref_state = AdamState.for_params(params), AdamState.for_params(ref)
+        for _ in range(5):
+            grads = [rng.normal(size=p.shape) for p in params]
+            adam_step(params, grads, state, lr=1e-2)
+            whole_array_adam(ref, grads, ref_state, lr=1e-2)
+        for got, want in zip(params + state.first_moment + state.second_moment,
+                             ref + ref_state.first_moment + ref_state.second_moment):
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_shape_mismatch(self):
         p = np.zeros(3)

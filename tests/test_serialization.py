@@ -294,6 +294,15 @@ class TestDataset:
             "so re-run `contextrec gen` to write one"
         )
 
+    def test_header_lists_read_as_sorted_tuples(self, tmp_path):
+        # a hand-written file: write_dataset stores every list sorted
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"format_version":2,"context":{"viewers":[["u2","u1"],["u1","u2"]]},'
+                        '"item":{"genre":["g0"]}}\n[0.0,5.0,0,0]\n[0.0,5.0,1,0]\n')
+        first, second = read_dataset(path)
+        assert first.context_attributes == {"viewers": ("u1", "u2")}
+        assert first == second and first.context_key() == second.context_key()
+
     @pytest.mark.parametrize(
         "header, message",
         [
@@ -308,9 +317,11 @@ class TestDataset:
             ('{"format_version":2,"context":{},"item":{}', "Expecting ',' delimiter"),
             (b'{"format_version":2,"context":{"\xff":[]},"item":{}}',
              "'utf-8' codec can't decode byte 0xff"),
+            ('{"format_version":2,"context":{"viewers":[["u1",2]]},"item":{}}',
+             "attribute 'viewers' holds list values that do not sort: '<' not supported"),
         ],
         ids=["item_missing", "table_not_a_list", "part_not_an_object", "names_unsorted",
-             "truncated", "not_utf8"],
+             "truncated", "not_utf8", "list_unsortable"],
     )
     def test_bad_header_rejected(self, tmp_path, header, message):
         path = tmp_path / "data.jsonl"
