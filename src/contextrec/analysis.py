@@ -8,11 +8,13 @@ embeddings come from one vectorize and one forward call over the whole
 test log, through the sparse first layer when the context is wide.
 
 An SNNM sweep works sample by sample: one `snnm` call builds a sample's
-(n, n) angular matrix and label masks once, then derives every temperature
-of the grid from them. A sweep therefore costs `repetitions` angular
-matrices plus `repetitions x temperatures` masked exponentials of an
-(n, n) array, and holds one sample's matrices at a time (a few float64
-(n, n) arrays, about 2 MB each at the CLI's n = 512).
+(n, n) angular matrix once, then scores the rows that have a same-label
+neighbor over the whole temperature grid, one block of rows at a time. A
+sweep therefore costs `repetitions` angular matrices plus `repetitions x
+temperatures` masked exponentials of the kept rows. It holds one angular
+matrix at a time (2 MB at the CLI's n = 512) and three SNNM_BLOCK-element
+buffers (256 KB each), besides the transient arrays of building that
+matrix.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ def angular_distance(x: np.ndarray, y: np.ndarray) -> float:
 
 @dataclass
 class LabeledEmbeddings:
-    """Embeddings with their content labels; zero-norm rows are rejected."""
+    """Embeddings with their content labels; non-finite and zero-norm rows
+    are rejected."""
 
     embeddings: np.ndarray  # (n, E)
     labels: list
@@ -53,6 +56,8 @@ class LabeledEmbeddings:
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
         if self.embeddings.ndim != 2 or self.embeddings.shape[0] != len(self.labels):
             raise ShapeError("embeddings must be (n, E) with one label per row")
+        if not np.isfinite(self.embeddings).all():
+            raise DegenerateMeasure("non-finite embedding rows are not allowed")
         if np.any(np.linalg.norm(self.embeddings, axis=1) < 1e-12):
             raise DegenerateMeasure("zero-norm embedding rows are not allowed")
 
@@ -80,15 +85,22 @@ def _angular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(normed_a @ normed_b.T, -1.0, 1.0)) / np.pi
 
 
+# Elements in one row block of the SNNM temperature loop: 64 rows at the
+# CLI's n = 512. README "SNNM over row blocks" has the measured table.
+SNNM_BLOCK = 32768
+
+
 def snnm(sample: LabeledEmbeddings, temperatures) -> tuple[np.ndarray, int]:
     """Soft nearest neighbor entanglement of the labeled sample at each
     temperature; values[i] belongs to temperatures[i].
 
-    Lower is better (classes less entangled). The angular matrix and the
-    label masks are built once per call; each temperature then pays only
-    for its shifted exponentials and two masked row sums. Rows without a
-    same-label neighbor are skipped at every temperature alike; returns
-    (values, skipped_count).
+    Lower is better (classes less entangled). The angular matrix is built
+    once per call. Rows without a same-label neighbor are skipped at every
+    temperature alike; the others go through the whole grid in blocks of
+    about SNNM_BLOCK elements, so a block stays in cache while each
+    temperature pays for its shifted exponentials and two masked row sums.
+    Every step is elementwise or a per-row reduction, so the values are
+    those of whole (n, n) arrays. Returns (values, skipped_count).
     """
     temperatures = np.asarray(temperatures, dtype=np.float64)
     if temperatures.ndim != 1:
@@ -101,25 +113,36 @@ def snnm(sample: LabeledEmbeddings, temperatures) -> tuple[np.ndarray, int]:
     # map labels (possibly unhashable-unfriendly tuples) to class codes
     codes_map: dict = {}
     codes = np.array([codes_map.setdefault(l, len(codes_map)) for l in sample.labels])
-    off = ~np.eye(n, dtype=bool)
-    same = (codes[:, None] == codes[None, :]) & off
-    kept = same.any(axis=1)
-    if not kept.any():
+    kept = np.flatnonzero(np.bincount(codes)[codes] > 1)
+    if not kept.size:
         raise DegenerateMeasure("every row lacked a same-label neighbor")
-    neg = np.where(off, -_angular(sample.embeddings, sample.embeddings), -np.inf)
-    top = neg.max(axis=1, keepdims=True)
+    theta = _angular(sample.embeddings, sample.embeddings)
 
-    values = np.empty(len(temperatures))
-    for i, t in enumerate(temperatures):
-        # -theta / t with -inf on the diagonal, shifted by its row max; a
-        # positive divisor keeps the -inf and the argmax, so these are the
-        # bits of dividing first and taking the max after
-        w = neg / t
-        w -= top / t
-        np.exp(w, out=w)  # 0 on the diagonal
-        num = np.where(same, w, 0.0).sum(axis=1)
-        values[i] = np.mean(-np.log(num[kept] / w.sum(axis=1)[kept]))
-    return values, int(n - kept.sum())
+    rows = max(1, min(kept.size, SNNM_BLOCK // n))
+    neg_buf, w_buf, same_buf = (np.empty((rows, n)) for _ in range(3))
+    num, den = np.empty((2, len(temperatures), kept.size))
+    for s in range(0, kept.size, rows):
+        block = kept[s:s + rows]
+        r = block.size
+        neg, w, same = neg_buf[:r], w_buf[:r], same_buf[:r]
+        # -theta with -inf on the diagonal, and 1.0 where the labels match
+        # (on the diagonal too, where the weight is 0)
+        np.take(theta, block, axis=0, out=neg)
+        np.negative(neg, out=neg)
+        neg[np.arange(r), block] = -np.inf
+        top = neg.max(axis=1, keepdims=True)
+        np.equal(codes[block, None], codes, out=same)
+        for i, t in enumerate(temperatures):
+            # -theta / t shifted by its row max; a positive divisor keeps the
+            # -inf and the argmax, so these are the bits of dividing first
+            # and taking the max after
+            np.divide(neg, t, out=w)
+            np.subtract(w, top / t, out=w)
+            np.exp(w, out=w)  # in [0, 1], 0 on the diagonal
+            np.sum(w, axis=1, out=den[i, s:s + r])
+            np.multiply(w, same, out=w)
+            np.sum(w, axis=1, out=num[i, s:s + r])
+    return (-np.log(num / den)).mean(axis=1), int(n - kept.size)
 
 
 @dataclass
@@ -176,13 +199,24 @@ def snnm_sweep(
     )
 
 
+def _context_embeddings(test_log: list[ViewingEvent], model: TwoTowerModel) -> np.ndarray:
+    """One vectorize and one forward call; finite weights can still overflow
+    to inf or nan, which is a FloatingPointError instead of a warning."""
+    vecs = vectorize_context(test_log, model.schema)
+    with np.errstate(all="ignore"):
+        emb = embed_context(model, vecs)
+    if not np.isfinite(emb).all():
+        raise FloatingPointError("non-finite context embeddings")
+    return emb
+
+
 def context_embeddings_by_content(
     test_log: list[ViewingEvent], model: TwoTowerModel
 ) -> tuple[np.ndarray, list]:
     """Context embeddings of every test event with its content label."""
-    vecs = vectorize_context(test_log, model.schema)
+    emb = _context_embeddings(test_log, model)
     codes, keys = item_ids(test_log)
-    return embed_context(model, vecs), [keys[c] for c in codes.tolist()]
+    return emb, [keys[c] for c in codes.tolist()]
 
 
 @dataclass
@@ -202,11 +236,14 @@ def similarity_matrix(
     Entry (i, j) = 1 - theta(mean context embedding of content i, content
     embedding j). Dispersion row i is the mean of 1 - theta(mean, each
     context embedding of content i). Contents without test events yield a
-    NaN row flagged in empty_rows.
+    NaN row flagged in empty_rows. Non-finite context or content embeddings
+    are a FloatingPointError.
     """
+    if not np.isfinite(catalog.embeddings).all():
+        raise FloatingPointError("non-finite content embeddings")
     keys = [canonical_key(it) for it in catalog.items]
     m = catalog.size
-    ctx_emb = embed_context(model, vectorize_context(test_log, model.schema))
+    ctx_emb = _context_embeddings(test_log, model)
     where = universe_indices(test_log, catalog.items)
 
     values = np.full((m, m), np.nan)

@@ -4,7 +4,9 @@ import io
 import numpy as np
 import pytest
 
+from contextrec import analysis
 from contextrec.analysis import (
+    SNNM_BLOCK,
     DegenerateMeasure,
     LabeledEmbeddings,
     angular_distance,
@@ -112,6 +114,99 @@ def per_row_snnm(emb, labels, t):
     return np.mean(terms), n - len(terms)
 
 
+def snnm_oracle(emb, labels, temperatures):
+    """The whole-matrix SNNM that the row blocks replaced, as (values,
+    skipped): the (n, n) angular matrix of one normalized product, and at
+    each temperature the shifted exponentials and masked row sums of all n
+    rows, averaged over the rows with a same-label neighbor."""
+    emb = np.asarray(emb, dtype=np.float64)
+    normed = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+    theta = np.arccos(np.clip(normed @ normed.T, -1.0, 1.0)) / np.pi
+    n = len(labels)
+    codes = np.unique(np.asarray(labels), return_inverse=True)[1].reshape(-1)
+    off = ~np.eye(n, dtype=bool)
+    same = (codes[:, None] == codes[None, :]) & off
+    kept = same.any(axis=1)
+    neg = np.where(off, -theta, -np.inf)
+    top = neg.max(axis=1, keepdims=True)
+    values = np.empty(len(temperatures))
+    for i, t in enumerate(temperatures):
+        w = neg / t
+        w -= top / t
+        np.exp(w, out=w)
+        num = np.where(same, w, 0.0).sum(axis=1)
+        values[i] = np.mean(-np.log(num[kept] / w.sum(axis=1)[kept]))
+    return values, int(n - kept.sum())
+
+
+def grouped_labels(sizes, rng):
+    """Shuffled labels: one class per entry of sizes, of that many rows, so
+    each row has size - 1 same-label neighbors."""
+    labels = [f"c{k}" for k, size in enumerate(sizes) for _ in range(size)]
+    return list(rng.permutation(labels))
+
+
+class TestSnnmBlocksExact:
+    """snnm's row blocks give the bits of the whole-matrix oracle."""
+
+    GRID = np.logspace(-2, 2, 20)
+
+    def assert_exact(self, emb, labels, temperatures=GRID):
+        values, skipped = snnm(LabeledEmbeddings(emb, labels), temperatures)
+        want, want_skipped = snnm_oracle(emb, labels, temperatures)
+        assert values.tobytes() == want.tobytes()
+        assert skipped == want_skipped
+
+    @pytest.mark.parametrize("n", [2, 3, 37])
+    def test_small_samples(self, rng, n):
+        labels = ["a", "a"] + list(rng.choice(["a", "b", "c"], size=n - 2))
+        self.assert_exact(rng.normal(size=(n, 6)), labels)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_kept_rows_around_one_block(self, rng, extra):
+        n = 512
+        rows = SNNM_BLOCK // n
+        kept = rows + extra
+        # kept rows in pairs (and one triple when odd), the rest singletons
+        sizes = [2] * (kept // 2 - kept % 2) + [3] * (kept % 2) + [1] * (n - kept)
+        labels = grouped_labels(sizes, rng)
+        emb = rng.normal(size=(n, 8))
+        self.assert_exact(emb, labels)
+        assert snnm(LabeledEmbeddings(emb, labels), [1.0])[1] == n - kept
+
+    def test_more_than_two_blocks(self, rng):
+        labels = grouped_labels([1] * 9 + [2] * 40 + [3] * 30 + [5] * 50, rng)
+        n, kept = len(labels), len(labels) - 9
+        rows = SNNM_BLOCK // n
+        assert kept > 2 * rows and kept % rows  # a part block last
+        self.assert_exact(rng.normal(size=(n, 8)), labels)
+
+    def test_zero_to_many_same_label_neighbors(self, rng):
+        labels = grouped_labels([1] * 11 + [2] * 13 + [3] * 9 + [4] * 7 + [9] * 3, rng)
+        self.assert_exact(rng.normal(size=(len(labels), 5)), labels)
+
+    def test_each_temperature_alone(self, rng):
+        emb = rng.normal(size=(70, 4))
+        labels = grouped_labels([1] * 6 + [2] * 12 + [4] * 10, rng)
+        for t in self.GRID:
+            self.assert_exact(emb, labels, [t])
+
+    def test_sweep_at_the_cli_sample_size(self, rng, monkeypatch):
+        # 300 classes of skewed size over 2,000 rows, as in the analyze
+        # benchmark: a sample of 512 leaves rows without a neighbor
+        emb = rng.normal(size=(2000, 8))
+        labels = [f"c{k}" for k in rng.zipf(1.3, size=2000) % 300]
+        pool = LabeledEmbeddings(emb, labels)
+        got = snnm_sweep(pool, repetitions=20, n=512, rng=make_rng(11))
+        monkeypatch.setattr(
+            analysis, "snnm", lambda s, ts: snnm_oracle(s.embeddings, s.labels, ts)
+        )
+        want = snnm_sweep(pool, repetitions=20, n=512, rng=make_rng(11))
+        assert got.skipped_term_counts[0] > 0
+        for field in ("temperatures", "means", "ci95", "skipped_term_counts"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
 class TestSnnm:
     def test_single_class_exactly_zero(self, rng):
         emb = rng.normal(size=(10, 4))
@@ -207,6 +302,13 @@ class TestSnnm:
             LabeledEmbeddings(np.array([[1.0, 0.0], [0.0, 0.0]]), ["a", "a"])
         with pytest.raises(DegenerateMeasure, match="^need at least two embeddings"):
             snnm(LabeledEmbeddings(rng.normal(size=(1, 3)), ["a"]), [0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        emb = np.ones((3, 2))
+        emb[1, 0] = bad
+        with pytest.raises(DegenerateMeasure, match="^non-finite embedding rows"):
+            LabeledEmbeddings(emb, ["a", "a", "b"])
 
     def test_all_skipped_raises(self, rng):
         emb = rng.normal(size=(3, 3))
@@ -416,6 +518,15 @@ class TestSimilarityMatrix:
         model = aligned_model(schema)
         catalog = Catalog(items=[{"genre": "g0"}, {"genre": "g1"}], embeddings=np.zeros((2, 2)))
         with pytest.raises(DegenerateMeasure, match="zero-norm"):
+            similarity_matrix(log, model, catalog)
+
+
+    def test_non_finite_content_embeddings_rejected(self):
+        log = [ctx_event("u0", "g0", 0), ctx_event("u1", "g1", 1)]
+        model = aligned_model(build_schema(log))
+        embeddings = np.array([[1.0, 0.0], [np.inf, 1.0]])
+        catalog = Catalog(items=[{"genre": "g0"}, {"genre": "g1"}], embeddings=embeddings)
+        with pytest.raises(FloatingPointError, match="^non-finite content embeddings"):
             similarity_matrix(log, model, catalog)
 
 

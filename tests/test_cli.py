@@ -567,6 +567,15 @@ def _zero_context_tower(path, original):
     path.write_text(json.dumps(doc))
 
 
+def _overflowing_context_tower(path, original):
+    # finite weights, but 1e120 times larger: the forward pass overflows
+    doc = json.loads(original.read_text())
+    params, shapes = doc["parameters"], _shapes(doc)
+    for k in range(0, len(params) // 2, 2):
+        params[k] = _encode(_decode(params[k], shapes[k]) * 1e120)
+    path.write_text(json.dumps(doc))
+
+
 @_edited_records
 def _test_split_group_size_text(records):
     # the last 20 events fall in the test split; some pass the duration filter
@@ -758,6 +767,7 @@ EVAL_ARGS = ["eval", "--config", "{config}", "--checkpoint", "{checkpoint}",
 ANALYZE_ARGS = ["analyze", "--config", "{config}", "--checkpoint", "{checkpoint}",
                 "--dataset", "{dataset}", "--mode", "snnm", "--out", "{out}"]
 SIMMATRIX_ARGS = [*ANALYZE_ARGS[:-3], "simmatrix", "--out", "{out}"]
+EXPORT_ARGS = [*ANALYZE_ARGS[:-3], "export", "--out", "{out}"]
 GEN_ARGS = ["gen", "--config", "{config}", "--out", "{out}"]
 MIXED_GENRE = "data error: feature 'genre' mixes value kinds ['categorical_single', 'numeric']"
 # read_dataset refuses a header list that does not sort; write_dataset never writes one
@@ -1164,6 +1174,18 @@ BOUNDARY_CASES = {
     "analyze_simmatrix_zero_norm_contexts": (
         {}, SIMMATRIX_ARGS, ("checkpoint", _zero_context_tower), EXIT_NUMERIC,
         "numeric error: angular distance is undefined for zero-norm vectors",
+    ),
+    "analyze_snnm_overflowing_contexts": (
+        {}, ANALYZE_ARGS, ("checkpoint", _overflowing_context_tower), EXIT_NUMERIC,
+        "numeric error: non-finite context embeddings",
+    ),
+    "analyze_export_overflowing_contexts": (
+        {}, EXPORT_ARGS, ("checkpoint", _overflowing_context_tower), EXIT_NUMERIC,
+        "numeric error: non-finite context embeddings",
+    ),
+    "analyze_simmatrix_overflowing_contexts": (
+        {}, SIMMATRIX_ARGS, ("checkpoint", _overflowing_context_tower), EXIT_NUMERIC,
+        "numeric error: non-finite context embeddings",
     ),
     "eval_truncated_checkpoint": (
         {}, EVAL_ARGS, ("checkpoint", _truncated_checkpoint), EXIT_DATA,
