@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import ViewingEvent, canonical_key, item_ids, universe_indices, vectorize_context
-from .model import Catalog, TwoTowerModel, embed_context
-from .nn_core import ShapeError, check_range
+from .model import ZERO_NORM, Catalog, TwoTowerModel, embed_context
+from .nn_core import ShapeError, check_finite, check_range
 from .serialization import atomic_write
 
 
@@ -37,8 +37,7 @@ class DegenerateMeasure(ValueError):
 
 def angular_distance(x: np.ndarray, y: np.ndarray) -> float:
     """(1/pi) * arccos(cosine(x, y)) of 1-D vectors: `_angular` on one row each."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ShapeError("inputs must be 1-D vectors of equal length")
     return float(_angular(x[None], y[None])[0, 0])
@@ -46,8 +45,8 @@ def angular_distance(x: np.ndarray, y: np.ndarray) -> float:
 
 @dataclass
 class LabeledEmbeddings:
-    """Embeddings with their content labels; non-finite and zero-norm rows
-    are rejected."""
+    """Embeddings with their content labels; a row whose norm is not finite
+    is a FloatingPointError, and a zero-norm row a DegenerateMeasure."""
 
     embeddings: np.ndarray  # (n, E)
     labels: list
@@ -56,9 +55,10 @@ class LabeledEmbeddings:
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
         if self.embeddings.ndim != 2 or self.embeddings.shape[0] != len(self.labels):
             raise ShapeError("embeddings must be (n, E) with one label per row")
-        if not np.isfinite(self.embeddings).all():
-            raise DegenerateMeasure("non-finite embedding rows are not allowed")
-        if np.any(np.linalg.norm(self.embeddings, axis=1) < 1e-12):
+        with np.errstate(all="ignore"):
+            norms = np.linalg.norm(self.embeddings, axis=1)
+        check_finite("embedding norms", norms)
+        if np.any(norms < ZERO_NORM):
             raise DegenerateMeasure("zero-norm embedding rows are not allowed")
 
     @property
@@ -66,19 +66,19 @@ class LabeledEmbeddings:
         return self.embeddings.shape[0]
 
     def take(self, indices: np.ndarray) -> "LabeledEmbeddings":
-        return LabeledEmbeddings(
-            self.embeddings[indices], [self.labels[i] for i in indices]
-        )
+        return LabeledEmbeddings(self.embeddings[indices], [self.labels[i] for i in indices])
 
 
 def _angular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(1/pi) * arccos(cosine) between every row of a and every row of b, as
     one normalized product, clamped to [-1, 1] to absorb rounding; passing the
-    same array twice keeps numpy's symmetric a @ a.T kernel. Zero-norm rows are
-    a DegenerateMeasure; serving scores them 0."""
-    na = np.linalg.norm(a, axis=1, keepdims=True)
-    nb = na if b is a else np.linalg.norm(b, axis=1, keepdims=True)
-    if np.any(na < 1e-12) or np.any(nb < 1e-12):
+    same array twice keeps numpy's symmetric a @ a.T kernel. A zero-norm row is
+    a DegenerateMeasure (serving scores it 0), a non-finite norm FloatingPointError."""
+    with np.errstate(all="ignore"):
+        na = np.linalg.norm(a, axis=1, keepdims=True)
+        nb = na if b is a else np.linalg.norm(b, axis=1, keepdims=True)
+    check_finite("embedding norms", na, nb)
+    if np.any(na < ZERO_NORM) or np.any(nb < ZERO_NORM):
         raise DegenerateMeasure("angular distance is undefined for zero-norm vectors")
     normed_a = a / na
     normed_b = normed_a if b is a else b / nb
@@ -205,8 +205,7 @@ def _context_embeddings(test_log: list[ViewingEvent], model: TwoTowerModel) -> n
     vecs = vectorize_context(test_log, model.schema)
     with np.errstate(all="ignore"):
         emb = embed_context(model, vecs)
-    if not np.isfinite(emb).all():
-        raise FloatingPointError("non-finite context embeddings")
+    check_finite("context embeddings", emb)
     return emb
 
 
@@ -227,6 +226,7 @@ class SimilarityMatrix:
     empty_rows: np.ndarray  # bool mask of contents absent from the test log
 
 
+@np.errstate(all="ignore")  # a mean that overflows fails _angular's norm check
 def similarity_matrix(
     test_log: list[ViewingEvent], model: TwoTowerModel, catalog: Catalog
 ) -> SimilarityMatrix:
@@ -236,11 +236,9 @@ def similarity_matrix(
     Entry (i, j) = 1 - theta(mean context embedding of content i, content
     embedding j). Dispersion row i is the mean of 1 - theta(mean, each
     context embedding of content i). Contents without test events yield a
-    NaN row flagged in empty_rows. Non-finite context or content embeddings
+    NaN row flagged in empty_rows. Non-finite context embeddings or norms
     are a FloatingPointError.
     """
-    if not np.isfinite(catalog.embeddings).all():
-        raise FloatingPointError("non-finite content embeddings")
     keys = [canonical_key(it) for it in catalog.items]
     m = catalog.size
     ctx_emb = _context_embeddings(test_log, model)

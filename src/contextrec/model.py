@@ -3,8 +3,8 @@
 Context and content encoders map their vectorized inputs into a shared
 E-dimensional space; a wide input arrives as nn_core.Cells, whose first
 layer gathers weight columns instead of multiplying zeros. Serving
-precomputes the catalog's content embeddings, and caches their norms,
-once; each request is one context forward pass, one matrix-vector
+precomputes the catalog's content embeddings, and checks and caches their
+norms, once; each request is one context forward pass, one matrix-vector
 product against the catalog and a ranking. Ranking takes NumPy's default
 (fast) sort and falls back to a stable sort only when the scores hold
 ties, so the order is always descending score with ties broken by
@@ -28,7 +28,9 @@ from .features import (
     vectorize_context,
     vectorize_item,
 )
-from .nn_core import Cells, LayerParams, check_range, encoder_forward, init_layers
+from .nn_core import Cells, LayerParams, check_finite, check_range, encoder_forward, init_layers
+
+ZERO_NORM = 1e-12  # a smaller norm is zero: serving scores its row 0, analysis refuses it
 
 
 @dataclass(frozen=True)
@@ -62,19 +64,12 @@ class TwoTowerModel:
         config: EncoderConfig,
         rng: np.random.Generator,
     ) -> "TwoTowerModel":
-        return cls(
-            schema=schema,
-            context_encoder=init_layers(config.widths(schema.context_width), rng),
-            item_encoder=init_layers(config.widths(schema.item_width), rng),
-            config=config,
-        )
+        return cls(schema, init_layers(config.widths(schema.context_width), rng),
+                   init_layers(config.widths(schema.item_width), rng), config)
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.context_encoder + self.item_encoder:
-            out.append(layer.weights)
-            out.append(layer.biases)
-        return out
+        return [a for layer in self.context_encoder + self.item_encoder
+                for a in (layer.weights, layer.biases)]
 
 
 def embed_context(model: TwoTowerModel, context_vector: np.ndarray | Cells) -> np.ndarray:
@@ -102,12 +97,15 @@ class Catalog:
 
     @cached_property
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.embeddings, axis=1)
+        with np.errstate(all="ignore"):  # checked once per catalog, not per request
+            norms = np.linalg.norm(self.embeddings, axis=1)
+        check_finite("content embedding norms", norms)
+        return norms
 
     @cached_property
     def nonzero(self) -> np.ndarray:
         """Rows that can be scored; zero-norm rows keep score 0."""
-        return self.norms >= 1e-12
+        return self.norms >= ZERO_NORM
 
 
 def catalog_from_log(log: list[ViewingEvent]) -> list[dict]:
@@ -140,7 +138,8 @@ def precompute_catalog(model: TwoTowerModel, items: list[dict]) -> Catalog:
     check_catalog_items(items, model.schema)
     # one item at a time, so each row has the bits of a fresh embed_item of
     # its one-row batch, dense or cells: a row of one cell sums to those bits
-    rows = [embed_item(model, vectorize_item([it], model.schema))[0] for it in items]
+    with np.errstate(all="ignore"):
+        rows = [embed_item(model, vectorize_item([it], model.schema))[0] for it in items]
     return Catalog(items=list(items), embeddings=np.stack(rows))
 
 
@@ -166,15 +165,15 @@ def rank_scores(scores: np.ndarray) -> np.ndarray:
 def recommend(
     model: TwoTowerModel, context_event: ViewingEvent, catalog: Catalog
 ) -> RecommendationList:
-    """Rank the whole catalog for one viewing context.
-
-    One context-encoder forward pass; item embeddings come from the
-    precomputed catalog.
-    """
-    ctx = embed_context(model, vectorize_context([context_event], model.schema))[0]
-    cn = np.linalg.norm(ctx)
+    """Rank the whole catalog for one viewing context: one context-encoder
+    forward pass, scored against the precomputed catalog. A non-finite
+    context or content embedding norm is a FloatingPointError."""
+    with np.errstate(all="ignore"):
+        ctx = embed_context(model, vectorize_context([context_event], model.schema))[0]
+        cn = np.linalg.norm(ctx)
+    check_finite("context embedding norm", cn)
     scores = np.zeros(catalog.size)
-    if cn >= 1e-12:
+    if cn >= ZERO_NORM:
         ok = catalog.nonzero
         scores[ok] = (catalog.embeddings @ ctx)[ok] / (catalog.norms[ok] * cn)
     order = rank_scores(scores)

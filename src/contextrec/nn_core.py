@@ -36,6 +36,12 @@ def check_range(name: str, value, low, high=math.inf, bounds="[)", integer=False
         raise ValueError(f"{name} must be {want}, got {value!r}")
 
 
+def check_finite(what: str, *arrays) -> None:
+    """FloatingPointError unless every array is all finite: the one test of usable numbers."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FloatingPointError(f"non-finite {what}")
+
+
 class ShapeError(ValueError):
     """Raised when array dimensions do not chain; never silently broadcast."""
 

@@ -17,7 +17,8 @@ from .features import (
     _MULTI_TYPES, FeatureSchema, SchemaError, ViewingEvent, _sorted_tuple, context_ids, item_ids
 )
 from .model import EncoderConfig, TwoTowerModel
-from .nn_core import AdamState, adam_step, check_range, encoder_backward, encoder_forward, make_rng
+from .nn_core import (AdamState, adam_step, check_finite, check_range, encoder_backward,
+                      encoder_forward, make_rng)
 from .sampling import (
     MiniBatch,
     NoAdmissibleNegative,
@@ -110,7 +111,7 @@ def _batch_sampler(split, iids, cids, pair_index, config, schema, history):
     return draw_with_negatives
 
 
-@np.errstate(all="ignore")  # no overflow warnings: _check_finite raises instead
+@np.errstate(all="ignore")  # no overflow warnings: check_finite raises instead
 def _loss_and_grads(
     model: TwoTowerModel,
     batch: MiniBatch,
@@ -126,20 +127,15 @@ def _loss_and_grads(
     item_emb, item_tape = encoder_forward(
         model.item_encoder, batch.item_vectors, dr, rng, training
     )
-    _check_finite("embeddings", ctx_emb, item_emb)
+    check_finite("embeddings", ctx_emb, item_emb)
     res = _OBJECTIVES[config.objective].loss(ctx_emb, item_emb, batch, negatives, config.lam)
-    _check_finite("loss", res.value)
+    check_finite("loss", res.value)
     if not training:
         return res.value, None
     grads = encoder_backward(ctx_tape, res.grad_anchors)
     grads += encoder_backward(item_tape, res.grad_positives)
-    _check_finite("gradients", *grads)
+    check_finite("gradients", *grads)
     return res.value, grads
-
-
-def _check_finite(what: str, *arrays) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise FloatingPointError(f"non-finite {what}")
 
 
 def train(

@@ -307,7 +307,7 @@ class TestSnnm:
     def test_non_finite_rows_rejected(self, bad):
         emb = np.ones((3, 2))
         emb[1, 0] = bad
-        with pytest.raises(DegenerateMeasure, match="^non-finite embedding rows"):
+        with pytest.raises(FloatingPointError, match="^non-finite embedding norms"):
             LabeledEmbeddings(emb, ["a", "a", "b"])
 
     def test_all_skipped_raises(self, rng):
@@ -526,7 +526,17 @@ class TestSimilarityMatrix:
         model = aligned_model(build_schema(log))
         embeddings = np.array([[1.0, 0.0], [np.inf, 1.0]])
         catalog = Catalog(items=[{"genre": "g0"}, {"genre": "g1"}], embeddings=embeddings)
-        with pytest.raises(FloatingPointError, match="^non-finite content embeddings"):
+        with pytest.raises(FloatingPointError, match="^non-finite embedding norms"):
+            similarity_matrix(log, model, catalog)
+
+    def test_overflowing_mean_rejected(self):
+        # finite context embeddings (1e308, 0) whose per-content mean overflows:
+        # the norm check refuses it, with no RuntimeWarning first
+        log = [ctx_event("u0", "g0", 0), ctx_event("u0", "g0", 1), ctx_event("u1", "g1", 2)]
+        model = aligned_model(build_schema(log))
+        catalog = precompute_catalog(model, [{"genre": "g0"}, {"genre": "g1"}])
+        model.context_encoder[0].weights *= 1e308
+        with pytest.raises(FloatingPointError, match="^non-finite embedding norms"):
             similarity_matrix(log, model, catalog)
 
 

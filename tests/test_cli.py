@@ -567,13 +567,21 @@ def _zero_context_tower(path, original):
     path.write_text(json.dumps(doc))
 
 
-def _overflowing_context_tower(path, original):
-    # finite weights, but 1e120 times larger: the forward pass overflows
-    doc = json.loads(original.read_text())
-    params, shapes = doc["parameters"], _shapes(doc)
-    for k in range(0, len(params) // 2, 2):
-        params[k] = _encode(_decode(params[k], shapes[k]) * 1e120)
-    path.write_text(json.dumps(doc))
+def _overflowing_tower(tower, factor):
+    """Writer of the checkpoint with every weight matrix of the "context" or
+    the "item" tower times factor: still finite, so it loads, but a large
+    factor overflows the forward pass or the embeddings' norms."""
+
+    def write(path, original):
+        doc = json.loads(original.read_text())
+        params, shapes = doc["parameters"], _shapes(doc)
+        half = len(params) // 2  # the towers have equally many layers
+        first = 0 if tower == "context" else half
+        for k in range(first, first + half, 2):
+            params[k] = _encode(_decode(params[k], shapes[k]) * factor)
+        path.write_text(json.dumps(doc))
+
+    return write
 
 
 @_edited_records
@@ -1176,16 +1184,38 @@ BOUNDARY_CASES = {
         "numeric error: angular distance is undefined for zero-norm vectors",
     ),
     "analyze_snnm_overflowing_contexts": (
-        {}, ANALYZE_ARGS, ("checkpoint", _overflowing_context_tower), EXIT_NUMERIC,
+        {}, ANALYZE_ARGS, ("checkpoint", _overflowing_tower("context", 1e120)), EXIT_NUMERIC,
         "numeric error: non-finite context embeddings",
     ),
     "analyze_export_overflowing_contexts": (
-        {}, EXPORT_ARGS, ("checkpoint", _overflowing_context_tower), EXIT_NUMERIC,
+        {}, EXPORT_ARGS, ("checkpoint", _overflowing_tower("context", 1e120)), EXIT_NUMERIC,
         "numeric error: non-finite context embeddings",
     ),
     "analyze_simmatrix_overflowing_contexts": (
-        {}, SIMMATRIX_ARGS, ("checkpoint", _overflowing_context_tower), EXIT_NUMERIC,
+        {}, SIMMATRIX_ARGS, ("checkpoint", _overflowing_tower("context", 1e120)), EXIT_NUMERIC,
         "numeric error: non-finite context embeddings",
+    ),
+    # finite embeddings whose norms overflow, and non-finite content
+    # embeddings: a cosine would divide by inf
+    "analyze_snnm_overflowing_context_norms": (
+        {}, ANALYZE_ARGS, ("checkpoint", _overflowing_tower("context", 1e100)), EXIT_NUMERIC,
+        "numeric error: non-finite embedding norms",
+    ),
+    "analyze_simmatrix_overflowing_context_norms": (
+        {}, SIMMATRIX_ARGS, ("checkpoint", _overflowing_tower("context", 1e100)), EXIT_NUMERIC,
+        "numeric error: non-finite embedding norms",
+    ),
+    "recommend_overflowing_context": (
+        {}, RECOMMEND_ARGS, ("checkpoint", _overflowing_tower("context", 1e120)), EXIT_NUMERIC,
+        "numeric error: non-finite context embedding norm",
+    ),
+    "recommend_overflowing_items": (
+        {}, RECOMMEND_ARGS, ("checkpoint", _overflowing_tower("item", 1e120)), EXIT_NUMERIC,
+        "numeric error: non-finite content embedding norms",
+    ),
+    "eval_overflowing_items": (
+        {}, EVAL_ARGS, ("checkpoint", _overflowing_tower("item", 1e120)), EXIT_NUMERIC,
+        "numeric error: non-finite content embedding norms",
     ),
     "eval_truncated_checkpoint": (
         {}, EVAL_ARGS, ("checkpoint", _truncated_checkpoint), EXIT_DATA,
@@ -1411,3 +1441,46 @@ def test_boundary_exit_codes(workspace, tmp_path, capsys, case):
     assert captured.err.startswith(message.format(**paths))
     assert captured.err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tower", ["context", "item"])
+def test_weight_scale_sweep(workspace, tmp_path, capsys, tower):
+    """With one tower's weights scaled up to overflow, every scoring or
+    measuring command either exits 0 with only finite numbers in what it
+    prints and writes, or exits 4 with one line; a RuntimeWarning fails the
+    test (pyproject's filterwarnings)."""
+    _, config_path, dataset, original = workspace
+    context = tmp_path / "ctx.json"
+    context.write_text(json.dumps({"context": CONTEXT}))
+    commands = {"recommend": RECOMMEND_ARGS, "eval": EVAL_ARGS, "snnm": ANALYZE_ARGS,
+                "simmatrix": SIMMATRIX_ARGS, "export": EXPORT_ARGS}
+    codes = {}
+    for factor in (1.0, 1e50, 1e100, 1e120, 1e200, 1e300):
+        ckpt = tmp_path / f"scaled_{factor:g}.json"
+        _overflowing_tower(tower, factor)(ckpt, original)
+        for name, template in commands.items():
+            out = tmp_path / f"{name}_{factor:g}.out"
+            paths = dict(config=config_path, dataset=dataset, checkpoint=ckpt, context=context,
+                         out=out)
+            capsys.readouterr()
+            code = codes[name, factor] = main([arg.format(**paths) for arg in template])
+            captured = capsys.readouterr()
+            if code == EXIT_NUMERIC:
+                assert captured.out == "" and not out.exists()
+                assert captured.err.startswith("numeric error: ")
+                assert captured.err.count("\n") == 1
+                continue
+            assert code == EXIT_OK and captured.err == ""
+            if name == "recommend":  # label, tab, score
+                cells = [line.split("\t")[1] for line in captured.out.splitlines()]
+            else:  # eval's model=..,key=value lines; a CSV with a label column, but the curve
+                cells = [c.split("=")[1] for line in captured.out.splitlines()
+                         for c in line.split(",")[1:]]
+                rows = list(csv.reader(out.read_text().splitlines()))[1:]
+                if name == "simmatrix":  # a content absent from the test log is a NaN row
+                    rows = [r for r in rows if not all(c == "nan" for c in r[1:])]
+                cells += [c for r in rows for c in (r if name == "snnm" else r[1:])]
+            assert cells and all(np.isfinite(float(c)) for c in cells), (name, factor)
+    # the overflow cases are refused, not scored
+    assert codes["recommend", 1e120] == codes["recommend", 1e300] == EXIT_NUMERIC
+    assert codes["recommend", 1.0] == codes["eval", 1.0] == EXIT_OK
