@@ -27,7 +27,7 @@ import numpy as np
 
 from .features import ViewingEvent, canonical_key, item_ids, universe_indices, vectorize_context
 from .model import ZERO_NORM, Catalog, TwoTowerModel, embed_context
-from .nn_core import ShapeError, check_finite, check_range
+from .nn_core import ShapeError, check_finite, check_range, finite_row_norms
 from .serialization import atomic_write
 
 
@@ -55,10 +55,7 @@ class LabeledEmbeddings:
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
         if self.embeddings.ndim != 2 or self.embeddings.shape[0] != len(self.labels):
             raise ShapeError("embeddings must be (n, E) with one label per row")
-        with np.errstate(all="ignore"):
-            norms = np.linalg.norm(self.embeddings, axis=1)
-        check_finite("embedding norms", norms)
-        if np.any(norms < ZERO_NORM):
+        if np.any(finite_row_norms("embedding norms", self.embeddings) < ZERO_NORM):
             raise DegenerateMeasure("zero-norm embedding rows are not allowed")
 
     @property
@@ -74,10 +71,8 @@ def _angular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     one normalized product, clamped to [-1, 1] to absorb rounding; passing the
     same array twice keeps numpy's symmetric a @ a.T kernel. A zero-norm row is
     a DegenerateMeasure (serving scores it 0), a non-finite norm FloatingPointError."""
-    with np.errstate(all="ignore"):
-        na = np.linalg.norm(a, axis=1, keepdims=True)
-        nb = na if b is a else np.linalg.norm(b, axis=1, keepdims=True)
-    check_finite("embedding norms", na, nb)
+    na = finite_row_norms("embedding norms", a)[:, None]
+    nb = na if b is a else finite_row_norms("embedding norms", b)[:, None]
     if np.any(na < ZERO_NORM) or np.any(nb < ZERO_NORM):
         raise DegenerateMeasure("angular distance is undefined for zero-norm vectors")
     normed_a = a / na

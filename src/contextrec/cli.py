@@ -12,8 +12,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import analysis, evaluation, serialization
 from .datagen import GeneratorConfig, filter_log, generate, temporal_split
 from .features import SchemaError, ViewingEvent, build_schema, universe_indices
@@ -110,18 +108,6 @@ def _dataclass_config(cls, cfg: dict):
         raise ConfigError(f"invalid {cls.__name__}: {exc}") from exc
 
 
-def _catalog(model):
-    """The catalog of the model's items; a data error when they all embed
-    alike, as when none of their values is in the checkpoint's vocabulary,
-    since every ranking would then be one tie."""
-    catalog = precompute_catalog(model, model.items)
-    if (catalog.embeddings == catalog.embeddings[0]).all():
-        raise serialization.FormatError(
-            f"all {catalog.size} catalog items have the same embedding, so every score ties"
-        )
-    return catalog
-
-
 def _prepared_split(cfg: dict, dataset_path: str):
     log = serialization.read_dataset(dataset_path)
     if not log:
@@ -183,14 +169,11 @@ def cmd_eval(args) -> int:
         cfg["ks"] = _parse_ks(args.Ks)
     model, meta = serialization.load_checkpoint(args.checkpoint)
     train_log, test_log = _prepared_split(cfg, args.dataset)
-    catalog = _catalog(model)
+    catalog = precompute_catalog(model, model.items)
     _check_test_split(test_log, catalog)
     items = catalog.items
     ks = cfg["ks"]
-
-    def model_ranker(event: ViewingEvent) -> np.ndarray:
-        return recommend(model, event, catalog).ranked_item_indices
-
+    model_ranker = lambda event: recommend(model, event, catalog).ranked_item_indices
     rows = [evaluation.evaluate(model_ranker, test_log, items, ks).as_row(meta["objective"])]
     if args.baselines:
         rng = make_rng(cfg["seed"])
@@ -221,7 +204,7 @@ def cmd_recommend(args) -> int:
     event = ViewingEvent(
         item_attributes={}, context_attributes=attrs, timestamp=0.0, duration_min=0.0
     )
-    catalog = _catalog(model)
+    catalog = precompute_catalog(model, model.items)
     result = recommend(model, event, catalog)
     for idx, score in list(zip(result.ranked_item_indices, result.scores))[: args.top_k]:
         label = json.dumps(
@@ -242,7 +225,7 @@ def cmd_analyze(args) -> int:
         test_log = [test_log[i] for i in sorted(idx)]
 
     if args.mode == "simmatrix":
-        catalog = _catalog(model)
+        catalog = precompute_catalog(model, model.items)
         _check_test_split(test_log, catalog)
         sim = analysis.similarity_matrix(test_log, model, catalog)
         names = [_key_label(k) for k in sim.content_keys]

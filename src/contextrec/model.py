@@ -3,9 +3,9 @@
 Context and content encoders map their vectorized inputs into a shared
 E-dimensional space; a wide input arrives as nn_core.Cells, whose first
 layer gathers weight columns instead of multiplying zeros. Serving
-precomputes the catalog's content embeddings, and checks and caches their
-norms, once; each request is one context forward pass, one matrix-vector
-product against the catalog and a ranking. Ranking takes NumPy's default
+precomputes the catalog's content embeddings, judges whether they can
+rank and caches their norms, once; each request is one context forward
+pass, one matrix-vector product against the catalog and a ranking. Ranking takes NumPy's default
 (fast) sort and falls back to a stable sort only when the scores hold
 ties, so the order is always descending score with ties broken by
 ascending item index.
@@ -28,7 +28,8 @@ from .features import (
     vectorize_context,
     vectorize_item,
 )
-from .nn_core import Cells, LayerParams, check_finite, check_range, encoder_forward, init_layers
+from .nn_core import (Cells, LayerParams, check_finite, check_range, encoder_forward,
+                      finite_row_norms, init_layers)
 
 ZERO_NORM = 1e-12  # a smaller norm is zero: serving scores its row 0, analysis refuses it
 
@@ -97,10 +98,7 @@ class Catalog:
 
     @cached_property
     def norms(self) -> np.ndarray:
-        with np.errstate(all="ignore"):  # checked once per catalog, not per request
-            norms = np.linalg.norm(self.embeddings, axis=1)
-        check_finite("content embedding norms", norms)
-        return norms
+        return finite_row_norms("content embedding norms", self.embeddings)
 
     @cached_property
     def nonzero(self) -> np.ndarray:
@@ -134,13 +132,20 @@ def check_catalog_items(items, schema: FeatureSchema) -> None:
 
 
 def precompute_catalog(model: TwoTowerModel, items: list[dict]) -> Catalog:
-    """Embed every distinct item once; static until the model changes."""
+    """Embed every distinct item once; static until the model changes. The one
+    judge of whether a catalog can rank: past check_catalog_items, a non-finite
+    row norm is a FloatingPointError, and rows that all embed alike a SchemaError."""
     check_catalog_items(items, model.schema)
     # one item at a time, so each row has the bits of a fresh embed_item of
     # its one-row batch, dense or cells: a row of one cell sums to those bits
     with np.errstate(all="ignore"):
         rows = [embed_item(model, vectorize_item([it], model.schema))[0] for it in items]
-    return Catalog(items=list(items), embeddings=np.stack(rows))
+    catalog = Catalog(items=list(items), embeddings=np.stack(rows))
+    catalog.norms  # checked here, once, and cached for every request
+    if (catalog.embeddings == catalog.embeddings[0]).all():
+        raise SchemaError(f"all {catalog.size} catalog items have the same embedding, so every "
+                          "score ties")
+    return catalog
 
 
 @dataclass

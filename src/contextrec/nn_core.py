@@ -42,6 +42,14 @@ def check_finite(what: str, *arrays) -> None:
         raise FloatingPointError(f"non-finite {what}")
 
 
+def finite_row_norms(what: str, x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1) with warnings off, then check_finite(what, norms)."""
+    with np.errstate(all="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+    check_finite(what, norms)
+    return norms
+
+
 class ShapeError(ValueError):
     """Raised when array dimensions do not chain; never silently broadcast."""
 

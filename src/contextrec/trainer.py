@@ -16,7 +16,7 @@ from . import losses
 from .features import (
     _MULTI_TYPES, FeatureSchema, SchemaError, ViewingEvent, _sorted_tuple, context_ids, item_ids
 )
-from .model import EncoderConfig, TwoTowerModel
+from .model import EncoderConfig, TwoTowerModel, precompute_catalog
 from .nn_core import (AdamState, adam_step, check_finite, check_range, encoder_backward,
                       encoder_forward, make_rng)
 from .sampling import (
@@ -149,8 +149,9 @@ def train(
     The log must be temporally ordered; the last validation_fraction of
     it becomes the validation split. Returns the parameters of the best
     validation checkpoint, and the log's distinct item dicts as the model's
-    items. Fewer than 2 of those raise SamplingError, and a non-finite
-    embedding, loss or gradient FloatingPointError naming the step.
+    items. Fewer than 2 of those raise SamplingError. A non-finite embedding,
+    loss or gradient, or a catalog that precompute_catalog refuses at the
+    best step, is a FloatingPointError naming the step.
     """
     spec = _OBJECTIVES[config.objective]
     if encoder_config is None:
@@ -228,6 +229,11 @@ def train(
     history.stopping_step = step
     for p, bp in zip(params, best_params):
         p[...] = bp
+    try:  # the catalog eval would build: a dead item tower embeds every item alike
+        precompute_catalog(model, model.items)
+    except (SchemaError, FloatingPointError) as exc:
+        raise FloatingPointError(f"at the best step, {history.best_step}, the item tower "
+                                 f"cannot rank the catalog: {exc}") from None
     return model, history
 
 

@@ -758,6 +758,11 @@ def _every_genre_renamed(records):
         rec["item"]["genre"] = "renamed-" + rec["item"]["genre"]
 
 
+# no item value of the checkpoint's catalog is in its vocabulary
+_EVERY_ITEM_RENAMED = ("checkpoint", _checkpoint_key("items", lambda items: [
+    {**it, "genre": "renamed-" + it["genre"]} for it in items]))
+
+
 @_edited_records
 def _no_context_attribute(records):
     for rec in records:
@@ -785,6 +790,7 @@ OBJECTIVE_NOT_KNOWN = ("data error: checkpoint {checkpoint} is malformed: object
                        "of ['jcce', 'rjcce', 'ljcce', 'bpr'], got ")
 SEED_NOT_KNOWN = ("data error: checkpoint {checkpoint} is malformed: seed must be an integer >= 0, "
                   "got ")
+ALL_ITEMS_ALIKE = "data error: all 8 catalog items have the same embedding, so every score ties"
 
 # id: (config overrides, argv template, input writer, exit code, message prefix);
 # a writer (path name, fn(path, original)) replaces that input; messages may
@@ -1389,12 +1395,17 @@ BOUNDARY_CASES = {
         "data error: no test event's content is in the catalog",
     ),
     "recommend_every_genre_renamed": (
-        # no item value is in the checkpoint's vocabulary
-        {}, RECOMMEND_ARGS,
-        ("checkpoint", _checkpoint_key("items", lambda items: [
-            {**it, "genre": "renamed-" + it["genre"]} for it in items])),
-        EXIT_DATA,
-        "data error: all 8 catalog items have the same embedding, so every score ties",
+        {}, RECOMMEND_ARGS, _EVERY_ITEM_RENAMED, EXIT_DATA, ALL_ITEMS_ALIKE,
+    ),
+    "eval_every_item_renamed": ({}, EVAL_ARGS, _EVERY_ITEM_RENAMED, EXIT_DATA, ALL_ITEMS_ALIKE),
+    "analyze_simmatrix_every_item_renamed": (
+        {}, SIMMATRIX_ARGS, _EVERY_ITEM_RENAMED, EXIT_DATA, ALL_ITEMS_ALIKE,
+    ),
+    "train_collapsed_item_tower": (
+        # lam 100 at learning rate 0.01 kills the item tower's ReLUs by step 60
+        {"objective": "rjcce", "lam": 100, "learning_rate": 0.01}, TRAIN_ARGS, None, EXIT_NUMERIC,
+        "numeric error: at the best step, 60, the item tower cannot rank the catalog: "
+        "all 8 catalog items have the same embedding, so every score ties",
     ),
     "analyze_simmatrix_every_genre_renamed": (
         {}, SIMMATRIX_ARGS, ("dataset", _every_genre_renamed), EXIT_DATA,

@@ -1,11 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextrec.features import ViewingEvent, build_schema, vectorize_context, vectorize_item
+from contextrec.features import (
+    SchemaError,
+    ViewingEvent,
+    build_schema,
+    vectorize_context,
+    vectorize_item,
+)
 from contextrec.model import (
     Catalog,
     EncoderConfig,
@@ -159,6 +166,34 @@ class TestCatalog:
         model = linear_model(schema)
         with pytest.raises(ValueError):
             precompute_catalog(model, [{"genre": "g0"}, {"genre": "g0"}])
+
+    def test_all_alike_refused(self, schema):
+        # a zero item weight matrix embeds every item as the bias
+        model = linear_model(schema, b_item=np.array([1.0, 0.5]))
+        items = [{"genre": f"g{j}"} for j in range(4)]
+        with pytest.raises(SchemaError, match="^all 4 catalog items have the same embedding, "
+                                              "so every score ties$"):
+            precompute_catalog(model, items)
+
+    @pytest.mark.parametrize("alike", [False, True])
+    def test_overflowing_item_tower_refused(self, schema, alike):
+        # finite rows whose norms overflow; when they are also all alike the
+        # norm check, which runs first, is the one that refuses them
+        w = np.full((2, schema.item_width), 1e200)
+        if not alike:
+            w[1] = np.linspace(1e200, 1e201, schema.item_width)
+        model = linear_model(schema, w_item=w)
+        items = [{"genre": f"g{j}"} for j in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="^non-finite content embedding norms$"):
+                precompute_catalog(model, items)
+
+    def test_norms_checked_when_built(self, schema):
+        # the norms are worked out and cached with the catalog, not at a request
+        model = TwoTowerModel.initialize(schema, EncoderConfig(embedding_dim=3, hidden_widths=(8,)), make_rng(2))
+        catalog = precompute_catalog(model, [{"genre": f"g{j}"} for j in range(4)])
+        assert np.array_equal(catalog.__dict__["norms"], np.linalg.norm(catalog.embeddings, axis=1))
 
     def test_wide_rows_match_dense_one_hot(self, wide):
         # each catalog row is bit for bit the embedding of its dense vector

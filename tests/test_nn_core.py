@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from contextrec.nn_core import (
     dropout,
     encoder_backward,
     encoder_forward,
+    finite_row_norms,
     init_layers,
     make_rng,
     xavier_init,
@@ -71,6 +73,26 @@ class TestCheckRange:
     )
     def test_accepted(self, args):
         assert check_range(*args) is None
+
+
+class TestFiniteRowNorms:
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 2), (40, 50), (3, 1000)])
+    def test_bits_of_numpy_row_norms(self, shape):
+        rng = make_rng(sum(shape))
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-150, 150, size=(shape[0], 1))
+        norms = finite_row_norms("rows", x)
+        assert np.array_equal(norms, np.linalg.norm(x, axis=1))
+        # the keepdims form analysis used to call has the same bits
+        assert np.array_equal(norms, np.linalg.norm(x, axis=1, keepdims=True)[:, 0])
+
+    @pytest.mark.parametrize("row", [[1e200, 1e200], [1e308, 1e308], [np.inf, 0.0], [np.nan, 1.0]])
+    def test_non_finite_norm_refused_without_warning(self, row):
+        # finite rows whose norms overflow are refused like non-finite ones
+        x = np.array([[3.0, 4.0], row])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="^non-finite content embedding norms$"):
+                finite_row_norms("content embedding norms", x)
 
 
 class TestXavierInit:

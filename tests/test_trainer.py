@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from contextrec import losses, trainer
-from contextrec.datagen import GeneratorConfig, filter_log, generate
+from contextrec.datagen import GeneratorConfig, filter_log, generate, temporal_split
 from contextrec.features import ViewingEvent, build_schema
 from contextrec.model import EncoderConfig
 from contextrec.nn_core import Cells, make_rng
@@ -208,6 +208,20 @@ class TestTrain:
         model, _ = train(log, build_schema(log), cfg)
         assert set(calls) == {sampler, loss}
         assert model.config.hidden_widths == hidden_widths
+
+    def test_collapsed_item_tower_refused(self):
+        # a huge lam at a high learning rate kills the item tower's ReLUs (the
+        # CLI test config's shape): every item then embeds as the last bias,
+        # so train() refuses the best parameters instead of returning them
+        gen = GeneratorConfig(n_weeks=1, events_per_day=120, n_genres=8, n_households=10,
+                              n_users=25)
+        log, _ = temporal_split(filter_log(generate(gen), 3.0, None))
+        cfg = TrainConfig(objective="rjcce", lam=100.0, learning_rate=0.01, batch_size=8,
+                          max_steps=60, eval_every=30)
+        message = ("at the best step, 60, the item tower cannot rank the catalog: all 8 catalog "
+                   "items have the same embedding, so every score ties")
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            train(log, build_schema(log), cfg)
 
     def test_negative_seed_rejected(self):
         # the CLI checks seed before TrainConfig does; a library caller has only this check
