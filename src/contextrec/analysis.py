@@ -26,13 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import ViewingEvent, canonical_key, item_ids, universe_indices, vectorize_context
-from .model import ZERO_NORM, Catalog, TwoTowerModel, embed_context
-from .nn_core import ShapeError, check_finite, check_range, finite_row_norms
+from .model import Catalog, TwoTowerModel, embed_context
+from .nn_core import (DegenerateMeasure, ShapeError, check_finite, check_nonzero_norms,
+                      check_range, finite_row_norms)
 from .serialization import atomic_write
-
-
-class DegenerateMeasure(ValueError):
-    """Raised when a measure is undefined on the given sample."""
 
 
 def angular_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -55,8 +52,7 @@ class LabeledEmbeddings:
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
         if self.embeddings.ndim != 2 or self.embeddings.shape[0] != len(self.labels):
             raise ShapeError("embeddings must be (n, E) with one label per row")
-        if np.any(finite_row_norms("embedding norms", self.embeddings) < ZERO_NORM):
-            raise DegenerateMeasure("zero-norm embedding rows are not allowed")
+        check_nonzero_norms(finite_row_norms("embedding norms", self.embeddings))
 
     @property
     def size(self) -> int:
@@ -70,11 +66,11 @@ def _angular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(1/pi) * arccos(cosine) between every row of a and every row of b, as
     one normalized product, clamped to [-1, 1] to absorb rounding; passing the
     same array twice keeps numpy's symmetric a @ a.T kernel. A zero-norm row is
-    a DegenerateMeasure (serving scores it 0), a non-finite norm FloatingPointError."""
+    a DegenerateMeasure, a non-finite norm FloatingPointError."""
     na = finite_row_norms("embedding norms", a)[:, None]
     nb = na if b is a else finite_row_norms("embedding norms", b)[:, None]
-    if np.any(na < ZERO_NORM) or np.any(nb < ZERO_NORM):
-        raise DegenerateMeasure("angular distance is undefined for zero-norm vectors")
+    check_nonzero_norms(na)
+    check_nonzero_norms(nb)
     normed_a = a / na
     normed_b = normed_a if b is a else b / nb
     return np.arccos(np.clip(normed_a @ normed_b.T, -1.0, 1.0)) / np.pi

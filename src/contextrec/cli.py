@@ -16,7 +16,7 @@ from . import analysis, evaluation, serialization
 from .datagen import GeneratorConfig, filter_log, generate, temporal_split
 from .features import SchemaError, ViewingEvent, build_schema, universe_indices
 from .model import precompute_catalog, recommend
-from .nn_core import check_range, make_rng
+from .nn_core import DegenerateMeasure, check_range, make_rng
 from .sampling import SamplingError
 from .trainer import OBJECTIVES, TrainConfig, ablate_to_single_viewer, train
 
@@ -207,9 +207,7 @@ def cmd_recommend(args) -> int:
     catalog = precompute_catalog(model, model.items)
     result = recommend(model, event, catalog)
     for idx, score in list(zip(result.ranked_item_indices, result.scores))[: args.top_k]:
-        label = json.dumps(
-            serialization.attrs_to_json(catalog.items[idx]), sort_keys=True
-        )
+        label = json.dumps(serialization.attrs_to_json(catalog.items[idx]), sort_keys=True)
         print(f"{label}\t{score:.6f}")
     return EXIT_OK
 
@@ -319,7 +317,7 @@ def main(argv=None) -> int:
     except (serialization.FormatError, SchemaError, SamplingError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FloatingPointError, analysis.DegenerateMeasure) as exc:
+    except (FloatingPointError, DegenerateMeasure) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -5,10 +5,10 @@ E-dimensional space; a wide input arrives as nn_core.Cells, whose first
 layer gathers weight columns instead of multiplying zeros. Serving
 precomputes the catalog's content embeddings, judges whether they can
 rank and caches their norms, once; each request is one context forward
-pass, one matrix-vector product against the catalog and a ranking. Ranking takes NumPy's default
-(fast) sort and falls back to a stable sort only when the scores hold
-ties, so the order is always descending score with ties broken by
-ascending item index.
+pass, one matrix-vector product against the catalog, one divide and a
+ranking. Ranking takes NumPy's default (fast) sort and falls back to a
+stable sort only when the scores hold ties, so the order is always
+descending score with ties broken by ascending item index.
 """
 
 from __future__ import annotations
@@ -28,10 +28,8 @@ from .features import (
     vectorize_context,
     vectorize_item,
 )
-from .nn_core import (Cells, LayerParams, check_finite, check_range, encoder_forward,
-                      finite_row_norms, init_layers)
-
-ZERO_NORM = 1e-12  # a smaller norm is zero: serving scores its row 0, analysis refuses it
+from .nn_core import (Cells, LayerParams, check_finite, check_nonzero_norms, check_range,
+                      encoder_forward, finite_row_norms, init_layers)
 
 
 @dataclass(frozen=True)
@@ -100,11 +98,6 @@ class Catalog:
     def norms(self) -> np.ndarray:
         return finite_row_norms("content embedding norms", self.embeddings)
 
-    @cached_property
-    def nonzero(self) -> np.ndarray:
-        """Rows that can be scored; zero-norm rows keep score 0."""
-        return self.norms >= ZERO_NORM
-
 
 def catalog_from_log(log: list[ViewingEvent]) -> list[dict]:
     """Distinct item descriptors from a log (each content's first item dict),
@@ -133,8 +126,9 @@ def check_catalog_items(items, schema: FeatureSchema) -> None:
 
 def precompute_catalog(model: TwoTowerModel, items: list[dict]) -> Catalog:
     """Embed every distinct item once; static until the model changes. The one
-    judge of whether a catalog can rank: past check_catalog_items, a non-finite
-    row norm is a FloatingPointError, and rows that all embed alike a SchemaError."""
+    judge of whether a catalog can rank: past check_catalog_items, a non-finite row
+    norm is a FloatingPointError, rows all alike a SchemaError, a zero-norm row a
+    DegenerateMeasure."""
     check_catalog_items(items, model.schema)
     # one item at a time, so each row has the bits of a fresh embed_item of
     # its one-row batch, dense or cells: a row of one cell sums to those bits
@@ -145,6 +139,7 @@ def precompute_catalog(model: TwoTowerModel, items: list[dict]) -> Catalog:
     if (catalog.embeddings == catalog.embeddings[0]).all():
         raise SchemaError(f"all {catalog.size} catalog items have the same embedding, so every "
                           "score ties")
+    check_nonzero_norms(catalog.norms)
     return catalog
 
 
@@ -170,16 +165,14 @@ def rank_scores(scores: np.ndarray) -> np.ndarray:
 def recommend(
     model: TwoTowerModel, context_event: ViewingEvent, catalog: Catalog
 ) -> RecommendationList:
-    """Rank the whole catalog for one viewing context: one context-encoder
-    forward pass, scored against the precomputed catalog. A non-finite
-    context or content embedding norm is a FloatingPointError."""
+    """Rank the whole catalog for one viewing context: one context-encoder forward
+    pass, then one product with the catalog and one divide by the norms. A non-finite
+    norm is a FloatingPointError, a zero-norm context a DegenerateMeasure."""
     with np.errstate(all="ignore"):
         ctx = embed_context(model, vectorize_context([context_event], model.schema))[0]
         cn = np.linalg.norm(ctx)
     check_finite("context embedding norm", cn)
-    scores = np.zeros(catalog.size)
-    if cn >= ZERO_NORM:
-        ok = catalog.nonzero
-        scores[ok] = (catalog.embeddings @ ctx)[ok] / (catalog.norms[ok] * cn)
+    check_nonzero_norms(cn)
+    scores = (catalog.embeddings @ ctx) / (catalog.norms * cn)
     order = rank_scores(scores)
     return RecommendationList(ranked_item_indices=order, scores=scores[order])

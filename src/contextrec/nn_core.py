@@ -50,6 +50,20 @@ def finite_row_norms(what: str, x: np.ndarray) -> np.ndarray:
     return norms
 
 
+ZERO_NORM = 1e-12  # a smaller norm is zero: an embedding with no direction has no cosine
+
+
+class DegenerateMeasure(ValueError):
+    """Raised when a measure is undefined on the given sample."""
+
+
+def check_nonzero_norms(norms: np.ndarray) -> None:
+    """DegenerateMeasure if a finite norm, of rows or 0-d, is below ZERO_NORM: no cosine."""
+    below = norms < ZERO_NORM
+    if below.any() if below.ndim else below:  # a 0-d norm is one scalar compare
+        raise DegenerateMeasure("zero-norm embedding rows are not allowed")
+
+
 class ShapeError(ValueError):
     """Raised when array dimensions do not chain; never silently broadcast."""
 
@@ -163,9 +177,7 @@ def encoder_forward(
     inputs, pre_acts, masks = [], [], []
     for i, layer in enumerate(layers):
         if h.shape[-1] != layer.fan_in:
-            raise ShapeError(
-                f"layer {i}: input width {h.shape[-1]} != fan_in {layer.fan_in}"
-            )
+            raise ShapeError(f"layer {i}: input width {h.shape[-1]} != fan_in {layer.fan_in}")
         inputs.append(h)
         z = _cells_affine(h, layer) if isinstance(h, Cells) else h @ layer.weights.T + layer.biases
         pre_acts.append(z)

@@ -17,8 +17,8 @@ from .features import (
     _MULTI_TYPES, FeatureSchema, SchemaError, ViewingEvent, _sorted_tuple, context_ids, item_ids
 )
 from .model import EncoderConfig, TwoTowerModel, precompute_catalog
-from .nn_core import (AdamState, adam_step, check_finite, check_range, encoder_backward,
-                      encoder_forward, make_rng)
+from .nn_core import (AdamState, DegenerateMeasure, adam_step, check_finite, check_range,
+                      encoder_backward, encoder_forward, make_rng)
 from .sampling import (
     MiniBatch,
     NoAdmissibleNegative,
@@ -231,7 +231,7 @@ def train(
         p[...] = bp
     try:  # the catalog eval would build: a dead item tower embeds every item alike
         precompute_catalog(model, model.items)
-    except (SchemaError, FloatingPointError) as exc:
+    except (SchemaError, FloatingPointError, DegenerateMeasure) as exc:
         raise FloatingPointError(f"at the best step, {history.best_step}, the item tower "
                                  f"cannot rank the catalog: {exc}") from None
     return model, history

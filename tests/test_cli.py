@@ -567,6 +567,21 @@ def _zero_context_tower(path, original):
     path.write_text(json.dumps(doc))
 
 
+def _zero_norm_genre(path, original):
+    # the item tower's later biases are 0 and the first genre's first-layer
+    # column is -1e3: that genre's ReLUs all die, so it embeds to the zero
+    # vector, while the other genres keep a direction
+    doc = json.loads(original.read_text())
+    params, shapes = doc["parameters"], _shapes(doc)
+    half = len(params) // 2  # the towers have equally many layers
+    for k in range(half + 3, len(params), 2):
+        params[k] = _encode(np.zeros(shapes[k]))
+    weights = _decode(params[half], shapes[half]).copy()
+    weights[:, 0] = -1e3  # genre is the one item feature: column 0 is its first value
+    params[half] = _encode(weights)
+    path.write_text(json.dumps(doc))
+
+
 def _overflowing_tower(tower, factor):
     """Writer of the checkpoint with every weight matrix of the "context" or
     the "item" tower times factor: still finite, so it loads, but a large
@@ -791,6 +806,7 @@ OBJECTIVE_NOT_KNOWN = ("data error: checkpoint {checkpoint} is malformed: object
 SEED_NOT_KNOWN = ("data error: checkpoint {checkpoint} is malformed: seed must be an integer >= 0, "
                   "got ")
 ALL_ITEMS_ALIKE = "data error: all 8 catalog items have the same embedding, so every score ties"
+ZERO_NORM = "numeric error: zero-norm embedding rows are not allowed"
 
 # id: (config overrides, argv template, input writer, exit code, message prefix);
 # a writer (path name, fn(path, original)) replaces that input; messages may
@@ -1182,12 +1198,26 @@ BOUNDARY_CASES = {
         "numeric error: training diverged at step",
     ),
     "analyze_snnm_zero_norm_contexts": (
-        {}, ANALYZE_ARGS, ("checkpoint", _zero_context_tower), EXIT_NUMERIC,
-        "numeric error: zero-norm embedding rows are not allowed",
+        {}, ANALYZE_ARGS, ("checkpoint", _zero_context_tower), EXIT_NUMERIC, ZERO_NORM,
     ),
     "analyze_simmatrix_zero_norm_contexts": (
-        {}, SIMMATRIX_ARGS, ("checkpoint", _zero_context_tower), EXIT_NUMERIC,
-        "numeric error: angular distance is undefined for zero-norm vectors",
+        {}, SIMMATRIX_ARGS, ("checkpoint", _zero_context_tower), EXIT_NUMERIC, ZERO_NORM,
+    ),
+    # every cosine refuses an embedding with no direction, in serving as in analysis
+    "eval_zero_norm_contexts": (
+        {}, EVAL_ARGS, ("checkpoint", _zero_context_tower), EXIT_NUMERIC, ZERO_NORM,
+    ),
+    "recommend_zero_norm_context": (
+        {}, RECOMMEND_ARGS, ("checkpoint", _zero_context_tower), EXIT_NUMERIC, ZERO_NORM,
+    ),
+    "eval_zero_norm_content": (
+        {}, EVAL_ARGS, ("checkpoint", _zero_norm_genre), EXIT_NUMERIC, ZERO_NORM,
+    ),
+    "recommend_zero_norm_content": (
+        {}, RECOMMEND_ARGS, ("checkpoint", _zero_norm_genre), EXIT_NUMERIC, ZERO_NORM,
+    ),
+    "analyze_simmatrix_zero_norm_content": (
+        {}, SIMMATRIX_ARGS, ("checkpoint", _zero_norm_genre), EXIT_NUMERIC, ZERO_NORM,
     ),
     "analyze_snnm_overflowing_contexts": (
         {}, ANALYZE_ARGS, ("checkpoint", _overflowing_tower("context", 1e120)), EXIT_NUMERIC,

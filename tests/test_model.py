@@ -24,7 +24,7 @@ from contextrec.model import (
     rank_scores,
     recommend,
 )
-from contextrec.nn_core import Cells, LayerParams, make_rng
+from contextrec.nn_core import Cells, DegenerateMeasure, LayerParams, make_rng
 
 from conftest import one_hot, wide_log
 
@@ -79,12 +79,9 @@ def wide():
 
 
 def brute_force_ranking(ctx, rows):
-    """Cosine per row in plain Python (0 for a zero-norm side), stable by -score."""
+    """Cosine per row in plain Python, stable by -score."""
     nc = np.linalg.norm(ctx)
-    scores = []
-    for v in rows:
-        nv = np.linalg.norm(v)
-        scores.append(0.0 if nc < 1e-12 or nv < 1e-12 else float(np.dot(ctx, v) / (nc * nv)))
+    scores = [float(np.dot(ctx, v) / (nc * np.linalg.norm(v))) for v in rows]
     return sorted(range(len(scores)), key=lambda j: (-scores[j], j))
 
 
@@ -252,25 +249,29 @@ class TestRecommend:
         catalog = precompute_catalog(model, items)
         rows = [embed_item(model, one_hot(it["genre"], item_spec)) for it in items]
         rng = make_rng(22)
-        users = [f"u{i:05d}" for i in rng.choice(len(items), size=20)] + ["unseen"]
-        for user in users:
+        for user in [f"u{i:05d}" for i in rng.choice(len(items), size=20)]:
             ev = event(user, "g00000")
             got = recommend(model, ev, catalog).ranked_item_indices
             ctx = embed_context(model, one_hot(user, ctx_spec))
             assert list(got) == brute_force_ranking(ctx, rows)
+        # an unseen user is an empty context row, which this untrained,
+        # bias-free tower embeds to zero: no cosine, so no ranking
+        assert not np.any(embed_context(model, one_hot("unseen", ctx_spec)))
+        with pytest.raises(DegenerateMeasure, match="^zero-norm embedding rows are not allowed$"):
+            recommend(model, event("unseen", "g00000"), catalog)
 
-    def test_mixed_catalog_with_zero_row_matches_oracle(self, schema):
-        model = TwoTowerModel.initialize(schema, EncoderConfig(embedding_dim=5, hidden_widths=(12,)), make_rng(7))
-        emb = make_rng(8).normal(size=(20, 5))
-        emb[[3, 11]] = 0.0
-        catalog = self.hand_catalog(schema, model, emb)
-        for user in ("u0", "u1", "u2"):
-            ev = event(user, "g0")
-            result = recommend(model, ev, catalog)
-            ctx = embed_context(model, vectorize_context([ev], schema)[0])
-            assert list(result.ranked_item_indices) == brute_force_ranking(ctx, emb)
-            zero_rows = np.isin(result.ranked_item_indices, [3, 11])
-            assert np.all(result.scores[zero_rows] == 0.0)
+    def test_mixed_catalog_with_zero_row_refused(self, schema):
+        # later biases 0 and g1's first-layer column -1e3: g1 embeds to zero
+        # through dead ReLUs while the other items keep a direction
+        model = TwoTowerModel.initialize(schema, EncoderConfig(embedding_dim=5, hidden_widths=(12, 12)), make_rng(7))
+        for layer in model.item_encoder[1:]:
+            layer.biases[:] = 0.0
+        model.item_encoder[0].weights[:, 1] = -1e3
+        items = [{"genre": f"g{j}"} for j in range(4)]
+        rows = np.stack([embed_item(model, vectorize_item([it], schema)[0]) for it in items])
+        assert not rows[1].any() and np.all(np.linalg.norm(np.delete(rows, 1, 0), axis=1) > 0)
+        with pytest.raises(DegenerateMeasure, match="^zero-norm embedding rows are not allowed$"):
+            precompute_catalog(model, items)
 
     def test_aligned_item_scores_one(self, schema, rng):
         x = rng.normal(size=5)
@@ -297,21 +298,22 @@ class TestRecommend:
         assert result.ranked_item_indices[-1] == 2
         assert result.scores[-1] == pytest.approx(-1.0)
 
-    def test_zero_norm_row_scores_zero(self, schema):
-        # context (1, 0): rows 0 and 3 have zero norm and tie with the
-        # orthogonal row 2 at exactly 0.0, in index order
-        model = linear_model(schema, b_ctx=np.array([1.0, 0.0]))
-        catalog = self.hand_catalog(schema, model, [[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [0.0, 0.0], [-1.0, 0.0]])
-        result = recommend(model, event("u0", "g0"), catalog)
-        assert list(result.ranked_item_indices) == [1, 0, 2, 3, 4]
-        assert list(result.scores) == [1.0, 0.0, 0.0, 0.0, -1.0]
+    def test_zero_norm_row_refused(self, schema):
+        # items g0 and g3 embed to zero: the catalog has no score for them
+        w = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 3.0, 0.0]])
+        model = linear_model(schema, w_item=w)
+        items = [{"genre": f"g{j}"} for j in range(4)]
+        with pytest.raises(DegenerateMeasure, match="^zero-norm embedding rows are not allowed$"):
+            precompute_catalog(model, items)
+        # every row zero is every row alike, which is judged first
+        with pytest.raises(SchemaError, match="^all 4 catalog items have the same embedding"):
+            precompute_catalog(linear_model(schema), items)
 
-    def test_zero_norm_context_identity_ranking(self, schema):
+    def test_zero_norm_context_refused(self, schema):
         model = linear_model(schema)  # every context embeds to the zero vector
         catalog = self.hand_catalog(schema, model, make_rng(9).normal(size=(7, 2)))
-        result = recommend(model, event("u0", "g0"), catalog)
-        assert list(result.ranked_item_indices) == list(range(7))
-        assert np.array_equal(result.scores, np.zeros(7))
+        with pytest.raises(DegenerateMeasure, match="^zero-norm embedding rows are not allowed$"):
+            recommend(model, event("u0", "g0"), catalog)
 
     def test_scale_invariance(self, schema):
         model = linear_model(schema, b_ctx=np.array([0.3, 0.7]))

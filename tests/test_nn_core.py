@@ -7,10 +7,13 @@ import pytest
 from contextrec.nn_core import (
     ADAM_SLICE,
     AdamState,
+    ZERO_NORM,
     Cells,
+    DegenerateMeasure,
     LayerParams,
     ShapeError,
     adam_step,
+    check_nonzero_norms,
     check_range,
     dropout,
     encoder_backward,
@@ -93,6 +96,27 @@ class TestFiniteRowNorms:
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="^non-finite content embedding norms$"):
                 finite_row_norms("content embedding norms", x)
+
+
+class TestCheckNonzeroNorms:
+    @pytest.mark.parametrize("norms", [
+        np.array([1.0, 0.0, 2.0]),
+        np.array([1.0, np.nextafter(ZERO_NORM, 0.0)]),
+        np.float64(0.0),
+        np.array(ZERO_NORM / 2),
+    ], ids=["zero_row", "just_below", "zero_scalar", "below_0d"])
+    def test_below_zero_norm_refused(self, norms):
+        with pytest.raises(DegenerateMeasure, match="^zero-norm embedding rows are not allowed$"):
+            check_nonzero_norms(norms)
+
+    @pytest.mark.parametrize("norms", [
+        np.array([1.0, ZERO_NORM]),
+        np.array([np.nextafter(ZERO_NORM, 1.0)]),
+        np.float64(ZERO_NORM),
+        np.zeros(0),
+    ], ids=["at", "just_above", "at_scalar", "no_rows"])
+    def test_from_zero_norm_up_accepted(self, norms):
+        assert check_nonzero_norms(norms) is None
 
 
 class TestXavierInit:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from contextrec import losses, trainer
+from contextrec import model as model_mod
 from contextrec.datagen import GeneratorConfig, filter_log, generate, temporal_split
 from contextrec.features import ViewingEvent, build_schema
 from contextrec.model import EncoderConfig
@@ -220,6 +221,18 @@ class TestTrain:
                           max_steps=60, eval_every=30)
         message = ("at the best step, 60, the item tower cannot rank the catalog: all 8 catalog "
                    "items have the same embedding, so every score ties")
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            train(log, build_schema(log), cfg)
+
+    def test_zero_norm_item_refused(self, monkeypatch):
+        # g0 embeds to zero at the catalog build: it has no cosine, so train()
+        # refuses the best parameters as it does a collapsed tower
+        embed = model_mod.embed_item
+        monkeypatch.setattr(model_mod, "embed_item", lambda m, v: embed(m, v) * (v[0, 0] == 0))
+        log = toy_log()
+        cfg = TrainConfig(objective="jcce", batch_size=4, max_steps=4, eval_every=2, seed=0)
+        message = ("at the best step, 4, the item tower cannot rank the catalog: zero-norm "
+                   "embedding rows are not allowed")
         with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
             train(log, build_schema(log), cfg)
 
