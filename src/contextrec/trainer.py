@@ -52,7 +52,7 @@ class TrainConfig:
     objective: str = "rjcce"
     batch_size: int = 256
     learning_rate: float = 1e-3
-    lam: float = 1e-4
+    lam: float = 1e-6
     dropout_rate: float = 0.2
     max_steps: int = 5000
     eval_every: int = 200

@@ -236,6 +236,17 @@ class TestTrain:
         with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
             train(log, build_schema(log), cfg)
 
+    def test_default_rjcce_learns(self):
+        # the shipped default, rjcce at the default lam, on one week of the
+        # generator's defaults: the item tower keeps every content apart and
+        # the validation loss falls
+        log, _ = temporal_split(filter_log(generate(GeneratorConfig(n_weeks=1)), 3.0, None))
+        cfg = TrainConfig(objective="rjcce", max_steps=300, eval_every=50, seed=0)
+        model, history = train(log, build_schema(log), cfg)
+        catalog = model_mod.precompute_catalog(model, model.items)
+        assert len(np.unique(catalog.embeddings, axis=0)) == catalog.size == 20
+        assert history.records[-1][2] < history.records[0][2]
+
     def test_negative_seed_rejected(self):
         # the CLI checks seed before TrainConfig does; a library caller has only this check
         with pytest.raises(ValueError, match=re.escape("seed must be an integer >= 0, got -1")):
