@@ -243,12 +243,17 @@ def similarity_matrix(
     if present.size:
         # one stable sort groups the rows by content, each group in log order
         order = np.argsort(where, kind="stable")[np.count_nonzero(where < 0):]
-        groups = np.split(ctx_emb[order], np.cumsum(counts[present])[:-1])
-        means = np.stack([g.mean(axis=0) for g in groups])
+        rows, sizes = ctx_emb[order], counts[present]
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        means = np.stack([g.mean(axis=0) for g in np.split(rows, starts[1:])])
         values[present] = 1.0 - _angular(means, catalog.embeddings)
-        dispersion[present] = [
-            np.mean(1.0 - _angular(mean[None, :], g)) for mean, g in zip(means, groups)
-        ]
+        # each row's angle to its content's mean, as one row-wise dot, summed per content
+        norms = finite_row_norms("embedding norms", rows)
+        check_nonzero_norms(norms)
+        unit_means = means / np.linalg.norm(means, axis=1)[:, None]
+        cos = np.einsum("ij,ij->i", rows / norms[:, None], np.repeat(unit_means, sizes, axis=0))
+        theta = np.arccos(np.clip(cos, -1.0, 1.0)) / np.pi
+        dispersion[present] = np.add.reduceat(1.0 - theta, starts) / sizes
     return SimilarityMatrix(
         content_keys=keys, values=values, dispersion=dispersion, empty_rows=empty
     )

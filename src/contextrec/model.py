@@ -85,10 +85,14 @@ def embed_item(model: TwoTowerModel, item_vector: np.ndarray | Cells) -> np.ndar
 
 @dataclass(frozen=True)
 class Catalog:
-    """All recommendable items with their precomputed embeddings."""
+    """All recommendable items with their precomputed embeddings; a non-finite row
+    norm is a FloatingPointError when built, a zero-norm row a DegenerateMeasure."""
 
     items: list[dict]  # ordered distinct item descriptors
     embeddings: np.ndarray  # (M, E)
+
+    def __post_init__(self):
+        check_nonzero_norms(self.norms)  # worked out here, once, and cached for every request
 
     @property
     def size(self) -> int:
@@ -125,22 +129,19 @@ def check_catalog_items(items, schema: FeatureSchema) -> None:
 
 
 def precompute_catalog(model: TwoTowerModel, items: list[dict]) -> Catalog:
-    """Embed every distinct item once; static until the model changes. The one
-    judge of whether a catalog can rank: past check_catalog_items, a non-finite row
-    norm is a FloatingPointError, rows all alike a SchemaError, a zero-norm row a
-    DegenerateMeasure."""
+    """Embed every distinct item once; static until the model changes. Past
+    check_catalog_items, a non-finite row norm is a FloatingPointError, rows all
+    alike a SchemaError, and Catalog refuses a zero-norm row as a DegenerateMeasure."""
     check_catalog_items(items, model.schema)
     # one item at a time, so each row has the bits of a fresh embed_item of
     # its one-row batch, dense or cells: a row of one cell sums to those bits
     with np.errstate(all="ignore"):
-        rows = [embed_item(model, vectorize_item([it], model.schema))[0] for it in items]
-    catalog = Catalog(items=list(items), embeddings=np.stack(rows))
-    catalog.norms  # checked here, once, and cached for every request
-    if (catalog.embeddings == catalog.embeddings[0]).all():
-        raise SchemaError(f"all {catalog.size} catalog items have the same embedding, so every "
+        rows = np.stack([embed_item(model, vectorize_item([it], model.schema))[0] for it in items])
+    if (rows == rows[0]).all():
+        finite_row_norms("content embedding norms", rows[:1])  # a non-finite norm is judged first
+        raise SchemaError(f"all {len(items)} catalog items have the same embedding, so every "
                           "score ties")
-    check_nonzero_norms(catalog.norms)
-    return catalog
+    return Catalog(items=list(items), embeddings=rows)
 
 
 @dataclass

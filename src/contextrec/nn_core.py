@@ -164,30 +164,40 @@ def encoder_forward(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
     training: bool = False,
-) -> tuple[np.ndarray, ForwardTape]:
+) -> tuple[np.ndarray, ForwardTape | None]:
     """Run a vector or (N, in) batch through the layer stack.
 
     x may be Cells, which only the first layer reads. Dropout is applied to
     hidden-layer outputs only, never to the final linear embedding.
-    Returns the embedding and a tape for the backward pass.
+    Returns the embedding and, when training, a tape for the backward pass;
+    a serving pass returns None for it and applies ReLU in place.
     """
     if training and dropout_rate > 0.0 and rng is None:
         raise ValueError("training dropout requires an rng")
     h = x if isinstance(x, Cells) else np.asarray(x, dtype=np.float64)
-    inputs, pre_acts, masks = [], [], []
+    tape = ForwardTape([], [], [], layers) if training else None
     for i, layer in enumerate(layers):
         if h.shape[-1] != layer.fan_in:
             raise ShapeError(f"layer {i}: input width {h.shape[-1]} != fan_in {layer.fan_in}")
-        inputs.append(h)
-        z = _cells_affine(h, layer) if isinstance(h, Cells) else h @ layer.weights.T + layer.biases
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        if i < len(layers) - 1 and dropout_rate > 0.0 and training:
-            h, mask = dropout(h, dropout_rate, rng)
-            masks.append(mask)
+        if isinstance(h, Cells):
+            z = _cells_affine(h, layer)
         else:
-            masks.append(None)
-    return h, ForwardTape(inputs, pre_acts, masks, layers)
+            z = h @ layer.weights.T
+            z += layer.biases
+        if training:
+            tape.inputs.append(h)
+            tape.pre_activations.append(z)
+            tape.dropout_masks.append(None)
+        # only the tape reads z again, so serving overwrites it
+        h = np.maximum(z, 0.0, out=None if training else z) if layer.activation == "relu" else z
+        if training and i < len(layers) - 1 and dropout_rate > 0.0:
+            h, tape.dropout_masks[-1] = dropout(h, dropout_rate, rng)
+    return h, tape
+
+
+# Cells per row block of the Cells first layer: a block's gathered weight
+# columns take 16 MB at 250 outputs (README, "Cells over row blocks").
+CELLS_BLOCK = 8192
 
 
 def _cells_affine(x: Cells, layer: LayerParams) -> np.ndarray:
@@ -196,14 +206,25 @@ def _cells_affine(x: Cells, layer: LayerParams) -> np.ndarray:
     A row with one cell gives the dense product's bits. A row with none
     sums to 0, as its dense product does, and so gives the bias: it gets
     no reduceat segment, since an empty one would return the next cell.
+    Past CELLS_BLOCK cells, whole rows go a block of about CELLS_BLOCK cells
+    at a time, so each row keeps its reduceat segment and its bits.
     """
     sums = np.zeros((x.shape[0], layer.weights.shape[0]))
-    if x.rows.size:
+    blocks = [(x.rows, x.cols, x.values)]
+    if x.rows.size > CELLS_BLOCK:  # cut at the last row start up to each multiple
         starts = _run_starts(x.rows)
-        gathered = np.take(layer.weights, x.cols, axis=1)
-        gathered *= x.values
-        sums[x.rows[starts]] = np.add.reduceat(gathered, starts, axis=1).T
-    return sums + layer.biases
+        multiples = np.arange(0, x.rows.size, CELLS_BLOCK)
+        cuts = starts[np.unique(np.searchsorted(starts, multiples, "right") - 1)]
+        blocks = [(x.rows[lo:hi], x.cols[lo:hi], x.values[lo:hi])
+                  for lo, hi in zip(cuts.tolist(), [*cuts[1:].tolist(), None])]
+    for rows, cols, values in blocks:
+        if rows.size:
+            starts = _run_starts(rows)
+            gathered = np.take(layer.weights, cols, axis=1)
+            gathered *= values
+            sums[rows[starts]] = np.add.reduceat(gathered, starts, axis=1).T
+    sums += layer.biases
+    return sums
 
 
 def _cells_weight_grad(x: Cells, g: np.ndarray) -> np.ndarray:
@@ -223,7 +244,10 @@ def _cells_weight_grad(x: Cells, g: np.ndarray) -> np.ndarray:
 def _run_starts(keys: np.ndarray) -> np.ndarray:
     """Index of the first element of each run of equal values in a sorted,
     nonempty array."""
-    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    first = np.empty(keys.size, dtype=bool)  # one array: serve calls this once per catalog item
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
 
 def encoder_backward(tape: ForwardTape, grad_wrt_embedding: np.ndarray) -> list[np.ndarray]:

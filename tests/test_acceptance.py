@@ -127,7 +127,7 @@ def test_criterion_01_gradient_suite(rng):
                             np.min(np.abs(z))
                             for layers, x in ((ctx_layers, xc), (item_layers, xi))
                             for layer, z in zip(
-                                layers, encoder_forward(layers, x)[1].pre_activations
+                                layers, encoder_forward(layers, x, training=True)[1].pre_activations
                             )
                             if layer.activation == "relu"
                         ]
@@ -138,8 +138,8 @@ def test_criterion_01_gradient_suite(rng):
                     lam = 0.01
 
                     def compute(return_grads=False):
-                        c_emb, c_tape = encoder_forward(ctx_layers, xc)
-                        i_emb, i_tape = encoder_forward(item_layers, xi)
+                        c_emb, c_tape = encoder_forward(ctx_layers, xc, training=True)
+                        i_emb, i_tape = encoder_forward(item_layers, xi, training=True)
                         if loss_kind == "npairs":
                             res = npairs_loss(c_emb, i_emb)
                         elif loss_kind == "relaxed":

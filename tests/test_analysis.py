@@ -516,8 +516,8 @@ class TestSimilarityMatrix:
         log = [ctx_event("u0", "g0", 0), ctx_event("u1", "g1", 1)]
         schema = build_schema(log)
         model = aligned_model(schema)
-        catalog = Catalog(items=[{"genre": "g0"}, {"genre": "g1"}], embeddings=np.zeros((2, 2)))
         with pytest.raises(DegenerateMeasure, match="zero-norm"):
+            catalog = Catalog(items=[{"genre": "g0"}, {"genre": "g1"}], embeddings=np.zeros((2, 2)))
             similarity_matrix(log, model, catalog)
 
 
@@ -525,8 +525,8 @@ class TestSimilarityMatrix:
         log = [ctx_event("u0", "g0", 0), ctx_event("u1", "g1", 1)]
         model = aligned_model(build_schema(log))
         embeddings = np.array([[1.0, 0.0], [np.inf, 1.0]])
-        catalog = Catalog(items=[{"genre": "g0"}, {"genre": "g1"}], embeddings=embeddings)
-        with pytest.raises(FloatingPointError, match="^non-finite embedding norms"):
+        with pytest.raises(FloatingPointError, match="^non-finite content embedding norms$"):
+            catalog = Catalog(items=[{"genre": "g0"}, {"genre": "g1"}], embeddings=embeddings)
             similarity_matrix(log, model, catalog)
 
     def test_overflowing_mean_rejected(self):

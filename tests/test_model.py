@@ -192,6 +192,19 @@ class TestCatalog:
         catalog = precompute_catalog(model, [{"genre": f"g{j}"} for j in range(4)])
         assert np.array_equal(catalog.__dict__["norms"], np.linalg.norm(catalog.embeddings, axis=1))
 
+    @pytest.mark.parametrize("row, error, message", [
+        ([0.0, 0.0, 0.0], DegenerateMeasure, "^zero-norm embedding rows are not allowed$"),
+        ([np.nan, 0.0, 1.0], FloatingPointError, "^non-finite content embedding norms$"),
+        ([1e200, 1e200, 0.0], FloatingPointError, "^non-finite content embedding norms$"),
+    ], ids=["zero_norm", "nan", "overflow"])
+    def test_built_directly_is_judged(self, row, error, message):
+        # a catalog not built by precompute_catalog is refused when built, with
+        # no RuntimeWarning first, and never reaches recommend's divide
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                Catalog(items=[{"genre": "g0"}, {"genre": "g1"}], embeddings=[[1.0, 0.0, 0.0], row])
+
     def test_wide_rows_match_dense_one_hot(self, wide):
         # each catalog row is bit for bit the embedding of its dense vector
         model, items = wide

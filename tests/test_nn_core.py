@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from contextrec import nn_core
 from contextrec.nn_core import (
     ADAM_SLICE,
     AdamState,
@@ -189,7 +190,7 @@ class TestDropout:
         x = rng.normal(size=(4, 5))
         out, tape = encoder_forward(layers, x, 0.7, rng, training=False)
         assert np.array_equal(out, encoder_forward(layers, x)[0])
-        assert tape.dropout_masks == [None, None]
+        assert tape is None
 
     def test_kept_fraction_and_expectation(self):
         rng = make_rng(11)
@@ -225,7 +226,7 @@ class TestEncoderForwardBackward:
         layers = [LayerParams(w, b, "identity")]
         x = rng.normal(size=(2, 4))
         g = rng.normal(size=(2, 3))
-        _, tape = encoder_forward(layers, x)
+        _, tape = encoder_forward(layers, x, training=True)
         dW, db = encoder_backward(tape, g)
         assert np.allclose(dW, np.outer(g[0], x[0]) + np.outer(g[1], x[1]))
         assert np.allclose(db, g[0] + g[1])
@@ -233,14 +234,14 @@ class TestEncoderForwardBackward:
     def test_dead_relu_blocks_gradient(self):
         layers = [LayerParams(np.array([[1.0]]), np.array([0.0]), "relu")]
         x = np.array([[-1.0]])
-        _, tape = encoder_forward(layers, x)
+        _, tape = encoder_forward(layers, x, training=True)
         grads = encoder_backward(tape, np.array([[1.0]]))
         assert grads[0][0, 0] == 0.0
 
     def test_vector_gradient_rejected(self, rng):
         # the backward pass takes (N, E) batches only, never a single vector
         layers = init_layers([4, 3], rng)
-        _, tape = encoder_forward(layers, rng.normal(size=4))
+        _, tape = encoder_forward(layers, rng.normal(size=4), training=True)
         with pytest.raises(ShapeError):
             encoder_backward(tape, np.ones(3))
 
@@ -258,7 +259,7 @@ class TestEncoderForwardBackward:
                 emb, _ = encoder_forward(layers, x)
                 return 0.5 * float(np.sum((emb - target) ** 2))
 
-            emb, tape = encoder_forward(layers, x)
+            emb, tape = encoder_forward(layers, x, training=True)
             analytic = encoder_backward(tape, emb - target)
             numeric = finite_difference(loss, params)
             assert relative_error(analytic, numeric) < 1e-4
@@ -287,6 +288,36 @@ class TestEncoderForwardBackward:
             encoder_forward(layers, rng.normal(size=6))
 
 
+class TestServingPass:
+    """A serving pass keeps no tape, gives a training pass's bits at dropout 0,
+    and overwrites only the arrays it made."""
+
+    @pytest.mark.parametrize("form", ["vector", "batch", "cells"])
+    @pytest.mark.parametrize("widths", [[40, 3], [40, 7, 5, 3]], ids=["linear", "mlp"])
+    def test_no_tape_and_training_bits(self, rng, form, widths):
+        layers = init_layers(widths, rng)
+        for layer in layers:  # nonzero biases, so each layer adds one
+            layer.biases[:] = rng.normal(size=layer.biases.shape)
+        if form == "vector":
+            x = rng.normal(size=40)
+        elif form == "batch":
+            x = rng.normal(size=(6, 40))
+        else:
+            dense = sparse_rows(rng, 8, 40, max_cells=5)
+            dense[[0, 3, 7]] = 0.0  # rows with no cell, first, inside and last
+            x = cells_of(dense)
+        arrays = [x] if form != "cells" else [x.rows, x.cols, x.values]
+        arrays += [a for layer in layers for a in (layer.weights, layer.biases)]
+        before = [a.copy() for a in arrays]
+        emb, tape = encoder_forward(layers, x)
+        assert tape is None
+        for a, b in zip(arrays, before):
+            assert a.tobytes() == b.tobytes()
+        want, tape = encoder_forward(layers, x, 0.0, None, True)
+        assert len(tape.pre_activations) == len(layers)
+        assert emb.shape == want.shape and emb.tobytes() == want.tobytes()
+
+
 def close(a, b, rel=1e-12):
     """a matches b to within rel of b's largest magnitude."""
     return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
@@ -306,8 +337,8 @@ class TestCellsLayer:
         x = np.zeros((30, 40))
         x[np.arange(30), rng.integers(40, size=30)] = [1.0] * 15 + list(rng.random(15))
         x[[0, 11, 29]] = 0.0  # rows with no cell, first, inside and last
-        dense, dense_tape = encoder_forward(layers, x)
-        cells, cells_tape = encoder_forward(layers, cells_of(x))
+        dense, dense_tape = encoder_forward(layers, x, training=True)
+        cells, cells_tape = encoder_forward(layers, cells_of(x), training=True)
         assert np.array_equal(cells_tape.pre_activations[0], dense_tape.pre_activations[0])
         assert np.array_equal(cells, dense)
 
@@ -324,8 +355,8 @@ class TestCellsLayer:
 
     def test_multi_cell_rows_close(self, layers, rng):
         x = sparse_rows(rng, 50, 40, max_cells=6)
-        dense, dense_tape = encoder_forward(layers, x)
-        cells, cells_tape = encoder_forward(layers, cells_of(x))
+        dense, dense_tape = encoder_forward(layers, x, training=True)
+        cells, cells_tape = encoder_forward(layers, cells_of(x), training=True)
         assert close(cells, dense)
         g = rng.normal(size=dense.shape)
         dense_grads = encoder_backward(dense_tape, g)
@@ -337,15 +368,33 @@ class TestCellsLayer:
     def test_empty_rows_give_the_bias(self, layers, rng):
         x = sparse_rows(rng, 8, 40)
         x[[0, 3, 4, 7]] = 0.0
-        _, tape = encoder_forward(layers, cells_of(x))
+        _, tape = encoder_forward(layers, cells_of(x), training=True)
         z = tape.pre_activations[0]
         for r in (0, 3, 4, 7):
             assert np.array_equal(z[r], layers[0].biases)
         empty = Cells((3, 40), np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))
-        _, tape = encoder_forward(layers, empty)
+        _, tape = encoder_forward(layers, empty, training=True)
         assert np.array_equal(tape.pre_activations[0], np.tile(layers[0].biases, (3, 1)))
         g = rng.normal(size=(3, 3))
         assert np.array_equal(encoder_backward(tape, g)[0], np.zeros((7, 40)))
+
+    def test_row_blocks_keep_the_bits(self, layers, rng, monkeypatch):
+        # every block size from one cell to all of them cuts next to empty
+        # rows and many-cell rows, gives three or more blocks with a partial
+        # last one, and from 11 cells down leaves the 12-cell row longer
+        # than a block
+        counts = [0, 4, 0, 0, 6, 1, 0, 12, 2, 0, 3, 1, 1, 5, 0]
+        x = np.zeros((len(counts), 40))
+        for r, k in enumerate(counts):
+            x[r, rng.choice(40, size=k, replace=False)] = rng.uniform(0.05, 1.0, size=k)
+        cells = cells_of(x)
+        n = cells.rows.size
+        monkeypatch.setattr(nn_core, "CELLS_BLOCK", n)
+        whole = nn_core._cells_affine(cells, layers[0])
+        for block in range(1, n + 1):
+            monkeypatch.setattr(nn_core, "CELLS_BLOCK", block)
+            assert nn_core._cells_affine(cells, layers[0]).tobytes() == whole.tobytes(), block
+        assert close(whole, x @ layers[0].weights.T + layers[0].biases)
 
     def test_width_mismatch_rejected(self, layers, rng):
         wide = cells_of(sparse_rows(rng, 4, 41))
