@@ -10,10 +10,14 @@ config. OUTDIR must be absent or empty. Each command's stdout is saved
 under OUTDIR/stdout/ with OUTDIR replaced by a placeholder, so it counts
 as an output too. Prints one sorted `sha256  relative-path` line per file.
 
-The hashes depend on the NumPy version, the BLAS build and the BLAS thread
-count, so the printout opens with a `# name: value` header of those
-conditions: the NumPy version, the BLAS name and version, and the
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS variables.
+The hashes depend on the NumPy version and the BLAS build, so the printout
+opens with a `# name: value` header of those conditions: the NumPy version,
+the BLAS name and version, and `blas_threads: pinned to 1`. The script, like
+every CLI command, first sets NumPy's bundled OpenBLAS to one thread, so the
+thread count does not choose the bytes. Where no thread setter is found, it
+does, and the header names the OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS variables and the number of CPUs the process may run on
+instead of `blas_threads`.
 
 Run it at two commits under the same conditions and compare: save the first
 commit's printout, then run the second with `--compare` on that file. It
@@ -25,6 +29,8 @@ lines starting with `#` are skipped), and names on stderr each unlisted
 difference and each listed path that did not differ. A printout whose
 header names other conditions is refused with a one-line message and exit
 2, before anything runs; a printout without a header is compared as it is.
+A header written before the pin, with OPENBLAS_NUM_THREADS 1, reads as
+pinned: one OpenBLAS thread wrote it.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from contextrec.cli import main as cli_main  # noqa: E402
+from contextrec.nn_core import one_blas_thread  # noqa: E402
 from contextrec.serialization import attrs_to_json, read_dataset  # noqa: E402
 from contextrec.trainer import OBJECTIVES  # noqa: E402
 
@@ -62,19 +69,25 @@ CONFIG = {
 }
 PLACEHOLDER = "<OUTDIR>"
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PINNED = {"blas_threads": "pinned to 1"}
 
 
-def conditions() -> dict[str, str]:
-    """The NumPy version, BLAS build and BLAS thread settings of this run."""
+def conditions(pinned: bool) -> dict[str, str]:
+    """The NumPy version and BLAS build of this run, then PINNED if the BLAS
+    runs on one thread, else its thread settings and usable CPU count."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas_name = f"{blas.get('name')} {blas.get('version')}"
     except TypeError:  # NumPy before 1.25 has no mode argument
         blas_name = "unknown"
+    here = {"numpy": np.__version__, "blas": blas_name}
+    if pinned:
+        return {**here, **PINNED}
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {
-        "numpy": np.__version__,
-        "blas": blas_name,
+        **here,
         **{var: os.environ.get(var, "unset") for var in THREAD_VARIABLES},
+        "cpus": str(cpus),
     }
 
 
@@ -114,10 +127,16 @@ def pipeline(out: Path) -> None:
 
 
 def read_conditions(lines) -> dict[str, str]:
-    """{name: value} from the printout's `# name: value` header lines."""
-    return dict(
+    """{name: value} from the printout's `# name: value` header lines; a
+    header from before the pin (thread variables, no `cpus`) with
+    OPENBLAS_NUM_THREADS 1 reads as pinned."""
+    header = dict(
         line[2:].rstrip("\n").split(": ", 1) for line in lines if line.startswith("# ")
     )
+    if "cpus" not in header and header.get("OPENBLAS_NUM_THREADS") == "1":
+        header = {name: value for name, value in header.items() if name not in THREAD_VARIABLES}
+        header.update(PINNED)
+    return header
 
 
 def read_hashes(lines) -> dict[str, str]:
@@ -165,7 +184,7 @@ def main(argv: list[str]) -> int:
         parser.error("--expect needs --compare")
     expected = None
     listed = set()
-    here = conditions()
+    here = conditions(one_blas_thread())
     if args.expect:
         try:
             with open(args.expect, encoding="utf-8") as fh:

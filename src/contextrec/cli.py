@@ -1,8 +1,8 @@
 """Command-line surface: gen, train, eval, recommend, analyze.
 
-All commands are reproducible byte-for-byte given identical inputs and
-seeds. Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numeric/degenerate failure.
+All commands are reproducible byte-for-byte given identical inputs, seeds and
+NumPy/BLAS build, at any thread count where main can pin the BLAS to one thread.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric/degenerate failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from . import analysis, evaluation, serialization
 from .datagen import GeneratorConfig, filter_log, generate, temporal_split
 from .features import SchemaError, ViewingEvent, build_schema, universe_indices
 from .model import precompute_catalog, recommend
-from .nn_core import DegenerateMeasure, check_range, make_rng
+from .nn_core import DegenerateMeasure, check_range, make_rng, one_blas_thread
 from .sampling import SamplingError
 from .trainer import OBJECTIVES, TrainConfig, ablate_to_single_viewer, train
 
@@ -308,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -10,8 +10,10 @@ weight gradient per column, so neither multiplies the zeros.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +21,23 @@ import numpy as np
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator; identical seed gives an identical stream."""
     return np.random.default_rng(seed)
+
+
+NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"  # a wheel's bundled BLAS
+
+
+def one_blas_thread() -> bool:
+    """Set NumPy's bundled OpenBLAS to one thread, so its sums keep one order
+    whatever thread count was asked for; False, changing nothing, if no setter is found."""
+    for lib in sorted(NUMPY_LIBS.glob("*openblas*.so*")):
+        dll = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
+            if hasattr(dll, name):
+                setter = getattr(dll, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return True
+    return False
 
 
 def check_range(name: str, value, low, high=math.inf, bounds="[)", integer=False) -> None:

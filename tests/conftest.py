@@ -1,10 +1,32 @@
+import ctypes
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from contextrec.features import SPARSE_WIDTH, ViewingEvent
-from contextrec.nn_core import Cells
+from contextrec.nn_core import Cells, one_blas_thread
+
+
+@pytest.fixture(scope="session", autouse=True)
+def blas_on_one_thread():
+    """The tests run as every CLI command does: on one BLAS thread."""
+    one_blas_thread()
+
+
+def openblas_threads():
+    """The live thread count of NumPy's bundled OpenBLAS, from its own
+    getter; None where NumPy bundles none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*.so*")):
+        dll = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_"):
+            if hasattr(dll, name):
+                getter = getattr(dll, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
 
 
 def finite_difference(f, arrays, h=1e-5):

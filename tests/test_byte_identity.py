@@ -44,29 +44,69 @@ class TestCompare:
             byte_identity.read_hashes([line])
 
 
+def header(conditions):
+    return "".join(f"# {name}: {value}\n" for name, value in conditions.items())
+
+
+def one_file_pipeline(out):
+    """Stands in for the CLI pipeline: one output, a.csv."""
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "a.csv").write_text("same")
+
+
 class TestConditions:
     def test_header_round_trips_and_is_not_a_hash(self):
-        here = byte_identity.conditions()
-        assert set(here) == {"numpy", "blas", *byte_identity.THREAD_VARIABLES}
-        lines = [f"# {name}: {value}\n" for name, value in here.items()] + [f"{A}  x.csv\n"]
-        assert byte_identity.read_conditions(lines) == here
-        assert byte_identity.read_hashes(lines) == {"x.csv": A}
+        pinned, unpinned = byte_identity.conditions(True), byte_identity.conditions(False)
+        assert set(pinned) == {"numpy", "blas", "blas_threads"}
+        assert set(unpinned) == {"numpy", "blas", *byte_identity.THREAD_VARIABLES, "cpus"}
+        for here in (pinned, unpinned):
+            lines = header(here).splitlines(keepends=True) + [f"{A}  x.csv\n"]
+            assert byte_identity.read_conditions(lines) == here
+            assert byte_identity.read_hashes(lines) == {"x.csv": A}
+
+    def compare(self, tmp_path, monkeypatch, recorded, pinned):
+        """main --compare against a printout of one_file_pipeline's bytes
+        under the recorded header, with the pin found or not."""
+        monkeypatch.setattr(byte_identity, "pipeline", one_file_pipeline)
+        monkeypatch.setattr(byte_identity, "one_blas_thread", lambda: pinned)
+        hashes = tmp_path / "hashes.txt"
+        digest = byte_identity.hashlib.sha256(b"same").hexdigest()
+        hashes.write_text(header(recorded) + f"{digest}  a.csv\n")
+        return byte_identity.main([str(tmp_path / "out"), "--compare", str(hashes)]), hashes
+
+    def test_pinned_printouts_compare_at_any_thread_count(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(byte_identity, "pipeline", one_file_pipeline)
+        monkeypatch.setattr(byte_identity, "one_blas_thread", lambda: True)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert byte_identity.main([str(tmp_path / "first")]) == 0
+        printout = capsys.readouterr().out
+        assert "# blas_threads: pinned to 1\n" in printout
+        assert "OPENBLAS_NUM_THREADS" not in printout
+        (tmp_path / "hashes.txt").write_text(printout)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert byte_identity.main([str(tmp_path / "second"), "--compare",
+                                   str(tmp_path / "hashes.txt")]) == 0
+        assert capsys.readouterr().err == "1 of 1 files identical, 0 differ\n"
 
     def test_other_thread_count_refused(self, tmp_path, monkeypatch, capsys):
+        # no thread setter found: the thread settings are conditions
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        there = {**byte_identity.conditions(), "OPENBLAS_NUM_THREADS": "2"}
-        hashes = tmp_path / "hashes.txt"
-        hashes.write_text(
-            "".join(f"# {name}: {value}\n" for name, value in there.items()) + f"{A}  x.csv\n"
-        )
-        out = tmp_path / "out"
-        assert byte_identity.main([str(out), "--compare", str(hashes)]) == 2
-        err = capsys.readouterr().err
-        assert err == (
+        there = {**byte_identity.conditions(False), "OPENBLAS_NUM_THREADS": "2"}
+        code, hashes = self.compare(tmp_path, monkeypatch, there, pinned=False)
+        assert code == 2
+        assert capsys.readouterr().err == (
             f"{hashes} was taken under other conditions "
             "(OPENBLAS_NUM_THREADS 2 there, 1 here); its hashes do not compare\n"
         )
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads, code", [("1", 0), ("2", 2)])
+    def test_header_from_before_the_pin(self, tmp_path, monkeypatch, threads, code):
+        # the header the script wrote before it pinned the thread count
+        here = byte_identity.conditions(True)
+        old = {"numpy": here["numpy"], "blas": here["blas"], "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": "unset", "MKL_NUM_THREADS": "unset"}
+        assert self.compare(tmp_path, monkeypatch, old, pinned=True)[0] == code
 
 
 class TestExpect:

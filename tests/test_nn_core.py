@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from contextrec.nn_core import (
     xavier_init,
 )
 
-from conftest import cells_of, finite_difference, relative_error, sparse_rows
+from conftest import cells_of, finite_difference, openblas_threads, relative_error, sparse_rows
 
 
 # id: (check_range arguments, message): the three wordings, each refusing
@@ -52,6 +56,32 @@ RANGE_REFUSALS = {
     "interval_nan": (("p", math.nan, 0, 1, "[]"), "p must be a number in [0, 1], got nan"),
     "interval_inf": (("p", -math.inf, 0, 1, "[]"), "p must be a number in [0, 1], got -inf"),
 }
+
+
+PIN_PROBE = """
+import sys
+from pathlib import Path
+from conftest import openblas_threads
+from contextrec import nn_core
+libs, nn_core.NUMPY_LIBS = nn_core.NUMPY_LIBS, Path(sys.argv[1])
+print(openblas_threads(), nn_core.one_blas_thread(), openblas_threads())
+nn_core.NUMPY_LIBS = libs
+print(nn_core.one_blas_thread(), openblas_threads())
+"""
+
+
+@pytest.mark.skipif(openblas_threads() is None or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs NumPy's bundled OpenBLAS and two CPUs for two threads")
+def test_one_blas_thread_pins_where_two_are_asked(tmp_path):
+    # a fresh interpreter at two threads: with the library search pointed at
+    # an empty directory the pin reports False and changes nothing, then the
+    # real search sets one thread
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([str(Path(nn_core.__file__).parent.parent), str(tests)])}
+    probe = subprocess.run([sys.executable, "-c", PIN_PROBE, str(tmp_path)], env=env,
+                           check=True, timeout=60, capture_output=True, text=True)
+    assert probe.stdout == "2 False 2\nTrue 1\n"
 
 
 class TestCheckRange:
