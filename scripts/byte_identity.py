@@ -29,8 +29,6 @@ lines starting with `#` are skipped), and names on stderr each unlisted
 difference and each listed path that did not differ. A printout whose
 header names other conditions is refused with a one-line message and exit
 2, before anything runs; a printout without a header is compared as it is.
-A header written before the pin, with OPENBLAS_NUM_THREADS 1, reads as
-pinned: one OpenBLAS thread wrote it.
 """
 
 from __future__ import annotations
@@ -127,16 +125,8 @@ def pipeline(out: Path) -> None:
 
 
 def read_conditions(lines) -> dict[str, str]:
-    """{name: value} from the printout's `# name: value` header lines; a
-    header from before the pin (thread variables, no `cpus`) with
-    OPENBLAS_NUM_THREADS 1 reads as pinned."""
-    header = dict(
-        line[2:].rstrip("\n").split(": ", 1) for line in lines if line.startswith("# ")
-    )
-    if "cpus" not in header and header.get("OPENBLAS_NUM_THREADS") == "1":
-        header = {name: value for name, value in header.items() if name not in THREAD_VARIABLES}
-        header.update(PINNED)
-    return header
+    """{name: value} from the printout's `# name: value` header lines."""
+    return dict(line[2:].rstrip("\n").split(": ", 1) for line in lines if line.startswith("# "))
 
 
 def read_hashes(lines) -> dict[str, str]:

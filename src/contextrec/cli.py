@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import analysis, evaluation, serialization
-from .datagen import GeneratorConfig, filter_log, generate, temporal_split
+from .datagen import GeneratorConfig, SplitConfig, filter_log, generate, temporal_split
 from .features import SchemaError, ViewingEvent, build_schema, universe_indices
 from .model import precompute_catalog, recommend
 from .nn_core import DegenerateMeasure, check_range, make_rng, one_blas_thread
@@ -31,14 +31,9 @@ class ConfigError(ValueError):
 
 
 RUN_CONFIG_DEFAULTS = {
-    # generator
-    **{f.name: f.default for f in dataclasses.fields(GeneratorConfig)},
-    # training
-    **{f.name: f.default for f in dataclasses.fields(TrainConfig)},
-    # dataset protocol
-    "min_duration_minutes": 3.0,
-    "min_item_count": None,
-    "train_fraction": 0.9,
+    # generator, training, dataset protocol
+    **{f.name: f.default for cls in (GeneratorConfig, TrainConfig, SplitConfig)
+       for f in dataclasses.fields(cls)},
     # evaluation
     "ks": [1, 3, 5, 10],
     # analysis
@@ -65,12 +60,13 @@ def _check_ks(ks):
     return ks
 
 
-def load_run_config(path: str | None, overrides: dict) -> dict:
+def load_run_config(path: str | None, overrides: dict, split: SplitConfig | None = None) -> dict:
     """Defaults, then config file, then command-line overrides.
 
-    Unknown keys in the config file are rejected.
+    Unknown keys in the config file are rejected. With `split`, a checkpoint's
+    data split, the protocol keys take its values and may not be set to others.
     """
-    config = dict(RUN_CONFIG_DEFAULTS)
+    config = {**RUN_CONFIG_DEFAULTS, **(dataclasses.asdict(split) if split else {})}
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -88,32 +84,37 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
             config[k] = v
     _check_ks(config["ks"])
     try:
-        check_range("train_fraction", config["train_fraction"], 0, 1, "()")
+        given = SplitConfig(**{f.name: config[f.name] for f in dataclasses.fields(SplitConfig)})
         for key, low in (("seed", 0), ("snnm_repetitions", 1), ("snnm_sample_size", 2),
                          ("analysis_max_events", 1)):
             check_range(key, config[key], low, integer=True)
-        if config["min_item_count"] is not None:
-            check_range("min_item_count", config["min_item_count"], 1, integer=True)
-        check_range("min_duration_minutes", config["min_duration_minutes"], 0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for key, value in (dataclasses.asdict(split) if split else {}).items():
+        if getattr(given, key) != value:
+            raise ConfigError(f"{key} is {getattr(given, key)!r} in the config but {value!r} in "
+                              "the checkpoint, whose data split `contextrec train` fixed")
     return config
 
 
 def _dataclass_config(cls, cfg: dict):
-    """Build a GeneratorConfig or TrainConfig; invalid values are ConfigErrors."""
+    """Build a GeneratorConfig, TrainConfig or SplitConfig; invalid values are ConfigErrors."""
     try:
         return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls)})
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid {cls.__name__}: {exc}") from exc
 
 
-def _prepared_split(cfg: dict, dataset_path: str):
+def _prepared_split(split: SplitConfig | None, dataset_path: str):
+    """The dataset's train and test logs under `split`; a data error if it is None."""
+    if split is None:
+        raise serialization.FormatError("the checkpoint records no data split, so write it with "
+                                        "`contextrec train`")
     log = serialization.read_dataset(dataset_path)
     if not log:
         raise serialization.FormatError("dataset is empty")
-    log = filter_log(log, cfg["min_duration_minutes"], cfg["min_item_count"])
-    return temporal_split(log, cfg["train_fraction"])
+    log = filter_log(log, split.min_duration_minutes, split.min_item_count)
+    return temporal_split(log, split.train_fraction)
 
 
 def _check_test_split(test_log, catalog=None) -> None:
@@ -133,25 +134,20 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(
-        args.config, {"seed": args.seed, "objective": args.objective}
-    )
-    train_cfg = _dataclass_config(TrainConfig, cfg)
-    train_log, _ = _prepared_split(cfg, args.dataset)
+    cfg = load_run_config(args.config, {"seed": args.seed, "objective": args.objective})
+    train_cfg, split = _dataclass_config(TrainConfig, cfg), _dataclass_config(SplitConfig, cfg)
+    train_log, _ = _prepared_split(split, args.dataset)
     if args.one_id:
         train_log = ablate_to_single_viewer(train_log, make_rng(train_cfg.seed + 7))
     schema = build_schema(train_log)
     model, history = train(train_log, schema, train_cfg)
-    serialization.save_checkpoint(
-        model, args.checkpoint, objective=train_cfg.objective, seed=train_cfg.seed
-    )
+    serialization.save_checkpoint(model, args.checkpoint, objective=train_cfg.objective,
+                                  seed=train_cfg.seed, split=split)
     if args.history:
         header = ("step", "train_loss", "val_loss")
         serialization.write_csv(args.history, header, history.records, 17)
-    print(
-        f"trained {train_cfg.objective} for {history.stopping_step} steps "
-        f"({history.stopping_reason}); checkpoint at {args.checkpoint}"
-    )
+    print(f"trained {train_cfg.objective} for {history.stopping_step} steps "
+          f"({history.stopping_reason}); checkpoint at {args.checkpoint}")
     return EXIT_OK
 
 
@@ -164,11 +160,11 @@ def _parse_ks(text: str) -> list[int]:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_run_config(args.config, {"seed": args.seed})
+    model, meta = serialization.load_checkpoint(args.checkpoint)
+    cfg = load_run_config(args.config, {"seed": args.seed}, meta["split"])
     if args.Ks:
         cfg["ks"] = _parse_ks(args.Ks)
-    model, meta = serialization.load_checkpoint(args.checkpoint)
-    train_log, test_log = _prepared_split(cfg, args.dataset)
+    train_log, test_log = _prepared_split(meta["split"], args.dataset)
     catalog = precompute_catalog(model, model.items)
     _check_test_split(test_log, catalog)
     items = catalog.items
@@ -213,9 +209,9 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = load_run_config(args.config, {"seed": args.seed})
-    model, _ = serialization.load_checkpoint(args.checkpoint)
-    _, test_log = _prepared_split(cfg, args.dataset)
+    model, meta = serialization.load_checkpoint(args.checkpoint)
+    cfg = load_run_config(args.config, {"seed": args.seed}, meta["split"])
+    _, test_log = _prepared_split(meta["split"], args.dataset)
     _check_test_split(test_log)
     rng = make_rng(cfg["seed"])
     if len(test_log) > cfg["analysis_max_events"]:

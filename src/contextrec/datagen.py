@@ -45,6 +45,20 @@ class GeneratorConfig:
             check_range(name, getattr(self, name), 0)
 
 
+@dataclass(frozen=True)
+class SplitConfig:
+    """The data protocol: filter_log's thresholds, then temporal_split's fraction."""
+    min_duration_minutes: float = 3.0
+    min_item_count: int | None = None
+    train_fraction: float = 0.9
+
+    def __post_init__(self):
+        check_range("train_fraction", self.train_fraction, 0, 1, "()")
+        if self.min_item_count is not None:
+            check_range("min_item_count", self.min_item_count, 1, integer=True)
+        check_range("min_duration_minutes", self.min_duration_minutes, 0)
+
+
 def generate(config: GeneratorConfig) -> list[ViewingEvent]:
     """Produce a temporally ordered log; fully deterministic per seed."""
     rng = make_rng(config.seed)
@@ -128,8 +142,8 @@ def generate(config: GeneratorConfig) -> list[ViewingEvent]:
 
 def filter_log(
     log: list[ViewingEvent],
-    min_duration_minutes: float = 3.0,
-    min_item_count: int | None = None,
+    min_duration_minutes: float = SplitConfig.min_duration_minutes,
+    min_item_count: int | None = SplitConfig.min_item_count,
 ) -> list[ViewingEvent]:
     """Drop short events, then events of rarely observed contents.
 
@@ -146,7 +160,7 @@ def filter_log(
 
 
 def temporal_split(
-    log: list[ViewingEvent], train_fraction: float = 0.9
+    log: list[ViewingEvent], train_fraction: float = SplitConfig.train_fraction
 ) -> tuple[list[ViewingEvent], list[ViewingEvent]]:
     """Split by event order: first train_fraction for training.
 

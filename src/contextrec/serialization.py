@@ -3,11 +3,12 @@
 Datasets are versioned, dictionary-coded JSON lines: a header of each
 attribute's distinct values, then one array of table indices per event;
 checkpoints are a single versioned JSON document carrying the config,
-schema and catalog items as JSON and each parameter array, in
-TwoTowerModel.parameters() order, as the base64 text of its C-order
-little-endian float64 bytes. Its shape and its layer's activation follow
-from the schema and the config, and the catalog's embeddings from the
-parameters and the items. Identical inputs always serialize byte-identically.
+schema, catalog items and data split (a SplitConfig, or null) as JSON and
+each parameter array, in TwoTowerModel.parameters() order, as the base64
+text of its C-order little-endian float64 bytes. Its shape and its layer's
+activation follow from the schema and the config, and the catalog's
+embeddings from the parameters and the items. Identical inputs always
+serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from itertools import compress, islice, repeat
 
 import numpy as np
 
+from .datagen import SplitConfig
 from .features import (
     _ABSENT, _MULTI_TYPES, FeatureSchema, FeatureSpec, SchemaError, ViewingEvent, _sorted_tuple,
 )
@@ -31,7 +33,7 @@ from .model import EncoderConfig, TwoTowerModel, check_catalog_items
 from .nn_core import chain_activations, chain_layers, check_range
 from .trainer import OBJECTIVES
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 DATASET_VERSION = 2
 _CHUNK_LINES = 4096  # event lines per json.loads call of read_dataset
 _FLOAT64_LE = np.dtype("<f8")
@@ -347,7 +349,8 @@ def _check_run(objective, seed) -> None:
     check_range("seed", seed, 0, integer=True)
 
 
-def save_checkpoint(model: TwoTowerModel, path, *, objective: str, seed: int) -> None:
+def save_checkpoint(model: TwoTowerModel, path, *, objective: str, seed: int,
+                    split: SplitConfig | None = None) -> None:
     """Write `model` as one checkpoint document. ValueError, leaving `path`
     as it was, for what load_checkpoint refuses (a bad objective, seed or
     items, a non-finite parameter), or for layer shapes or activations other
@@ -373,18 +376,19 @@ def save_checkpoint(model: TwoTowerModel, path, *, objective: str, seed: int) ->
         "schema": dataclasses.asdict(model.schema),
         "items": [attrs_to_json(it) for it in model.items],
         "parameters": [encode_array(p) for p in params],
+        "split": None if split is None else dataclasses.asdict(split),
     }
     with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
-    """Returns (model, metadata with objective and seed).
+    """Returns (model, metadata with objective, seed and split, a SplitConfig or None).
 
     A file that is not a complete checkpoint of this format version, whose
-    parameters are not the arrays its schema and encoder config give, or
-    whose items, objective or seed save_checkpoint would refuse, raises
-    FormatError naming it.
+    parameters are not the arrays its schema and encoder config give, whose
+    split SplitConfig refuses, or whose items, objective or seed
+    save_checkpoint would refuse, raises FormatError naming it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -414,6 +418,7 @@ def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
         items = tuple(map(attrs_from_json, doc["items"]))
         check_catalog_items(items, schema)
         _check_run(doc["objective"], doc["seed"])
+        split = doc["split"] if doc["split"] is None else SplitConfig(**doc["split"])
         half = len(arrays) // 2  # the towers have equally many layers
         model = TwoTowerModel(schema, chain_layers(arrays[:half]), chain_layers(arrays[half:]),
                               config, items)
@@ -423,7 +428,7 @@ def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
         raise FormatError(f"checkpoint {path}: {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint {path} is malformed: {exc}") from exc
-    return model, {"objective": doc["objective"], "seed": doc["seed"]}
+    return model, {"objective": doc["objective"], "seed": doc["seed"], "split": split}
 
 
 def write_csv(path, header, rows, digits: int) -> None:

@@ -2,6 +2,7 @@ import base64
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -257,6 +258,20 @@ class TestEval:
         assert code == EXIT_OK
         header = report.read_text().splitlines()[0]
         assert "HR@2" in header and "HR@7" in header and "HR@1" not in header
+
+    def test_split_comes_from_the_checkpoint(self, workspace, tmp_path):
+        # eval without a config scores the split that train used
+        _, config_path, dataset, _ = workspace
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**json.loads(config_path.read_text()),
+                                      "train_fraction": 0.7, "min_item_count": 1}))
+        ckpt, with_config, without = (tmp_path / n for n in ("m.json", "a.csv", "b.csv"))
+        assert main(["train", "--config", str(config), "--dataset", str(dataset),
+                     "--checkpoint", str(ckpt)]) == EXIT_OK
+        args = ["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset), "--baselines"]
+        assert main(args + ["--config", str(config), "--report", str(with_config)]) == EXIT_OK
+        assert main(args + ["--report", str(without)]) == EXIT_OK
+        assert with_config.read_bytes() == without.read_bytes()
 
     def test_corrupt_checkpoint_exit_code(self, workspace, tmp_path):
         ws, config_path, dataset, _ = workspace
@@ -713,12 +728,36 @@ def _checkpoint_key(key, edit):
     return write
 
 
-def _format_3(path, original):
-    # the same model in format 3, which stores no items
-    doc = json.loads(original.read_text())
-    del doc["items"]
-    doc["format_version"] = 3
-    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+def _older_format(version, *keys):
+    """Writer of the same model in format `version`, which stores none of `keys`."""
+
+    def write(path, original):
+        doc = json.loads(original.read_text())
+        for key in keys:
+            del doc[key]
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+
+    return write
+
+
+def _trained_with(**protocol):
+    """Writer of the workspace's checkpoint as `train` writes it with the
+    protocol keys set in the config; each setting is trained once, into the
+    module's workspace directory."""
+
+    def write(path, original):
+        ws = original.parent
+        name = "_".join(f"{k}_{v}" for k, v in sorted(protocol.items()))
+        trained, config = ws / f"trained_{name}.json", ws / f"config_{name}.json"
+        if not trained.exists():
+            config.write_text(json.dumps({**json.loads((ws / "config.json").read_text()),
+                                          **protocol}))
+            assert main(["train", "--config", str(config), "--dataset", str(ws / "data.jsonl"),
+                         "--checkpoint", str(trained), "--objective", "rjcce"]) == EXIT_OK
+        shutil.copyfile(trained, path)
+
+    return write
 
 
 def _per_layer_format(version, array):
@@ -807,9 +846,14 @@ SEED_NOT_KNOWN = ("data error: checkpoint {checkpoint} is malformed: seed must b
 ALL_ITEMS_ALIKE = "data error: all 8 catalog items have the same embedding, so every score ties"
 ZERO_NORM = "numeric error: zero-norm embedding rows are not allowed"
 
+# checkpoints trained with the protocol keys that the eval and analyze rows
+# below set in their config, as the checkpoint fixes the split
+TRAINED_MIN_ITEM_COUNT_1 = ("checkpoint", _trained_with(min_item_count=1))
+TRAINED_TRAIN_FRACTION_9999 = ("checkpoint", _trained_with(train_fraction=0.9999))
+
 # id: (config overrides, argv template, input writer, exit code, message prefix);
-# a writer (path name, fn(path, original)) replaces that input; messages may
-# name the inputs, e.g. {checkpoint}
+# a writer (path name, fn(path, original)), or a list of them, replaces that
+# input; messages may name the inputs, e.g. {checkpoint}
 BOUNDARY_CASES = {
     "train_batch_size_1": (
         {"batch_size": 1}, TRAIN_ARGS, None, EXIT_CONFIG,
@@ -885,24 +929,42 @@ BOUNDARY_CASES = {
         "config error: ks must be a non-empty list of positive integers, got [0]",
     ),
     "eval_empty_test_split": (
-        {"train_fraction": 0.9999}, EVAL_ARGS, None, EXIT_DATA,
+        {"train_fraction": 0.9999}, EVAL_ARGS, TRAINED_TRAIN_FRACTION_9999, EXIT_DATA,
         "data error: empty test split",
     ),
     "eval_test_contents_not_in_catalog": (
-        {"min_item_count": 1}, EVAL_ARGS, ("dataset", _test_split_genres_new), EXIT_DATA,
+        {"min_item_count": 1}, EVAL_ARGS,
+        [TRAINED_MIN_ITEM_COUNT_1, ("dataset", _test_split_genres_new)], EXIT_DATA,
         "data error: no test event's content is in the catalog",
     ),
     "analyze_simmatrix_test_contents_not_in_catalog": (
-        {"min_item_count": 1}, SIMMATRIX_ARGS, ("dataset", _test_split_genres_new), EXIT_DATA,
+        {"min_item_count": 1}, SIMMATRIX_ARGS,
+        [TRAINED_MIN_ITEM_COUNT_1, ("dataset", _test_split_genres_new)], EXIT_DATA,
         "data error: no test event's content is in the catalog",
     ),
     "analyze_empty_test_split": (
-        {"train_fraction": 0.9999}, ANALYZE_ARGS, None, EXIT_DATA,
+        {"train_fraction": 0.9999}, ANALYZE_ARGS, TRAINED_TRAIN_FRACTION_9999, EXIT_DATA,
         "data error: empty test split",
     ),
+    # a split other than the checkpoint's is refused before it can empty the catalog
     "eval_min_item_count_empties_catalog": (
-        {"min_item_count": 10**6}, EVAL_ARGS, None, EXIT_DATA,
-        "data error: empty test split",
+        {"min_item_count": 10**6}, EVAL_ARGS, None, EXIT_CONFIG,
+        "config error: min_item_count is 1000000 in the config but None in the checkpoint, "
+        "whose data split `contextrec train` fixed",
+    ),
+    "eval_other_train_fraction": (
+        {"train_fraction": 0.3}, EVAL_ARGS, None, EXIT_CONFIG,
+        "config error: train_fraction is 0.3 in the config but 0.9 in the checkpoint, whose "
+        "data split `contextrec train` fixed",
+    ),
+    "analyze_other_min_item_count": (
+        {"min_item_count": 1}, ANALYZE_ARGS, None, EXIT_CONFIG,
+        "config error: min_item_count is 1 in the config but None in the checkpoint, whose "
+        "data split `contextrec train` fixed",
+    ),
+    "eval_checkpoint_without_split": (
+        {}, EVAL_ARGS, ("checkpoint", _checkpoint_key("split", lambda _: None)), EXIT_DATA,
+        "data error: the checkpoint records no data split, so write it with `contextrec train`",
     ),
     "analyze_snnm_repetitions_0": (
         {"snnm_repetitions": 0}, ANALYZE_ARGS, None, EXIT_CONFIG,
@@ -1039,11 +1101,13 @@ BOUNDARY_CASES = {
         MIXED_GENRE,
     ),
     "eval_mixed_kind_genre": (
-        {"min_item_count": 1}, EVAL_ARGS, ("dataset", _every_7th_genre_a_number), EXIT_DATA,
+        {"min_item_count": 1}, EVAL_ARGS,
+        [TRAINED_MIN_ITEM_COUNT_1, ("dataset", _every_7th_genre_a_number)], EXIT_DATA,
         MIXED_GENRE,
     ),
     "analyze_simmatrix_mixed_kind_genre": (
-        {"min_item_count": 1}, SIMMATRIX_ARGS, ("dataset", _every_7th_genre_a_number), EXIT_DATA,
+        {"min_item_count": 1}, SIMMATRIX_ARGS,
+        [TRAINED_MIN_ITEM_COUNT_1, ("dataset", _every_7th_genre_a_number)], EXIT_DATA,
         MIXED_GENRE,
     ),
     "train_genre_list_that_does_not_sort": (
@@ -1312,19 +1376,24 @@ BOUNDARY_CASES = {
     "eval_checkpoint_format_version_1": (
         {}, EVAL_ARGS, ("checkpoint", _per_layer_format(1, lambda a: a.tolist())), EXIT_DATA,
         "data error: checkpoint {checkpoint}: unsupported checkpoint format_version: 1; "
-        "this version reads format 4 only, so re-run `contextrec train` to write one",
+        "this version reads format 5 only, so re-run `contextrec train` to write one",
     ),
     "eval_checkpoint_format_version_2": (
         {}, EVAL_ARGS,
         ("checkpoint", _per_layer_format(2, lambda a: {"data": _encode(a), "shape": [*a.shape]})),
         EXIT_DATA,
         "data error: checkpoint {checkpoint}: unsupported checkpoint format_version: 2; "
-        "this version reads format 4 only, so re-run `contextrec train` to write one",
+        "this version reads format 5 only, so re-run `contextrec train` to write one",
     ),
     "eval_checkpoint_format_version_3": (
-        {}, EVAL_ARGS, ("checkpoint", _format_3), EXIT_DATA,
+        {}, EVAL_ARGS, ("checkpoint", _older_format(3, "split", "items")), EXIT_DATA,
         "data error: checkpoint {checkpoint}: unsupported checkpoint format_version: 3; "
-        "this version reads format 4 only, so re-run `contextrec train` to write one",
+        "this version reads format 5 only, so re-run `contextrec train` to write one",
+    ),
+    "eval_format_4_checkpoint": (
+        {}, EVAL_ARGS, ("checkpoint", _older_format(4, "split")), EXIT_DATA,
+        "data error: checkpoint {checkpoint}: unsupported checkpoint format_version: 4; "
+        "this version reads format 5 only, so re-run `contextrec train` to write one",
     ),
     "recommend_checkpoint_items_not_a_list": (
         {}, RECOMMEND_ARGS, ("checkpoint", _checkpoint_key("items", lambda items: items[0])),
@@ -1470,8 +1539,8 @@ def test_boundary_exit_codes(workspace, tmp_path, capsys, case):
     context.write_text(json.dumps({"context": CONTEXT}))
     out = tmp_path / "out"
     paths = dict(config=config, dataset=dataset, checkpoint=ckpt, context=context, out=out)
-    if writer is not None:
-        name, write = writer
+    writers = writer if isinstance(writer, list) else [writer] if writer else []
+    for name, write in writers:
         original, paths[name] = paths[name], tmp_path / f"written_{name}"
         write(paths[name], original)
     capsys.readouterr()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from contextrec.datagen import GeneratorConfig, filter_log, generate, temporal_split
+from contextrec.datagen import GeneratorConfig, SplitConfig, filter_log, generate, temporal_split
 from contextrec.features import ViewingEvent, build_schema, vectorize_context, vectorize_item
 from contextrec.model import (
     EncoderConfig,
@@ -470,7 +470,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path, objective="jcce", seed=42)
         loaded, meta = load_checkpoint(path)
-        assert meta == {"objective": "jcce", "seed": 42}
+        assert meta == {"objective": "jcce", "seed": 42, "split": None}
         for a, b in zip(model.parameters(), loaded.parameters()):
             assert np.array_equal(a, b)
 
@@ -494,6 +494,51 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         assert loaded.schema == schema
         assert loaded.config == model.config
+
+    @pytest.mark.parametrize("split", [
+        SplitConfig(), SplitConfig(min_duration_minutes=0, min_item_count=4, train_fraction=0.7),
+    ], ids=["min_item_count_null", "min_item_count_4"])
+    def test_round_trip_keeps_split(self, tmp_path, split):
+        _, _, model = tiny_model()
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_checkpoint(model, first, objective="jcce", seed=42, split=split)
+        loaded, meta = load_checkpoint(first)
+        assert meta == {"objective": "jcce", "seed": 42, "split": split}
+        assert json.loads(first.read_text())["split"] == {
+            "min_duration_minutes": split.min_duration_minutes,
+            "min_item_count": split.min_item_count, "train_fraction": split.train_fraction}
+        save_checkpoint(loaded, second, objective="jcce", seed=42, split=meta["split"])
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_without_split_loads_and_resaves_the_same_bytes(self, tmp_path):
+        # save_checkpoint as code outside the CLI calls it: no split keyword
+        _, _, model = tiny_model()
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_checkpoint(model, first, objective="rjcce", seed=0)
+        assert json.loads(first.read_text())["split"] is None
+        loaded, meta = load_checkpoint(first)
+        assert meta["split"] is None
+        save_checkpoint(loaded, second, objective="rjcce", seed=0)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("split, message", [
+        ({"min_duration_minutes": 3.0, "min_item_count": None, "train_fraction": 1.5},
+         r"train_fraction must be a number in \(0, 1\), got 1.5"),
+        ({"min_duration_minutes": 3.0, "min_item_count": "x", "train_fraction": 0.9},
+         "min_item_count must be an integer >= 1, got 'x'"),
+        ({"min_duration_minutes": 3.0, "min_item_count": None, "train_fraction": 0.9, "x": 1},
+         "unexpected keyword argument 'x'"),
+        ([3.0, None, 0.9], "must be a mapping"),
+    ], ids=["train_fraction_1.5", "min_item_count_text", "unknown_key", "not_an_object"])
+    def test_bad_split_rejected(self, tmp_path, split, message):
+        _, _, model = tiny_model()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path, objective="rjcce", seed=0, split=SplitConfig())
+        doc = json.loads(path.read_text())
+        doc["split"] = split
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"checkpoint {path} is malformed: .*{message}"):
+            load_checkpoint(path)
 
     def test_unknown_version_rejected(self, tmp_path):
         _, _, model = tiny_model()
@@ -544,21 +589,23 @@ class TestCheckpoint:
             assert first.read_bytes() == second.read_bytes()
 
     def test_format_pinned(self, tmp_path):
-        # the saved document, read with this file's own decoder: seven keys,
+        # the saved document, read with this file's own decoder: eight keys,
         # the items as JSON objects, and the arrays in parameters() order as
         # base64 of little-endian float64
         _, _, model = tiny_model()
         model.context_encoder[0].weights[0, :3] = [-0.0, 5e-324, -1.7976931348623157e308]
         path = tmp_path / "ckpt.json"
-        save_checkpoint(model, path, objective="jcce", seed=4)
+        save_checkpoint(model, path, objective="jcce", seed=4, split=SplitConfig(min_item_count=2))
         text = path.read_text(encoding="ascii")
         doc = json.loads(text)
         assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
         assert sorted(doc) == [
             "encoder_config", "format_version", "items", "objective", "parameters", "schema",
-            "seed",
+            "seed", "split",
         ]
-        assert (doc["format_version"], doc["objective"], doc["seed"]) == (4, "jcce", 4)
+        assert (doc["format_version"], doc["objective"], doc["seed"]) == (5, "jcce", 4)
+        assert doc["split"] == {"min_duration_minutes": 3.0, "min_item_count": 2,
+                                "train_fraction": 0.9}
         assert doc["items"] == [{"genre": f"g{j}"} for j in range(4)]
         assert doc["encoder_config"] == {"embedding_dim": 5, "hidden_widths": [8]}
         params = model.parameters()
