@@ -3,7 +3,8 @@
 All losses operate on embedding batches (N, E) and return the scalar
 value together with exact gradients w.r.t. both embedding sets. Softmax
 terms use dot products (not cosine) and are stabilized with a per-row
-max shift, so values stay finite for any realistic magnitudes.
+max shift, so values stay finite for any realistic magnitudes. The input
+checks are nn_core's: check_finite for the embeddings, check_range for lam.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn_core import ShapeError
+from .nn_core import ShapeError, check_finite, check_range
 
 
 @dataclass
@@ -36,8 +37,7 @@ def _check_batch(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"embedding batches must share shape (N, E); got {a.shape} vs {p.shape}")
     if a.shape[0] < 1:
         raise ShapeError("empty batch")
-    if not (np.isfinite(a).all() and np.isfinite(p).all()):
-        raise ValueError("non-finite embeddings")
+    check_finite("embeddings", a, p)
     return a, p
 
 
@@ -104,10 +104,9 @@ def relaxed_npairs_loss(
 
 
 def l2_reg(anchors: np.ndarray, positives: np.ndarray, lam: float) -> LossResult:
-    """Embedding-magnitude penalty: lam * sum_i (|a_i|^2 + |p_i|^2)."""
+    """Embedding-magnitude penalty: lam * sum_i (|a_i|^2 + |p_i|^2), lam a finite number >= 0."""
     a, p = _check_batch(anchors, positives)
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    check_range("lam", lam, 0)
     value = lam * float((a * a).sum() + (p * p).sum())
     return LossResult(value=value, grad_anchors=2.0 * lam * a, grad_positives=2.0 * lam * p)
 

@@ -160,8 +160,7 @@ def dropout(x: np.ndarray, rate: float, rng: np.random.Generator) -> tuple[np.nd
     the backward pass is a plain elementwise multiply.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
+    check_range("dropout_rate", rate, 0, 1)
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
     return x * mask, mask

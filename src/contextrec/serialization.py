@@ -3,12 +3,13 @@
 Datasets are versioned, dictionary-coded JSON lines: a header of each
 attribute's distinct values, then one array of table indices per event;
 checkpoints are a single versioned JSON document carrying the config,
-schema, catalog items and data split (a SplitConfig, or null) as JSON and
-each parameter array, in TwoTowerModel.parameters() order, as the base64
-text of its C-order little-endian float64 bytes. Its shape and its layer's
-activation follow from the schema and the config, and the catalog's
-embeddings from the parameters and the items. Identical inputs always
-serialize byte-identically.
+schema, catalog items and data split (a SplitConfig, or null) as JSON, each
+stored object (encoder config, schema, feature spec, split) holding exactly
+its class's fields, and each parameter array, in TwoTowerModel.parameters()
+order, as the base64 text of its C-order little-endian float64 bytes. Its
+shape and its layer's activation follow from the schema and the config, and
+the catalog's embeddings from the parameters and the items. Identical inputs
+always serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .features import (
     _ABSENT, _MULTI_TYPES, FeatureSchema, FeatureSpec, SchemaError, ViewingEvent, _sorted_tuple,
 )
 from .model import EncoderConfig, TwoTowerModel, check_catalog_items
-from .nn_core import chain_activations, chain_layers, check_range
-from .trainer import OBJECTIVES
+from .nn_core import chain_activations, chain_layers
+from .trainer import TrainConfig
 
 CHECKPOINT_VERSION = 5
 DATASET_VERSION = 2
@@ -296,15 +297,6 @@ def _dicts(names: list, tables: list, columns: list, n: int) -> list[dict]:
     return out
 
 
-def _schema_from_json(doc: dict) -> FeatureSchema:
-    def spec(d: dict) -> FeatureSpec:
-        if type(d["vocabulary"]) is not list:
-            raise FormatError(f"feature {d['name']!r} vocabulary is not a JSON list")
-        return FeatureSpec(**{**d, "vocabulary": tuple(d["vocabulary"])})
-
-    return FeatureSchema(**{name: tuple(map(spec, rows)) for name, rows in doc.items()})
-
-
 def encode_array(a: np.ndarray) -> str:
     """The base64 of the array's C-order little-endian float64 bytes."""
     return base64.b64encode(np.ascontiguousarray(a, dtype=_FLOAT64_LE).tobytes()).decode("ascii")
@@ -342,11 +334,18 @@ def _shapes(schema: FeatureSchema, config: EncoderConfig) -> dict:
     return out
 
 
-def _check_run(objective, seed) -> None:
-    """ValueError unless objective is a trainer objective and seed an integer >= 0."""
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {list(OBJECTIVES)}, got {objective!r}")
-    check_range("seed", seed, 0, integer=True)
+def _from_json(cls, what: str, doc, lists=(), entry=None):
+    """cls(**doc) for a JSON object doc of exactly cls's fields, each field in
+    lists a JSON list passed as the tuple of its entries (mapped by entry, if
+    given). FormatError naming `what` and the key for a missing field or a
+    non-list; cls's own TypeError for another key or a doc of another type."""
+    if type(doc) is dict:
+        if missing := [f.name for f in dataclasses.fields(cls) if f.name not in doc]:
+            raise FormatError(f"{what} lacks key {missing[0]!r}")
+        if bad := [key for key in lists if type(doc[key]) is not list]:
+            raise FormatError(f"{what} {bad[0]} is not a JSON list")
+        doc = doc | {key: tuple(map(entry, doc[key]) if entry else doc[key]) for key in lists}
+    return cls(**doc)
 
 
 def save_checkpoint(model: TwoTowerModel, path, *, objective: str, seed: int,
@@ -356,7 +355,7 @@ def save_checkpoint(model: TwoTowerModel, path, *, objective: str, seed: int,
     items, a non-finite parameter), or for layer shapes or activations other
     than those of the model's schema and encoder config: the file stores
     neither, so it would load as another model."""
-    _check_run(objective, seed)
+    TrainConfig(objective=objective, seed=seed)  # the trainer's rule for both
     check_catalog_items(model.items, model.schema)
     shapes, params = _shapes(model.schema, model.config), model.parameters()
     activations = [[x.activation for x in t] for t in (model.context_encoder, model.item_encoder)]
@@ -386,9 +385,9 @@ def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
     """Returns (model, metadata with objective, seed and split, a SplitConfig or None).
 
     A file that is not a complete checkpoint of this format version, whose
-    parameters are not the arrays its schema and encoder config give, whose
-    split SplitConfig refuses, or whose items, objective or seed
-    save_checkpoint would refuse, raises FormatError naming it.
+    encoder config, schema, specs or split are not objects of exactly their
+    class's fields, whose parameters do not fit those, or whose items,
+    objective or seed save_checkpoint would refuse raises FormatError naming it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -399,9 +398,11 @@ def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
                 f"unsupported checkpoint format_version: {version!r}; this version reads "
                 f"format {CHECKPOINT_VERSION} only, so re-run `contextrec train` to write one"
             )
-        cfg = doc["encoder_config"]
-        config = EncoderConfig(**{**cfg, "hidden_widths": tuple(cfg["hidden_widths"])})
-        schema = _schema_from_json(doc["schema"])
+        config = _from_json(EncoderConfig, "encoder_config", doc["encoder_config"],
+                            ("hidden_widths",))
+        schema = _from_json(FeatureSchema, "schema", doc["schema"], ("context_specs", "item_specs"),
+                            lambda d: _from_json(FeatureSpec, f"feature {d.get('name')!r}", d,
+                                                 ("vocabulary",)))
         shapes, texts = _shapes(schema, config), doc["parameters"]
         if type(texts) is not list or len(texts) != len(shapes):
             got = len(texts) if type(texts) is list else type(texts).__name__
@@ -417,8 +418,8 @@ def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
             raise FormatError("items must be a list of attribute objects")
         items = tuple(map(attrs_from_json, doc["items"]))
         check_catalog_items(items, schema)
-        _check_run(doc["objective"], doc["seed"])
-        split = doc["split"] if doc["split"] is None else SplitConfig(**doc["split"])
+        TrainConfig(objective=doc["objective"], seed=doc["seed"])
+        split = None if doc["split"] is None else _from_json(SplitConfig, "split", doc["split"])
         half = len(arrays) // 2  # the towers have equally many layers
         model = TwoTowerModel(schema, chain_layers(arrays[:half]), chain_layers(arrays[half:]),
                               config, items)

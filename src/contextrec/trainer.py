@@ -14,7 +14,8 @@ import numpy as np
 
 from . import losses
 from .features import (
-    _MULTI_TYPES, FeatureSchema, SchemaError, ViewingEvent, _sorted_tuple, context_ids, item_ids
+    _MULTI_TYPES, KIND_MULTI, FeatureSchema, FeatureSpec, SchemaError, ViewingEvent, _kind_error,
+    _sorted_tuple, context_ids, item_ids,
 )
 from .model import EncoderConfig, TwoTowerModel, precompute_catalog
 from .nn_core import (AdamState, DegenerateMeasure, adam_step, check_finite, check_range,
@@ -61,8 +62,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.objective not in _OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}")
+        if self.objective not in OBJECTIVES:  # a tuple, so an unhashable value is refused too
+            raise ValueError(f"objective must be one of {list(OBJECTIVES)}, got {self.objective!r}")
         for name, low in (("batch_size", 2), ("max_steps", 0), ("eval_every", 1), ("patience", 1),
                           ("seed", 0)):
             check_range(name, getattr(self, name), low, integer=True)
@@ -246,9 +247,7 @@ def ablate_to_single_viewer(
     for e in log:
         viewers = e.context_attributes.get("viewer_ids")
         if not isinstance(viewers, _MULTI_TYPES):  # None when an event lacks it
-            raise SchemaError(
-                f"attribute 'viewer_ids' takes a list, got {type(viewers).__name__} {viewers!r}"
-            )
+            raise _kind_error(FeatureSpec("viewer_ids", KIND_MULTI), viewers)
         viewers = _sorted_tuple("viewer_ids", viewers)
         if len(viewers) <= 1:
             out.append(e)

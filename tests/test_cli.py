@@ -915,6 +915,16 @@ BOUNDARY_CASES = {
         {"dropout_rate": False}, TRAIN_ARGS, None, EXIT_CONFIG,
         "config error: invalid TrainConfig: dropout_rate must be a number in [0, 1), got False",
     ),
+    "train_objective_unknown": (
+        {"objective": "foo"}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: objective must be one of ['jcce', 'rjcce', 'ljcce', "
+        "'bpr'], got 'foo'",
+    ),
+    "train_objective_list": (
+        {"objective": ["jcce"]}, TRAIN_ARGS, None, EXIT_CONFIG,
+        "config error: invalid TrainConfig: objective must be one of ['jcce', 'rjcce', 'ljcce', "
+        "'bpr'], got ['jcce']",
+    ),
     "train_validation_fraction_text": (
         {"validation_fraction": "x"}, TRAIN_ARGS, None, EXIT_CONFIG,
         "config error: invalid TrainConfig: validation_fraction must be a number in (0, 0.5), "
@@ -1394,6 +1404,11 @@ BOUNDARY_CASES = {
         {}, EVAL_ARGS, ("checkpoint", _older_format(4, "split")), EXIT_DATA,
         "data error: checkpoint {checkpoint}: unsupported checkpoint format_version: 4; "
         "this version reads format 5 only, so re-run `contextrec train` to write one",
+    ),
+    "eval_checkpoint_split_empty": (
+        # the split holds exactly SplitConfig's fields: no default fills a missing one
+        {}, EVAL_ARGS, ("checkpoint", _checkpoint_key("split", lambda _: {})), EXIT_DATA,
+        "data error: checkpoint {checkpoint}: split lacks key 'min_duration_minutes'",
     ),
     "recommend_checkpoint_items_not_a_list": (
         {}, RECOMMEND_ARGS, ("checkpoint", _checkpoint_key("items", lambda items: items[0])),

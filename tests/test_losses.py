@@ -60,7 +60,7 @@ class TestNpairsLoss:
 
     def test_rejects_nonfinite(self):
         a = np.full((2, 2), np.nan)
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError, match="^non-finite embeddings$"):
             npairs_loss(a, np.zeros((2, 2)))
 
 
@@ -152,6 +152,12 @@ class TestL2Reg:
         with pytest.raises(ValueError):
             l2_reg(a, a, -1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_lambda_rejected(self, rng, lam):
+        a = rng.normal(size=(2, 2))
+        with pytest.raises(ValueError, match=f"^lam must be a finite number >= 0, got {lam!r}$"):
+            l2_reg(a, a, lam)
+
 
 class TestComposites:
     def test_symmetric_batch_directions_equal(self, rng):
@@ -224,6 +230,27 @@ class TestBprLoss:
         c = rng.normal(size=(3, 2))
         with pytest.raises(ValueError):
             bpr_loss(c, c, np.array([0, 2, 1]), 0.0)
+
+
+# every public loss as a function of one (anchors, positives) pair of (3, 2) batches
+PUBLIC_LOSSES = {
+    "npairs_loss": npairs_loss,
+    "relaxed_npairs_loss": lambda a, p: relaxed_npairs_loss(a, p, distinct_ids(3)),
+    "l2_reg": lambda a, p: l2_reg(a, p, 0.1),
+    "jcce_objective": lambda a, p: jcce_objective(a, p, 0.1),
+    "rjcce_objective": lambda a, p: rjcce_objective(a, p, distinct_ids(3), 0.1),
+    "bpr_loss": lambda a, p: bpr_loss(a, p, np.array([1, 2, 0]), 0.1),
+}
+
+
+@pytest.mark.parametrize("loss", PUBLIC_LOSSES.values(), ids=PUBLIC_LOSSES.keys())
+@pytest.mark.parametrize("side", ["anchors", "positives"])
+def test_nan_batch_is_a_floating_point_error(rng, loss, side):
+    # nn_core.check_finite's type: the trainer stops a diverging run on it
+    batches = [rng.normal(size=(3, 2)), rng.normal(size=(3, 2))]
+    batches[side == "positives"][1, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="^non-finite embeddings$"):
+        loss(*batches)
 
 
 def test_loss_result_shapes(rng):

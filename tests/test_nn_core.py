@@ -235,6 +235,13 @@ class TestDropout:
         with pytest.raises(ValueError):
             dropout(np.zeros(3), 1.0, rng)
 
+    @pytest.mark.parametrize("rate", [1.0, -0.1, np.nan, False],
+                             ids=["1", "negative", "nan", "bool"])
+    def test_rate_checked_as_the_train_config_checks_it(self, rng, rate):
+        with pytest.raises(ValueError) as exc:
+            dropout(np.zeros(3), rate, rng)
+        assert str(exc.value) == f"dropout_rate must be a number in [0, 1), got {rate!r}"
+
 
 class TestEncoderForwardBackward:
     def test_single_identity_layer(self, rng):

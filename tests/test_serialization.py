@@ -540,6 +540,44 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"checkpoint {path} is malformed: .*{message}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(split={}), ": split lacks key 'min_duration_minutes'"),
+        (lambda doc: doc.update(split={"train_fraction": 0.3}),
+         ": split lacks key 'min_duration_minutes'"),
+        (lambda doc: doc["encoder_config"].pop("embedding_dim"),
+         ": encoder_config lacks key 'embedding_dim'"),
+        (lambda doc: doc["schema"]["context_specs"][1].pop("min"),
+         ": feature 'user' lacks key 'min'"),
+        (lambda doc: doc["schema"]["item_specs"][0].pop("name"), ": feature None lacks key 'name'"),
+        (lambda doc: doc["schema"].pop("item_specs"), ": schema lacks key 'item_specs'"),
+        (lambda doc: doc["encoder_config"].update(hidden_widths=8),
+         ": encoder_config hidden_widths is not a JSON list"),
+        (lambda doc: doc["encoder_config"].update(architecture="mlp"),
+         " is malformed: EncoderConfig.__init__() got an unexpected keyword argument "
+         "'architecture'"),
+        (lambda doc: doc["schema"]["context_specs"][1].update(x=1),
+         " is malformed: FeatureSpec.__init__() got an unexpected keyword argument 'x'"),
+    ], ids=["split_empty", "split_one_key", "encoder_config_without_embedding_dim",
+            "categorical_spec_without_min", "spec_without_name", "schema_without_item_specs",
+            "hidden_widths_not_a_list", "encoder_config_unknown_key", "spec_unknown_key"])
+    def test_object_of_other_fields_rejected(self, tmp_path, edit, message):
+        # each stored object holds exactly its class's fields: a missing one
+        # is refused, not filled with its default
+        _, schema, tiny = tiny_model()
+        model = TwoTowerModel.initialize(schema, EncoderConfig(hidden_widths=(8,)), make_rng(3))
+        model.items = tiny.items
+        assert model.config.embedding_dim == EncoderConfig.embedding_dim
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path, objective="rjcce", seed=0,
+                        split=SplitConfig(train_fraction=0.3))
+        doc = json.loads(path.read_text())
+        assert doc["schema"]["context_specs"][1]["name"] == "user"
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"checkpoint {path}{message}"
+
     def test_unknown_version_rejected(self, tmp_path):
         _, _, model = tiny_model()
         path = tmp_path / "ckpt.json"
@@ -730,6 +768,7 @@ class TestCheckpoint:
             ("", 0, None, f"objective must be one of {list(OBJECTIVES)}, got ''"),
             ("a,b\nc", 0, None, f"objective must be one of {list(OBJECTIVES)}, got 'a,b\\nc'"),
             (5, 0, None, f"objective must be one of {list(OBJECTIVES)}, got 5"),
+            (["jcce"], 0, None, f"objective must be one of {list(OBJECTIVES)}, got ['jcce']"),
             ("jcce", -1, None, "seed must be an integer >= 0, got -1"),
             ("jcce", "x", None, "seed must be an integer >= 0, got 'x'"),
             ("jcce", True, None, "seed must be an integer >= 0, got True"),
@@ -743,8 +782,8 @@ class TestCheckpoint:
              "item 2 attribute 'genre' is categorical_multi, but its feature is "
              "categorical_single"),
         ],
-        ids=["objective_empty", "objective_csv", "objective_number", "seed_negative",
-             "seed_text", "seed_bool", "one_item", "no_items", "duplicate_items",
+        ids=["objective_empty", "objective_csv", "objective_number", "objective_list",
+             "seed_negative", "seed_text", "seed_bool", "one_item", "no_items", "duplicate_items",
              "item_number", "item_list"],
     )
     def test_what_train_cannot_make_is_not_saved(self, tmp_path, objective, seed, items,
