@@ -64,16 +64,17 @@ class LabeledEmbeddings:
 
 def _angular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(1/pi) * arccos(cosine) between every row of a and every row of b, as
-    one normalized product, clamped to [-1, 1] to absorb rounding; passing the
-    same array twice keeps numpy's symmetric a @ a.T kernel. A zero-norm row is
-    a DegenerateMeasure, a non-finite norm FloatingPointError."""
+    one normalized product, clamped to [-1, 1] to absorb rounding, each step in
+    the product's buffer; passing the same array twice keeps numpy's symmetric
+    a @ a.T kernel. A zero-norm row is a DegenerateMeasure, a non-finite norm FloatingPointError."""
     na = finite_row_norms("embedding norms", a)[:, None]
     nb = na if b is a else finite_row_norms("embedding norms", b)[:, None]
     check_nonzero_norms(na)
     check_nonzero_norms(nb)
     normed_a = a / na
     normed_b = normed_a if b is a else b / nb
-    return np.arccos(np.clip(normed_a @ normed_b.T, -1.0, 1.0)) / np.pi
+    cos = normed_a @ normed_b.T
+    return np.divide(np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos), np.pi, out=cos)
 
 
 # Elements in one row block of the SNNM temperature loop: 64 rows at the

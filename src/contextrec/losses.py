@@ -5,11 +5,14 @@ value together with exact gradients w.r.t. both embedding sets. Softmax
 terms use dot products (not cosine) and are stabilized with a per-row
 max shift, so values stay finite for any realistic magnitudes. The input
 checks are nn_core's: check_finite for the embeddings, check_range for lam.
+Gradients are computed on their first read, so validation pays for none,
+and a loss writes only into arrays it allocated, never into its arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +29,10 @@ class LossResult:
     """
 
     value: float
-    grad_anchors: np.ndarray
-    grad_positives: np.ndarray
+    _grads: object = field(repr=False)  # () -> both gradients: the first read calls it, once
+    _pair = cached_property(lambda self: self._grads())
+    grad_anchors = property(lambda self: self._pair[0])
+    grad_positives = property(lambda self: self._pair[1])
 
 
 def _check_batch(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -48,22 +53,26 @@ def npairs_loss(anchors: np.ndarray, positives: np.ndarray) -> LossResult:
     """
     a, p = _check_batch(anchors, positives)
     n = a.shape[0]
-    logits = a @ p.T
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = a @ p.T
+    shifted -= shifted.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
-    value = -(shifted - np.log(total)).diagonal().mean()
-    # dL/dlogits = (softmax - I) / N
-    g = (e / total - np.eye(n)) / n
-    return LossResult(value=float(value), grad_anchors=g @ p, grad_positives=g.T @ a)
+    shifted -= np.log(total)
+    value = -shifted.diagonal().mean()
+    def grads():  # dL/dlogits = (softmax - I) / N, in e
+        g = np.divide(e, total, out=e)
+        g.ravel()[:: n + 1] -= 1.0
+        g /= n
+        return g @ p, g.T @ a
+    return LossResult(float(value), grads)
 
 
-def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise log-sum-exp and softmax, shifted by each row's max."""
-    top = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - top)
-    total = e.sum(axis=1, keepdims=True)
-    return (top + np.log(total))[:, 0], e / total
+def _softmax_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log-sum-exp and softmax, shifted by each row's max; the softmax overwrites x."""
+    top = x.max(axis=1, keepdims=True)
+    total = np.exp(np.subtract(x, top, out=x), out=x).sum(axis=1, keepdims=True)
+    x /= total
+    return (top + np.log(total))[:, 0], x
 
 
 def _joint_positives(item_ids: np.ndarray, n: int) -> np.ndarray:
@@ -82,12 +91,14 @@ def _relaxed(a: np.ndarray, p: np.ndarray, member: np.ndarray) -> LossResult:
     # -log P'_i = logsumexp(row i) - logsumexp(row i's joint positives), each
     # with its own max shift, so a positive far below the row max stays
     # finite; a group spanning the whole batch gives two identical terms
-    lse_all, soft = _softmax_parts(logits)
     lse_pos, pos_soft = _softmax_parts(np.where(member, logits, -np.inf))
+    lse_all, soft = _softmax_parts(logits)  # last: it overwrites logits
     value = float(np.mean(inv_size * (lse_all - lse_pos)))
-    # d(-log P'_i)/dlogit_ij = softmax_ij - member_ij * positive-softmax_ij
-    g = (inv_size / n)[:, None] * (soft - pos_soft)
-    return LossResult(value=value, grad_anchors=g @ p, grad_positives=g.T @ a)
+    def grads():  # d(-log P'_i)/dlogit_ij = softmax_ij - member_ij * positive-softmax_ij
+        g = np.subtract(soft, pos_soft, out=soft)
+        g *= (inv_size / n)[:, None]
+        return g @ p, g.T @ a
+    return LossResult(value, grads)
 
 
 def relaxed_npairs_loss(
@@ -108,17 +119,16 @@ def l2_reg(anchors: np.ndarray, positives: np.ndarray, lam: float) -> LossResult
     a, p = _check_batch(anchors, positives)
     check_range("lam", lam, 0)
     value = lam * float((a * a).sum() + (p * p).sum())
-    return LossResult(value=value, grad_anchors=2.0 * lam * a, grad_positives=2.0 * lam * p)
+    return LossResult(value, lambda: (2.0 * lam * a, 2.0 * lam * p))
 
 
 def _two_way(fwd: LossResult, rev: LossResult, reg: LossResult) -> LossResult:
     """Sum of the item-anchored (fwd) and context-anchored (rev) directions
     and the regularizer, with gradients w.r.t. (context_emb, item_emb)."""
-    return LossResult(
-        value=fwd.value + rev.value + reg.value,
-        grad_anchors=fwd.grad_positives + rev.grad_anchors + reg.grad_anchors,
-        grad_positives=fwd.grad_anchors + rev.grad_positives + reg.grad_positives,
-    )
+    return LossResult(fwd.value + rev.value + reg.value, lambda: (
+        fwd.grad_positives + rev.grad_anchors + reg.grad_anchors,
+        fwd.grad_anchors + rev.grad_positives + reg.grad_positives,
+    ))
 
 
 def jcce_objective(
@@ -176,10 +186,10 @@ def bpr_loss(
     z = np.einsum("ie,ie->i", c, it) - np.einsum("ie,ie->i", c, it[neg])
     reg = l2_reg(c, it, lam)
     value = float(_softplus(-z).sum()) + reg.value
-
-    # d(-log sigmoid(z_i))/dz_i = -sigmoid(-z_i), computed overflow-free
-    dz = -np.exp(-_softplus(z))
-    grad_c = dz[:, None] * (it - it[neg]) + reg.grad_anchors
-    grad_it = dz[:, None] * c + reg.grad_positives
-    np.subtract.at(grad_it, neg, dz[:, None] * c)
-    return LossResult(value=value, grad_anchors=grad_c, grad_positives=grad_it)
+    def grads():  # d(-log sigmoid(z_i))/dz_i = -sigmoid(-z_i), computed overflow-free
+        dz = -np.exp(-_softplus(z))
+        grad_c = dz[:, None] * (it - it[neg]) + reg.grad_anchors
+        grad_it = dz[:, None] * c + reg.grad_positives
+        np.subtract.at(grad_it, neg, dz[:, None] * c)
+        return grad_c, grad_it
+    return LossResult(value, grads)

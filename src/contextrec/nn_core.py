@@ -159,11 +159,15 @@ def dropout(x: np.ndarray, rate: float, rng: np.random.Generator) -> tuple[np.nd
     Returns (output, mask) where mask already carries the scale factor so
     the backward pass is a plain elementwise multiply.
     """
-    x = np.asarray(x, dtype=np.float64)
+    mask = _dropout_mask(np.shape(x), rate, rng)
+    return np.asarray(x, dtype=np.float64) * mask, mask
+
+
+def _dropout_mask(shape: tuple, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """1/(1-rate) where one rng.random(shape) draw is below 1-rate, else 0: in the draw's buffer."""
     check_range("dropout_rate", rate, 0, 1)
-    keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
-    return x * mask, mask
+    mask = rng.random(shape)
+    return np.divide(np.less(mask, 1.0 - rate, out=mask), 1.0 - rate, out=mask)
 
 
 @dataclass
@@ -209,7 +213,8 @@ def encoder_forward(
         # only the tape reads z again, so serving overwrites it
         h = np.maximum(z, 0.0, out=None if training else z) if layer.activation == "relu" else z
         if training and i < len(layers) - 1 and dropout_rate > 0.0:
-            h, tape.dropout_masks[-1] = dropout(h, dropout_rate, rng)
+            mask = tape.dropout_masks[-1] = _dropout_mask(h.shape, dropout_rate, rng)
+            h = np.multiply(h, mask, out=None if h is z else h)  # z is taped: never written
     return h, tape
 
 
@@ -260,10 +265,9 @@ def _cells_weight_grad(x: Cells, g: np.ndarray) -> np.ndarray:
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal values in a sorted,
-    nonempty array."""
+    """Index of the first element of each run of equal values in a sorted array."""
     first = np.empty(keys.size, dtype=bool)  # one array: serve calls this once per catalog item
-    first[0] = True
+    first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return np.flatnonzero(first)
 
@@ -274,18 +278,18 @@ def encoder_backward(tape: ForwardTape, grad_wrt_embedding: np.ndarray) -> list[
 
     Returns [dW0, db0, dW1, db1, ...], the order of the layers' weights and
     biases in TwoTowerModel.parameters(). ReLU passes zero gradient where
-    the pre-activation is <= 0.
+    the pre-activation is <= 0. The masks apply in place, never to the caller's array.
     """
-    g = np.asarray(grad_wrt_embedding, dtype=np.float64)
+    g = arg = np.asarray(grad_wrt_embedding, dtype=np.float64)
     if g.ndim != 2 or g.shape != tape.pre_activations[-1].shape:
         raise ShapeError("gradient must be an (N, E) batch matching the taped embedding")
     grads: list[np.ndarray] = []  # built from the last layer back, reversed at the end
     for i in range(len(tape.layers) - 1, -1, -1):
         layer = tape.layers[i]
         if tape.dropout_masks[i] is not None:
-            g = g * tape.dropout_masks[i]
+            g = np.multiply(g, tape.dropout_masks[i], out=None if g is arg else g)
         if layer.activation == "relu":
-            g = g * (tape.pre_activations[i] > 0.0)
+            g = np.multiply(g, tape.pre_activations[i] > 0.0, out=None if g is arg else g)
         x = tape.inputs[i]
         grads += [g.sum(axis=0), _cells_weight_grad(x, g) if isinstance(x, Cells) else g.T @ x]
         if i:

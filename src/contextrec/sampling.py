@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FeatureSchema, ViewingEvent, vectorize_context, vectorize_item
-from .nn_core import Cells
+from .nn_core import Cells, _run_starts
 
 
 class SamplingError(ValueError):
@@ -45,7 +45,8 @@ class PairIndex:
         cls, context_ids: np.ndarray, item_ids: np.ndarray, n_items: int
     ) -> "PairIndex":
         """The index of the pairs (context_ids[i], item_ids[i]) of a log."""
-        return cls(np.unique(context_ids.astype(np.int64) * n_items + item_ids), n_items)
+        codes = np.sort(context_ids.astype(np.int64) * n_items + item_ids)  # np.unique, unhashed
+        return cls(codes[_run_starts(codes)], n_items)
 
     def observed(self, context_ids: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
         """(N, M) bool: context_ids[r] was observed with item_ids[c]; one binary search per cell."""

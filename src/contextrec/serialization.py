@@ -35,6 +35,8 @@ from .nn_core import chain_activations, chain_layers
 from .trainer import TrainConfig
 
 CHECKPOINT_VERSION = 5
+CHECKPOINT_KEYS = {"encoder_config", "format_version", "items", "objective", "parameters", "schema",
+                   "seed", "split"}  # what save_checkpoint writes: all that load_checkpoint reads
 DATASET_VERSION = 2
 _CHUNK_LINES = 4096  # event lines per json.loads call of read_dataset
 _FLOAT64_LE = np.dtype("<f8")
@@ -384,10 +386,10 @@ def save_checkpoint(model: TwoTowerModel, path, *, objective: str, seed: int,
 def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
     """Returns (model, metadata with objective, seed and split, a SplitConfig or None).
 
-    A file that is not a complete checkpoint of this format version, whose
-    encoder config, schema, specs or split are not objects of exactly their
-    class's fields, whose parameters do not fit those, or whose items,
-    objective or seed save_checkpoint would refuse raises FormatError naming it.
+    A file that is not a checkpoint of this format version of exactly its
+    CHECKPOINT_KEYS, whose encoder config, schema, specs or split are not objects
+    of exactly their class's fields, whose parameters do not fit those, or whose
+    items, objective or seed save_checkpoint would refuse raises FormatError naming it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -398,6 +400,8 @@ def load_checkpoint(path) -> tuple[TwoTowerModel, dict]:
                 f"unsupported checkpoint format_version: {version!r}; this version reads "
                 f"format {CHECKPOINT_VERSION} only, so re-run `contextrec train` to write one"
             )
+        if extra := sorted(doc.keys() - CHECKPOINT_KEYS):  # refused, not dropped unread
+            raise FormatError(f"keys {extra} are not in format {CHECKPOINT_VERSION}")
         config = _from_json(EncoderConfig, "encoder_config", doc["encoder_config"],
                             ("hidden_widths",))
         schema = _from_json(FeatureSchema, "schema", doc["schema"], ("context_specs", "item_specs"),

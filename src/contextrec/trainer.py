@@ -131,7 +131,7 @@ def _loss_and_grads(
     check_finite("embeddings", ctx_emb, item_emb)
     res = _OBJECTIVES[config.objective].loss(ctx_emb, item_emb, batch, negatives, config.lam)
     check_finite("loss", res.value)
-    if not training:
+    if not training:  # the gradients are computed when read, so validation computes none
         return res.value, None
     grads = encoder_backward(ctx_tape, res.grad_anchors)
     grads += encoder_backward(item_tape, res.grad_positives)

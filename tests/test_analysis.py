@@ -84,6 +84,27 @@ class TestAngularDistance:
             angular_distance(np.ones((1, 3)), np.ones((1, 3)))
 
 
+def angular_oracle(a, b):
+    """analysis._angular with every step out of place."""
+    na = np.linalg.norm(a, axis=1)[:, None]
+    nb = na if b is a else np.linalg.norm(b, axis=1)[:, None]
+    normed_a = a / na
+    normed_b = normed_a if b is a else b / nb
+    return np.arccos(np.clip(normed_a @ normed_b.T, -1.0, 1.0)) / np.pi
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["a_is_b", "a_and_b"])
+def test_angular_in_place_bits(rng, same):
+    # twins and antipodes put cosines at the clamp
+    a = rng.normal(size=(37, 5)) * 10.0 ** rng.uniform(-3, 3, size=(37, 1))
+    a[1], a[2] = 3.0 * a[0], -a[0]
+    b = a if same else np.vstack([a[:5], rng.normal(size=(20, 5))])
+    before = a.tobytes(), b.tobytes()
+    got = analysis._angular(a, b)
+    assert got.tobytes() == angular_oracle(a, b).tobytes()
+    assert (a.tobytes(), b.tobytes()) == before
+
+
 def two_clusters(n_per=16, spread=0.01, rng=None):
     """Two tight clusters around orthogonal directions."""
     rng = rng or make_rng(0)

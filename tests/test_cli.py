@@ -684,6 +684,12 @@ def _checkpoint_without_schema(path, original):
     path.write_text(json.dumps(doc))
 
 
+def _checkpoint_with_dataset_sha256(path, original):
+    doc = json.loads(original.read_text())
+    doc["dataset_sha256"] = "abc"
+    path.write_text(json.dumps(doc))
+
+
 def _checkpoint_with_text_weights(path, original):
     # format 1's decimal text inside a format 3 document, one entry a word
     doc = json.loads(original.read_text())
@@ -1409,6 +1415,11 @@ BOUNDARY_CASES = {
         # the split holds exactly SplitConfig's fields: no default fills a missing one
         {}, EVAL_ARGS, ("checkpoint", _checkpoint_key("split", lambda _: {})), EXIT_DATA,
         "data error: checkpoint {checkpoint}: split lacks key 'min_duration_minutes'",
+    ),
+    "eval_checkpoint_extra_key": (
+        # a key the format does not have is refused, not dropped unread
+        {}, EVAL_ARGS, ("checkpoint", _checkpoint_with_dataset_sha256), EXIT_DATA,
+        "data error: checkpoint {checkpoint}: keys ['dataset_sha256'] are not in format 5",
     ),
     "recommend_checkpoint_items_not_a_list": (
         {}, RECOMMEND_ARGS, ("checkpoint", _checkpoint_key("items", lambda items: items[0])),

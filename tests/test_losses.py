@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from contextrec import losses
 from contextrec.losses import (
     LossResult,
     bpr_loss,
@@ -265,3 +266,121 @@ def test_loss_result_shapes(rng):
         assert res.grad_anchors.shape == a.shape
         assert res.grad_positives.shape == p.shape
         assert np.isfinite(res.grad_anchors).all()
+
+
+# Out-of-place copies of the losses' formulas, each step into a new array:
+# the in-place code must give their bits.
+def softmax_parts_oracle(logits):
+    top = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - top)
+    total = e.sum(axis=1, keepdims=True)
+    return (top + np.log(total))[:, 0], e / total
+
+
+def npairs_oracle(a, p):
+    n = a.shape[0]
+    logits = a @ p.T
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    value = -(shifted - np.log(total)).diagonal().mean()
+    g = (e / total - np.eye(n)) / n
+    return float(value), g @ p, g.T @ a
+
+
+def relaxed_oracle(a, p, member):
+    n = a.shape[0]
+    inv_size = 1.0 / member.sum(axis=1)
+    logits = a @ p.T
+    lse_all, soft = softmax_parts_oracle(logits)
+    lse_pos, pos_soft = softmax_parts_oracle(np.where(member, logits, -np.inf))
+    value = float(np.mean(inv_size * (lse_all - lse_pos)))
+    g = (inv_size / n)[:, None] * (soft - pos_soft)
+    return value, g @ p, g.T @ a
+
+
+def two_way_oracle(fwd, rev, c, it, lam):
+    reg = lam * float((c * c).sum() + (it * it).sum())
+    return (fwd[0] + rev[0] + reg, fwd[2] + rev[1] + 2.0 * lam * c,
+            fwd[1] + rev[2] + 2.0 * lam * it)
+
+
+def bpr_oracle(c, it, neg, lam):
+    z = np.einsum("ie,ie->i", c, it) - np.einsum("ie,ie->i", c, it[neg])
+    value = float(np.logaddexp(0.0, -z).sum()) + lam * float((c * c).sum() + (it * it).sum())
+    dz = -np.exp(-np.logaddexp(0.0, z))
+    grad_c = dz[:, None] * (it - it[neg]) + 2.0 * lam * c
+    grad_it = dz[:, None] * c + 2.0 * lam * it
+    np.subtract.at(grad_it, neg, dz[:, None] * c)
+    return value, grad_c, grad_it
+
+
+def result_bytes(res):
+    if isinstance(res, LossResult):
+        res = (res.value, res.grad_anchors, res.grad_positives)
+    return (np.float64(res[0]).tobytes(), res[1].tobytes(), res[2].tobytes())
+
+
+IDS = {  # content ids of a 24-row batch
+    "distinct": lambda rng: np.arange(24),
+    "one_id": lambda rng: np.zeros(24, dtype=int),
+    "groups": lambda rng: rng.integers(5, size=24),
+}
+
+
+class TestInPlaceBits:
+    """The losses write into arrays they allocated, with the oracles' bits,
+    and compute their gradients when first read."""
+
+    @pytest.mark.parametrize("masked", ["none", "some", "all_but_one"])
+    def test_softmax_parts(self, rng, masked):
+        x = rng.normal(size=(24, 24)) * 10.0
+        if masked != "none":  # -inf outside each row's joint positives, the diagonal kept
+            cut = rng.random(x.shape) < 0.5 if masked == "some" else np.ones(x.shape, dtype=bool)
+            cut[np.arange(24), np.arange(24)] = False
+            x[cut] = -np.inf
+        want = softmax_parts_oracle(x)
+        lse, soft = losses._softmax_parts(x.copy())
+        assert lse.tobytes() == want[0].tobytes() and soft.tobytes() == want[1].tobytes()
+
+    def test_npairs(self, rng):
+        a, p = rng.normal(size=(24, 6)), rng.normal(size=(24, 6))
+        assert result_bytes(npairs_loss(a, p)) == result_bytes(npairs_oracle(a, p))
+
+    @pytest.mark.parametrize("ids", IDS.values(), ids=IDS.keys())
+    def test_relaxed(self, rng, ids):
+        a, p = rng.normal(size=(24, 6)), rng.normal(size=(24, 6))
+        item_ids = ids(rng)
+        member = item_ids[:, None] == item_ids[None, :]
+        want = relaxed_oracle(a, p, member)
+        assert result_bytes(relaxed_npairs_loss(a, p, item_ids)) == result_bytes(want)
+
+    @pytest.mark.parametrize("ids", IDS.values(), ids=IDS.keys())
+    def test_objectives(self, rng, ids):
+        c, it = rng.normal(size=(24, 6)), rng.normal(size=(24, 6))
+        item_ids = ids(rng)
+        member = item_ids[:, None] == item_ids[None, :]
+        want = two_way_oracle(relaxed_oracle(it, c, member), relaxed_oracle(c, it, member),
+                              c, it, 1e-3)
+        assert result_bytes(rjcce_objective(c, it, item_ids, 1e-3)) == result_bytes(want)
+        want = two_way_oracle(npairs_oracle(it, c), npairs_oracle(c, it), c, it, 1e-3)
+        assert result_bytes(jcce_objective(c, it, 1e-3)) == result_bytes(want)
+        neg = (np.arange(24) + 1 + rng.integers(23, size=24)) % 24
+        assert result_bytes(bpr_loss(c, it, neg, 1e-3)) == result_bytes(bpr_oracle(c, it, neg, 1e-3))
+
+    @pytest.mark.parametrize("loss", PUBLIC_LOSSES.values(), ids=PUBLIC_LOSSES.keys())
+    def test_arguments_never_written(self, rng, loss):
+        a, p = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        before = a.tobytes(), p.tobytes()
+        res = loss(a, p)
+        res.grad_anchors, res.grad_positives
+        assert (a.tobytes(), p.tobytes()) == before
+
+    @pytest.mark.parametrize("loss", PUBLIC_LOSSES.values(), ids=PUBLIC_LOSSES.keys())
+    def test_lazy_gradients_read_once_in_either_order(self, rng, loss):
+        a, p = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        first, second = loss(a, p), loss(a, p)
+        assert "_pair" not in vars(first)  # the value alone computed no gradient
+        pos = second.grad_positives
+        assert result_bytes(first) == result_bytes(second)
+        assert second.grad_positives is pos and first.grad_anchors is first.grad_anchors

@@ -439,6 +439,110 @@ class TestCellsLayer:
             encoder_forward(layers, wide)
 
 
+def dropout_oracle(x, rate, rng):
+    """dropout with its mask built out of place: compare, cast, then scale."""
+    keep = 1.0 - rate
+    mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
+    return x * mask, mask
+
+
+def training_forward_oracle(layers, x, rate, rng):
+    """encoder_forward's training pass with every step out of place:
+    (embedding, inputs, pre-activations, dropout masks)."""
+    h, inputs, pres, masks = x, [], [], []
+    for i, layer in enumerate(layers):
+        z = (nn_core._cells_affine(h, layer) if isinstance(h, Cells)
+             else h @ layer.weights.T + layer.biases)
+        inputs.append(h)
+        pres.append(z)
+        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        mask = None
+        if i < len(layers) - 1 and rate > 0.0:
+            h, mask = dropout_oracle(h, rate, rng)
+        masks.append(mask)
+    return h, inputs, pres, masks
+
+
+def backward_oracle(tape, g):
+    """encoder_backward with both masks applied out of place."""
+    grads = []
+    for i in range(len(tape.layers) - 1, -1, -1):
+        layer = tape.layers[i]
+        if tape.dropout_masks[i] is not None:
+            g = g * tape.dropout_masks[i]
+        if layer.activation == "relu":
+            g = g * (tape.pre_activations[i] > 0.0)
+        x = tape.inputs[i]
+        grads += [g.sum(axis=0),
+                  nn_core._cells_weight_grad(x, g) if isinstance(x, Cells) else g.T @ x]
+        if i:
+            g = g @ layer.weights
+    return grads[::-1]
+
+
+def same_bytes(xs, ys):
+    return len(xs) == len(ys) and all(
+        (x is None and y is None) or (x.shape == y.shape and x.tobytes() == y.tobytes())
+        for x, y in zip(xs, ys))
+
+
+class TestInPlaceStep:
+    """dropout, the training forward pass and the backward pass write into
+    arrays they made, with the bits of the out-of-place oracles above, and
+    never into an array that their caller passed in or that the tape holds."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_dropout_bits_and_rng(self, rng, rate):
+        x = rng.normal(size=(9, 13))
+        before = x.copy()
+        rng_a, rng_b = make_rng(3), make_rng(3)
+        out, mask = dropout(x, rate, rng_a)
+        want_out, want_mask = dropout_oracle(x, rate, rng_b)
+        assert same_bytes([out, mask], [want_out, want_mask])
+        assert x.tobytes() == before.tobytes()
+        assert rng_a.random() == rng_b.random()  # the same draws, so the same stream after
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    @pytest.mark.parametrize("form", ["dense", "cells"])
+    @pytest.mark.parametrize("hidden", ["relu", "identity"])
+    def test_training_pass_and_backward_bits(self, rng, rate, form, hidden):
+        layers = init_layers([40, 7, 5, 3], rng)
+        for layer in layers[:-1]:  # an identity hidden layer tapes z as its output too
+            layer.activation = hidden
+        for layer in layers:
+            layer.biases[:] = rng.normal(size=layer.biases.shape)
+        dense = sparse_rows(rng, 8, 40, max_cells=5)
+        x = dense if form == "dense" else cells_of(dense)
+        arrays = [dense] if form == "dense" else [x.rows, x.cols, x.values]
+        arrays += [a for layer in layers for a in (layer.weights, layer.biases)]
+        before = [a.copy() for a in arrays]
+        emb, tape = encoder_forward(layers, x, rate, make_rng(8), True)
+        want, inputs, pres, masks = training_forward_oracle(layers, x, rate, make_rng(8))
+        assert same_bytes([emb], [want])
+        assert tape.inputs[0] is x and same_bytes(tape.inputs[1:], inputs[1:])
+        assert same_bytes(tape.pre_activations, pres) and same_bytes(tape.dropout_masks, masks)
+        g = rng.normal(size=emb.shape)
+        g_before = g.copy()
+        taped = [a.copy() for a in [*tape.inputs[1:], *tape.pre_activations] +
+                 [m for m in tape.dropout_masks if m is not None]]
+        grads = encoder_backward(tape, g)
+        assert same_bytes(grads, backward_oracle(tape, g))
+        assert g.tobytes() == g_before.tobytes()
+        assert same_bytes(taped, [*tape.inputs[1:], *tape.pre_activations] +
+                          [m for m in tape.dropout_masks if m is not None])
+        assert same_bytes(arrays, before)
+
+    def test_backward_masks_at_the_top_leave_the_argument(self, rng):
+        # a relu last layer masks the caller's gradient itself: a new array
+        layers = [LayerParams(rng.normal(size=(4, 6)), rng.normal(size=4), "relu")]
+        _, tape = encoder_forward(layers, rng.normal(size=(5, 6)), training=True)
+        g = rng.normal(size=(5, 4))
+        g_before = g.copy()
+        grads = encoder_backward(tape, g)
+        assert g.tobytes() == g_before.tobytes()
+        assert same_bytes(grads, backward_oracle(tape, g))
+
+
 def whole_array_adam(params, grads, state, lr):
     """adam_step as one pass of each operation over every whole array."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8

@@ -356,6 +356,17 @@ class TestPairIndexObserved:
         pair_index = PairIndex.from_log(empty, empty, 1)
         assert pair_index.observed(np.array([0]), np.array([0])).tolist() == [[False]]
 
+    @pytest.mark.parametrize("n_events", [0, 1, 2, 500])
+    def test_codes_are_np_unique_of_the_pair_codes(self, n_events):
+        # the sort and run-start build against np.unique, bit for bit
+        rng = make_rng(n_events)
+        cids, iids = rng.integers(40, size=n_events), rng.integers(7, size=n_events)
+        before = cids.tobytes(), iids.tobytes()
+        codes = PairIndex.from_log(cids, iids, 7).codes
+        want = np.unique(cids.astype(np.int64) * 7 + iids)
+        assert codes.dtype == want.dtype and codes.tobytes() == want.tobytes()
+        assert (cids.tobytes(), iids.tobytes()) == before
+
 
 def test_samplers_deterministic(log, schema):
     b1 = relaxed(log, 8, make_rng(42), schema)

@@ -540,6 +540,25 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"checkpoint {path} is malformed: .*{message}"):
             load_checkpoint(path)
 
+    def test_document_holds_exactly_its_keys(self, tmp_path):
+        # a key that format 5 does not read is refused, not dropped: a
+        # format-6 key written under format_version 5 would vanish otherwise
+        _, _, model = tiny_model()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path, objective="rjcce", seed=0, split=SplitConfig())
+        doc = json.loads(path.read_text())
+        assert set(doc) == serialization.CHECKPOINT_KEYS
+        for extra in (["dataset_sha256"], ["b", "a"]):
+            path.write_text(json.dumps({**doc, **dict.fromkeys(extra, "abc")}))
+            with pytest.raises(FormatError) as exc:
+                load_checkpoint(path)
+            assert str(exc.value) == (f"checkpoint {path}: keys {sorted(extra)} are not in "
+                                      "format 5")
+        del doc["seed"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"^checkpoint {path} lacks key 'seed'$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(split={}), ": split lacks key 'min_duration_minutes'"),
         (lambda doc: doc.update(split={"train_fraction": 0.3}),

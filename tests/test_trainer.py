@@ -311,3 +311,26 @@ def test_dropout_only_during_fit():
     _, h1 = train(log, schema, cfg)
     _, h2 = train(log, schema, cfg)
     assert [r[2] for r in h1.records] == [r[2] for r in h2.records]
+
+
+@pytest.mark.parametrize("objective, loss", [("jcce", "jcce_objective"),
+                                             ("rjcce", "rjcce_objective"), ("bpr", "bpr_loss")])
+def test_validation_computes_no_gradient(monkeypatch, objective, loss):
+    # a loss computes its gradients when they are first read: each fit step
+    # reads them, a validation batch only its value
+    results = []
+    original = getattr(losses, loss)
+
+    def recording(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(losses, loss, recording)
+    log = toy_log(n_contents=6, per_content=20)
+    cfg = TrainConfig(objective=objective, batch_size=4, max_steps=4, eval_every=2, seed=2)
+    _, history = train(log, build_schema(log), cfg)
+    assert len(history.records) == 2
+    per_eval = (len(results) - 4) // 2  # the validation batches
+    read = ["_pair" in vars(res) for res in results]
+    assert per_eval > 0
+    assert read == ([True] * 2 + [False] * per_eval) * 2
