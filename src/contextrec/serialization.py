@@ -149,9 +149,10 @@ def _encode_part(dicts: list[dict]) -> tuple[list, list, list]:
                 continue
             v = attrs[name]
             # keys as distinct as JSON texts, so 1, 1.0, true, 0.0 and
-            # -0.0 stay apart: a string itself, a list its text, any
-            # other value its type and repr (a float's repr is its text)
-            key = (v if type(v) is str else json.dumps(v) if type(v) is list
+            # -0.0 stay apart, and so do the string "[]" and the list []:
+            # a string itself, a list its type and text, any other value
+            # its type and repr (a float's repr is its text)
+            key = (v if type(v) is str else (list, json.dumps(v)) if type(v) is list
                    else (type(v), repr(v)))
             index = pos.setdefault(key, len(table))
             if index == len(table):

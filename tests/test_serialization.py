@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -86,9 +86,11 @@ def record(context=(), item=(), timestamp=0.0, duration_min=5.0):
 class TestDataset:
     @settings(deadline=None)
     @given(st.lists(EVENTS, max_size=5))
+    @example([ViewingEvent({}, {"": "[]"}, 0.0, 0.0), ViewingEvent({}, {"": ()}, 0.0, 0.0)])
     def test_round_trip_property(self, log):
         # the format's domain: string categoricals, sorted string tuples,
-        # finite numerics and finite timestamps
+        # finite numerics and finite timestamps; the string "[]" and the
+        # empty list share a JSON-ish text but are two table values
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp, "a.jsonl"), Path(tmp, "b.jsonl")
             write_dataset(log, first)
